@@ -526,9 +526,8 @@ def _build_kernel(kcfg: dict, H: float, T: float):
 def _make_sim(resolved: dict, N: int, T: float, kern=None):
     """Return sim() -> (logS_T, V_T) for the configured model.
 
-    The closure re-runs the full simulation (increment draw included) so
-    it can be timed; determinism makes every run identical.  Paths are
-    processed in blocks to bound peak memory.
+    The closure runs the full simulation, increment draw included.  Paths
+    are processed in blocks to bound peak memory.
     """
     import numpy as np
 
@@ -639,14 +638,10 @@ def _make_sim(resolved: dict, N: int, T: float, kern=None):
 
 
 def _timed(sim):
-    """Median-of-3 wall time of sim(), plus its (deterministic) result."""
-    times = []
-    result = None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        result = sim()
-        times.append(time.perf_counter() - t0)
-    return result, sorted(times)[1]
+    """Run sim() once; return its result and its wall time."""
+    t0 = time.perf_counter()
+    result = sim()
+    return result, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +693,7 @@ def cmd_simulate(args) -> int:
         "files": [os.path.basename(paths_file)],
     }
     _write_json(os.path.join(out_dir, f"summary_{tag}.json"), summary)
-    print(f"wrote {paths_file} ({resolved['paths']} paths, {runtime:.4f}s median)")
+    print(f"wrote {paths_file} ({resolved['paths']} paths, {runtime:.4f}s)")
     return EXIT_OK
 
 

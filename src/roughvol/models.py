@@ -5,7 +5,17 @@ rBergomi turns hybrid-scheme Volterra paths into the lognormal variance
     V_t = xi0 * exp(eta * X_t - (eta^2/2) * t^(2*alpha+1)),
 
 aBergomi replaces the Volterra process with a superposition of Euler-stepped
-OU factors sharing one driving noise.  Two driver conventions are supported:
+OU factors Y^i_{j+1} = (1 - kappa_i*dt) Y^i_j + dB_j sharing one driving
+noise (kappa_i the effective speeds of the driver convention below).  On the
+uniform grid their weighted sum y = sum_i w_i Y^i is a lower-triangular
+Toeplitz product,
+
+    y_j = sum_{k<j} c_{j-1-k} dB_k,   c_m = sum_i w_i (1 - kappa_i*dt)^m,
+
+so abergomi_driver evaluates it with the FFT convolution the hybrid scheme
+uses: its cost does not depend on the number of terms, and the
+[n_paths x (N+1) x n_terms] factor tensor is built only when OUFactorPaths.Y
+is read.  Two driver conventions are supported:
 
 * ``rescaled`` (default) — the truncated-horizon construction: factors run
   at effective speeds kappa_i*(1 - theta/T) and the driver y is consumed as
@@ -34,10 +44,11 @@ simulate_volterra and rbergomi_variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hybrid_scheme import VolterraPaths
+from .hybrid_scheme import VolterraPaths, toeplitz_convolve
 from .kernel import ExpKernel
 from .sim_core import ModelParams, PathIncrements, TimeGrid, _readonly
 
@@ -88,20 +99,31 @@ class OUFactorState:
 
 @dataclass(frozen=True, eq=False)
 class OUFactorPaths:
-    """Time-indexed sequence of factor states on a grid.
+    """Shared-noise OU factors on a grid, held as their noise and decay.
 
-    Y has shape [n_paths x (N+1) x n_terms]; indexing with a node index j
-    returns the OUFactorState at t_j.
+    The factors follow Y^i_{j+1} = decay_i * Y^i_j + dB_j from Y^i_0 = 0,
+    with decay = 1 - eff_speeds*dt.  dB is the increments' own plane (not a
+    copy).  Y, the [n_paths x (N+1) x n_terms] tensor, is built by that
+    recursion on first read and cached; abergomi_driver never reads it.
+    Indexing with a node index j returns the OUFactorState at t_j.
     """
 
-    Y: np.ndarray
+    dB: np.ndarray
+    decay: np.ndarray
     grid: TimeGrid
     kernel: ExpKernel
     theta: float
     eff_speeds: np.ndarray
 
+    @cached_property
+    def Y(self) -> np.ndarray:
+        Y = np.zeros((self.dB.shape[0], self.grid.N + 1, self.kernel.n))
+        for j in range(self.grid.N):
+            Y[:, j + 1, :] = Y[:, j, :] * self.decay + self.dB[:, j, None]
+        return _readonly(Y)
+
     def __len__(self) -> int:
-        return self.Y.shape[1]
+        return self.grid.N + 1
 
     def __getitem__(self, j: int) -> OUFactorState:
         return OUFactorState(
@@ -198,13 +220,15 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
 
 
 def simulate_ou_factors(cfg: AbergomiConfig, inc: PathIncrements) -> OUFactorPaths:
-    """Euler-step the shared-noise OU factors Y^i from Y^i_0 = 0.
+    """Set up the shared-noise OU factors Y^i, Euler-stepped from Y^i_0 = 0:
 
         Y^i_{t_{j+1}} = Y^i_{t_j} - kappa_eff_i * Y^i_{t_j} * dt + dB_j
 
     (mean-reverting drift; all factors are driven by the same variance
     noise dB).  kappa_eff = kappa*(1 - theta/T) for the rescaled driver,
-    the kernel's own kappa for the direct driver.
+    the kernel's own kappa for the direct driver.  No step is taken here:
+    the result keeps inc.dB and the decay 1 - kappa_eff*dt, and runs the
+    recursion only if its Y tensor is read.
     """
     grid = inc.grid
     theta = cfg.resolve_theta(grid)
@@ -213,13 +237,9 @@ def simulate_ou_factors(cfg: AbergomiConfig, inc: PathIncrements) -> OUFactorPat
         eff = kappa * (1.0 - theta / grid.T)
     else:
         eff = kappa.copy()
-    n = cfg.kernel.n
-    Y = np.zeros((inc.n_paths, grid.N + 1, n))
-    decay = 1.0 - eff * grid.dt
-    for j in range(grid.N):
-        Y[:, j + 1, :] = Y[:, j, :] * decay + inc.dB[:, j, None]
     return OUFactorPaths(
-        Y=_readonly(Y),
+        dB=inc.dB,
+        decay=_readonly(1.0 - eff * grid.dt),
         grid=grid,
         kernel=cfg.kernel,
         theta=theta,
@@ -228,7 +248,12 @@ def simulate_ou_factors(cfg: AbergomiConfig, inc: PathIncrements) -> OUFactorPat
 
 
 def abergomi_driver(cfg: AbergomiConfig, factors: OUFactorPaths) -> DriverPaths:
-    """Collapse the factor paths to the scalar driver y_t = sum_i w_i Y^i_t.
+    """The scalar driver y_t = sum_i w_i Y^i_t, as one Toeplitz convolution.
+
+    Unrolling the factor recursion gives y_{t_j} = sum_{k<j} c_{j-1-k} dB_k
+    with c_m = sum_i w_i decay_i^m, decay = 1 - kappa_eff*dt; the sum is
+    evaluated by FFT (toeplitz_convolve), so the factor tensor is never
+    built and the cost does not depend on the number of terms.
 
     For the rescaled construction downstream consumers use
     sqrt(theta/T)*y_t as the Volterra surrogate; that prefactor is recorded
@@ -236,7 +261,10 @@ def abergomi_driver(cfg: AbergomiConfig, factors: OUFactorPaths) -> DriverPaths:
     """
     if factors.kernel is not cfg.kernel:
         raise ValueError("factors were simulated under a different config")
-    y = factors.Y @ cfg.kernel.weights
+    N = factors.grid.N
+    c = np.power.outer(factors.decay, np.arange(N)).T @ cfg.kernel.weights
+    y = np.zeros((factors.dB.shape[0], N + 1))
+    y[:, 1:] = toeplitz_convolve(c, factors.dB)
     pref = (
         np.sqrt(factors.theta / factors.grid.T) if cfg.driver == "rescaled" else 1.0
     )

@@ -260,6 +260,36 @@ def test_skew_monte_carlo_report(tmp_path):
     assert np.isfinite(doc["exponent"])
 
 
+def test_every_simulation_runs_once(tmp_path, monkeypatch):
+    from roughvol import sim_core
+
+    draws = []
+    real = sim_core.sample_correlated_increments
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim_core, "sample_correlated_increments", counting)
+    cfg = write_config(
+        tmp_path,
+        bs_config(steps=[8, 16], out_dir=str(tmp_path)),
+        name="smile.json",
+    )
+    assert cli.main(["smile", "--config", cfg]) == 0
+    assert len(draws) == 2
+    draws.clear()
+    cfg = write_config(
+        tmp_path,
+        table1_config(
+            paths=64, maturities=[0.25, 0.5, 1.0], bump=0.05, out_dir=str(tmp_path)
+        ),
+        name="skew.json",
+    )
+    assert cli.main(["skew", "--config", cfg]) == 0
+    assert len(draws) == 3
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -139,6 +139,28 @@ def test_rescaled_driver_variance_oracle(toy_kernel, table1):
     assert y.values[:, -1].var() == pytest.approx(want, rel=0.02)
 
 
+@pytest.mark.parametrize("N", [100, 512])
+@pytest.mark.parametrize("driver", ["rescaled", "direct"])
+def test_driver_convolution_matches_the_factor_recursion(table1, driver, N):
+    # the stiff term has kappa_eff*dt = 1.5: its decay 1 - kappa_eff*dt is
+    # negative but stable, so a sign, lag or decay slip in c_m shows
+    g = rv.make_time_grid(1.0, N)
+    theta = 0.5  # the rescaled driver runs at kappa*(1 - theta/T) = kappa/2
+    stiff = 1.5 * N if driver == "direct" else 3.0 * N
+    kern = rv.ExpKernel(
+        weights=[0.5, 0.3, 0.2], speeds=[0.5, 20.0, stiff], H=0.1, T=1.0
+    )
+    cfg = rv.AbergomiConfig(kernel=kern, params=table1, theta=theta, driver=driver)
+    inc = rv.sample_correlated_increments(g, table1.rho, 64, 17)
+    fac = rv.simulate_ou_factors(cfg, inc)
+    assert fac.eff_speeds.max() * g.dt == pytest.approx(1.5)
+    y = rv.abergomi_driver(cfg, fac).values
+    assert "Y" not in vars(fac), "the driver built the factor tensor"
+    want = fac.Y @ kern.weights
+    assert np.all(y[:, 0] == 0.0)
+    assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_driver_rejects_foreign_factors(toy_kernel, table1):
     g = rv.make_time_grid(1.0, 16)
     inc = rv.sample_correlated_increments(g, 0.0, 5, 0)
