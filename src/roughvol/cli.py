@@ -20,7 +20,9 @@ Exit codes: 0 ok, 2 schema error, 3 numeric failure, 4 I/O error.
 Thread control: --threads N (0 = auto) or the ROUGHVOL_THREADS env var set
 the BLAS/OpenMP pool sizes; this must happen before numpy is first
 imported, which is why this module defers all numeric imports into the
-command bodies.
+command bodies.  The same setting (through OMP_NUM_THREADS) caps the
+thread pool that draws increment blocks and runs the FFT convolution;
+results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -1020,7 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="BLAS/OpenMP threads (0 = auto; env ROUGHVOL_THREADS as fallback)",
+        help="BLAS/OpenMP threads, also the cap on the simulation's own thread "
+        "pool (0 = auto; env ROUGHVOL_THREADS as fallback)",
     )
     parser = argparse.ArgumentParser(
         prog="roughvol",

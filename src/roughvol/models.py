@@ -105,7 +105,9 @@ class OUFactorPaths:
     with decay = 1 - eff_speeds*dt.  dB is the increments' own plane (not a
     copy).  Y, the [n_paths x (N+1) x n_terms] tensor, is built by that
     recursion on first read and cached; abergomi_driver never reads it.
-    Indexing with a node index j returns the OUFactorState at t_j.
+    Indexing with a node index j returns the OUFactorState at t_j; unless Y
+    is already built, it runs the same recursion up to node j on a
+    [n_paths x n_terms] state and builds no tensor.
     """
 
     dB: np.ndarray
@@ -115,19 +117,35 @@ class OUFactorPaths:
     theta: float
     eff_speeds: np.ndarray
 
+    def _steps(self, stop: int):
+        """Yield Y at t_0..t_stop, each a fresh [n_paths x n_terms] array."""
+        state = np.zeros((self.dB.shape[0], self.kernel.n))
+        yield state
+        for j in range(stop):
+            state = state * self.decay + self.dB[:, j, None]
+            yield state
+
     @cached_property
     def Y(self) -> np.ndarray:
-        Y = np.zeros((self.dB.shape[0], self.grid.N + 1, self.kernel.n))
-        for j in range(self.grid.N):
-            Y[:, j + 1, :] = Y[:, j, :] * self.decay + self.dB[:, j, None]
+        Y = np.empty((self.dB.shape[0], self.grid.N + 1, self.kernel.n))
+        for j, state in enumerate(self._steps(self.grid.N)):
+            Y[:, j, :] = state
         return _readonly(Y)
 
     def __len__(self) -> int:
         return self.grid.N + 1
 
     def __getitem__(self, j: int) -> OUFactorState:
+        """The state at t_j: read from Y if built, else stepped to node j only."""
+        j = range(self.grid.N + 1)[j]
+        if "Y" in vars(self):
+            Y = self.Y[:, j, :]
+        else:
+            for Y in self._steps(j):
+                pass
+            Y = _readonly(Y)
         return OUFactorState(
-            Y=self.Y[:, j, :],
+            Y=Y,
             kernel=self.kernel,
             theta=self.theta,
             eff_speeds=self.eff_speeds,

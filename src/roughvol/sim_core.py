@@ -5,11 +5,30 @@ smile pipeline) consumes increments produced here, so this module owns the
 reproducibility story: a counter-based generator (Philox) is sub-seeded per
 fixed-size path block, which makes the output independent of scheduling and
 lets two runs with different ``n_paths`` agree on their common prefix.
+
+Because no block depends on another, the module also owns the small runner
+that spreads independent chunks of work over threads (``run_chunks``): the
+increment blocks here and the FFT row chunks of
+``hybrid_scheme.toeplitz_convolve``.  numpy's RNG fill and ``np.fft`` release
+the interpreter lock, so the threads run on separate cores.  The pool width is
+the usable-CPU count, capped by ``OMP_NUM_THREADS`` when that variable holds an
+integer >= 1 (the CLI's ``--threads`` sets it).  Worker s takes chunks s,
+s + width, ..., and every chunk is computed by the same operations in the same
+order at any width, so results are bit-identical whatever the thread count.
+
+Every large buffer, the outputs and each worker's scratch, is allocated in
+the calling thread; workers only fill them through ``out=`` arguments.
+Memory that worker threads allocate and free lands in glibc's per-thread
+malloc arenas, which keep it, so allocating inside the workers raises peak
+memory even though the arrays are freed.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +45,41 @@ __all__ = [
 # seed draws the same Gaussians for path p, regardless of how many paths the
 # caller asked for or how the work is scheduled.
 BLOCK_SIZE = 4096
+
+
+def _pool_width() -> int:
+    """Usable CPUs, capped by OMP_NUM_THREADS when it holds an integer >= 1."""
+    try:
+        width = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        width = os.cpu_count() or 1
+    try:
+        cap = int(os.environ.get("OMP_NUM_THREADS", ""))
+    except ValueError:
+        cap = 0
+    return min(width, cap) if cap >= 1 else width
+
+
+def run_chunks(n_chunks: int, work: Callable, scratch: Callable) -> None:
+    """Call work(chunk, buf) for chunk = 0..n_chunks-1 on a thread pool.
+
+    scratch() makes one worker's buffer; it is called once per worker, in
+    the calling thread.  Worker s takes chunks s, s + width, ..., so buf is
+    never shared between threads; work must write only to its own chunk of
+    the outputs.  A single chunk, or a width of 1, runs inline.
+    """
+    width = max(1, min(_pool_width(), n_chunks))
+    bufs = [scratch() for _ in range(width)]
+
+    def lane(s: int) -> None:
+        for chunk in range(s, n_chunks, width):
+            work(chunk, bufs[s])
+
+    if width <= 1:
+        lane(0)
+        return
+    with ThreadPoolExecutor(width) as pool:
+        list(pool.map(lane, range(width)))  # re-raises a worker's exception
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -114,8 +168,8 @@ class ModelParams:
         object.__setattr__(self, "sigma", self.eta * np.sqrt(2 * self.H))
 
 
-def _block_normals(seed: int, block: int, N: int) -> np.ndarray:
-    """Draw the full (3, BLOCK_SIZE, N) Gaussian tile for one block.
+def _block_normals(seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, a (3, BLOCK_SIZE, N) tile, with one block's Gaussians.
 
     Always draws the complete tile even when fewer paths are needed, so a
     partial block is a row-slice of the full one (prefix property).
@@ -123,7 +177,7 @@ def _block_normals(seed: int, block: int, N: int) -> np.ndarray:
     exact-distribution sampler, on the counter-based Philox bit stream.
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-    return gen.standard_normal((3, BLOCK_SIZE, N))
+    return gen.standard_normal(out=out)
 
 
 def sample_correlated_increments(
@@ -133,7 +187,8 @@ def sample_correlated_increments(
 
     All three have per-column variance dt.  Identical (seed, grid, rho,
     n_paths) gives bit-identical output on any machine/thread count; the
-    first m paths agree between runs with different n_paths.
+    first m paths agree between runs with different n_paths.  Each
+    BLOCK_SIZE-path block is drawn by one task of run_chunks.
     """
     if abs(rho) > 1:
         raise ValueError(f"|rho| must be <= 1, got {rho}")
@@ -148,13 +203,24 @@ def sample_correlated_increments(
     dB = np.empty((n_paths, N))
     dU = np.empty((n_paths, N))
     root = np.sqrt(1.0 - rho * rho)
-    for block in range((n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE):
+
+    def draw(block: int, tile: np.ndarray) -> None:
         lo = block * BLOCK_SIZE
         hi = min(lo + BLOCK_SIZE, n_paths)
-        z = _block_normals(seed, block, N)[:, : hi - lo, :]
-        dW[lo:hi] = z[0] * sq_dt
-        dB[lo:hi] = rho * (z[0] * sq_dt) + root * (z[1] * sq_dt)
-        dU[lo:hi] = z[2] * sq_dt
+        z = _block_normals(seed, block, tile)[:, : hi - lo, :]
+        np.multiply(z[0], sq_dt, out=dW[lo:hi])
+        # dB = rho*dW + root*(z1*sq_dt), in that order of operations
+        np.multiply(z[1], sq_dt, out=z[1])
+        np.multiply(z[1], root, out=z[1])
+        np.multiply(dW[lo:hi], rho, out=dB[lo:hi])
+        np.add(dB[lo:hi], z[1], out=dB[lo:hi])
+        np.multiply(z[2], sq_dt, out=dU[lo:hi])
+
+    run_chunks(
+        (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE,
+        draw,
+        lambda: np.empty((3, BLOCK_SIZE, N)),
+    )
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),

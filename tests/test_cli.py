@@ -439,3 +439,26 @@ def test_threads_validation(thread_env, monkeypatch, capsys):
     monkeypatch.setenv("ROUGHVOL_THREADS", "many")
     assert cli.main(["simulate", "--config", thread_env]) == 2
     assert "ROUGHVOL_THREADS" in capsys.readouterr().err
+
+
+def test_thread_count_leaves_smile_csvs_byte_identical(thread_env, tmp_path, monkeypatch):
+    # two usable CPUs even on a one-core machine, so --threads 2 runs a pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write_config(
+        tmp_path,
+        table1_config(
+            paths=4096 + 5,
+            steps=[8, 16],
+            strikes={"min": -0.1, "max": 0.1, "count": 5},
+        ),
+        name="smile.json",
+    )
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert cli.main(["smile", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        outs[threads] = sorted(out.glob("smile_rbergomi_*.csv"))
+    assert [p.name for p in outs["1"]] == [p.name for p in outs["2"]]
+    assert len(outs["1"]) == 2
+    for a, b in zip(outs["1"], outs["2"]):
+        assert a.read_bytes() == b.read_bytes()

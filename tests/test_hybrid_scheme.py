@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvol as rv
+from roughvol import BLOCK_SIZE, sim_core
 
 ALPHA = 0.07 - 0.5  # H = 0.07
 
@@ -191,3 +192,16 @@ def test_kernel_plan_rejects_a_kernel_for_another_H():
     kern = rv.fit_kernel_ls(0.1, 1.0, 50, 3)
     with pytest.raises(ValueError, match="H=0.1"):
         rv.make_hybrid_plan(rv.make_time_grid(1.0, 10), ALPHA, kernel=kern)
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1025, BLOCK_SIZE + 5, 3 * BLOCK_SIZE + 7])
+def test_toeplitz_does_not_depend_on_the_thread_count(rows, monkeypatch):
+    rng = np.random.default_rng(rows)
+    ker = rng.standard_normal(50)
+    sig = rng.standard_normal((rows, 50))
+    runs = []
+    for width in (1, 2):
+        monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+        runs.append(rv.toeplitz_convolve(ker, sig))
+    assert runs[0].shape == (rows, 50)
+    assert np.array_equal(runs[0], runs[1])

@@ -99,6 +99,21 @@ def test_ou_factor_containers(toy_kernel, table1):
     assert np.all(fac.Y[:, 0, :] == 0.0)
 
 
+def test_factor_state_is_stepped_without_the_tensor(toy_kernel, table1):
+    g = rv.make_time_grid(1.0, 16)
+    inc = rv.sample_correlated_increments(g, table1.rho, 7, 3)
+    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, driver="direct")
+    fac = rv.simulate_ou_factors(cfg, inc)
+    nodes = (0, 1, 5, 16, -1)
+    states = [fac[j] for j in nodes]
+    assert "Y" not in vars(fac)
+    for j, state in zip(nodes, states):
+        assert not state.Y.flags.writeable
+        assert np.array_equal(state.Y, fac.Y[:, j, :])
+    with pytest.raises(IndexError):
+        fac[17]
+
+
 def test_ou_variance_oracles(toy_kernel, table1):
     # direct driver: per-factor Var(Y^i_t) -> (1-e^(-2k_i t))/(2k_i) and,
     # because every factor shares one dB, the combined driver variance is

@@ -1,4 +1,6 @@
-"""Grids, parameter validation, and the RNG reproducibility contract."""
+"""Grids, parameter validation, the RNG reproducibility contract, and the block runner."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvol as rv
-from roughvol import BLOCK_SIZE
+from roughvol import BLOCK_SIZE, sim_core
 
 
 def test_grid_basic():
@@ -142,3 +144,69 @@ def test_prefix_property_holds_generally(n1, extra, seed, N):
     assert np.array_equal(a.dW, b.dW[:n1])
     assert np.array_equal(a.dB, b.dB[:n1])
     assert np.array_equal(a.dU, b.dU[:n1])
+
+
+THREAD_ROWS = [1, 1023, 1025, BLOCK_SIZE + 5, 3 * BLOCK_SIZE + 7]
+
+
+@pytest.mark.parametrize("n_paths", THREAD_ROWS)
+def test_increments_do_not_depend_on_the_thread_count(n_paths, monkeypatch):
+    g = rv.make_time_grid(1.0, 7)
+    runs = []
+    for width in (1, 2):
+        monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+        runs.append(rv.sample_correlated_increments(g, -0.9, n_paths, 5))
+    one, two = runs
+    assert np.array_equal(one.dW, two.dW)
+    assert np.array_equal(one.dB, two.dB)
+    assert np.array_equal(one.dU, two.dU)
+
+
+def test_run_chunks_gives_each_worker_its_own_buffer(monkeypatch):
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: 3)
+    seen = {}
+    made = []
+
+    def work(chunk, buf):
+        buf.append(chunk)
+        seen[chunk] = threading.get_ident()
+
+    def scratch():
+        made.append([])
+        return made[-1]
+
+    sim_core.run_chunks(8, work, scratch)
+    assert sorted(seen) == list(range(8))
+    # worker s takes chunks s, s + 3, ...
+    assert made == [[0, 3, 6], [1, 4, 7], [2, 5]]
+    assert threading.get_ident() not in seen.values()
+
+
+def test_run_chunks_runs_a_single_chunk_inline(monkeypatch):
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
+    idents = []
+    sim_core.run_chunks(1, lambda chunk, buf: idents.append(threading.get_ident()), list)
+    assert idents == [threading.get_ident()]
+
+
+def test_run_chunks_reraises_a_worker_error(monkeypatch):
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
+
+    def work(chunk, buf):
+        if chunk == 3:
+            raise RuntimeError("chunk 3 failed")
+
+    with pytest.raises(RuntimeError, match="chunk 3"):
+        sim_core.run_chunks(4, work, list)
+
+
+@pytest.mark.parametrize(
+    "omp,want", [("1", 1), ("64", 2), ("0", 2), ("sentinel", 2), (None, 2)]
+)
+def test_pool_width_is_capped_by_omp_num_threads(omp, want, monkeypatch):
+    monkeypatch.setattr(sim_core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if omp is None:
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OMP_NUM_THREADS", omp)
+    assert sim_core._pool_width() == want
