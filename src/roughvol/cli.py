@@ -21,8 +21,9 @@ Thread control: --threads N (0 = auto) or the ROUGHVOL_THREADS env var set
 the BLAS/OpenMP pool sizes; this must happen before numpy is first
 imported, which is why this module defers all numeric imports into the
 command bodies.  The same setting (through OMP_NUM_THREADS) caps the
-thread pool that draws increment blocks and runs the FFT convolution;
-results are bit-identical at any thread count.
+thread pool that draws increment blocks and runs the FFT convolution; with
+0, an OMP_NUM_THREADS inherited from the environment still caps that pool.
+Results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -1023,7 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="BLAS/OpenMP threads, also the cap on the simulation's own thread "
-        "pool (0 = auto; env ROUGHVOL_THREADS as fallback)",
+        "pool (0 = auto, though an inherited OMP_NUM_THREADS still caps "
+        "the pool; env ROUGHVOL_THREADS as fallback)",
     )
     parser = argparse.ArgumentParser(
         prog="roughvol",

@@ -105,9 +105,9 @@ class OUFactorPaths:
     with decay = 1 - eff_speeds*dt.  dB is the increments' own plane (not a
     copy).  Y, the [n_paths x (N+1) x n_terms] tensor, is built by that
     recursion on first read and cached; abergomi_driver never reads it.
-    Indexing with a node index j returns the OUFactorState at t_j; unless Y
-    is already built, it runs the same recursion up to node j on a
-    [n_paths x n_terms] state and builds no tensor.
+    Indexing with a node index j returns the OUFactorState at t_j; it runs
+    the same recursion up to node j on a [n_paths x n_terms] state and
+    builds no tensor.
     """
 
     dB: np.ndarray
@@ -136,16 +136,12 @@ class OUFactorPaths:
         return self.grid.N + 1
 
     def __getitem__(self, j: int) -> OUFactorState:
-        """The state at t_j: read from Y if built, else stepped to node j only."""
+        """The state at t_j, stepped to node j only."""
         j = range(self.grid.N + 1)[j]
-        if "Y" in vars(self):
-            Y = self.Y[:, j, :]
-        else:
-            for Y in self._steps(j):
-                pass
-            Y = _readonly(Y)
+        for Y in self._steps(j):  # keeps only the last state alive
+            pass
         return OUFactorState(
-            Y=Y,
+            Y=_readonly(Y),
             kernel=self.kernel,
             theta=self.theta,
             eff_speeds=self.eff_speeds,
