@@ -23,6 +23,7 @@ _EXPORTS = {
     "ModelParams": ".sim_core",
     "make_time_grid": ".sim_core",
     "sample_correlated_increments": ".sim_core",
+    "iter_blocks": ".sim_core",
     # hybrid_scheme
     "HybridPlan": ".hybrid_scheme",
     "VolterraPaths": ".hybrid_scheme",
@@ -72,6 +73,7 @@ _EXPORTS = {
     "scale_smile": ".analytics",
     "smile_rmse": ".analytics",
     "atm_skew": ".analytics",
+    "fit_power_law": ".analytics",
     "helper_functions": ".analytics",
     "two_factor_coeffs": ".analytics",
     "two_factor_skew_shape": ".analytics",

@@ -43,6 +43,7 @@ __all__ = [
     "scale_smile",
     "smile_rmse",
     "atm_skew",
+    "fit_power_law",
     "helper_functions",
     "two_factor_coeffs",
     "two_factor_skew_shape",
@@ -339,6 +340,20 @@ def smile_rmse(a: SmileResult, b: SmileResult) -> float:
     return float(np.sqrt(np.mean((a.vols[ok] - b.vols[ok]) ** 2)))
 
 
+def fit_power_law(maturities, psi) -> tuple[float, float, float]:
+    """Least-squares fit of log psi = intercept + exponent * log T.
+
+    Returns (intercept, exponent, residual), where residual is the RMS misfit
+    in log psi.  Every maturity and psi must be positive.
+    """
+    log_T = np.log(np.asarray(maturities, dtype=float))
+    log_psi = np.log(np.asarray(psi, dtype=float))
+    A = np.vstack([np.ones(log_T.size), log_T]).T
+    coef, *_ = np.linalg.lstsq(A, log_psi, rcond=None)
+    residual = float(np.sqrt(np.mean((A @ coef - log_psi) ** 2)))
+    return float(coef[0]), float(coef[1]), residual
+
+
 def atm_skew(smile_fn, maturities, bump: float = 0.01) -> SkewReport:
     """ATM skew per maturity by CRN central difference, plus a power-law fit.
 
@@ -369,12 +384,7 @@ def atm_skew(smile_fn, maturities, bump: float = 0.01) -> SkewReport:
             flagged[i] = True
     ok = ~flagged
     if ok.sum() >= 2:
-        A = np.vstack([np.ones(ok.sum()), np.log(maturities[ok])]).T
-        coef, *_ = np.linalg.lstsq(A, np.log(psi[ok]), rcond=None)
-        intercept, exponent = float(coef[0]), float(coef[1])
-        residual = float(
-            np.sqrt(np.mean((A @ coef - np.log(psi[ok])) ** 2))
-        )
+        intercept, exponent, residual = fit_power_law(maturities[ok], psi[ok])
     else:
         intercept = exponent = residual = float("nan")
     return SkewReport(

@@ -9,11 +9,13 @@ compare     rBergomi-vs-aBergomi smile RMSE table over a (terms x steps) grid
 skew        ATM-skew term structure + fitted power-law exponent (JSON)
 
 All commands read a single JSON config (--config); --seed/--out override
-the config's seed/out_dir.  Unknown config keys are errors, and schema
-errors name every offending key.  Every artifact embeds the sha256 of the
-resolved config plus the seed, so runs are reproducible from their own
-outputs.  CSVs are comma-separated, '.' decimal, LF line endings, header
-mandatory; files are written atomically (temp + rename).
+the config's seed/out_dir.  The config is checked against one table
+(_CONFIG): unknown keys are errors, numbers must be finite (json.load
+accepts NaN and Infinity, the table does not), and schema errors name
+every offending key.  Every artifact embeds the sha256 of the resolved
+config (defaults filled in) plus the seed, so runs are reproducible from
+their own outputs.  CSVs are comma-separated, '.' decimal, LF line endings,
+header mandatory; files are written atomically (temp + rename).
 
 Exit codes: 0 ok, 2 schema error, 3 numeric failure, 4 I/O error.
 
@@ -23,63 +25,35 @@ imported, which is why this module defers all numeric imports into the
 command bodies.  The same setting (through OMP_NUM_THREADS) caps the
 thread pool that draws increment blocks and runs the FFT convolution; with
 0, an OMP_NUM_THREADS inherited from the environment still caps that pool.
-Results are bit-identical at any thread count.
+The setting lasts for one main() call: main restores the thread variables
+when it returns.  Results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
+from typing import Any, Callable, NamedTuple
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_SIM_BLOCK = 4096  # paths per model-evaluation block (memory control)
-
-DEFAULT_STRIKE_SPEC = {"min": -0.2, "max": 0.2, "count": 21}
-DEFAULT_MATURITIES = [0.1, 0.25, 0.5, 1.0, 2.0]
-DEFAULT_COMPARE_TERMS = [15, 20, 25]
-DEFAULT_COMPARE_STEPS = [50, 100, 150, 200]
-
-_TOP_KEYS = {
-    "schema_version",
-    "model",
-    "params",
-    "grid",
-    "paths",
-    "seed",
-    "kernel",
-    "strikes",
-    "steps",
-    "maturities",
-    "compare",
-    "fit",
-    "out_dir",
-    "bump",
-}
-_KERNEL_KEYS = {"n", "method", "N_grid", "m2", "driver", "compensator", "theta"}
-_FIT_KEYS = {"H", "T", "N_grid", "n", "method"}
-_GRID_KEYS = {"T", "N"}
-_COMPARE_KEYS = {"terms", "steps"}
-_RB_PARAM_KEYS = {"xi0", "eta", "H", "rho"}
-_BS_PARAM_KEYS = {"vol"}
-_TF_PARAM_KEYS = {
-    "omega",
-    "theta",
-    "kappa_X",
-    "kappa_Y",
-    "rho_SX",
-    "rho_SY",
-    "rho_XY",
-    "xi0",
-}
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 
 
 class CliError(Exception):
@@ -106,25 +80,12 @@ def _setup_threads(threads: int | None):
         raise CliError(EXIT_SCHEMA, f"--threads must be >= 0, got {threads}")
     if threads == 0:
         return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
+    for var in _THREAD_VARS:
         os.environ[var] = str(threads)
 
 
 # ---------------------------------------------------------------------------
-# config loading / validation
-
-
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+# config loading and the schema table
 
 
 def load_config(path: str) -> dict:
@@ -140,120 +101,289 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _check_params(model: str, params, errors) -> dict:
-    if not isinstance(params, dict):
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _num(v) -> bool:
+    """A finite number: NaN and +-Infinity are not."""
+    return _int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _pos(v) -> bool:
+    return _num(v) and v > 0
+
+
+def _int_from(lo: int):
+    return lambda v: _int(v) and v >= lo
+
+
+def _int_list(lo: int):
+    return lambda v: isinstance(v, list) and bool(v) and all(_int_from(lo)(x) for x in v)
+
+
+def _one_of(*names):
+    return lambda v: v in names
+
+
+def _optional(test):
+    return lambda v: v is None or test(v)
+
+
+_ABSENT = object()  # the value of a missing key, as a `check` function sees it
+
+
+class _Key(NamedTuple):
+    """One row of the config table: test(value) must hold, else msg.
+
+    An absent key resolves to default (called with the config resolved so
+    far when callable) and is reported if required.  bound(value) names the
+    range an accepted value is outside of, if any; cast maps an accepted
+    value into the resolved config.  check(value, ctx, errors) -> resolved
+    value replaces all of these for a rule a row cannot state.  A key
+    outside `commands` (empty: all) is accepted but not checked or resolved.
+    """
+
+    test: Callable[[Any], bool] | None = None
+    msg: str = ""
+    default: Any = None
+    required: bool = False
+    bound: Callable[[Any], str | None] | None = None
+    cast: Callable[[Any], Any] | None = None
+    check: Callable[[Any, dict, list], Any] | None = None
+    commands: tuple = ()
+
+
+def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=None):
+    """Check obj against table; return it resolved, defaults filled in.
+
+    Unknown keys are reported first, sorted, then each key in table order.
+    In a model's parameter block, messages name the model and every range
+    error follows every type error.
+    """
+    suffix = f" for model {model!r}" if model else ""
+    for k in sorted(set(obj) - set(table)):
+        errors.append(f"{prefix}{k}: unknown key{suffix}")
+    out, ranges = {}, []
+    for name, key in table.items():
+        v = obj.get(name, _ABSENT)
+        if key.commands and ctx["command"] not in key.commands:
+            continue
+        if key.check:
+            out[name] = key.check(v, ctx, errors)
+        elif v is _ABSENT:
+            default = key.default
+            out[name] = default(out) if callable(default) else copy.copy(default)
+            if key.required:
+                why = f"required{suffix}" if model else key.msg
+                errors.append(f"{prefix}{name}: {why}")
+        elif not key.test(v):
+            out[name] = v
+            errors.append(f"{prefix}{name}: {key.msg}")
+        else:
+            out[name] = key.cast(v) if key.cast else v
+            if key.bound and key.bound(v):
+                (ranges if model else errors).append(f"{prefix}{name}: {key.bound(v)}")
+    errors += ranges
+    return out
+
+
+# The rules below the key level: which models a command takes and how an
+# absent or malformed object section is reported.
+
+
+def _check_model(v, ctx: dict, errors: list):
+    command = ctx["command"]
+    if v is _ABSENT:
+        if command == "fit-kernel":
+            return None
+        v = "rbergomi" if command == "compare" else None
+    valid = ("bergomi2f", "rbergomi") if command == "skew" else _MODELS
+    if v not in valid:
+        errors.append(f"model: must be one of {sorted(valid)}, got {v!r}")
+        v = "rbergomi"
+    ctx["model"] = v
+    return v
+
+
+def _check_fit(v, ctx: dict, errors: list):
+    if not isinstance(v, dict):
+        errors.append("fit: required object for fit-kernel")
+        v = {}
+    return _walk("fit.", v, _FIT, ctx, errors)
+
+
+def _check_params(v, ctx: dict, errors: list):
+    if v is not _ABSENT and not isinstance(v, dict):
         errors.append("params: must be an object")
         return {}
-    allowed = {
-        "rbergomi": _RB_PARAM_KEYS,
-        "abergomi": _RB_PARAM_KEYS,
-        "bs": _BS_PARAM_KEYS,
-        "bergomi2f": _TF_PARAM_KEYS,
-    }.get(model, _RB_PARAM_KEYS | _BS_PARAM_KEYS | _TF_PARAM_KEYS)
-    for k in sorted(set(params) - allowed):
-        errors.append(f"params.{k}: unknown key for model {model!r}")
-    out = dict(params)
-    if model in ("rbergomi", "abergomi"):
-        for k in ("xi0", "eta", "H", "rho"):
-            if k not in params:
-                errors.append(f"params.{k}: required for model {model!r}")
-            elif not _is_num(params[k]):
-                errors.append(f"params.{k}: must be a number")
-        if _is_num(params.get("xi0")) and params["xi0"] <= 0:
-            errors.append("params.xi0: must be positive")
-        if _is_num(params.get("eta")) and params["eta"] <= 0:
-            errors.append("params.eta: must be positive")
-        if _is_num(params.get("H")) and not (0 < params["H"] < 0.5):
-            errors.append("params.H: must lie in (0, 1/2)")
-        if _is_num(params.get("rho")) and abs(params["rho"]) > 1:
-            errors.append("params.rho: must lie in [-1, 1]")
-    elif model == "bs":
-        if "vol" not in params:
-            errors.append("params.vol: required for model 'bs'")
-        elif not _is_num(params["vol"]) or params["vol"] <= 0:
-            errors.append("params.vol: must be a positive number")
-    elif model == "bergomi2f":
-        for k in sorted(_TF_PARAM_KEYS - {"xi0"}):
-            if k not in params:
-                errors.append(f"params.{k}: required for model 'bergomi2f'")
-            elif not _is_num(params[k]):
-                errors.append(f"params.{k}: must be a number")
-        out.setdefault("xi0", 0.026)
+    model = ctx["model"]
+    obj = {} if v is _ABSENT else v
+    out = _walk("params.", obj, _PARAMS[model], ctx, errors, model)
+    if v is _ABSENT:
+        errors.append("params: required")
     return out
 
 
-def _check_grid(grid, errors) -> dict:
-    if not isinstance(grid, dict):
+def _check_grid(v, ctx: dict, errors: list):
+    if v is _ABSENT and ctx["command"] == "skew":
+        v = {"T": 1.0, "N": 100}  # maturities supply T; N only matters for MC
+    if isinstance(v, dict):
+        return _walk("grid.", v, _GRID, ctx, errors)
+    if v is _ABSENT:
+        errors.append("grid: required")
+    else:
         errors.append("grid: must be an object with keys T, N")
-        return {"T": 1.0, "N": 100}
-    for k in sorted(set(grid) - _GRID_KEYS):
-        errors.append(f"grid.{k}: unknown key")
-    if not _is_num(grid.get("T")) or grid.get("T", 0) <= 0:
-        errors.append("grid.T: must be a positive number")
-    if not _is_int(grid.get("N")) or grid.get("N", 0) < 2:
-        errors.append("grid.N: must be an integer >= 2")
-    return {"T": grid.get("T", 1.0), "N": grid.get("N", 100)}
+    return {"T": 1.0, "N": 100}
 
 
-def _check_strikes(spec, errors) -> list:
-    if spec is None:
-        spec = dict(DEFAULT_STRIKE_SPEC)
-    if isinstance(spec, list):
-        if not spec or not all(_is_num(v) for v in spec):
-            errors.append("strikes: must be a non-empty list of numbers")
-            return []
-        return [float(v) for v in spec]
-    if isinstance(spec, dict):
-        extra = set(spec) - {"min", "max", "count"}
-        for k in sorted(extra):
-            errors.append(f"strikes.{k}: unknown key")
-        lo, hi, cnt = spec.get("min"), spec.get("max"), spec.get("count")
-        if not (_is_num(lo) and _is_num(hi) and lo < hi):
-            errors.append("strikes.min/max: need numbers with min < max")
-            return []
-        if not _is_int(cnt) or cnt < 2:
-            errors.append("strikes.count: must be an integer >= 2")
-            return []
-        return [lo + (hi - lo) * i / (cnt - 1) for i in range(cnt)]
-    errors.append("strikes: must be a list or a {min, max, count} object")
-    return []
+def _check_paths(v, ctx: dict, errors: list):
+    if _int_from(1)(v):
+        return v
+    if ctx["command"] != "skew" or ctx["model"] != "bergomi2f":  # analytic: no MC
+        errors.append("paths: must be an integer >= 1")
+    return 0
 
 
-def _check_kernel(spec, errors, required: bool) -> dict | None:
-    if spec is None:
-        if required:
-            errors.append("kernel: required for model 'abergomi'")
-        return None
-    if not isinstance(spec, dict):
+def _check_strikes(v, ctx: dict, errors: list):
+    if v is _ABSENT or v is None:
+        v = {"min": -0.2, "max": 0.2, "count": 21}
+    if isinstance(v, list):
+        if v and all(_num(x) for x in v):
+            return [float(x) for x in v]
+        errors.append("strikes: must be a non-empty list of numbers")
+        return []
+    if not isinstance(v, dict):
+        errors.append("strikes: must be a list or a {min, max, count} object")
+        return []
+    for k in sorted(set(v) - {"min", "max", "count"}):
+        errors.append(f"strikes.{k}: unknown key")
+    lo, hi, cnt = v.get("min"), v.get("max"), v.get("count")
+    if not (_num(lo) and _num(hi) and lo < hi):
+        errors.append("strikes.min/max: need numbers with min < max")
+        return []
+    if not _int_from(2)(cnt):
+        errors.append("strikes.count: must be an integer >= 2")
+        return []
+    return [lo + (hi - lo) * i / (cnt - 1) for i in range(cnt)]
+
+
+def _check_kernel(v, ctx: dict, errors: list):
+    if isinstance(v, dict):
+        return _walk("kernel.", v, _KERNEL, ctx, errors)
+    if v is not _ABSENT and v is not None:
         errors.append("kernel: must be an object")
-        return None
-    for k in sorted(set(spec) - _KERNEL_KEYS):
-        errors.append(f"kernel.{k}: unknown key")
-    out = {
-        "n": spec.get("n"),
-        "method": spec.get("method", "least-squares"),
-        "N_grid": spec.get("N_grid"),
-        "m2": spec.get("m2", "table"),
-        "driver": spec.get("driver", "rescaled"),
-        "compensator": spec.get("compensator", "power"),
-        "theta": spec.get("theta"),
-    }
-    if not _is_int(out["n"]) or out["n"] < 1:
-        errors.append("kernel.n: must be an integer >= 1")
-    if out["method"] not in ("closed-form", "least-squares"):
-        errors.append("kernel.method: must be 'closed-form' or 'least-squares'")
-    if out["N_grid"] is not None and (not _is_int(out["N_grid"]) or out["N_grid"] < 3):
-        errors.append("kernel.N_grid: must be an integer >= 3")
-    m2 = out["m2"]
-    if not (m2 in ("table", "none") or (_is_num(m2) and m2 > 0)):
-        errors.append("kernel.m2: must be 'table', 'none', or a positive number")
-    if out["driver"] not in ("rescaled", "direct"):
-        errors.append("kernel.driver: must be 'rescaled' or 'direct'")
-    if out["compensator"] not in ("power", "exact"):
-        errors.append("kernel.compensator: must be 'power' or 'exact'")
-    if out["theta"] is not None and (not _is_num(out["theta"]) or out["theta"] <= 0):
-        errors.append("kernel.theta: must be a positive number")
-    return out
+    elif ctx["model"] == "abergomi" or ctx["command"] == "compare":
+        errors.append("kernel: required for model 'abergomi'")
+    return None
+
+
+def _check_compare(v, ctx: dict, errors: list):
+    if v is not _ABSENT and not isinstance(v, dict):
+        errors.append("compare: must be an object")
+    return _walk("compare.", v if isinstance(v, dict) else {}, _COMPARE, ctx, errors)
+
+
+def _param(ok: Callable[[Any], bool], range_msg: str) -> _Key:
+    """A required model parameter: a number first, then inside its range."""
+    return _Key(_num, _NUM, required=True, bound=lambda v: None if ok(v) else range_msg)
+
+
+def _at_least_3(v: list):
+    if len(v) < 3:
+        return f"need at least 3 maturities to fit a power law, got {len(v)}"
+
+
+_PRICING = ("simulate", "smile", "compare", "skew")
+_MODELS = ("abergomi", "bergomi2f", "bs", "rbergomi")
+_NUM, _POS = "must be a number", "must be a positive number"
+_INT_LIST = "must be a non-empty integer list"
+_METHOD = _Key(
+    _one_of("closed-form", "least-squares"),
+    "must be 'closed-form' or 'least-squares'",
+    "least-squares",
+)
+_RB_PARAMS = {
+    "xi0": _param(lambda v: v > 0, "must be positive"),
+    "eta": _param(lambda v: v > 0, "must be positive"),
+    "H": _param(lambda v: 0 < v < 0.5, "must lie in (0, 1/2)"),
+    "rho": _param(lambda v: abs(v) <= 1, "must lie in [-1, 1]"),
+}
+_TWO_FACTOR = ("kappa_X", "kappa_Y", "omega", "rho_SX", "rho_SY", "rho_XY", "theta")
+_PARAMS = {
+    "rbergomi": _RB_PARAMS,
+    "abergomi": _RB_PARAMS,
+    "bs": {"vol": _Key(_pos, _POS, required=True)},
+    "bergomi2f": {
+        **{k: _Key(_num, _NUM, required=True) for k in _TWO_FACTOR},
+        "xi0": _Key(_num, _NUM, 0.026),
+    },
+}
+_FIT = {
+    "H": _Key(
+        lambda v: _pos(v) and v < 0.5, "must be a number in (0, 1/2)", required=True
+    ),
+    "T": _Key(_pos, _POS, 1.0),
+    "N_grid": _Key(_int_from(3), "must be an integer >= 3", 100),
+    "n": _Key(_int_from(1), "must be an integer >= 1", required=True),
+    "method": _METHOD,
+}
+_GRID = {
+    "T": _Key(_pos, _POS, 1.0, required=True),
+    "N": _Key(_int_from(2), "must be an integer >= 2", 100, required=True),
+}
+_KERNEL = {
+    "n": _Key(_int_from(1), "must be an integer >= 1", required=True),
+    "method": _METHOD,
+    "N_grid": _Key(_optional(_int_from(3)), "must be an integer >= 3"),
+    "m2": _Key(
+        lambda v: v in ("table", "none") or _pos(v),
+        "must be 'table', 'none', or a positive number",
+        "table",
+    ),
+    "driver": _Key(
+        _one_of("rescaled", "direct"), "must be 'rescaled' or 'direct'", "rescaled"
+    ),
+    "compensator": _Key(
+        _one_of("power", "exact"), "must be 'power' or 'exact'", "power"
+    ),
+    "theta": _Key(_optional(_pos), _POS),
+}
+_COMPARE = {
+    "terms": _Key(_int_list(1), _INT_LIST, [15, 20, 25]),
+    "steps": _Key(_int_list(2), _INT_LIST, [50, 100, 150, 200]),
+}
+# The whole schema, in the order its messages are reported.
+_CONFIG = {
+    "schema_version": _Key(lambda v: v == 1, "must be 1", 1, True, cast=lambda v: 1),
+    "seed": _Key(
+        lambda v: _int(v) and 0 <= v < 2**64, "must be an integer in [0, 2^64)", 0
+    ),
+    "out_dir": _Key(lambda v: isinstance(v, str), "must be a string", "."),
+    "model": _Key(check=_check_model),
+    "fit": _Key(check=_check_fit, commands=("fit-kernel",)),
+    "params": _Key(check=_check_params, commands=_PRICING),
+    "grid": _Key(check=_check_grid, commands=_PRICING),
+    "paths": _Key(check=_check_paths, commands=_PRICING),
+    "strikes": _Key(check=_check_strikes, commands=_PRICING),
+    "kernel": _Key(check=_check_kernel, commands=_PRICING),
+    "steps": _Key(
+        _int_list(2),
+        "must be a list of integers >= 2",
+        lambda out: [out["grid"]["N"]],
+        commands=("smile",),
+    ),
+    "compare": _Key(check=_check_compare, commands=("compare",)),
+    "maturities": _Key(
+        lambda v: isinstance(v, list) and all(_pos(x) for x in v),
+        "must be a list of positive numbers",
+        [0.1, 0.25, 0.5, 1.0, 2.0],
+        bound=_at_least_3,
+        cast=lambda v: [float(x) for x in v],
+        commands=("skew",),
+    ),
+    "bump": _Key(_pos, _POS, 0.01, commands=("skew",)),
+}
 
 
 def resolve_config(raw: dict, command: str, overrides: dict) -> dict:
@@ -263,146 +393,12 @@ def resolve_config(raw: dict, command: str, overrides: dict) -> dict:
     what gets hashed and embedded into artifacts.  Raises CliError(2)
     listing every invalid key.
     """
-    errors = []
     cfg = dict(raw)
-    if overrides.get("seed") is not None:
-        cfg["seed"] = overrides["seed"]
-    if overrides.get("out_dir") is not None:
-        cfg["out_dir"] = overrides["out_dir"]
-
-    for k in sorted(set(cfg) - _TOP_KEYS):
-        errors.append(f"{k}: unknown key")
-    if cfg.get("schema_version") != 1:
-        errors.append("schema_version: must be 1")
-
-    out = {"schema_version": 1}
-    seed = cfg.get("seed", 0)
-    if not _is_int(seed) or not (0 <= seed < 2**64):
-        errors.append("seed: must be an integer in [0, 2^64)")
-        seed = 0
-    out["seed"] = seed
-    out["out_dir"] = cfg.get("out_dir", ".")
-    if not isinstance(out["out_dir"], str):
-        errors.append("out_dir: must be a string")
-        out["out_dir"] = "."
-
-    needs_model = command in ("simulate", "smile", "skew")
-    model = cfg.get("model", "rbergomi" if command == "compare" else None)
-    if needs_model or "model" in cfg:
-        valid = {"rbergomi", "abergomi", "bergomi2f", "bs"}
-        if command == "skew":
-            valid = {"rbergomi", "bergomi2f"}
-        if model not in valid:
-            errors.append(f"model: must be one of {sorted(valid)}, got {model!r}")
-            model = "rbergomi"
-    out["model"] = model
-
-    if command == "fit-kernel":
-        fit = cfg.get("fit")
-        if not isinstance(fit, dict):
-            errors.append("fit: required object for fit-kernel")
-            fit = {}
-        for k in sorted(set(fit) - _FIT_KEYS):
-            errors.append(f"fit.{k}: unknown key")
-        fo = {
-            "H": fit.get("H"),
-            "T": fit.get("T", 1.0),
-            "N_grid": fit.get("N_grid", 100),
-            "n": fit.get("n"),
-            "method": fit.get("method", "least-squares"),
-        }
-        if not _is_num(fo["H"]) or not (0 < fo["H"] < 0.5):
-            errors.append("fit.H: must be a number in (0, 1/2)")
-        if not _is_num(fo["T"]) or fo["T"] <= 0:
-            errors.append("fit.T: must be a positive number")
-        if not _is_int(fo["N_grid"]) or fo["N_grid"] < 3:
-            errors.append("fit.N_grid: must be an integer >= 3")
-        if not _is_int(fo["n"]) or fo["n"] < 1:
-            errors.append("fit.n: must be an integer >= 1")
-        if fo["method"] not in ("closed-form", "least-squares"):
-            errors.append("fit.method: must be 'closed-form' or 'least-squares'")
-        out["fit"] = fo
-        if errors:
-            raise CliError(
-                EXIT_SCHEMA, "config schema errors: " + "; ".join(errors)
-            )
-        return out
-
-    out["params"] = _check_params(model, cfg.get("params", {}), errors)
-    if "params" not in cfg:
-        errors.append("params: required")
-    if "grid" in cfg:
-        out["grid"] = _check_grid(cfg["grid"], errors)
-    elif command == "skew":
-        # maturities supply T; N only matters for the MC (rbergomi) route
-        out["grid"] = {"T": 1.0, "N": 100}
-    else:
-        errors.append("grid: required")
-        out["grid"] = {"T": 1.0, "N": 100}
-
-    paths = cfg.get("paths")
-    if not _is_int(paths) or paths < 1:
-        if command == "skew" and model == "bergomi2f":
-            paths = 0  # analytic path, no MC
-        else:
-            errors.append("paths: must be an integer >= 1")
-            paths = 1
-    out["paths"] = paths
-
-    out["strikes"] = _check_strikes(cfg.get("strikes"), errors)
-    out["strikes_defaulted"] = "strikes" not in cfg
-
-    kernel_required = model == "abergomi" or command == "compare"
-    out["kernel"] = _check_kernel(cfg.get("kernel"), errors, kernel_required)
-
-    if command == "smile":
-        steps = cfg.get("steps", [out["grid"]["N"]])
-        if not (
-            isinstance(steps, list)
-            and steps
-            and all(_is_int(v) and v >= 2 for v in steps)
-        ):
-            errors.append("steps: must be a list of integers >= 2")
-            steps = [out["grid"]["N"]]
-        out["steps"] = steps
-
-    if command == "compare":
-        comp = cfg.get("compare", {})
-        if not isinstance(comp, dict):
-            errors.append("compare: must be an object")
-            comp = {}
-        for k in sorted(set(comp) - _COMPARE_KEYS):
-            errors.append(f"compare.{k}: unknown key")
-        terms = comp.get("terms", list(DEFAULT_COMPARE_TERMS))
-        steps = comp.get("steps", list(DEFAULT_COMPARE_STEPS))
-        for name, lst in (("terms", terms), ("steps", steps)):
-            if not (
-                isinstance(lst, list)
-                and lst
-                and all(_is_int(v) and v >= (1 if name == "terms" else 2) for v in lst)
-            ):
-                errors.append(f"compare.{name}: must be a non-empty integer list")
-        out["compare"] = {"terms": terms, "steps": steps}
-
-    if command == "skew":
-        mats = cfg.get("maturities", list(DEFAULT_MATURITIES))
-        if not (
-            isinstance(mats, list) and all(_is_num(v) and v > 0 for v in mats)
-        ):
-            errors.append("maturities: must be a list of positive numbers")
-            mats = list(DEFAULT_MATURITIES)
-        if len(mats) < 3:
-            errors.append(
-                "maturities: need at least 3 maturities to fit a power law, "
-                f"got {len(mats)}"
-            )
-        out["maturities"] = [float(v) for v in mats]
-        bump = cfg.get("bump", 0.01)
-        if not _is_num(bump) or bump <= 0:
-            errors.append("bump: must be a positive number")
-            bump = 0.01
-        out["bump"] = bump
-
+    cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    errors = []
+    out = _walk("", cfg, _CONFIG, {"command": command, "model": None}, errors)
+    if command in _PRICING:
+        out["strikes_defaulted"] = "strikes" not in cfg
     if errors:
         raise CliError(EXIT_SCHEMA, "config schema errors: " + "; ".join(errors))
     return out
@@ -458,13 +454,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_text(sha: str, seed: int, header: list, rows: list) -> str:
-    lines = [f"# config_sha256={sha} seed={seed}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _jsonify(obj):
     """Recursively convert numpy scalars/arrays for json.dumps."""
     import numpy as np
@@ -482,8 +471,36 @@ def _jsonify(obj):
     return obj
 
 
-def _write_json(path: str, doc: dict):
-    _write_atomic(path, json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
+class _Run(NamedTuple):
+    """A command's resolved config, its hash and its (created) output directory.
+
+    Every artifact carries the hash and the seed: a CSV in its first line, a
+    JSON document next to the command name and the resolved config.
+    """
+
+    command: str
+    config: dict
+    sha: str
+    out_dir: str
+
+    def write_csv(self, name: str, header: list, rows: list) -> str:
+        lines = [f"# config_sha256={self.sha} seed={self.config['seed']}"]
+        lines += [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        path = os.path.join(self.out_dir, name)
+        _write_atomic(path, "\n".join(lines) + "\n")
+        return path
+
+    def write_json(self, name: str, doc: dict) -> str:
+        doc = dict(
+            doc,
+            command=self.command,
+            config=self.config,
+            config_sha256=self.sha,
+            seed=self.config["seed"],
+        )
+        path = os.path.join(self.out_dir, name)
+        _write_atomic(path, json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
+        return path
 
 
 # ---------------------------------------------------------------------------
@@ -526,69 +543,38 @@ def _build_kernel(kcfg: dict, H: float, T: float):
     return fit_kernel_ls(H, T, n_grid, n)
 
 
-def _make_sim(resolved: dict, N: int, T: float, kern=None):
-    """Return sim() -> (logS_T, V_T) for the configured model.
+def _simulate(resolved: dict, N: int, T: float, kern=None):
+    """Simulate the configured model on N steps to T.
 
-    The closure runs the full simulation, increment draw included.  Paths
-    are processed in blocks to bound peak memory.
+    Returns ((logS_T, V_T), seconds): terminal log-prices and variances, and
+    the wall time of the simulation itself (increment draw included, plan
+    and kernel set-up excluded).  The rough models are evaluated one
+    sim_core.iter_blocks block at a time to bound peak memory.
     """
     import numpy as np
 
-    from .sim_core import ModelParams, make_time_grid, sample_correlated_increments
+    from .models import rbergomi_log_price
+    from .sim_core import (
+        ModelParams,
+        iter_blocks,
+        make_time_grid,
+        sample_correlated_increments,
+    )
 
-    model = resolved["model"]
-    paths = resolved["paths"]
-    seed = resolved["seed"]
+    model, paths, p = resolved["model"], resolved["paths"], resolved["params"]
     grid = make_time_grid(T, N)
-
-    if model == "bs":
-        vol = resolved["params"]["vol"]
-
-        def sim():
-            inc = sample_correlated_increments(grid, 0.0, paths, seed)
-            w_T = inc.dW.sum(axis=1)
-            logS = -0.5 * vol * vol * T + vol * w_T
-            return logS, np.full(paths, vol * vol)
-
-        return sim
-
-    if model == "rbergomi":
-        p = resolved["params"]
+    if model != "bs":
         params = ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
-
+    if model == "rbergomi":
         from .hybrid_scheme import make_hybrid_plan, simulate_volterra
-        from .models import rbergomi_log_price, rbergomi_variance
-        from .sim_core import PathIncrements
+        from .models import rbergomi_variance
 
         plan = make_hybrid_plan(grid, params.alpha)
 
-        def sim():
-            inc = sample_correlated_increments(grid, params.rho, paths, seed)
-            logS_T = np.empty(paths)
-            V_T = np.empty(paths)
-            for lo in range(0, paths, _SIM_BLOCK):
-                hi = min(lo + _SIM_BLOCK, paths)
-                blk = PathIncrements(
-                    n_paths=hi - lo,
-                    dW=inc.dW[lo:hi],
-                    dB=inc.dB[lo:hi],
-                    dU=inc.dU[lo:hi],
-                    rho=inc.rho,
-                    seed=inc.seed,
-                    grid=inc.grid,
-                )
-                vol_paths = simulate_volterra(plan, blk)
-                V = rbergomi_variance(vol_paths, params)
-                logS = rbergomi_log_price(V, blk)
-                logS_T[lo:hi] = logS[:, -1]
-                V_T[lo:hi] = V.values[:, -1]
-            return logS_T, V_T
+        def variance(blk):
+            return rbergomi_variance(simulate_volterra(plan, blk), params)
 
-        return sim
-
-    if model == "abergomi":
-        p = resolved["params"]
-        params = ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
+    elif model == "abergomi":
         kcfg = resolved["kernel"]
         if kern is None:
             kern = _build_kernel(kcfg, params.H, T)
@@ -598,10 +584,8 @@ def _make_sim(resolved: dict, N: int, T: float, kern=None):
             AbergomiConfig,
             abergomi_driver,
             abergomi_variance,
-            rbergomi_log_price,
             simulate_ou_factors,
         )
-        from .sim_core import PathIncrements
 
         acfg = AbergomiConfig(
             kernel=kern,
@@ -612,79 +596,46 @@ def _make_sim(resolved: dict, N: int, T: float, kern=None):
             compensator=kcfg["compensator"],
         )
 
-        def sim():
-            inc = sample_correlated_increments(grid, params.rho, paths, seed)
-            logS_T = np.empty(paths)
-            V_T = np.empty(paths)
-            for lo in range(0, paths, _SIM_BLOCK):
-                hi = min(lo + _SIM_BLOCK, paths)
-                blk = PathIncrements(
-                    n_paths=hi - lo,
-                    dW=inc.dW[lo:hi],
-                    dB=inc.dB[lo:hi],
-                    dU=inc.dU[lo:hi],
-                    rho=inc.rho,
-                    seed=inc.seed,
-                    grid=inc.grid,
-                )
-                factors = simulate_ou_factors(acfg, blk)
-                drv = abergomi_driver(acfg, factors)
-                V = abergomi_variance(acfg, drv)
-                logS = rbergomi_log_price(V, blk)
-                logS_T[lo:hi] = logS[:, -1]
-                V_T[lo:hi] = V.values[:, -1]
-            return logS_T, V_T
+        def variance(blk):
+            factors = simulate_ou_factors(acfg, blk)
+            return abergomi_variance(acfg, abergomi_driver(acfg, factors))
 
-        return sim
-
-    raise CliError(EXIT_SCHEMA, f"model {model!r} cannot be simulated")
-
-
-def _timed(sim):
-    """Run sim() once; return its result and its wall time."""
     t0 = time.perf_counter()
-    result = sim()
-    return result, time.perf_counter() - t0
+    if model == "bs":
+        vol = p["vol"]
+        inc = sample_correlated_increments(grid, 0.0, paths, resolved["seed"])
+        logS_T = -0.5 * vol * vol * T + vol * inc.dW.sum(axis=1)
+        V_T = np.full(paths, vol * vol)
+    else:
+        inc = sample_correlated_increments(grid, params.rho, paths, resolved["seed"])
+        logS_T = np.empty(paths)
+        V_T = np.empty(paths)
+        for rows, blk in iter_blocks(inc):
+            V = variance(blk)
+            logS_T[rows] = rbergomi_log_price(V, blk)[:, -1]
+            V_T[rows] = V.values[:, -1]
+    return (logS_T, V_T), time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments and the _Run that main set up
 
 
-def cmd_simulate(args) -> int:
-    resolved = resolve_config(
-        load_config(args.config),
-        "simulate",
-        {"seed": args.seed, "out_dir": args.out},
-    )
-    sha = config_sha(resolved)
-    out_dir = _ensure_outdir(resolved)
+def cmd_simulate(args, run: _Run) -> int:
+    resolved = run.config
     model = resolved["model"]
     T, N = resolved["grid"]["T"], resolved["grid"]["N"]
-    if model == "bergomi2f":
-        raise CliError(
-            EXIT_SCHEMA, "model: 'bergomi2f' is analytic-only (use the skew command)"
-        )
 
     import numpy as np
 
-    sim = _make_sim(resolved, N, T)
-    (logS_T, V_T), runtime = _timed(sim)
+    (logS_T, V_T), runtime = _simulate(resolved, N, T)
     if not np.all(np.isfinite(logS_T)):
         raise CliError(EXIT_NUMERIC, "simulation produced non-finite log-prices")
 
     tag = f"{model}_T{_fmt(float(T))}_N{N}"
-    paths_file = os.path.join(out_dir, f"paths_{tag}.csv")
     rows = [(i, float(v)) for i, v in enumerate(logS_T)]
-    _write_atomic(
-        paths_file,
-        _csv_text(sha, resolved["seed"], ["path", "log_price_T"], rows),
-    )
+    paths_file = run.write_csv(f"paths_{tag}.csv", ["path", "log_price_T"], rows)
     summary = {
-        "command": "simulate",
-        "config": resolved,
-        "config_sha256": sha,
-        "seed": resolved["seed"],
         "n_paths": resolved["paths"],
         "moments": {
             "mean_log_price": float(logS_T.mean()),
@@ -695,20 +646,13 @@ def cmd_simulate(args) -> int:
         "runtime_seconds": runtime,
         "files": [os.path.basename(paths_file)],
     }
-    _write_json(os.path.join(out_dir, f"summary_{tag}.json"), summary)
+    run.write_json(f"summary_{tag}.json", summary)
     print(f"wrote {paths_file} ({resolved['paths']} paths, {runtime:.4f}s)")
     return EXIT_OK
 
 
-def cmd_fit_kernel(args) -> int:
-    resolved = resolve_config(
-        load_config(args.config),
-        "fit-kernel",
-        {"seed": args.seed, "out_dir": args.out},
-    )
-    sha = config_sha(resolved)
-    out_dir = _ensure_outdir(resolved)
-    fo = resolved["fit"]
+def cmd_fit_kernel(args, run: _Run) -> int:
+    fo = run.config["fit"]
     H, T, n, n_grid, method = fo["H"], fo["T"], fo["n"], fo["N_grid"], fo["method"]
 
     import numpy as np
@@ -721,17 +665,7 @@ def cmd_fit_kernel(args) -> int:
     )
 
     tau = np.arange(1, n_grid) * (T / n_grid)
-    doc = {
-        "command": "fit-kernel",
-        "config": resolved,
-        "config_sha256": sha,
-        "seed": resolved["seed"],
-        "H": H,
-        "T": T,
-        "n": n,
-        "N_grid": n_grid,
-        "method": method,
-    }
+    doc = dict(fo)
     exit_code = EXIT_OK
     if method == "closed-form":
         kern, cert = closed_form_kernel(n, H, T)
@@ -739,7 +673,6 @@ def cmd_fit_kernel(args) -> int:
         doc.update(
             {
                 "normalized": False,
-                "rmse": float(np.sqrt(np.mean((kern(tau) - target) ** 2))),
                 "l2_error": cert.l2_error,
                 "bound": cert.bound,
                 "bound_satisfied": bool(cert.l2_error <= cert.bound),
@@ -748,26 +681,22 @@ def cmd_fit_kernel(args) -> int:
     else:
         try:
             kern = fit_kernel_ls(H, T, n_grid, n)
-            err = None
         except KernelFitError as e:
             kern = e.kernel
-            err = str(e)
+            doc["error"] = str(e)
             exit_code = EXIT_NUMERIC
         target = np.sqrt(2 * H) * tau ** (H - 0.5)
         doc.update(
             {
                 "normalized": True,
-                "rmse": float(np.sqrt(np.mean((kern(tau) - target) ** 2))),
                 "l2_error": kernel_l2_error(kern, H, T),
                 "bound": None,
             }
         )
-        if err is not None:
-            doc["error"] = err
+    doc["rmse"] = float(np.sqrt(np.mean((kern(tau) - target) ** 2)))
     doc["weights"] = kern.weights
     doc["speeds"] = kern.speeds
-    path = os.path.join(out_dir, f"kernel_{method}_n{n}_H{_fmt(float(H))}.json")
-    _write_json(path, doc)
+    path = run.write_json(f"kernel_{method}_n{n}_H{_fmt(float(H))}.json", doc)
     print(f"wrote {path} (rmse={doc['rmse']:.6g}, l2_error={doc['l2_error']:.6g})")
     return exit_code
 
@@ -777,8 +706,7 @@ def _smile_for(resolved: dict, N: int, T: float, kern=None):
 
     from .analytics import mc_smile
 
-    sim = _make_sim(resolved, N, T, kern=kern)
-    (logS_T, _), runtime = _timed(sim)
+    (logS_T, _), runtime = _simulate(resolved, N, T, kern=kern)
     sm = mc_smile(
         logS_T,
         strikes=np.asarray(resolved["strikes"]),
@@ -789,19 +717,9 @@ def _smile_for(resolved: dict, N: int, T: float, kern=None):
     return sm, runtime
 
 
-def cmd_smile(args) -> int:
-    resolved = resolve_config(
-        load_config(args.config),
-        "smile",
-        {"seed": args.seed, "out_dir": args.out},
-    )
-    sha = config_sha(resolved)
-    out_dir = _ensure_outdir(resolved)
+def cmd_smile(args, run: _Run) -> int:
+    resolved = run.config
     model = resolved["model"]
-    if model == "bergomi2f":
-        raise CliError(
-            EXIT_SCHEMA, "model: 'bergomi2f' is analytic-only (use the skew command)"
-        )
     T = resolved["grid"]["T"]
 
     import math
@@ -822,43 +740,28 @@ def cmd_smile(args) -> int:
                     float(sm.price_stderr[i]),
                 )
             )
-        path = os.path.join(out_dir, f"smile_{tag}.csv")
-        _write_atomic(
-            path,
-            _csv_text(
-                sha,
-                resolved["seed"],
-                ["log_moneyness", "strike", "implied_vol", "price", "stderr"],
-                rows,
-            ),
+        path = run.write_csv(
+            f"smile_{tag}.csv",
+            ["log_moneyness", "strike", "implied_vol", "price", "stderr"],
+            rows,
         )
         files.append(os.path.basename(path))
         if sm.skipped:
             skipped_all[str(N)] = list(sm.skipped)
 
     summary = {
-        "command": "smile",
-        "config": resolved,
-        "config_sha256": sha,
-        "seed": resolved["seed"],
         "strikes": resolved["strikes"],
         "strikes_defaulted": resolved["strikes_defaulted"],
         "skipped": skipped_all,
         "files": files,
     }
-    _write_json(
-        os.path.join(out_dir, f"smile_summary_{model}_T{_fmt(float(T))}.json"), summary
-    )
-    print(f"wrote {len(files)} smile file(s) to {out_dir}")
+    run.write_json(f"smile_summary_{model}_T{_fmt(float(T))}.json", summary)
+    print(f"wrote {len(files)} smile file(s) to {run.out_dir}")
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    resolved = resolve_config(
-        load_config(args.config),
-        "compare",
-        {"seed": args.seed, "out_dir": args.out},
-    )
+def cmd_compare(args, run: _Run) -> int:
+    resolved = run.config
     if args.config_b:
         resolved_b = resolve_config(
             load_config(args.config_b),
@@ -879,8 +782,6 @@ def cmd_compare(args) -> int:
                 )
     else:
         resolved_b = resolved
-    sha = config_sha(resolved)
-    out_dir = _ensure_outdir(resolved)
     T = resolved["grid"]["T"]
     terms = resolved["compare"]["terms"]
     steps = resolved["compare"]["steps"]
@@ -904,34 +805,23 @@ def cmd_compare(args) -> int:
             )
             rows.append((n, N, smile_rmse(smile_r, smile_a), rt_r, rt_a))
 
-    path = os.path.join(out_dir, "compare_rmse.csv")
-    _write_atomic(
-        path,
-        _csv_text(
-            sha,
-            resolved["seed"],
-            ["terms", "steps", "rmse", "runtime_rbergomi", "runtime_abergomi"],
-            rows,
-        ),
+    path = run.write_csv(
+        "compare_rmse.csv",
+        ["terms", "steps", "rmse", "runtime_rbergomi", "runtime_abergomi"],
+        rows,
     )
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def cmd_skew(args) -> int:
-    resolved = resolve_config(
-        load_config(args.config),
-        "skew",
-        {"seed": args.seed, "out_dir": args.out},
-    )
-    sha = config_sha(resolved)
-    out_dir = _ensure_outdir(resolved)
+def cmd_skew(args, run: _Run) -> int:
+    resolved = run.config
     model = resolved["model"]
     mats = resolved["maturities"]
 
     import numpy as np
 
-    from .analytics import atm_skew
+    from .analytics import SkewReport, atm_skew, fit_power_law
 
     if model == "rbergomi":
         N = resolved["grid"]["N"]
@@ -944,22 +834,10 @@ def cmd_skew(args) -> int:
         report = atm_skew(smile_fn, mats, bump=resolved["bump"])
         doc_extra = {"bump": resolved["bump"], "n_paths": resolved["paths"]}
     else:  # bergomi2f: analytic ATM skew, no MC
-        from .analytics import (
-            TwoFactorParams,
-            expansion_terms,
-            two_factor_coeffs,
-        )
+        from .analytics import TwoFactorParams, expansion_terms, two_factor_coeffs
 
         p = resolved["params"]
-        tf = TwoFactorParams(
-            omega=p["omega"],
-            theta=p["theta"],
-            kappa_X=p["kappa_X"],
-            kappa_Y=p["kappa_Y"],
-            rho_SX=p["rho_SX"],
-            rho_SY=p["rho_SY"],
-            rho_XY=p["rho_XY"],
-        )
+        tf = TwoFactorParams(**{k: p[k] for k in _TWO_FACTOR})
         xi0 = p["xi0"]
         psi = np.empty(len(mats))
         for i, T in enumerate(mats):
@@ -967,18 +845,14 @@ def cmd_skew(args) -> int:
             _, s_t, _ = expansion_terms(coeffs, xi0 * T, T)
             psi[i] = abs(s_t)
         tarr = np.asarray(mats)
-        A = np.vstack([np.ones(tarr.size), np.log(tarr)]).T
-        coef, *_ = np.linalg.lstsq(A, np.log(psi), rcond=None)
-
-        from .analytics import SkewReport
-
+        intercept, exponent, residual = fit_power_law(tarr, psi)
         report = SkewReport(
             maturities=tarr,
             psi=psi,
             bump=0.0,
-            exponent=float(coef[1]),
-            intercept=float(coef[0]),
-            residual=float(np.sqrt(np.mean((A @ coef - np.log(psi)) ** 2))),
+            exponent=exponent,
+            intercept=intercept,
+            residual=residual,
             flagged=np.zeros(tarr.size, dtype=bool),
             richardson=psi.copy(),
         )
@@ -990,23 +864,8 @@ def cmd_skew(args) -> int:
             "skew power-law fit failed: fewer than 2 usable maturities "
             f"(flagged: {report.flagged.tolist()})",
         )
-    doc = {
-        "command": "skew",
-        "config": resolved,
-        "config_sha256": sha,
-        "seed": resolved["seed"],
-        "model": model,
-        "maturities": report.maturities,
-        "psi": report.psi,
-        "exponent": report.exponent,
-        "intercept": report.intercept,
-        "residual": report.residual,
-        "flagged": report.flagged,
-        "richardson": report.richardson,
-    }
-    doc.update(doc_extra)
-    path = os.path.join(out_dir, f"skew_{model}.json")
-    _write_json(path, doc)
+    doc = dict(dataclasses.asdict(report), model=model, **doc_extra)
+    path = run.write_json(f"skew_{model}.json", doc)
     print(f"wrote {path} (exponent={report.exponent:.4f})")
     return EXIT_OK
 
@@ -1055,9 +914,21 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
     try:
         _setup_threads(args.threads)
-        return _DISPATCH[args.command](args)
+        resolved = resolve_config(
+            load_config(args.config),
+            args.command,
+            {"seed": args.seed, "out_dir": args.out},
+        )
+        sha, out_dir = config_sha(resolved), _ensure_outdir(resolved)
+        run = _Run(args.command, resolved, sha, out_dir)
+        if resolved["model"] == "bergomi2f" and args.command in ("simulate", "smile"):
+            raise CliError(
+                EXIT_SCHEMA, "model: 'bergomi2f' is analytic-only (use the skew command)"
+            )
+        return _DISPATCH[args.command](args, run)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
@@ -1067,6 +938,14 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        # --threads is scoped to this call: later library calls in the same
+        # process must not stay capped
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ not a cgroup CPU quota.  Worker s takes chunks s,
 s + width, ..., and every chunk is computed by the same operations in the same
 order at any width, so results are bit-identical whatever the thread count.
 
+Models that hold per-path intermediates run over the paths in the same
+BLOCK_SIZE-path blocks: ``iter_blocks`` splits a drawn set into views, one
+block at a time, so their peak memory is set by one block.
+
 Every large buffer, the outputs and each worker's scratch, is allocated in
 the calling thread; workers only fill them through ``out=`` arguments.
 Memory that worker threads allocate and free lands in glibc's per-thread
@@ -33,8 +37,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,6 +48,7 @@ __all__ = [
     "ModelParams",
     "make_time_grid",
     "sample_correlated_increments",
+    "iter_blocks",
     "BLOCK_SIZE",
 ]
 
@@ -236,3 +241,21 @@ def sample_correlated_increments(
         seed=seed,
         grid=grid,
     )
+
+
+def iter_blocks(inc: PathIncrements) -> Iterator[tuple[slice, PathIncrements]]:
+    """Yield (rows, block) over inc in BLOCK_SIZE-path blocks, in row order.
+
+    block holds views of inc's rows `rows` (no copy) with the same grid, rho
+    and seed; the last block may be shorter.  A model evaluated block by
+    block keeps only one block's intermediate paths in memory.
+    """
+    for lo in range(0, inc.n_paths, BLOCK_SIZE):
+        rows = slice(lo, min(lo + BLOCK_SIZE, inc.n_paths))
+        yield rows, replace(
+            inc,
+            n_paths=rows.stop - lo,
+            dW=inc.dW[rows],
+            dB=inc.dB[rows],
+            dU=inc.dU[rows],
+        )

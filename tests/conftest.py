@@ -16,26 +16,6 @@ def toy_kernel():
     return rv.ExpKernel(weights=[0.7, 0.2], speeds=[0.9, 4.0], H=0.07, T=1.0)
 
 
-def chunked_increments(grid, rho, n_paths, seed, block=4096):
-    """Yield PathIncrements in fixed blocks, sampling the full set once.
-
-    Lets tests run six-figure path counts without holding the factor
-    tensors for every path in memory at the same time.
-    """
-    full = rv.sample_correlated_increments(grid, rho, n_paths, seed)
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        yield rv.PathIncrements(
-            n_paths=hi - lo,
-            dW=full.dW[lo:hi],
-            dB=full.dB[lo:hi],
-            dU=full.dU[lo:hi],
-            rho=rho,
-            seed=seed,
-            grid=grid,
-        )
-
-
 def aggregate_increments(fine, N, alpha):
     """Coarsen fine increments to N steps, drawn from the same Gaussians.
 

@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 import roughvol as rv
-from conftest import aggregate_increments, chunked_increments
+from conftest import aggregate_increments
 
 TABLE1 = rv.ModelParams(xi0=0.026, eta=1.9, H=0.07, rho=-0.9)
 
@@ -24,6 +24,12 @@ def _fit_grid_rmse(kern, H, T, N_grid):
     return float(np.sqrt(np.mean((kern(tau) - target) ** 2)))
 
 
+def _blocks(grid, n_paths, seed):
+    """Path blocks of one increment draw under the Table 1 correlation."""
+    inc = rv.sample_correlated_increments(grid, TABLE1.rho, n_paths, seed)
+    return rv.iter_blocks(inc)
+
+
 def _terminal_log_price(plan, blk):
     V = rv.rbergomi_variance(rv.simulate_volterra(plan, blk), TABLE1)
     return rv.rbergomi_log_price(V, blk)[:, -1]
@@ -32,10 +38,8 @@ def _terminal_log_price(plan, blk):
 def _stream_terminal(plan, n_paths, seed):
     """Terminal log-prices under one hybrid plan, streamed in path blocks."""
     logS = np.empty(n_paths)
-    lo = 0
-    for blk in chunked_increments(plan.grid, TABLE1.rho, n_paths, seed):
-        logS[lo : lo + blk.n_paths] = _terminal_log_price(plan, blk)
-        lo += blk.n_paths
+    for rows, blk in _blocks(plan.grid, n_paths, seed):
+        logS[rows] = _terminal_log_price(plan, blk)
     return logS
 
 
@@ -64,12 +68,10 @@ def _ab_rescaled_terminal(T, N, n_paths, seed, kern):
         mult_factor=float(np.sqrt(rv.SMILE_FACTOR_M2[N])),
     )
     logS = np.empty(n_paths)
-    lo = 0
-    for blk in chunked_increments(grid, TABLE1.rho, n_paths, seed):
+    for rows, blk in _blocks(grid, n_paths, seed):
         drv = rv.abergomi_driver(cfg, rv.simulate_ou_factors(cfg, blk))
         V = rv.abergomi_variance(cfg, drv)
-        logS[lo : lo + blk.n_paths] = rv.rbergomi_log_price(V, blk)[:, -1]
-        lo += blk.n_paths
+        logS[rows] = rv.rbergomi_log_price(V, blk)[:, -1]
     return logS
 
 
@@ -87,14 +89,11 @@ def _fixed_reference_terminals(kern, steps, N_ref, n_paths, seed):
     }
     ref = np.empty(n_paths)
     approx = {N: np.empty(n_paths) for N in steps}
-    lo = 0
-    for blk in chunked_increments(fine_plan.grid, TABLE1.rho, n_paths, seed):
-        hi = lo + blk.n_paths
-        ref[lo:hi] = _terminal_log_price(fine_plan, blk)
+    for rows, blk in _blocks(fine_plan.grid, n_paths, seed):
+        ref[rows] = _terminal_log_price(fine_plan, blk)
         for N, plan in plans.items():
             coarse = aggregate_increments(blk, N, TABLE1.alpha)
-            approx[N][lo:hi] = _terminal_log_price(plan, coarse)
-        lo = hi
+            approx[N][rows] = _terminal_log_price(plan, coarse)
     return ref, approx
 
 
@@ -136,7 +135,7 @@ def test_criterion_03_volterra_law_and_variance_martingale():
     plan = rv.make_hybrid_plan(grid, TABLE1.alpha)
     idx = [25, 50, 100]
     xs, vs = [], []
-    for blk in chunked_increments(grid, TABLE1.rho, n_paths, seed=17):
+    for _, blk in _blocks(grid, n_paths, seed=17):
         X = rv.simulate_volterra(plan, blk)
         V = rv.rbergomi_variance(X, TABLE1)
         xs.append(X.values[:, idx])

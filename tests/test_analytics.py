@@ -212,6 +212,18 @@ def test_atm_skew_recovers_a_power_law():
     np.testing.assert_allclose(rep.psi, 0.3 * np.array([0.1, 0.25, 0.5, 1.0, 2.0]) ** -0.43)
 
 
+def test_fit_power_law_recovers_an_exact_power_law_and_matches_atm_skew():
+    T = np.array([0.1, 0.25, 0.5, 1.0, 2.0])
+    intercept, exponent, residual = rv.fit_power_law(T, 0.3 * T**-0.43)
+    assert exponent == pytest.approx(-0.43, abs=1e-12)
+    assert intercept == pytest.approx(np.log(0.3), abs=1e-12)
+    assert residual < 1e-12
+    # atm_skew reports the fit of its own psi, flagged maturities excluded
+    rep = rv.atm_skew(_synthetic_smile(0.3, -0.43), T)
+    assert (rep.intercept, rep.exponent, rep.residual) == rv.fit_power_law(T, rep.psi)
+    noisy = 0.3 * T**-0.43 * np.exp([0.01, -0.02, 0.015, 0.0, -0.01])
+    assert rv.fit_power_law(T, noisy)[2] > 1e-3
+
 def test_atm_skew_flags_flat_smiles():
     rep = rv.atm_skew(_synthetic_smile(0.0, -0.43), [0.5, 1.0, 2.0])
     assert rep.flagged.all()

@@ -42,6 +42,35 @@ def table1_config(**over):
     return cfg
 
 
+TWO_FACTOR_PARAMS = {
+    "omega": 2.0, "theta": 0.3, "kappa_X": 8.0, "kappa_Y": 0.5,
+    "rho_SX": -0.7, "rho_SY": -0.6, "rho_XY": 0.2,
+}
+SMALL_KERNEL = {"n": 2, "method": "closed-form", "m2": "none"}
+
+
+def two_factor_config(**over):
+    cfg = {
+        "schema_version": 1,
+        "model": "bergomi2f",
+        "params": dict(TWO_FACTOR_PARAMS),
+        "maturities": [0.3, 0.6, 1.2],
+        "seed": 0,
+    }
+    cfg.update(over)
+    return cfg
+
+
+def fit_config(**over):
+    cfg = {"schema_version": 1, "fit": {"H": 0.07, "n": 3}, "seed": 0}
+    cfg.update(over)
+    return cfg
+
+
+def without(cfg, *keys):
+    return {k: v for k, v in cfg.items() if k not in keys}
+
+
 # ---------------------------------------------------------------------------
 # determinism and reproducibility
 
@@ -398,6 +427,500 @@ def test_two_factor_model_is_analytic_only(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# schema: exact error text and resolved-config hashes, one case per rule
+
+SCHEMA = "error: config schema errors: "
+RB_REQUIRED = "; ".join(
+    f"params.{k}: required for model 'rbergomi'" for k in ("xi0", "eta", "H", "rho")
+)
+ALL_MODELS = "['abergomi', 'bergomi2f', 'bs', 'rbergomi']"
+KERNEL_BAD_EVERY_KEY = {
+    "n": 0, "method": "x", "N_grid": 2, "m2": -1, "driver": "y",
+    "compensator": "z", "theta": 0, "terms": 1,
+}
+
+SCHEMA_ERROR_CASES = [
+    # top level
+    pytest.param(
+        "simulate", bs_config(schema_version=2, modell=1, zeta=0),
+        SCHEMA + "modell: unknown key; zeta: unknown key; schema_version: must be 1",
+        id="top-unknown-and-version",
+    ),
+    pytest.param(
+        "simulate", without(bs_config(), "schema_version"),
+        SCHEMA + "schema_version: must be 1", id="top-version-missing",
+    ),
+    pytest.param(
+        "simulate", bs_config(seed=-1),
+        SCHEMA + "seed: must be an integer in [0, 2^64)", id="top-seed-negative",
+    ),
+    pytest.param(
+        "smile", bs_config(seed=2**64),
+        SCHEMA + "seed: must be an integer in [0, 2^64)", id="top-seed-too-large",
+    ),
+    pytest.param(
+        "simulate", bs_config(seed=1.0),
+        SCHEMA + "seed: must be an integer in [0, 2^64)", id="top-seed-float",
+    ),
+    pytest.param(
+        "simulate", bs_config(out_dir=3),
+        SCHEMA + "out_dir: must be a string", id="top-out-dir",
+    ),
+    # which models each command allows
+    pytest.param(
+        "simulate", without(bs_config(), "model"),
+        SCHEMA + f"model: must be one of {ALL_MODELS}, got None; "
+        "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
+        id="model-missing",
+    ),
+    pytest.param(
+        "smile", bs_config(model="heston"),
+        SCHEMA + f"model: must be one of {ALL_MODELS}, got 'heston'; "
+        "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
+        id="model-unknown",
+    ),
+    pytest.param(
+        "skew", bs_config(model="bs"),
+        SCHEMA + "model: must be one of ['bergomi2f', 'rbergomi'], got 'bs'; "
+        "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
+        id="model-skew-allows-two",
+    ),
+    pytest.param(
+        "fit-kernel", fit_config(model="heston"),
+        SCHEMA + f"model: must be one of {ALL_MODELS}, got 'heston'",
+        id="model-fit-kernel-checked-if-given",
+    ),
+    pytest.param(
+        "compare", table1_config(model="sabr", kernel=SMALL_KERNEL),
+        SCHEMA + f"model: must be one of {ALL_MODELS}, got 'sabr'",
+        id="model-compare-checked-if-given",
+    ),
+    pytest.param(
+        "simulate", two_factor_config(grid={"T": 0.5, "N": 10}, paths=16),
+        "error: model: 'bergomi2f' is analytic-only (use the skew command)",
+        id="model-bergomi2f-simulate",
+    ),
+    pytest.param(
+        "smile", two_factor_config(grid={"T": 0.5, "N": 10}, paths=16),
+        "error: model: 'bergomi2f' is analytic-only (use the skew command)",
+        id="model-bergomi2f-smile",
+    ),
+    # params, per model
+    pytest.param(
+        "simulate", without(table1_config(), "params"),
+        SCHEMA + RB_REQUIRED + "; params: required", id="params-missing-rbergomi",
+    ),
+    pytest.param(
+        "smile", without(bs_config(), "params"),
+        SCHEMA + "params.vol: required for model 'bs'; params: required",
+        id="params-missing-bs",
+    ),
+    pytest.param(
+        "simulate", table1_config(params=[0.026]),
+        SCHEMA + "params: must be an object", id="params-not-object",
+    ),
+    pytest.param(
+        "simulate",
+        table1_config(params={"xi0": -1, "eta": "x", "H": 0.6, "rho": 2, "vol": 0.2}),
+        SCHEMA + "params.vol: unknown key for model 'rbergomi'; "
+        "params.eta: must be a number; params.xi0: must be positive; "
+        "params.H: must lie in (0, 1/2); params.rho: must lie in [-1, 1]",
+        id="params-rbergomi-types-then-bounds",
+    ),
+    pytest.param(
+        "smile",
+        table1_config(
+            model="abergomi", kernel=SMALL_KERNEL,
+            params={"xi0": 0.026, "eta": True, "H": 0.0},
+        ),
+        SCHEMA + "params.eta: must be a number; "
+        "params.rho: required for model 'abergomi'; params.H: must lie in (0, 1/2)",
+        id="params-abergomi-missing-and-bool",
+    ),
+    pytest.param(
+        "simulate", bs_config(params={"vol": 0}),
+        SCHEMA + "params.vol: must be a positive number", id="params-bs-vol-zero",
+    ),
+    pytest.param(
+        "smile", bs_config(params={"vol": "0.2", "eta": 1.0}),
+        SCHEMA + "params.eta: unknown key for model 'bs'; "
+        "params.vol: must be a positive number",
+        id="params-bs-vol-string-and-extra",
+    ),
+    pytest.param(
+        "skew",
+        two_factor_config(
+            params=dict(without(TWO_FACTOR_PARAMS, "omega"), theta="x", H=0.1)
+        ),
+        SCHEMA + "params.H: unknown key for model 'bergomi2f'; "
+        "params.omega: required for model 'bergomi2f'; params.theta: must be a number",
+        id="params-bergomi2f",
+    ),
+    # grid
+    pytest.param(
+        "simulate", without(bs_config(), "grid"),
+        SCHEMA + "grid: required", id="grid-missing",
+    ),
+    pytest.param(
+        "smile", bs_config(grid=[0.25, 10]),
+        SCHEMA + "grid: must be an object with keys T, N", id="grid-not-object",
+    ),
+    pytest.param(
+        "simulate", bs_config(grid={"T": 0, "N": 1.5, "M": 3}),
+        SCHEMA + "grid.M: unknown key; grid.T: must be a positive number; "
+        "grid.N: must be an integer >= 2",
+        id="grid-keys",
+    ),
+    pytest.param(
+        "compare", table1_config(grid={}, kernel=SMALL_KERNEL),
+        SCHEMA + "grid.T: must be a positive number; grid.N: must be an integer >= 2",
+        id="grid-empty",
+    ),
+    # paths
+    pytest.param(
+        "simulate", bs_config(paths=0),
+        SCHEMA + "paths: must be an integer >= 1", id="paths-zero",
+    ),
+    pytest.param(
+        "smile", without(table1_config(), "paths"),
+        SCHEMA + "paths: must be an integer >= 1", id="paths-missing",
+    ),
+    pytest.param(
+        "skew", table1_config(paths=2.5),
+        SCHEMA + "paths: must be an integer >= 1", id="paths-skew-rbergomi",
+    ),
+    # strikes, as a list and as {min, max, count}
+    pytest.param(
+        "smile", bs_config(strikes=[]),
+        SCHEMA + "strikes: must be a non-empty list of numbers", id="strikes-empty-list",
+    ),
+    pytest.param(
+        "smile", bs_config(strikes=[0.1, "a"]),
+        SCHEMA + "strikes: must be a non-empty list of numbers", id="strikes-list-entry",
+    ),
+    pytest.param(
+        "smile", bs_config(strikes={"min": 0.2, "max": -0.2, "count": 5}),
+        SCHEMA + "strikes.min/max: need numbers with min < max",
+        id="strikes-min-above-max",
+    ),
+    pytest.param(
+        "smile", bs_config(strikes={"min": -0.1, "max": 0.1, "count": 1, "step": 2}),
+        SCHEMA + "strikes.step: unknown key; strikes.count: must be an integer >= 2",
+        id="strikes-count-and-unknown",
+    ),
+    pytest.param(
+        "smile", bs_config(strikes="wide"),
+        SCHEMA + "strikes: must be a list or a {min, max, count} object",
+        id="strikes-wrong-type",
+    ),
+    # kernel
+    pytest.param(
+        "simulate", table1_config(model="abergomi"),
+        SCHEMA + "kernel: required for model 'abergomi'", id="kernel-missing-abergomi",
+    ),
+    pytest.param(
+        "compare", table1_config(),
+        SCHEMA + "kernel: required for model 'abergomi'", id="kernel-missing-compare",
+    ),
+    pytest.param(
+        "smile", table1_config(model="abergomi", kernel=[2]),
+        SCHEMA + "kernel: must be an object", id="kernel-not-object",
+    ),
+    pytest.param(
+        "simulate", table1_config(model="abergomi", kernel=KERNEL_BAD_EVERY_KEY),
+        SCHEMA + "kernel.terms: unknown key; kernel.n: must be an integer >= 1; "
+        "kernel.method: must be 'closed-form' or 'least-squares'; "
+        "kernel.N_grid: must be an integer >= 3; "
+        "kernel.m2: must be 'table', 'none', or a positive number; "
+        "kernel.driver: must be 'rescaled' or 'direct'; "
+        "kernel.compensator: must be 'power' or 'exact'; "
+        "kernel.theta: must be a positive number",
+        id="kernel-every-key",
+    ),
+    pytest.param(
+        "smile",
+        table1_config(
+            model="abergomi",
+            kernel={"n": 2.0, "m2": "tabel", "theta": "1", "N_grid": True},
+        ),
+        SCHEMA + "kernel.n: must be an integer >= 1; "
+        "kernel.N_grid: must be an integer >= 3; "
+        "kernel.m2: must be 'table', 'none', or a positive number; "
+        "kernel.theta: must be a positive number",
+        id="kernel-m2-and-theta-types",
+    ),
+    pytest.param(
+        "simulate", table1_config(kernel={"n": 2, "driver": "euler"}),
+        SCHEMA + "kernel.driver: must be 'rescaled' or 'direct'",
+        id="kernel-checked-for-rbergomi-too",
+    ),
+    # fit
+    pytest.param(
+        "fit-kernel", without(fit_config(), "fit"),
+        SCHEMA + "fit: required object for fit-kernel; "
+        "fit.H: must be a number in (0, 1/2); fit.n: must be an integer >= 1",
+        id="fit-missing",
+    ),
+    pytest.param(
+        "fit-kernel", fit_config(fit=[0.07, 3], paths=0),
+        SCHEMA + "fit: required object for fit-kernel; "
+        "fit.H: must be a number in (0, 1/2); fit.n: must be an integer >= 1",
+        id="fit-not-object",
+    ),
+    pytest.param(
+        "fit-kernel",
+        fit_config(
+            fit={"H": 0.5, "T": -1, "N_grid": 2, "n": 0, "method": "x", "m2": 1}
+        ),
+        SCHEMA + "fit.m2: unknown key; fit.H: must be a number in (0, 1/2); "
+        "fit.T: must be a positive number; fit.N_grid: must be an integer >= 3; "
+        "fit.n: must be an integer >= 1; "
+        "fit.method: must be 'closed-form' or 'least-squares'",
+        id="fit-every-key",
+    ),
+    pytest.param(
+        "fit-kernel", fit_config(seed=-3, extra=1, fit={"H": "0.07", "n": 3}),
+        SCHEMA + "extra: unknown key; seed: must be an integer in [0, 2^64); "
+        "fit.H: must be a number in (0, 1/2)",
+        id="fit-top-level-first",
+    ),
+    # compare
+    pytest.param(
+        "compare", table1_config(kernel=SMALL_KERNEL, compare=[2, 4]),
+        SCHEMA + "compare: must be an object", id="compare-not-object",
+    ),
+    pytest.param(
+        "compare",
+        table1_config(
+            kernel=SMALL_KERNEL, compare={"terms": [0], "steps": [1, 2], "grid": 1}
+        ),
+        SCHEMA + "compare.grid: unknown key; "
+        "compare.terms: must be a non-empty integer list; "
+        "compare.steps: must be a non-empty integer list",
+        id="compare-every-key",
+    ),
+    pytest.param(
+        "compare",
+        table1_config(kernel=SMALL_KERNEL, compare={"terms": [], "steps": "50"}),
+        SCHEMA + "compare.terms: must be a non-empty integer list; "
+        "compare.steps: must be a non-empty integer list",
+        id="compare-empty-lists",
+    ),
+    # steps
+    pytest.param(
+        "smile", bs_config(steps=[8, 1]),
+        SCHEMA + "steps: must be a list of integers >= 2", id="steps-too-small",
+    ),
+    pytest.param(
+        "smile", bs_config(steps=[]),
+        SCHEMA + "steps: must be a list of integers >= 2", id="steps-empty",
+    ),
+    pytest.param(
+        "smile", bs_config(steps=8),
+        SCHEMA + "steps: must be a list of integers >= 2", id="steps-not-list",
+    ),
+    # maturities
+    pytest.param(
+        "skew", table1_config(maturities=[0.5, -1, 1.0]),
+        SCHEMA + "maturities: must be a list of positive numbers",
+        id="maturities-negative",
+    ),
+    pytest.param(
+        "skew", table1_config(maturities=[]),
+        SCHEMA + "maturities: need at least 3 maturities to fit a power law, got 0",
+        id="maturities-too-few",
+    ),
+    pytest.param(
+        "skew", two_factor_config(maturities="all"),
+        SCHEMA + "maturities: must be a list of positive numbers",
+        id="maturities-not-list",
+    ),
+    # bump
+    pytest.param(
+        "skew", table1_config(maturities=[0.25, 0.5, 1.0], bump=0),
+        SCHEMA + "bump: must be a positive number", id="bump-zero",
+    ),
+    pytest.param(
+        "skew", two_factor_config(bump="0.01"),
+        SCHEMA + "bump: must be a positive number", id="bump-string",
+    ),
+    # every section at once: the order of the messages
+    pytest.param(
+        "smile",
+        table1_config(
+            model="abergomi", seed=-1, out_dir=1, extra=1, params={"xi0": 0},
+            grid={"N": 1}, paths=0, strikes=[], kernel={"n": 0}, steps=[],
+        ),
+        SCHEMA + "extra: unknown key; seed: must be an integer in [0, 2^64); "
+        "out_dir: must be a string; params.eta: required for model 'abergomi'; "
+        "params.H: required for model 'abergomi'; "
+        "params.rho: required for model 'abergomi'; params.xi0: must be positive; "
+        "grid.T: must be a positive number; grid.N: must be an integer >= 2; "
+        "paths: must be an integer >= 1; "
+        "strikes: must be a non-empty list of numbers; "
+        "kernel.n: must be an integer >= 1; steps: must be a list of integers >= 2",
+        id="every-section-smile",
+    ),
+    pytest.param(
+        "skew",
+        table1_config(
+            params={"eta": -1}, grid="x", paths=None, strikes={"min": 0},
+            kernel=[], maturities=[1.0], bump=-1,
+        ),
+        SCHEMA + "params.xi0: required for model 'rbergomi'; "
+        "params.H: required for model 'rbergomi'; "
+        "params.rho: required for model 'rbergomi'; params.eta: must be positive; "
+        "grid: must be an object with keys T, N; paths: must be an integer >= 1; "
+        "strikes.min/max: need numbers with min < max; kernel: must be an object; "
+        "maturities: need at least 3 maturities to fit a power law, got 1; "
+        "bump: must be a positive number",
+        id="every-section-skew",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, body, line", SCHEMA_ERROR_CASES)
+def test_schema_error_text(command, body, line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, body)
+    assert cli.main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+RESOLVED_SHA_CASES = [
+    pytest.param(
+        "simulate", table1_config(),
+        "2490ec74468171c61581fbb64775653fdf0e90c6d6fb31e3378e124675706149",
+        id="simulate-rbergomi",
+    ),
+    pytest.param(
+        "simulate", table1_config(model="abergomi", kernel={"n": 3}),
+        "82dcf44af7c2b39727cfed869ee8c420a24f52f5e0de78e43a129b423c2c54d9",
+        id="simulate-abergomi",
+    ),
+    pytest.param(
+        "simulate", bs_config(grid={"T": 1, "N": 50}),
+        "a5299cbfcb955fdf1e8dadb3a8d93879869aaa0233921e6b21919405aed41111",
+        id="simulate-bs",
+    ),
+    pytest.param(
+        "smile", table1_config(strikes=[-0.1, 0, 0.1]),
+        "0ba601b5d147d81259daa05e3ec26a22c1f5dc8ba932401b3b3ab773c9665aab",
+        id="smile-rbergomi",
+    ),
+    pytest.param(
+        "smile",
+        table1_config(
+            model="abergomi",
+            steps=[8, 16],
+            kernel={
+                "n": 2, "method": "closed-form", "N_grid": 50, "m2": 2.0,
+                "driver": "direct", "compensator": "exact", "theta": 0.5,
+            },
+        ),
+        "9d0908782c697092a6cda4b2ffa2cad1b13c1b068714a8a9278d84ac90d34da7",
+        id="smile-abergomi",
+    ),
+    pytest.param(
+        "smile", bs_config(strikes={"min": -0.1, "max": 0.1, "count": 5}),
+        "b4ecc1992c4308891e2afdd1ae86d90719bf18a8de183c1e1f6cd920b0166e3f",
+        id="smile-bs",
+    ),
+    pytest.param(
+        "compare", without(table1_config(kernel=SMALL_KERNEL), "model"),
+        "69eb3626e278514897df7a97f1c333bbfed59fd009bacf783522518ddd6e6389",
+        id="compare-rbergomi",
+    ),
+    pytest.param(
+        "skew", table1_config(),
+        "3359d2361483ef066a2b3edadbd93ce280052fa346a1aa755a232db90a5c7e55",
+        id="skew-rbergomi",
+    ),
+    pytest.param(
+        "skew", two_factor_config(paths="none", bump=0.02),
+        "1714c7fd821355e59fcbc72c923ee51494be55eb86e24ff169d7c1abcb75c9ae",
+        id="skew-bergomi2f",
+    ),
+    pytest.param(
+        "fit-kernel", fit_config(),
+        "914b048cfb940fc4b72dc1fe3444b714c6b8530ef7d4f9aee37fb630418bb804",
+        id="fit-kernel",
+    ),
+    # a null kernel is an absent one; null strikes take the default grid but
+    # are not marked as defaulted
+    pytest.param(
+        "simulate", table1_config(kernel=None),
+        "2490ec74468171c61581fbb64775653fdf0e90c6d6fb31e3378e124675706149",
+        id="simulate-rbergomi-null-kernel",
+    ),
+    pytest.param(
+        "smile", bs_config(strikes=None),
+        "b75e4dba66dcd04c3077c4c8ca367a27c63081459bfbcdf800cdda09e4987e8a",
+        id="smile-bs-null-strikes",
+    ),
+]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, body, line",
+    [
+        pytest.param(
+            "simulate", bs_config(params={"vol": NAN}),
+            "params.vol: must be a positive number", id="params.vol-nan",
+        ),
+        pytest.param(
+            "simulate", table1_config(params=dict(table1_config()["params"], rho=NAN)),
+            "params.rho: must be a number", id="params.rho-nan",
+        ),
+        pytest.param(
+            "smile", bs_config(grid={"T": INF, "N": 10}),
+            "grid.T: must be a positive number", id="grid.T-inf",
+        ),
+        pytest.param(
+            "skew", table1_config(bump=INF),
+            "bump: must be a positive number", id="bump-inf",
+        ),
+        pytest.param(
+            "smile", bs_config(strikes=[-0.1, NAN, 0.1]),
+            "strikes: must be a non-empty list of numbers", id="strikes-entry-nan",
+        ),
+        pytest.param(
+            "skew", two_factor_config(maturities=[0.3, 0.6, INF]),
+            "maturities: must be a list of positive numbers", id="maturities-entry-inf",
+        ),
+        pytest.param(
+            "simulate", table1_config(model="abergomi", kernel={"n": 2, "theta": INF}),
+            "kernel.theta: must be a positive number", id="kernel.theta-inf",
+        ),
+        pytest.param(
+            "fit-kernel", fit_config(fit={"H": 0.07, "n": 3, "T": INF}),
+            "fit.T: must be a positive number", id="fit.T-inf",
+        ),
+    ],
+)
+def test_non_finite_numbers_are_schema_errors(
+    command, body, line, tmp_path, monkeypatch, capsys
+):
+    # json.load reads NaN and Infinity; they must not reach a simulation
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == SCHEMA + line + "\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command, body, sha", RESOLVED_SHA_CASES)
+def test_resolved_config_hash_is_pinned(command, body, sha):
+    # defaults are filled in before hashing, so a changed default changes the hash
+    assert cli.config_sha(cli.resolve_config(body, command, {})) == sha
+
+
+# ---------------------------------------------------------------------------
 # thread pinning
 
 
@@ -417,21 +940,43 @@ def thread_env(monkeypatch, tmp_path):
     return write_config(tmp_path, bs_config(paths=8, out_dir=str(tmp_path)))
 
 
-def test_threads_env_var_pins_the_pools(thread_env, monkeypatch):
+@pytest.fixture
+def command_env(monkeypatch):
+    """The thread variables as the running `simulate` command sees them."""
+    seen = {}
+    real = cli._DISPATCH["simulate"]
+
+    def recording(*args):
+        seen.update((var, os.environ.get(var)) for var in THREAD_VARS)
+        return real(*args)
+
+    monkeypatch.setitem(cli._DISPATCH, "simulate", recording)
+    return seen
+
+
+def test_threads_env_var_pins_the_pools(thread_env, command_env, monkeypatch):
     monkeypatch.setenv("ROUGHVOL_THREADS", "3")
     assert cli.main(["simulate", "--config", thread_env]) == 0
-    assert all(os.environ[var] == "3" for var in THREAD_VARS)
+    assert all(command_env[var] == "3" for var in THREAD_VARS)
 
 
-def test_threads_flag_beats_the_env_var(thread_env, monkeypatch):
+def test_threads_flag_beats_the_env_var(thread_env, command_env, monkeypatch):
     monkeypatch.setenv("ROUGHVOL_THREADS", "3")
     assert cli.main(["simulate", "--config", thread_env, "--threads", "2"]) == 0
-    assert all(os.environ[var] == "2" for var in THREAD_VARS)
+    assert all(command_env[var] == "2" for var in THREAD_VARS)
 
 
-def test_threads_zero_means_leave_alone(thread_env):
+def test_threads_zero_means_leave_alone(thread_env, command_env):
     assert cli.main(["simulate", "--config", thread_env, "--threads", "0"]) == 0
-    assert all(os.environ[var] == "sentinel" for var in THREAD_VARS)
+    assert all(command_env[var] == "sentinel" for var in THREAD_VARS)
+
+
+def test_threads_setting_ends_when_main_returns(thread_env, command_env, monkeypatch):
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    assert cli.main(["simulate", "--config", thread_env, "--threads", "2"]) == 0
+    assert command_env["OMP_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert all(os.environ[var] == "sentinel" for var in THREAD_VARS[1:])
 
 
 def test_threads_validation(thread_env, monkeypatch, capsys):

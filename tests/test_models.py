@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 import roughvol as rv
-from conftest import chunked_increments
 
 
 def test_tabulated_smile_factors_frozen():
@@ -271,7 +270,8 @@ def test_moments_converge_to_the_rough_limit(table1):
         kern, _ = rv.closed_form_kernel(n, table1.H, 1.0)
         cfg = rv.AbergomiConfig(kernel=kern, params=table1, driver="direct")
         s1 = s2 = 0.0
-        for inc in chunked_increments(grid, table1.rho, n_paths, 99):
+        full = rv.sample_correlated_increments(grid, table1.rho, n_paths, 99)
+        for _, inc in rv.iter_blocks(full):
             fac = rv.simulate_ou_factors(cfg, inc)
             V1 = rv.abergomi_variance(cfg, rv.abergomi_driver(cfg, fac)).values[:, -1]
             s1 += V1.sum()

@@ -109,6 +109,25 @@ def test_prefix_property_across_block_boundary():
     assert np.array_equal(small.dU, big.dU[: BLOCK_SIZE + 5])
 
 
+def test_iter_blocks_yields_views_of_the_parent_in_row_order():
+    g = rv.make_time_grid(1.0, 3)
+    inc = rv.sample_correlated_increments(g, -0.7, 2 * BLOCK_SIZE + 9, 5)
+    blocks = list(rv.iter_blocks(inc))
+    B = BLOCK_SIZE
+    assert [(rows.start, rows.stop) for rows, _ in blocks] == [
+        (0, B), (B, 2 * B), (2 * B, 2 * B + 9),
+    ]
+    for rows, blk in blocks:
+        assert blk.n_paths == rows.stop - rows.start
+        for name in ("dW", "dB", "dU"):
+            part, whole = getattr(blk, name), getattr(inc, name)
+            assert np.shares_memory(part, whole)
+            assert np.array_equal(part, whole[rows])
+        assert (blk.grid, blk.rho, blk.seed) == (inc.grid, inc.rho, inc.seed)
+    # fewer paths than a block: one short block covering them all
+    (rows, blk), = rv.iter_blocks(rv.sample_correlated_increments(g, 0.0, 7, 5))
+    assert (rows.start, rows.stop, blk.n_paths) == (0, 7, 7)
+
 def test_seed_and_rho_sensitivity():
     g = rv.make_time_grid(1.0, 8)
     a = rv.sample_correlated_increments(g, -0.9, 10, 0)
