@@ -1,8 +1,8 @@
 """roughvol: Monte Carlo engine for rough volatility models.
 
 Simulates the rough Bergomi model (hybrid scheme for the singular Volterra
-driver) and its n-term Markovian approximation (sum-of-exponentials kernel,
-superposed O-U factors), with implied-vol analytics, ATM-skew term
+driver) and its n-term Markovian approximation (a sum-of-exponentials
+kernel fed to the same scheme), with implied-vol analytics, ATM-skew term
 structures, and second-order vol-of-vol expansions on top.
 
 Attribute access is lazy (PEP 562) so that the CLI can configure BLAS
@@ -45,7 +45,6 @@ _EXPORTS = {
     # models
     "SMILE_FACTOR_M2": ".models",
     "VariancePaths": ".models",
-    "OUFactorState": ".models",
     "OUFactorPaths": ".models",
     "DriverPaths": ".models",
     "AbergomiConfig": ".models",
@@ -70,7 +69,6 @@ _EXPORTS = {
     "bs_vega": ".analytics",
     "implied_vol": ".analytics",
     "mc_smile": ".analytics",
-    "scale_smile": ".analytics",
     "smile_rmse": ".analytics",
     "atm_skew": ".analytics",
     "fit_power_law": ".analytics",

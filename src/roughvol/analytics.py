@@ -40,7 +40,6 @@ __all__ = [
     "bs_vega",
     "implied_vol",
     "mc_smile",
-    "scale_smile",
     "smile_rmse",
     "atm_skew",
     "fit_power_law",
@@ -279,46 +278,6 @@ def mc_smile(
         model=model,
         seed=seed,
         skipped=tuple(skipped),
-    )
-
-
-def scale_smile(smile: SmileResult, m: float) -> SmileResult:
-    """Multiply a smile's implied-vol curve by a constant level factor m.
-
-    The alternative placement of the smile-level correction: instead of
-    damping the variance exponent inside the simulation, scale the
-    finished vol curve.  Prices are recomputed from the scaled vols so
-    the result stays internally consistent, and the MC price stderr is
-    pushed through the price -> vol -> m*vol -> price chain by the delta
-    method.  Skipped strikes stay skipped (their MC prices are kept).
-    """
-    if not np.isfinite(m) or m <= 0:
-        raise ValueError(f"scale factor must be positive, got {m}")
-    vols = smile.vols * m
-    prices = smile.prices.copy()
-    errs = smile.price_stderr.copy()
-    for i, k in enumerate(smile.strikes):
-        if not np.isfinite(vols[i]):
-            continue
-        K = float(np.exp(k))
-        prices[i] = bs_price(1.0, K, smile.maturity, float(vols[i]))
-        vega_old = bs_vega(1.0, K, smile.maturity, float(smile.vols[i]))
-        vega_new = bs_vega(1.0, K, smile.maturity, float(vols[i]))
-        errs[i] = (
-            smile.price_stderr[i] * m * vega_new / vega_old
-            if vega_old > 0
-            else np.nan
-        )
-    return SmileResult(
-        maturity=smile.maturity,
-        strikes=smile.strikes,
-        vols=vols,
-        prices=prices,
-        price_stderr=errs,
-        n_paths=smile.n_paths,
-        model=smile.model,
-        seed=smile.seed,
-        skipped=smile.skipped,
     )
 
 

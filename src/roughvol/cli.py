@@ -137,11 +137,12 @@ class _Key(NamedTuple):
     """One row of the config table: test(value) must hold, else msg.
 
     An absent key resolves to default (called with the config resolved so
-    far when callable) and is reported if required.  bound(value) names the
-    range an accepted value is outside of, if any; cast maps an accepted
-    value into the resolved config.  check(value, ctx, errors) -> resolved
-    value replaces all of these for a rule a row cannot state.  A key
-    outside `commands` (empty: all) is accepted but not checked or resolved.
+    far when callable) and is reported if required.  bound(value, block)
+    names the range an accepted value is outside of, if any, given the
+    block's rows resolved before it; cast maps an accepted value into the
+    resolved config.  check(value, ctx, errors) -> resolved value replaces
+    all of these for a rule a row cannot state.  A key outside `commands`
+    (empty: all) is accepted but not checked or resolved.
     """
 
     test: Callable[[Any], bool] | None = None
@@ -182,8 +183,9 @@ def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=No
             errors.append(f"{prefix}{name}: {key.msg}")
         else:
             out[name] = key.cast(v) if key.cast else v
-            if key.bound and key.bound(v):
-                (ranges if model else errors).append(f"{prefix}{name}: {key.bound(v)}")
+            why = key.bound(v, out) if key.bound else None
+            if why:
+                (ranges if model else errors).append(f"{prefix}{name}: {why}")
     errors += ranges
     return out
 
@@ -198,7 +200,7 @@ def _check_model(v, ctx: dict, errors: list):
         if command == "fit-kernel":
             return None
         v = "rbergomi" if command == "compare" else None
-    valid = ("bergomi2f", "rbergomi") if command == "skew" else _MODELS
+    valid = _COMMAND_MODELS.get(command, _MODELS)
     if v not in valid:
         errors.append(f"model: must be one of {sorted(valid)}, got {v!r}")
         v = "rbergomi"
@@ -286,16 +288,25 @@ def _check_compare(v, ctx: dict, errors: list):
 
 def _param(ok: Callable[[Any], bool], range_msg: str) -> _Key:
     """A required model parameter: a number first, then inside its range."""
-    return _Key(_num, _NUM, required=True, bound=lambda v: None if ok(v) else range_msg)
+    return _Key(
+        _num, _NUM, required=True, bound=lambda v, _: None if ok(v) else range_msg
+    )
 
 
-def _at_least_3(v: list):
+def _below_kappa_X(v, block: dict):
+    kx = block["kappa_X"]
+    if not 0 < v < (kx if _num(kx) else math.inf):
+        return "must lie in (0, kappa_X)"
+
+
+def _at_least_3(v: list, _):
     if len(v) < 3:
         return f"need at least 3 maturities to fit a power law, got {len(v)}"
 
 
 _PRICING = ("simulate", "smile", "compare", "skew")
 _MODELS = ("abergomi", "bergomi2f", "bs", "rbergomi")
+_COMMAND_MODELS = {"skew": ("bergomi2f", "rbergomi"), "compare": ("abergomi", "rbergomi")}
 _NUM, _POS = "must be a number", "must be a positive number"
 _INT_LIST = "must be a non-empty integer list"
 _METHOD = _Key(
@@ -309,14 +320,25 @@ _RB_PARAMS = {
     "H": _param(lambda v: 0 < v < 0.5, "must lie in (0, 1/2)"),
     "rho": _param(lambda v: abs(v) <= 1, "must lie in [-1, 1]"),
 }
-_TWO_FACTOR = ("kappa_X", "kappa_Y", "omega", "rho_SX", "rho_SY", "rho_XY", "theta")
+_RHO = _param(lambda v: abs(v) <= 1, "must lie in [-1, 1]")
+# TwoFactorParams' own ranges, so that each exits as a schema error
+_TWO_FACTOR_PARAMS = {
+    "kappa_X": _param(lambda v: v > 0, "must be positive"),
+    "kappa_Y": _Key(_num, _NUM, required=True, bound=_below_kappa_X),
+    "omega": _param(lambda v: v > 0, "must be positive"),
+    "rho_SX": _RHO,
+    "rho_SY": _RHO,
+    "rho_XY": _RHO,
+    "theta": _param(lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+}
+_TWO_FACTOR = tuple(_TWO_FACTOR_PARAMS)
 _PARAMS = {
     "rbergomi": _RB_PARAMS,
     "abergomi": _RB_PARAMS,
     "bs": {"vol": _Key(_pos, _POS, required=True)},
     "bergomi2f": {
-        **{k: _Key(_num, _NUM, required=True) for k in _TWO_FACTOR},
-        "xi0": _Key(_num, _NUM, 0.026),
+        **_TWO_FACTOR_PARAMS,
+        "xi0": _Key(_num, _NUM, 0.026, bound=_RB_PARAMS["xi0"].bound),
     },
 }
 _FIT = {
@@ -336,18 +358,6 @@ _KERNEL = {
     "n": _Key(_int_from(1), "must be an integer >= 1", required=True),
     "method": _METHOD,
     "N_grid": _Key(_optional(_int_from(3)), "must be an integer >= 3"),
-    "m2": _Key(
-        lambda v: v in ("table", "none") or _pos(v),
-        "must be 'table', 'none', or a positive number",
-        "table",
-    ),
-    "driver": _Key(
-        _one_of("rescaled", "direct"), "must be 'rescaled' or 'direct'", "rescaled"
-    ),
-    "compensator": _Key(
-        _one_of("power", "exact"), "must be 'power' or 'exact'", "power"
-    ),
-    "theta": _Key(_optional(_pos), _POS),
 }
 _COMPARE = {
     "terms": _Key(_int_list(1), _INT_LIST, [15, 20, 25]),
@@ -507,23 +517,6 @@ class _Run(NamedTuple):
 # simulation plumbing (numpy-importing; called after thread setup)
 
 
-def _resolve_mult(kcfg: dict, N: int) -> float:
-    from .models import SMILE_FACTOR_M2
-
-    m2 = kcfg["m2"]
-    if m2 == "none":
-        return 1.0
-    if m2 == "table":
-        if N not in SMILE_FACTOR_M2:
-            raise CliError(
-                EXIT_SCHEMA,
-                f"kernel.m2: no tabulated smile factor for N={N} "
-                f"(available: {sorted(SMILE_FACTOR_M2)}); pass a number or 'none'",
-            )
-        m2 = SMILE_FACTOR_M2[N]
-    return float(m2) ** 0.5
-
-
 def _build_kernel(kcfg: dict, H: float, T: float):
     """Kernel per config.
 
@@ -564,41 +557,15 @@ def _simulate(resolved: dict, N: int, T: float, kern=None):
     model, paths, p = resolved["model"], resolved["paths"], resolved["params"]
     grid = make_time_grid(T, N)
     if model != "bs":
-        params = ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
-    if model == "rbergomi":
         from .hybrid_scheme import make_hybrid_plan, simulate_volterra
         from .models import rbergomi_variance
 
-        plan = make_hybrid_plan(grid, params.alpha)
-
-        def variance(blk):
-            return rbergomi_variance(simulate_volterra(plan, blk), params)
-
-    elif model == "abergomi":
-        kcfg = resolved["kernel"]
-        if kern is None:
-            kern = _build_kernel(kcfg, params.H, T)
-        mult = _resolve_mult(kcfg, N)
-
-        from .models import (
-            AbergomiConfig,
-            abergomi_driver,
-            abergomi_variance,
-            simulate_ou_factors,
-        )
-
-        acfg = AbergomiConfig(
-            kernel=kern,
-            params=params,
-            theta=kcfg["theta"],
-            mult_factor=mult,
-            driver=kcfg["driver"],
-            compensator=kcfg["compensator"],
-        )
-
-        def variance(blk):
-            factors = simulate_ou_factors(acfg, blk)
-            return abergomi_variance(acfg, abergomi_driver(acfg, factors))
+        params = ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
+        if model == "abergomi" and kern is None:
+            kern = _build_kernel(resolved["kernel"], params.H, T)
+        # the Markovian model is the rough one with kernel cell averages in
+        # its tail (the hybrid multifactor scheme); kern is None for rbergomi
+        plan = make_hybrid_plan(grid, params.alpha, kernel=kern)
 
     t0 = time.perf_counter()
     if model == "bs":
@@ -611,7 +578,7 @@ def _simulate(resolved: dict, N: int, T: float, kern=None):
         logS_T = np.empty(paths)
         V_T = np.empty(paths)
         for rows, blk in iter_blocks(inc):
-            V = variance(blk)
+            V = rbergomi_variance(simulate_volterra(plan, blk), params)
             logS_T[rows] = rbergomi_log_price(V, blk)[:, -1]
             V_T[rows] = V.values[:, -1]
     return (logS_T, V_T), time.perf_counter() - t0

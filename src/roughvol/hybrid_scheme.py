@@ -15,12 +15,10 @@ cell stays exact.  Those averages are a sum of exponentials in k, so the tail
 is exactly the n-factor recursion Z_{j+1} = e^(-x dt) (Z_j + dB_j) — Markovian,
 with exact decay, stable for any speed — evaluated by the same convolution.
 This is the hybrid multifactor scheme of Romer (2022), "Hybrid multifactor
-scheme for stochastic Volterra equations with completely monotone kernels".
-
-A ``midpoint`` first-cell variant (coefficient (dt/2)^alpha on dB alone) is
-kept for comparison; it underweights the singular cell badly for alpha near
--1/2 (at alpha = -0.43, N = 100 it loses ~39% of the total variance), so it
-is not the default.
+scheme for stochastic Volterra equations with completely monotone kernels",
+and it is how the Markovian (aBergomi) model is simulated: the CLI and the
+library feed one plan per model into simulate_volterra, and the variance
+step (models.rbergomi_variance) is shared.
 """
 
 from __future__ import annotations
@@ -66,8 +64,6 @@ class HybridPlan:
         Cell averages c_k, k = 2..N, of the kernel over [(k-1)*dt, k*dt]:
         (b_k^* * dt)^alpha for the power kernel, the sum-of-exponentials
         average for a kernel plan; strictly decreasing in k.
-    first_cell : str
-        'exact' (default) or 'midpoint' treatment of the singular cell.
     kernel : ExpKernel or None
         The sum-of-exponentials kernel of a kernel plan; None for rBergomi.
     """
@@ -76,7 +72,6 @@ class HybridPlan:
     alpha: float
     b_star: np.ndarray | None
     kernel_weights: np.ndarray
-    first_cell: str = "exact"
     kernel: ExpKernel | None = None
 
 
@@ -132,7 +127,6 @@ def first_cell_coefficients(alpha: float, dt: float) -> tuple[float, float]:
 def make_hybrid_plan(
     grid: TimeGrid,
     alpha: float,
-    first_cell: str = "exact",
     kernel: ExpKernel | None = None,
 ) -> HybridPlan:
     """Assemble the HybridPlan (nodes and kernel weights) for a grid.
@@ -148,8 +142,6 @@ def make_hybrid_plan(
     function therefore give the same paths.  The kernel must share alpha:
     kernel.H = alpha + 1/2.
     """
-    if first_cell not in ("exact", "midpoint"):
-        raise ValueError(f"first_cell must be 'exact' or 'midpoint', got {first_cell!r}")
     if kernel is None:
         b = _readonly(optimal_nodes(alpha, grid.N))
         w = (b * grid.dt) ** alpha
@@ -173,7 +165,6 @@ def make_hybrid_plan(
         alpha=alpha,
         b_star=b,
         kernel_weights=_readonly(w),
-        first_cell=first_cell,
         kernel=kernel,
     )
 
@@ -231,12 +222,10 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
 
     X_{t_j} = sqrt(2*alpha+1) * [ first-cell term + sum_{k=2..j}
     c_k * dB_{j-k+1} ], with c_k = plan.kernel_weights: (b_k^* dt)^alpha for
-    rBergomi, the sum-of-exponentials cell averages for a kernel plan.  With
-    first_cell='exact' the singular cell integral
-    int_{t_{j-1}}^{t_j} (t_j - s)^alpha dB_s is drawn from its exact joint
-    law with dB_j as a1 * dB_j + b1 * dU_j (see first_cell_coefficients),
-    using the orthogonal stream inc.dU.  With first_cell='midpoint' the cell
-    is approximated by (dt/2)^alpha * dB_j and inc.dU is not consumed.
+    rBergomi, the sum-of-exponentials cell averages for a kernel plan.  The
+    singular cell integral int_{t_{j-1}}^{t_j} (t_j - s)^alpha dB_s is drawn
+    from its exact joint law with dB_j as a1 * dB_j + b1 * dU_j (see
+    first_cell_coefficients), using the orthogonal stream inc.dU.
 
     The sqrt(2*alpha+1) normalization is applied here, so Var(X_{t_j}) ~
     t_j^{2H}.
@@ -248,13 +237,9 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     N = plan.grid.N
     c = np.zeros(N)
     c[1:] = plan.kernel_weights
-    if plan.first_cell == "midpoint":
-        c[0] = (dt / 2.0) ** alpha
-        body = toeplitz_convolve(c, inc.dB)
-    else:
-        a1, b1 = first_cell_coefficients(alpha, dt)
-        body = toeplitz_convolve(c, inc.dB)
-        body += a1 * inc.dB + b1 * inc.dU
+    a1, b1 = first_cell_coefficients(alpha, dt)
+    body = toeplitz_convolve(c, inc.dB)
+    body += a1 * inc.dB + b1 * inc.dU
     values = np.zeros((inc.n_paths, N + 1))
     values[:, 1:] = np.sqrt(2 * alpha + 1) * body
     return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=alpha)

@@ -1,44 +1,39 @@
-"""Variance and log-price simulators: rBergomi and the n-term aBergomi model.
+"""Variance and log-price simulators: rBergomi and its Markovian approximation.
 
-rBergomi turns hybrid-scheme Volterra paths into the lognormal variance
+Both models run one pipeline.  A HybridPlan (make_hybrid_plan) is fed to
+simulate_volterra, and rbergomi_variance turns the Volterra paths into the
+lognormal variance
 
-    V_t = xi0 * exp(eta * X_t - (eta^2/2) * t^(2*alpha+1)),
+    V_t = xi0 * exp(eta * X_t - (eta^2/2) * t^(2*alpha+1)).
 
-aBergomi replaces the Volterra process with a superposition of Euler-stepped
-OU factors Y^i_{j+1} = (1 - kappa_i*dt) Y^i_j + dB_j sharing one driving
-noise (kappa_i the effective speeds of the driver convention below).  On the
-uniform grid their weighted sum y = sum_i w_i Y^i is a lower-triangular
-Toeplitz product,
+The rBergomi plan carries the power kernel's cell averages.  The Markovian
+plan, make_hybrid_plan(grid, alpha, kernel=kernel), carries a
+sum-of-exponentials kernel's: the hybrid multifactor scheme, whose tail is
+the n-factor recursion Y^i_{j+1} = e^(-x_i dt) (Y^i_j + dB_j) with exact
+decay.  Both consume the same PathIncrements, so rBergomi/aBergomi
+comparisons are common-random-number by construction.
+
+The affine structure of the Markovian model is kept in closed form:
+quadratic_variation_chi is the kernel's quadratic variation over a window,
+and variance_conditional_expectation gives E[V_t | F_s] from the
+[n_paths x n_terms] factor levels at time s.
+
+The paper's rescaled + m^2 construction
+---------------------------------------
+SMILE_FACTOR_M2, AbergomiConfig, simulate_ou_factors, abergomi_driver,
+abergomi_variance, OUFactorPaths and DriverPaths are the Euler-stepped OU
+factors of that construction: speeds kappa_i*(1 - theta/T) with the
+truncated horizon theta = T - dt, the driver consumed as sqrt(theta/T)*y_t,
+and a smile-level factor m whose square is tabulated per step count.  On
+the uniform grid the weighted factor sum is one Toeplitz product,
 
     y_j = sum_{k<j} c_{j-1-k} dB_k,   c_m = sum_i w_i (1 - kappa_i*dt)^m,
 
-so abergomi_driver evaluates it with the FFT convolution the hybrid scheme
-uses: its cost does not depend on the number of terms, and the
-[n_paths x (N+1) x n_terms] factor tensor is built only when OUFactorPaths.Y
-is read.  Two driver conventions are supported:
-
-* ``rescaled`` (default) — the truncated-horizon construction: factors run
-  at effective speeds kappa_i*(1 - theta/T) and the driver y is consumed as
-  sqrt(theta/T)*y_t, with a smile-level multiplication factor m (whose
-  square is tabulated per step count in SMILE_FACTOR_M2).
-* ``direct`` — the factors run at the kernel's own speeds and y approximates
-  the Volterra integral itself (prefactor 1, m typically 1).  This is the
-  convention under which the n -> infinity moment convergence to rBergomi is
-  observable.
-
-The drift compensator is (eta^2/2)*t^(2*alpha+1) by default (the power-law
-quadratic variation, exact in the n -> infinity limit); ``compensator =
-"exact"`` replaces it with the fitted kernel's own quadratic variation so
-that E[V_t] = xi0 holds exactly at finite n.
-
-Both models consume the same PathIncrements, so rBergomi/aBergomi
-comparisons are common-random-number by construction.
-
-The OU-factor construction above is what AbergomiConfig and the CLI
-default to; with the rescaled driver it does not approximate rBergomi (about
-3x off in ATM vol at T=1, N=100).  The approximation that does is the hybrid
-multifactor scheme: make_hybrid_plan(grid, alpha, kernel=kernel) fed through
-simulate_volterra and rbergomi_variance.
+which abergomi_driver evaluates by FFT.  It does not approximate rBergomi
+(about 3x off in ATM vol at T=1, N=100).  It is kept, with its output
+unchanged, for the benchmark's markov_smile workload and for the rescaled
+smile RMSE that acceptance criterion 7a prints; it goes once the benchmark
+runs the kernel plan (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from .sim_core import ModelParams, PathIncrements, TimeGrid, _readonly
 __all__ = [
     "SMILE_FACTOR_M2",
     "VariancePaths",
-    "OUFactorState",
     "OUFactorPaths",
     "DriverPaths",
     "AbergomiConfig",
@@ -68,8 +62,8 @@ __all__ = [
     "variance_conditional_expectation",
 ]
 
-# Squared smile-level multiplication factors m^2, tabulated per step count
-# for the rescaled driver.  Stored exactly as published.
+# Squared smile-level multiplication factors m^2 of the rescaled
+# construction, tabulated per step count.  Stored exactly as published.
 SMILE_FACTOR_M2 = {
     50: 0.750323909,
     100: 0.550447453,
@@ -88,26 +82,14 @@ class VariancePaths:
 
 
 @dataclass(frozen=True, eq=False)
-class OUFactorState:
-    """Factor levels at a single time: Y is [n_paths x n_terms]."""
-
-    Y: np.ndarray
-    kernel: ExpKernel
-    theta: float
-    eff_speeds: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class OUFactorPaths:
-    """Shared-noise OU factors on a grid, held as their noise and decay.
+    """Shared-noise OU factors of the rescaled construction, as noise and decay.
 
     The factors follow Y^i_{j+1} = decay_i * Y^i_j + dB_j from Y^i_0 = 0,
-    with decay = 1 - eff_speeds*dt.  dB is the increments' own plane (not a
-    copy).  Y, the [n_paths x (N+1) x n_terms] tensor, is built by that
-    recursion on first read and cached; abergomi_driver never reads it.
-    Indexing with a node index j returns the OUFactorState at t_j; it runs
-    the same recursion up to node j on a [n_paths x n_terms] state and
-    builds no tensor.
+    with decay = 1 - kappa_i*(1 - theta/T)*dt.  dB is the increments' own
+    plane (not a copy).  Y, the [n_paths x (N+1) x n_terms] tensor, is built
+    by that recursion on first read and cached; abergomi_driver never reads
+    it.
     """
 
     dB: np.ndarray
@@ -115,37 +97,13 @@ class OUFactorPaths:
     grid: TimeGrid
     kernel: ExpKernel
     theta: float
-    eff_speeds: np.ndarray
-
-    def _steps(self, stop: int):
-        """Yield Y at t_0..t_stop, each a fresh [n_paths x n_terms] array."""
-        state = np.zeros((self.dB.shape[0], self.kernel.n))
-        yield state
-        for j in range(stop):
-            state = state * self.decay + self.dB[:, j, None]
-            yield state
 
     @cached_property
     def Y(self) -> np.ndarray:
-        Y = np.empty((self.dB.shape[0], self.grid.N + 1, self.kernel.n))
-        for j, state in enumerate(self._steps(self.grid.N)):
-            Y[:, j, :] = state
+        Y = np.zeros((self.dB.shape[0], self.grid.N + 1, self.kernel.n))
+        for j in range(self.grid.N):
+            Y[:, j + 1, :] = Y[:, j, :] * self.decay + self.dB[:, j, None]
         return _readonly(Y)
-
-    def __len__(self) -> int:
-        return self.grid.N + 1
-
-    def __getitem__(self, j: int) -> OUFactorState:
-        """The state at t_j, stepped to node j only."""
-        j = range(self.grid.N + 1)[j]
-        for Y in self._steps(j):  # keeps only the last state alive
-            pass
-        return OUFactorState(
-            Y=_readonly(Y),
-            kernel=self.kernel,
-            theta=self.theta,
-            eff_speeds=self.eff_speeds,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,40 +112,24 @@ class DriverPaths:
 
     values: np.ndarray
     grid: TimeGrid
-    prefactor: float  # sqrt(theta/T) for the rescaled driver, 1.0 for direct
+    prefactor: float  # sqrt(theta/T)
 
 
 @dataclass(frozen=True, eq=False)
 class AbergomiConfig:
-    """Everything the aBergomi simulator needs besides increments.
+    """The rescaled construction's kernel, parameters and smile factor m.
 
-    theta = None resolves to T - dt at simulation time (the truncated
-    horizon); mult_factor is the smile-level factor m (sqrt of a SMILE_FACTOR_M2
-    entry for the rescaled driver at the tabulated step counts).
+    mult_factor is m (the sqrt of a SMILE_FACTOR_M2 entry at the tabulated
+    step counts).
     """
 
     kernel: ExpKernel
     params: ModelParams
-    theta: float | None = None
     mult_factor: float = 1.0
-    driver: str = "rescaled"
-    compensator: str = "power"
 
     def __post_init__(self):
         if self.mult_factor <= 0:
             raise ValueError(f"mult_factor must be positive, got {self.mult_factor}")
-        if self.driver not in ("rescaled", "direct"):
-            raise ValueError(f"driver must be 'rescaled' or 'direct', got {self.driver!r}")
-        if self.compensator not in ("power", "exact"):
-            raise ValueError(
-                f"compensator must be 'power' or 'exact', got {self.compensator!r}"
-            )
-
-    def resolve_theta(self, grid: TimeGrid) -> float:
-        theta = grid.T - grid.dt if self.theta is None else self.theta
-        if not (0.0 < theta < grid.T):
-            raise ValueError(f"theta must lie in (0, T), got {theta}")
-        return theta
 
     def eta_scale(self) -> float:
         """Vol-of-vol multiplier matching the kernel's normalization flavor.
@@ -204,7 +146,9 @@ def rbergomi_variance(volterra: VolterraPaths, params: ModelParams) -> VarianceP
     """V_t = xi0 * exp(eta * X_t - (eta^2/2) * t^(2*alpha+1)).
 
     The compensator makes V a (discretization-exact, up to the hybrid
-    scheme's cell approximation) martingale in t with mean xi0.
+    scheme's cell approximation) martingale in t with mean xi0.  This is
+    the variance of both models: X comes from the rBergomi plan or from a
+    kernel plan.
     """
     if volterra.alpha != params.alpha:
         raise ValueError(
@@ -220,8 +164,8 @@ def rbergomi_variance(volterra: VolterraPaths, params: ModelParams) -> VarianceP
 def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
     """Euler log-price: log S_{t+dt} = log S_t + sqrt(V_t)*dW_t - V_t*dt/2.
 
-    S_0 = 1.  Works for any VariancePaths (aBergomi included); the model
-    enters only through V.  Returns an [n_paths x (N+1)] matrix.
+    S_0 = 1.  Works for any VariancePaths; the model enters only through V.
+    Returns an [n_paths x (N+1)] matrix.
     """
     if inc.grid != V.grid:
         raise ValueError("variance paths and increments live on different grids")
@@ -234,30 +178,24 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
 
 
 def simulate_ou_factors(cfg: AbergomiConfig, inc: PathIncrements) -> OUFactorPaths:
-    """Set up the shared-noise OU factors Y^i, Euler-stepped from Y^i_0 = 0:
+    """Set up the rescaled construction's OU factors, Euler-stepped from 0:
 
         Y^i_{t_{j+1}} = Y^i_{t_j} - kappa_eff_i * Y^i_{t_j} * dt + dB_j
 
-    (mean-reverting drift; all factors are driven by the same variance
-    noise dB).  kappa_eff = kappa*(1 - theta/T) for the rescaled driver,
-    the kernel's own kappa for the direct driver.  No step is taken here:
-    the result keeps inc.dB and the decay 1 - kappa_eff*dt, and runs the
+    with kappa_eff = kappa*(1 - theta/T) and theta = T - dt (all factors are
+    driven by the same variance noise dB).  No step is taken here: the
+    result keeps inc.dB and the decay 1 - kappa_eff*dt, and runs the
     recursion only if its Y tensor is read.
     """
     grid = inc.grid
-    theta = cfg.resolve_theta(grid)
-    kappa = cfg.kernel.speeds
-    if cfg.driver == "rescaled":
-        eff = kappa * (1.0 - theta / grid.T)
-    else:
-        eff = kappa.copy()
+    theta = grid.T - grid.dt
+    eff = cfg.kernel.speeds * (1.0 - theta / grid.T)
     return OUFactorPaths(
         dB=inc.dB,
         decay=_readonly(1.0 - eff * grid.dt),
         grid=grid,
         kernel=cfg.kernel,
         theta=theta,
-        eff_speeds=_readonly(eff),
     )
 
 
@@ -265,13 +203,11 @@ def abergomi_driver(cfg: AbergomiConfig, factors: OUFactorPaths) -> DriverPaths:
     """The scalar driver y_t = sum_i w_i Y^i_t, as one Toeplitz convolution.
 
     Unrolling the factor recursion gives y_{t_j} = sum_{k<j} c_{j-1-k} dB_k
-    with c_m = sum_i w_i decay_i^m, decay = 1 - kappa_eff*dt; the sum is
-    evaluated by FFT (toeplitz_convolve), so the factor tensor is never
-    built and the cost does not depend on the number of terms.
-
-    For the rescaled construction downstream consumers use
-    sqrt(theta/T)*y_t as the Volterra surrogate; that prefactor is recorded
-    on the result (1.0 for the direct driver).
+    with c_m = sum_i w_i decay_i^m; the sum is evaluated by FFT
+    (toeplitz_convolve), so the factor tensor is never built and the cost
+    does not depend on the number of terms.  Downstream, sqrt(theta/T)*y_t
+    stands in for the Volterra process; that prefactor is recorded on the
+    result.
     """
     if factors.kernel is not cfg.kernel:
         raise ValueError("factors were simulated under a different config")
@@ -279,45 +215,22 @@ def abergomi_driver(cfg: AbergomiConfig, factors: OUFactorPaths) -> DriverPaths:
     c = np.power.outer(factors.decay, np.arange(N)).T @ cfg.kernel.weights
     y = np.zeros((factors.dB.shape[0], N + 1))
     y[:, 1:] = toeplitz_convolve(c, factors.dB)
-    pref = (
-        np.sqrt(factors.theta / factors.grid.T) if cfg.driver == "rescaled" else 1.0
-    )
+    pref = np.sqrt(factors.theta / factors.grid.T)
     return DriverPaths(values=_readonly(y), grid=factors.grid, prefactor=float(pref))
 
 
 def abergomi_variance(cfg: AbergomiConfig, y: DriverPaths) -> VariancePaths:
-    """V_t = xi0 * exp(m * eta_k * prefactor * y_t - compensator(t)).
+    """V_t = xi0 * exp(m * eta_k * prefactor * y_t - (eta^2/2)*t^(2*alpha+1)).
 
     eta_k is eta adjusted for the kernel's normalization flavor (see
-    AbergomiConfig.eta_scale).  compensator='power' uses the rBergomi
-    (eta^2/2)*t^(2*alpha+1); 'exact' uses half the actual variance of the
-    exponent, (m*eta_k*prefactor)^2/2 * chi_eff(t,t), making E[V_t] = xi0
-    exact at finite n.
+    AbergomiConfig.eta_scale); the compensator is rBergomi's.
     """
     params = cfg.params
     t = y.grid.nodes
     scale = cfg.mult_factor * cfg.eta_scale() * y.prefactor
-    if cfg.compensator == "power":
-        comp = 0.5 * params.eta**2 * t ** (2 * params.alpha + 1)
-    else:
-        theta = cfg.resolve_theta(y.grid)
-        eff = (
-            cfg.kernel.speeds * (1.0 - theta / y.grid.T)
-            if cfg.driver == "rescaled"
-            else cfg.kernel.speeds
-        )
-        var_y = _chi_diag(cfg.kernel.weights, eff, t[1:])
-        comp = np.concatenate([[0.0], 0.5 * scale**2 * var_y])
+    comp = 0.5 * params.eta**2 * t ** (2 * params.alpha + 1)
     V = params.xi0 * np.exp(scale * y.values - comp)
     return VariancePaths(values=_readonly(V), grid=y.grid, params=params)
-
-
-def _chi_diag(w: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """chi(t,t) = sum_ij w_i w_j (1 - e^(-(x_i+x_j)t)) / (x_i+x_j), vectorized in t."""
-    ww = np.multiply.outer(w, w)
-    xs = np.add.outer(x, x)
-    expo = -np.exp(-np.multiply.outer(t, xs))  # [t, i, j]
-    return np.einsum("ij,tij->t", ww / xs, 1.0 + expo)
 
 
 def quadratic_variation_chi(kernel: ExpKernel, s: float, t: float) -> float:
@@ -339,7 +252,7 @@ def quadratic_variation_chi(kernel: ExpKernel, s: float, t: float) -> float:
 
 def variance_conditional_expectation(
     kernel: ExpKernel,
-    state: OUFactorState,
+    Y: np.ndarray,
     s: float,
     t: float,
     sigma: float,
@@ -347,7 +260,9 @@ def variance_conditional_expectation(
 ) -> np.ndarray:
     """E[V^n_t | F_s] for the affine variance V^n_u = xi0*exp(sigma*sum_i w_i Y^i_u).
 
-    Conditionally on F_s the exponent is Gaussian: mean
+    Y is the [n_paths x n_terms] array of the factor levels
+    Y^i_s = int_0^s e^(-x_i (s-u)) dB_u at time s.  Conditionally on F_s
+    the exponent is Gaussian: mean
     sigma * sum_i w_i e^(-x_i (t-s)) Y^i_s, variance sigma^2 * chi(t-s, t-s).
     Hence, per path,
 
@@ -370,4 +285,4 @@ def variance_conditional_expectation(
     x = kernel.speeds
     resid_var = quadratic_variation_chi(kernel, delta, delta)
     loading = w * np.exp(-x * delta)
-    return xi0 * np.exp(0.5 * sigma**2 * resid_var + sigma * (state.Y @ loading))
+    return xi0 * np.exp(0.5 * sigma**2 * resid_var + sigma * (Y @ loading))

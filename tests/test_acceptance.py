@@ -60,7 +60,7 @@ def _ab_terminal(T, N, n_paths, seed, kern):
 
 
 def _ab_rescaled_terminal(T, N, n_paths, seed, kern):
-    """Terminal log-prices of the shipped aBergomi default (rescaled + m^2)."""
+    """Terminal log-prices of the paper's rescaled + m^2 OU construction."""
     grid = rv.make_time_grid(T, N)
     cfg = rv.AbergomiConfig(
         kernel=kern,
@@ -186,8 +186,7 @@ def test_criterion_05_conditional_expectation_vs_nested_mc():
     outer = np.random.default_rng(55).standard_normal((n_outer, kern.n)) @ (
         np.linalg.cholesky((1 - np.exp(-xs * s)) / xs).T
     )
-    state = rv.OUFactorState(Y=outer, kernel=kern, theta=0.99, eff_speeds=x)
-    formula = rv.variance_conditional_expectation(kern, state, s, t, sigma, xi0)
+    formula = rv.variance_conditional_expectation(kern, outer, s, t, sigma, xi0)
 
     delta = t - s
     decay = np.exp(-x * delta)
@@ -262,8 +261,8 @@ def test_criterion_07a_more_terms_should_tighten_the_smile(smile_rmse_grid):
     r = smile_rmse_grid
     print(
         f"criterion 7a: RMSE 25-term {r[(25, 100)]:.3e} vs 15-term "
-        f"{r[(15, 100)]:.3e} at N=100 (CRN, 20000 paths); shipped rescaled "
-        f"+ m^2 default, not asserted: 25-term {r[('rescaled', 25, 100)]:.5f}, "
+        f"{r[(15, 100)]:.3e} at N=100 (CRN, 20000 paths); rescaled "
+        f"+ m^2 OU construction, not asserted: 25-term {r[('rescaled', 25, 100)]:.5f}, "
         f"15-term {r[('rescaled', 15, 100)]:.5f}; {r['elapsed']:.1f}s shared"
     )
     assert r["elapsed"] < 180.0

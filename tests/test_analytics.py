@@ -133,32 +133,6 @@ def test_mc_smile_records_skipped_strikes():
     assert "bound" in reason
 
 
-def test_scale_smile_moves_the_level_consistently():
-    logS = _bs_terminal_log_price(0.2, 1.0, 20_000, 5)
-    sm = rv.mc_smile(logS, np.array([-0.1, 0.0, 0.1]), T=1.0, model="bs", seed=5)
-    same = rv.scale_smile(sm, 1.0)
-    np.testing.assert_array_equal(same.vols, sm.vols)
-    np.testing.assert_allclose(same.prices, sm.prices, rtol=1e-12)
-    half = rv.scale_smile(sm, 0.5)
-    np.testing.assert_allclose(half.vols, 0.5 * sm.vols, rtol=1e-15)
-    for i, k in enumerate(half.strikes):
-        assert half.prices[i] == pytest.approx(
-            rv.bs_price(1.0, np.exp(k), 1.0, half.vols[i]), rel=1e-12
-        )
-        assert half.price_stderr[i] > 0
-    assert half.model == "bs" and half.seed == 5
-    with pytest.raises(ValueError):
-        rv.scale_smile(sm, 0.0)
-
-
-def test_scale_smile_keeps_skipped_strikes_skipped():
-    sm = rv.mc_smile(np.full(100, 4.0), np.array([0.0]), T=1.0)
-    scaled = rv.scale_smile(sm, 0.7)
-    assert np.isnan(scaled.vols[0])
-    assert scaled.skipped == sm.skipped
-    assert scaled.prices[0] == sm.prices[0]
-
-
 def test_smile_rmse_is_a_metric():
     logS = _bs_terminal_log_price(0.2, 1.0, 5_000, 8)
     a = rv.mc_smile(logS, T=1.0)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import roughvol as rv
 from roughvol import cli
 
 
@@ -46,7 +47,7 @@ TWO_FACTOR_PARAMS = {
     "omega": 2.0, "theta": 0.3, "kappa_X": 8.0, "kappa_Y": 0.5,
     "rho_SX": -0.7, "rho_SY": -0.6, "rho_XY": 0.2,
 }
-SMALL_KERNEL = {"n": 2, "method": "closed-form", "m2": "none"}
+SMALL_KERNEL = {"n": 2, "method": "closed-form"}
 
 
 def two_factor_config(**over):
@@ -167,7 +168,7 @@ def test_compare_grid_has_one_row_per_cell(tmp_path):
         table1_config(
             paths=500,
             strikes={"min": -0.05, "max": 0.05, "count": 3},
-            kernel={"n": 2, "method": "closed-form", "m2": "none"},
+            kernel=SMALL_KERNEL,
             compare={"terms": [2, 3], "steps": [4, 6]},
             out_dir=str(tmp_path),
         ),
@@ -191,7 +192,7 @@ def test_compare_pair_must_share_the_experiment_frame(tmp_path):
     base = table1_config(
         paths=500,
         strikes={"min": -0.05, "max": 0.05, "count": 3},
-        kernel={"n": 2, "method": "closed-form", "m2": "none"},
+        kernel=SMALL_KERNEL,
         compare={"terms": [2], "steps": [4]},
         out_dir=str(tmp_path),
     )
@@ -201,11 +202,55 @@ def test_compare_pair_must_share_the_experiment_frame(tmp_path):
     rc = cli.main(["compare", "--config", cfg_a, "--config-b", cfg_bad])
     assert rc == 2
 
-    # a pair differing only in the aBergomi discretization choices is fine
+    # a pair differing only in the aBergomi kernel construction is fine
     paired = dict(base)
-    paired["kernel"] = dict(base["kernel"], driver="direct")
+    paired["kernel"] = dict(base["kernel"], method="least-squares")
     cfg_b = write_config(tmp_path, paired, name="b.json")
     assert cli.main(["compare", "--config", cfg_a, "--config-b", cfg_b]) == 0
+
+
+def _smile_columns(path):
+    """(log-moneyness, implied vol) columns of a smile CSV."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    return np.array([[float(r[0]), float(r[2])] for r in rows]).T
+
+
+def test_abergomi_smile_is_the_library_kernel_plan(tmp_path):
+    # the CLI's aBergomi is the rBergomi pipeline with the fitted kernel's
+    # cell averages in the plan (the hybrid multifactor scheme)
+    body = table1_config(
+        model="abergomi", grid={"T": 1.0, "N": 16}, paths=4096 + 904,
+        kernel={"n": 5}, out_dir=str(tmp_path),
+    )
+    assert cli.main(["smile", "--config", write_config(tmp_path, body)]) == 0
+    strikes, got = _smile_columns(tmp_path / "smile_abergomi_T1.0_N16.csv")
+
+    params = rv.ModelParams(**body["params"])
+    grid = rv.make_time_grid(1.0, 16)
+    kern = rv.fit_kernel_ls(params.H, 1.0, 100, 5)
+    plan = rv.make_hybrid_plan(grid, params.alpha, kernel=kern)
+    inc = rv.sample_correlated_increments(grid, params.rho, body["paths"], body["seed"])
+    V = rv.rbergomi_variance(rv.simulate_volterra(plan, inc), params)
+    want = rv.mc_smile(rv.rbergomi_log_price(V, inc)[:, -1], strikes, T=1.0).vols
+    assert np.isfinite(want).sum() >= 15
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_abergomi_smile_tracks_rbergomi_on_the_same_seed(tmp_path):
+    # n = 25 least-squares terms at N = 100 (the fit's own grid): on shared
+    # draws only the kernel's cell averages separate the two smiles
+    vols = {}
+    for model, kernel in (("rbergomi", None), ("abergomi", {"n": 25})):
+        body = table1_config(
+            model=model, grid={"T": 1.0, "N": 100}, paths=20_000, seed=42,
+            kernel=kernel, out_dir=str(tmp_path),
+        )
+        path = write_config(tmp_path, body, name=f"{model}.json")
+        assert cli.main(["smile", "--config", path]) == 0
+        _, vols[model] = _smile_columns(tmp_path / f"smile_{model}_T1.0_N100.csv")
+    diff = vols["abergomi"] - vols["rbergomi"]
+    assert np.isfinite(diff).all()
+    assert np.sqrt(np.mean(diff**2)) < 1e-4
 
 
 def test_fit_kernel_least_squares_report(tmp_path):
@@ -354,24 +399,25 @@ def test_nonfinite_simulation_exits_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_stiff_factor_recursion_exits_3(tmp_path, capsys):
-    # fitted kernels carry fast mean reversions; an explicit Euler step at
-    # dt = 1/8 amplifies them geometrically until exp() overflows
+def test_stiff_fitted_kernel_gives_a_finite_smile(tmp_path):
+    # fitted kernels carry fast mean reversions (speed * dt far above 2 at
+    # dt = 1/8, where an explicit Euler step would blow up); the kernel
+    # plan's factors decay exactly, so every speed is stable
     cfg = write_config(
         tmp_path,
         table1_config(
             model="abergomi",
             grid={"T": 1.0, "N": 8},
             paths=64,
-            kernel={"n": 10, "method": "least-squares", "m2": "none",
-                    "driver": "direct"},
+            kernel={"n": 10, "method": "least-squares"},
             out_dir=str(tmp_path),
         ),
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main(["simulate", "--config", cfg])
-    assert rc == 3
-    assert "non-finite" in capsys.readouterr().err
+    with np.errstate(over="raise", invalid="raise"):
+        assert cli.main(["smile", "--config", cfg]) == 0
+    lines = (tmp_path / "smile_abergomi_T1.0_N8.csv").read_text().splitlines()
+    assert len(lines) == 2 + 21
+    assert np.all(np.isfinite([[float(v) for v in r.split(",")] for r in lines[2:]]))
 
 
 def test_skew_requires_three_maturities(tmp_path, capsys):
@@ -380,22 +426,6 @@ def test_skew_requires_three_maturities(tmp_path, capsys):
     )
     assert cli.main(["skew", "--config", cfg]) == 2
     assert "at least 3" in capsys.readouterr().err
-
-
-def test_m2_table_rejects_untabulated_step_counts(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        table1_config(
-            model="abergomi",
-            grid={"T": 1.0, "N": 37},
-            paths=64,
-            kernel={"n": 2, "method": "closed-form"},
-            out_dir=str(tmp_path),
-        ),
-    )
-    assert cli.main(["simulate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "no tabulated smile factor" in err and "37" in err
 
 
 def test_abergomi_requires_a_kernel_block(tmp_path, capsys):
@@ -434,10 +464,7 @@ RB_REQUIRED = "; ".join(
     f"params.{k}: required for model 'rbergomi'" for k in ("xi0", "eta", "H", "rho")
 )
 ALL_MODELS = "['abergomi', 'bergomi2f', 'bs', 'rbergomi']"
-KERNEL_BAD_EVERY_KEY = {
-    "n": 0, "method": "x", "N_grid": 2, "m2": -1, "driver": "y",
-    "compensator": "z", "theta": 0, "terms": 1,
-}
+KERNEL_BAD_EVERY_KEY = {"n": 0, "method": "x", "N_grid": 2, "terms": 1}
 
 SCHEMA_ERROR_CASES = [
     # top level
@@ -492,8 +519,14 @@ SCHEMA_ERROR_CASES = [
     ),
     pytest.param(
         "compare", table1_config(model="sabr", kernel=SMALL_KERNEL),
-        SCHEMA + f"model: must be one of {ALL_MODELS}, got 'sabr'",
+        SCHEMA + "model: must be one of ['abergomi', 'rbergomi'], got 'sabr'",
         id="model-compare-checked-if-given",
+    ),
+    pytest.param(
+        "compare", bs_config(kernel=SMALL_KERNEL),
+        SCHEMA + "model: must be one of ['abergomi', 'rbergomi'], got 'bs'; "
+        "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
+        id="model-compare-rough-only",
     ),
     pytest.param(
         "simulate", two_factor_config(grid={"T": 0.5, "N": 10}, paths=16),
@@ -555,6 +588,54 @@ SCHEMA_ERROR_CASES = [
         SCHEMA + "params.H: unknown key for model 'bergomi2f'; "
         "params.omega: required for model 'bergomi2f'; params.theta: must be a number",
         id="params-bergomi2f",
+    ),
+    # bergomi2f ranges, one case per rule
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, omega=0)),
+        SCHEMA + "params.omega: must be positive", id="params-bergomi2f-omega",
+    ),
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, theta=1.5)),
+        SCHEMA + "params.theta: must lie in [0, 1]", id="params-bergomi2f-theta",
+    ),
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, rho_SX=-1.2)),
+        SCHEMA + "params.rho_SX: must lie in [-1, 1]", id="params-bergomi2f-rho_SX",
+    ),
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, rho_SY=1.5)),
+        SCHEMA + "params.rho_SY: must lie in [-1, 1]", id="params-bergomi2f-rho_SY",
+    ),
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, rho_XY=-3)),
+        SCHEMA + "params.rho_XY: must lie in [-1, 1]", id="params-bergomi2f-rho_XY",
+    ),
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, kappa_X=0.3)),
+        SCHEMA + "params.kappa_Y: must lie in (0, kappa_X)",
+        id="params-bergomi2f-kappa-order",
+    ),
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, kappa_Y=0)),
+        SCHEMA + "params.kappa_Y: must lie in (0, kappa_X)",
+        id="params-bergomi2f-kappa_Y-positive",
+    ),
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, kappa_X=-8.0)),
+        SCHEMA + "params.kappa_X: must be positive; "
+        "params.kappa_Y: must lie in (0, kappa_X)",
+        id="params-bergomi2f-kappa_X-positive",
+    ),
+    pytest.param(
+        "skew",
+        two_factor_config(params=dict(TWO_FACTOR_PARAMS, kappa_X="fast", kappa_Y=-1)),
+        SCHEMA + "params.kappa_X: must be a number; "
+        "params.kappa_Y: must lie in (0, kappa_X)",
+        id="params-bergomi2f-kappa_X-not-a-number",
+    ),
+    pytest.param(
+        "skew", two_factor_config(params=dict(TWO_FACTOR_PARAMS, xi0=-0.02)),
+        SCHEMA + "params.xi0: must be positive", id="params-bergomi2f-xi0",
     ),
     # grid
     pytest.param(
@@ -630,11 +711,7 @@ SCHEMA_ERROR_CASES = [
         "simulate", table1_config(model="abergomi", kernel=KERNEL_BAD_EVERY_KEY),
         SCHEMA + "kernel.terms: unknown key; kernel.n: must be an integer >= 1; "
         "kernel.method: must be 'closed-form' or 'least-squares'; "
-        "kernel.N_grid: must be an integer >= 3; "
-        "kernel.m2: must be 'table', 'none', or a positive number; "
-        "kernel.driver: must be 'rescaled' or 'direct'; "
-        "kernel.compensator: must be 'power' or 'exact'; "
-        "kernel.theta: must be a positive number",
+        "kernel.N_grid: must be an integer >= 3",
         id="kernel-every-key",
     ),
     pytest.param(
@@ -643,15 +720,15 @@ SCHEMA_ERROR_CASES = [
             model="abergomi",
             kernel={"n": 2.0, "m2": "tabel", "theta": "1", "N_grid": True},
         ),
-        SCHEMA + "kernel.n: must be an integer >= 1; "
-        "kernel.N_grid: must be an integer >= 3; "
-        "kernel.m2: must be 'table', 'none', or a positive number; "
-        "kernel.theta: must be a positive number",
+        # m2 and theta were keys of the OU-factor construction
+        SCHEMA + "kernel.m2: unknown key; kernel.theta: unknown key; "
+        "kernel.n: must be an integer >= 1; "
+        "kernel.N_grid: must be an integer >= 3",
         id="kernel-m2-and-theta-types",
     ),
     pytest.param(
-        "simulate", table1_config(kernel={"n": 2, "driver": "euler"}),
-        SCHEMA + "kernel.driver: must be 'rescaled' or 'direct'",
+        "simulate", table1_config(kernel={"n": 2, "method": "euler"}),
+        SCHEMA + "kernel.method: must be 'closed-form' or 'least-squares'",
         id="kernel-checked-for-rbergomi-too",
     ),
     # fit
@@ -795,7 +872,7 @@ RESOLVED_SHA_CASES = [
     ),
     pytest.param(
         "simulate", table1_config(model="abergomi", kernel={"n": 3}),
-        "82dcf44af7c2b39727cfed869ee8c420a24f52f5e0de78e43a129b423c2c54d9",
+        "1c5897381e578063d9c91209c1a48f8cf6a5a018009205bdc1662fdf2547da32",
         id="simulate-abergomi",
     ),
     pytest.param(
@@ -813,12 +890,9 @@ RESOLVED_SHA_CASES = [
         table1_config(
             model="abergomi",
             steps=[8, 16],
-            kernel={
-                "n": 2, "method": "closed-form", "N_grid": 50, "m2": 2.0,
-                "driver": "direct", "compensator": "exact", "theta": 0.5,
-            },
+            kernel={"n": 2, "method": "closed-form", "N_grid": 50},
         ),
-        "9d0908782c697092a6cda4b2ffa2cad1b13c1b068714a8a9278d84ac90d34da7",
+        "99bb92d5562ca850dbe04b18a895802d9601800440da980b2010265f694b6c5b",
         id="smile-abergomi",
     ),
     pytest.param(
@@ -828,7 +902,7 @@ RESOLVED_SHA_CASES = [
     ),
     pytest.param(
         "compare", without(table1_config(kernel=SMALL_KERNEL), "model"),
-        "69eb3626e278514897df7a97f1c333bbfed59fd009bacf783522518ddd6e6389",
+        "1829beb9dacf4b9b192cc27c5804752e16a319dd524f40279aef871a834b72a4",
         id="compare-rbergomi",
     ),
     pytest.param(
@@ -891,9 +965,10 @@ NAN, INF = float("nan"), float("inf")
             "skew", two_factor_config(maturities=[0.3, 0.6, INF]),
             "maturities: must be a list of positive numbers", id="maturities-entry-inf",
         ),
+        # kernel has no float key left; Infinity in a removed one still exits 2
         pytest.param(
             "simulate", table1_config(model="abergomi", kernel={"n": 2, "theta": INF}),
-            "kernel.theta: must be a positive number", id="kernel.theta-inf",
+            "kernel.theta: unknown key", id="kernel.theta-inf",
         ),
         pytest.param(
             "fit-kernel", fit_config(fit={"H": 0.07, "n": 3, "T": INF}),

@@ -43,9 +43,6 @@ def test_plan_kernel_weights_decrease():
     g = rv.make_time_grid(1.0, 50)
     plan = rv.make_hybrid_plan(g, ALPHA)
     assert np.all(np.diff(plan.kernel_weights) < 0)
-    assert plan.first_cell == "exact"
-    with pytest.raises(ValueError):
-        rv.make_hybrid_plan(g, ALPHA, first_cell="nope")
 
 
 def test_toeplitz_semantics_lower_triangular():
@@ -108,15 +105,6 @@ def test_first_step_variance_is_exact():
     inc = rv.sample_correlated_increments(g, 0.0, 200_000, 17)
     X = rv.simulate_volterra(rv.make_hybrid_plan(g, ALPHA), inc)
     assert X.values[:, 1].var() == pytest.approx(g.dt ** (2 * 0.07), rel=0.02)
-
-
-def test_midpoint_first_cell_loses_variance():
-    g = rv.make_time_grid(1.0, 100)
-    inc = rv.sample_correlated_increments(g, 0.0, 20_000, 9)
-    exact = rv.simulate_volterra(rv.make_hybrid_plan(g, ALPHA, "exact"), inc)
-    mid = rv.simulate_volterra(rv.make_hybrid_plan(g, ALPHA, "midpoint"), inc)
-    # the midpoint rule underweights the singular cell badly at this alpha
-    assert mid.values[:, -1].var() < 0.75 * exact.values[:, -1].var()
 
 
 def test_volterra_grid_mismatch_rejected():

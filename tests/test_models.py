@@ -1,4 +1,5 @@
-"""Variance models: martingale checks, OU oracles, and moment convergence."""
+"""Variance models: martingale checks, OU oracles, conditional expectations,
+and moment convergence of the kernel plan."""
 
 import numpy as np
 import pytest
@@ -62,18 +63,24 @@ def test_log_price_grid_mismatch(table1):
         rv.rbergomi_log_price(V, inc)
 
 
+def _factor_state(kernel, inc, j):
+    """Factor levels at node j from one matmul over dB[:, :j], exact decay.
+
+    Y^i_{t_j} = sum_{k<j} e^(-x_i (j-k) dt) dB_k: the kernel plan's factor
+    recursion Z_{k+1} = e^(-x dt) (Z_k + dB_k), unrolled.
+    """
+    lags = (j - np.arange(j)) * inc.grid.dt
+    return inc.dB[:, :j] @ np.exp(-np.multiply.outer(lags, kernel.speeds))
+
+
 def test_abergomi_config_validation(toy_kernel, table1):
     with pytest.raises(ValueError):
         rv.AbergomiConfig(kernel=toy_kernel, params=table1, mult_factor=0.0)
-    with pytest.raises(ValueError):
-        rv.AbergomiConfig(kernel=toy_kernel, params=table1, driver="other")
-    with pytest.raises(ValueError):
-        rv.AbergomiConfig(kernel=toy_kernel, params=table1, compensator="none")
+    # the rescaled construction truncates the horizon at theta = T - dt
     g = rv.make_time_grid(1.0, 10)
+    inc = rv.sample_correlated_increments(g, 0.0, 3, 0)
     cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1)
-    assert cfg.resolve_theta(g) == pytest.approx(1.0 - 0.1)
-    with pytest.raises(ValueError):
-        rv.AbergomiConfig(kernel=toy_kernel, params=table1, theta=1.5).resolve_theta(g)
+    assert rv.simulate_ou_factors(cfg, inc).theta == pytest.approx(1.0 - 0.1)
 
 
 def test_eta_scale_tracks_kernel_flavor(table1):
@@ -88,86 +95,69 @@ def test_eta_scale_tracks_kernel_flavor(table1):
 def test_ou_factor_containers(toy_kernel, table1):
     g = rv.make_time_grid(1.0, 16)
     inc = rv.sample_correlated_increments(g, table1.rho, 7, 3)
-    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, driver="direct")
+    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1)
     fac = rv.simulate_ou_factors(cfg, inc)
-    assert fac.Y.shape == (7, 17, 2)
-    assert len(fac) == 17
-    state = fac[5]
-    assert state.Y.shape == (7, 2)
-    assert np.array_equal(state.Y, fac.Y[:, 5, :])
-    assert np.all(fac.Y[:, 0, :] == 0.0)
-
-
-def test_factor_state_is_stepped_without_the_tensor(toy_kernel, table1):
-    g = rv.make_time_grid(1.0, 16)
-    inc = rv.sample_correlated_increments(g, table1.rho, 7, 3)
-    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, driver="direct")
-    fac = rv.simulate_ou_factors(cfg, inc)
-    nodes = (0, 1, 5, 16, -1)
-    states = [fac[j] for j in nodes]
+    assert fac.dB is inc.dB
     assert "Y" not in vars(fac)
-    for j, state in zip(nodes, states):
-        assert not state.Y.flags.writeable
-        assert np.array_equal(state.Y, fac.Y[:, j, :])
-    with pytest.raises(IndexError):
-        fac[17]
+    assert fac.Y.shape == (7, 17, 2)
+    assert not fac.Y.flags.writeable
+    assert np.all(fac.Y[:, 0, :] == 0.0)
+    np.testing.assert_array_equal(
+        fac.Y[:, 5, :], fac.Y[:, 4, :] * fac.decay + inc.dB[:, 4, None]
+    )
 
 
 def test_ou_variance_oracles(toy_kernel, table1):
-    # direct driver: per-factor Var(Y^i_t) -> (1-e^(-2k_i t))/(2k_i) and,
-    # because every factor shares one dB, the combined driver variance is
-    # the full double sum -- which is chi(t, t)
+    # theta = T - dt runs the factors at k_i*dt/T, so a kernel with speeds
+    # k_i*N runs them at the toy speeds k_i.  Per-factor
+    # Var(Y^i_t) -> (1-e^(-2k_i t))/(2k_i) and, because every factor shares
+    # one dB, the combined driver variance is the full double sum, chi(t, t)
     g = rv.make_time_grid(1.0, 512)
+    fast = rv.ExpKernel(
+        weights=toy_kernel.weights, speeds=toy_kernel.speeds * g.N, H=0.07, T=1.0
+    )
     inc = rv.sample_correlated_increments(g, 0.0, 100_000, 11)
-    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, driver="direct")
+    cfg = rv.AbergomiConfig(kernel=fast, params=table1)
     fac = rv.simulate_ou_factors(cfg, inc)
     for i, kap in enumerate(toy_kernel.speeds):
         want = (1 - np.exp(-2 * kap)) / (2 * kap)
         assert fac.Y[:, -1, i].var() == pytest.approx(want, rel=0.02)
     y = rv.abergomi_driver(cfg, fac)
-    assert y.prefactor == 1.0
     want = rv.quadratic_variation_chi(toy_kernel, 1.0, 1.0)
     assert y.values[:, -1].var() == pytest.approx(want, rel=0.02)
 
 
-def test_rescaled_driver_variance_oracle(toy_kernel, table1):
-    # rescaled: factors run at k_i*(1 - theta/T); the variance of y follows
-    # the same double-sum law at the effective speeds
+def test_rescaled_driver_variance_oracle(table1):
+    # rescaled: factors run at k_i*(1 - theta/T) = k_i*dt/T and y is consumed
+    # as sqrt(theta/T)*y; the variance of y follows the double-sum law at
+    # the effective speeds
     g = rv.make_time_grid(1.0, 256)
-    theta = 0.5
+    kern = rv.ExpKernel(weights=[0.7, 0.2], speeds=[50.0, 400.0], H=0.07, T=1.0)
     inc = rv.sample_correlated_increments(g, 0.0, 100_000, 13)
-    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, theta=theta)
+    cfg = rv.AbergomiConfig(kernel=kern, params=table1)
     fac = rv.simulate_ou_factors(cfg, inc)
-    np.testing.assert_allclose(
-        fac.eff_speeds, toy_kernel.speeds * (1 - theta / 1.0), rtol=1e-15
-    )
+    eff = kern.speeds * g.dt
+    np.testing.assert_allclose((1 - fac.decay) / g.dt, eff, rtol=1e-10)
     y = rv.abergomi_driver(cfg, fac)
-    assert y.prefactor == pytest.approx(np.sqrt(theta / 1.0))
-    eff_kernel = rv.ExpKernel(
-        weights=toy_kernel.weights,
-        speeds=fac.eff_speeds,
-        H=toy_kernel.H,
-        T=toy_kernel.T,
-    )
+    assert y.prefactor == pytest.approx(np.sqrt(1.0 - g.dt))
+    eff_kernel = rv.ExpKernel(weights=kern.weights, speeds=eff, H=kern.H, T=kern.T)
     want = rv.quadratic_variation_chi(eff_kernel, 1.0, 1.0)
     assert y.values[:, -1].var() == pytest.approx(want, rel=0.02)
 
 
-@pytest.mark.parametrize("N", [100, 512])
-@pytest.mark.parametrize("driver", ["rescaled", "direct"])
-def test_driver_convolution_matches_the_factor_recursion(table1, driver, N):
-    # the stiff term has kappa_eff*dt = 1.5: its decay 1 - kappa_eff*dt is
-    # negative but stable, so a sign, lag or decay slip in c_m shows
+@pytest.mark.parametrize("N", [100, 512], ids=lambda N: f"rescaled-{N}")
+def test_driver_convolution_matches_the_factor_recursion(table1, N):
+    # theta = T - dt runs the factors at kappa*dt/T; the stiff term has
+    # kappa_eff*dt = 1.5: its decay 1 - kappa_eff*dt is negative but
+    # stable, so a sign, lag or decay slip in c_m shows
     g = rv.make_time_grid(1.0, N)
-    theta = 0.5  # the rescaled driver runs at kappa*(1 - theta/T) = kappa/2
-    stiff = 1.5 * N if driver == "direct" else 3.0 * N
     kern = rv.ExpKernel(
-        weights=[0.5, 0.3, 0.2], speeds=[0.5, 20.0, stiff], H=0.1, T=1.0
+        weights=[0.5, 0.3, 0.2], speeds=[0.25 * N, 10.0 * N, 1.5 * N * N], H=0.1, T=1.0
     )
-    cfg = rv.AbergomiConfig(kernel=kern, params=table1, theta=theta, driver=driver)
+    cfg = rv.AbergomiConfig(kernel=kern, params=table1)
     inc = rv.sample_correlated_increments(g, table1.rho, 64, 17)
     fac = rv.simulate_ou_factors(cfg, inc)
-    assert fac.eff_speeds.max() * g.dt == pytest.approx(1.5)
+    assert fac.decay.min() == pytest.approx(-0.5)
     y = rv.abergomi_driver(cfg, fac).values
     assert "Y" not in vars(fac), "the driver built the factor tensor"
     want = fac.Y @ kern.weights
@@ -178,34 +168,14 @@ def test_driver_convolution_matches_the_factor_recursion(table1, driver, N):
 def test_driver_rejects_foreign_factors(toy_kernel, table1):
     g = rv.make_time_grid(1.0, 16)
     inc = rv.sample_correlated_increments(g, 0.0, 5, 0)
-    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, driver="direct")
+    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1)
     fac = rv.simulate_ou_factors(cfg, inc)
     other = rv.AbergomiConfig(
         kernel=rv.ExpKernel(weights=[1.0], speeds=[1.0], H=0.07, T=1.0),
         params=table1,
-        driver="direct",
     )
     with pytest.raises(ValueError):
         rv.abergomi_driver(other, fac)
-
-
-def test_exact_compensator_restores_the_martingale(toy_kernel, table1):
-    # with compensator='exact' E[V_t] = xi0 holds at finite n
-    g = rv.make_time_grid(1.0, 256)
-    inc = rv.sample_correlated_increments(g, 0.0, 100_000, 29)
-    cfg = rv.AbergomiConfig(
-        kernel=toy_kernel, params=table1, driver="direct", compensator="exact"
-    )
-    fac = rv.simulate_ou_factors(cfg, inc)
-    V = rv.abergomi_variance(cfg, rv.abergomi_driver(cfg, fac)).values
-    assert np.all(V[:, 0] == table1.xi0)
-    for t in (0.5, 1.0):
-        j = int(round(t * g.N))
-        m = V[:, j].mean()
-        se = V[:, j].std(ddof=1) / np.sqrt(V.shape[0])
-        # 4 stderr: the Euler decay (1 - k*dt) vs e^(-k*dt) contributes a
-        # small deterministic bias on top of MC noise at this path count
-        assert abs(m - table1.xi0) < 4 * se, f"t={t}"
 
 
 def test_quadratic_variation_chi_against_quadrature(toy_kernel):
@@ -224,29 +194,22 @@ def test_quadratic_variation_chi_against_quadrature(toy_kernel):
 def test_conditional_expectation_reduces_at_t_equals_s(toy_kernel, table1):
     g = rv.make_time_grid(1.0, 64)
     inc = rv.sample_correlated_increments(g, 0.0, 500, 7)
-    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, driver="direct")
-    state = rv.simulate_ou_factors(cfg, inc)[32]
+    Y = _factor_state(toy_kernel, inc, 32)
     sigma = 0.8
-    got = rv.variance_conditional_expectation(
-        toy_kernel, state, 0.5, 0.5, sigma, table1.xi0
-    )
-    want = table1.xi0 * np.exp(sigma * (state.Y @ toy_kernel.weights))
+    got = rv.variance_conditional_expectation(toy_kernel, Y, 0.5, 0.5, sigma, table1.xi0)
+    want = table1.xi0 * np.exp(sigma * (Y @ toy_kernel.weights))
     np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError):
-        rv.variance_conditional_expectation(toy_kernel, state, 0.6, 0.5, sigma, 1.0)
+        rv.variance_conditional_expectation(toy_kernel, Y, 0.6, 0.5, sigma, 1.0)
 
 
 def test_conditional_expectation_tower_property(toy_kernel, table1):
     # E[ E[V_t | F_s] ] must equal E[V_t] = xi0 * exp(sigma^2/2 * chi(t,t))
     g = rv.make_time_grid(1.0, 512)
     inc = rv.sample_correlated_increments(g, 0.0, 100_000, 11)
-    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, driver="direct")
-    fac = rv.simulate_ou_factors(cfg, inc)
     sigma, s, t = 0.8, 0.4, 1.0
-    state = fac[int(round(s * g.N))]
-    ce = rv.variance_conditional_expectation(
-        toy_kernel, state, s, t, sigma, table1.xi0
-    )
+    Y = _factor_state(toy_kernel, inc, int(round(s * g.N)))
+    ce = rv.variance_conditional_expectation(toy_kernel, Y, s, t, sigma, table1.xi0)
     want = table1.xi0 * np.exp(
         0.5 * sigma**2 * rv.quadratic_variation_chi(toy_kernel, t, t)
     )
@@ -257,9 +220,10 @@ def test_conditional_expectation_tower_property(toy_kernel, table1):
 def test_moments_converge_to_the_rough_limit(table1):
     """E[V^n_1] and E[(V^n_1)^2] approach the rough-model moments as n grows.
 
-    Direct driver, power-law compensator, one shared set of increments
-    across n (so the orderings are not noise).  Reference moments are
-    analytic: m1 = xi0, m2 = xi0^2 * exp(eta^2 * t^(2H)) at t = 1.
+    The kernel plan (hybrid multifactor scheme) with the closed-form kernel,
+    one shared set of increments across n (so the orderings are not noise).
+    Reference moments are analytic: m1 = xi0, m2 = xi0^2 * exp(eta^2 *
+    t^(2H)) at t = 1.
     """
     grid = rv.make_time_grid(1.0, 256)
     n_paths = 102_400
@@ -268,12 +232,11 @@ def test_moments_converge_to_the_rough_limit(table1):
     gaps = {}
     for n in (5, 10, 25):
         kern, _ = rv.closed_form_kernel(n, table1.H, 1.0)
-        cfg = rv.AbergomiConfig(kernel=kern, params=table1, driver="direct")
+        plan = rv.make_hybrid_plan(grid, table1.alpha, kernel=kern)
         s1 = s2 = 0.0
         full = rv.sample_correlated_increments(grid, table1.rho, n_paths, 99)
         for _, inc in rv.iter_blocks(full):
-            fac = rv.simulate_ou_factors(cfg, inc)
-            V1 = rv.abergomi_variance(cfg, rv.abergomi_driver(cfg, fac)).values[:, -1]
+            V1 = rv.rbergomi_variance(rv.simulate_volterra(plan, inc), table1).values[:, -1]
             s1 += V1.sum()
             s2 += (V1**2).sum()
         gaps[n] = (abs(s1 / n_paths - m1_ref), abs(s2 / n_paths - m2_ref))
