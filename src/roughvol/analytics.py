@@ -142,13 +142,13 @@ class TwoFactorParams:
         for name in ("rho_SX", "rho_SY", "rho_XY"):
             if abs(getattr(self, name)) > 1:
                 raise ValueError(f"|{name}| must be <= 1")
-        denom = np.sqrt(1 - self.rho_SX**2) * np.sqrt(1 - self.rho_SY**2)
-        chi = (self.rho_XY - self.rho_SX * self.rho_SY) / denom
-        if abs(chi) > 1 + 1e-12:
-            raise ValueError(
-                f"rho_XY={self.rho_XY} is infeasible given rho_SX, rho_SY (chi={chi})"
-            )
-        chi = float(np.clip(chi, -1.0, 1.0))
+        sx, sy, xy = self.rho_SX, self.rho_SY, self.rho_XY
+        # the (S, X, Y) correlation matrix must be positive semidefinite
+        if 1 - sx * sx - sy * sy - xy * xy + 2 * sx * sy * xy < -1e-12:
+            raise ValueError(f"rho_XY={xy} is infeasible given rho_SX, rho_SY")
+        denom = np.sqrt(1 - sx**2) * np.sqrt(1 - sy**2)
+        # at |rho_SX| = 1 or |rho_SY| = 1 the loadings do not depend on chi
+        chi = float(np.clip((xy - sx * sy) / denom, -1.0, 1.0)) if denom else 0.0
         t = self.theta
         a = ((1 - t) ** 2 + 2 * self.rho_XY * t * (1 - t) + t**2) ** (-0.5)
         wx = (1 - t) * np.array([self.rho_SX, np.sqrt(1 - self.rho_SX**2), 0.0])

@@ -12,10 +12,11 @@ All commands read a single JSON config (--config); --seed/--out override
 the config's seed/out_dir.  The config is checked against one table
 (_CONFIG): unknown keys are errors, numbers must be finite (json.load
 accepts NaN and Infinity, the table does not), and schema errors name
-every offending key.  Every artifact embeds the sha256 of the resolved
-config (defaults filled in) plus the seed, so runs are reproducible from
-their own outputs.  CSVs are comma-separated, '.' decimal, LF line endings,
-header mandatory; files are written atomically (temp + rename).
+every offending key.  The config is a command's only input: every
+artifact embeds the sha256 of its resolved form (defaults filled in,
+out_dir left out) plus the seed, so runs are reproducible from their own
+outputs.  CSVs are comma-separated, '.' decimal, LF line endings, header
+mandatory; files are written atomically (temp + rename).
 
 Exit codes: 0 ok, 2 schema error, 3 numeric failure, 4 I/O error.
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -126,10 +128,6 @@ def _one_of(*names):
     return lambda v: v in names
 
 
-def _optional(test):
-    return lambda v: v is None or test(v)
-
-
 _ABSENT = object()  # the value of a missing key, as a `check` function sees it
 
 
@@ -140,19 +138,36 @@ class _Key(NamedTuple):
     far when callable) and is reported if required.  bound(value, block)
     names the range an accepted value is outside of, if any, given the
     block's rows resolved before it; cast maps an accepted value into the
-    resolved config.  check(value, ctx, errors) -> resolved value replaces
-    all of these for a rule a row cannot state.  A key outside `commands`
-    (empty: all) is accepted but not checked or resolved.
+    resolved config.  A row with a table is a section (see _section).
+    check(value, ctx, errors) -> resolved value replaces all of these for a
+    rule a row cannot state.  A key outside `commands` (empty: all) is
+    accepted but not checked or resolved.
     """
 
     test: Callable[[Any], bool] | None = None
     msg: str = ""
     default: Any = None
-    required: bool = False
+    required: bool | Callable[[dict], bool] = False
     bound: Callable[[Any], str | None] | None = None
     cast: Callable[[Any], Any] | None = None
     check: Callable[[Any, dict, list], Any] | None = None
     commands: tuple = ()
+    table: dict | Callable[[str], dict] | None = None
+
+
+def _section(name: str, v, key: _Key, ctx: dict, errors: list):
+    """One rule for every object section: absent or null takes the default
+    (or is reported if required), an object is walked, anything else is
+    reported.  A callable sub-table maps the model to its rows."""
+    if isinstance(v, dict):
+        model = ctx["model"] if callable(key.table) else None
+        table = key.table(model) if model else key.table
+        return _walk(f"{name}.", v, table, ctx, errors, model)
+    if v is not _ABSENT and v is not None:
+        errors.append(f"{name}: must be an object")
+    elif key.required(ctx) if callable(key.required) else key.required:
+        errors.append(f"{name}: required")
+    return copy.deepcopy(key.default)
 
 
 def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=None):
@@ -172,6 +187,8 @@ def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=No
             continue
         if key.check:
             out[name] = key.check(v, ctx, errors)
+        elif key.table is not None:
+            out[name] = _section(prefix + name, v, key, ctx, errors)
         elif v is _ABSENT:
             default = key.default
             out[name] = default(out) if callable(default) else copy.copy(default)
@@ -190,8 +207,8 @@ def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=No
     return out
 
 
-# The rules below the key level: which models a command takes and how an
-# absent or malformed object section is reported.
+# The rules a row cannot state: which models a command takes, when skew
+# needs no paths, and the two forms of a strike grid.
 
 
 def _check_model(v, ctx: dict, errors: list):
@@ -206,37 +223,6 @@ def _check_model(v, ctx: dict, errors: list):
         v = "rbergomi"
     ctx["model"] = v
     return v
-
-
-def _check_fit(v, ctx: dict, errors: list):
-    if not isinstance(v, dict):
-        errors.append("fit: required object for fit-kernel")
-        v = {}
-    return _walk("fit.", v, _FIT, ctx, errors)
-
-
-def _check_params(v, ctx: dict, errors: list):
-    if v is not _ABSENT and not isinstance(v, dict):
-        errors.append("params: must be an object")
-        return {}
-    model = ctx["model"]
-    obj = {} if v is _ABSENT else v
-    out = _walk("params.", obj, _PARAMS[model], ctx, errors, model)
-    if v is _ABSENT:
-        errors.append("params: required")
-    return out
-
-
-def _check_grid(v, ctx: dict, errors: list):
-    if v is _ABSENT and ctx["command"] == "skew":
-        v = {"T": 1.0, "N": 100}  # maturities supply T; N only matters for MC
-    if isinstance(v, dict):
-        return _walk("grid.", v, _GRID, ctx, errors)
-    if v is _ABSENT:
-        errors.append("grid: required")
-    else:
-        errors.append("grid: must be an object with keys T, N")
-    return {"T": 1.0, "N": 100}
 
 
 def _check_paths(v, ctx: dict, errors: list):
@@ -270,22 +256,6 @@ def _check_strikes(v, ctx: dict, errors: list):
     return [lo + (hi - lo) * i / (cnt - 1) for i in range(cnt)]
 
 
-def _check_kernel(v, ctx: dict, errors: list):
-    if isinstance(v, dict):
-        return _walk("kernel.", v, _KERNEL, ctx, errors)
-    if v is not _ABSENT and v is not None:
-        errors.append("kernel: must be an object")
-    elif ctx["model"] == "abergomi" or ctx["command"] == "compare":
-        errors.append("kernel: required for model 'abergomi'")
-    return None
-
-
-def _check_compare(v, ctx: dict, errors: list):
-    if v is not _ABSENT and not isinstance(v, dict):
-        errors.append("compare: must be an object")
-    return _walk("compare.", v if isinstance(v, dict) else {}, _COMPARE, ctx, errors)
-
-
 def _param(ok: Callable[[Any], bool], range_msg: str) -> _Key:
     """A required model parameter: a number first, then inside its range."""
     return _Key(
@@ -297,6 +267,17 @@ def _below_kappa_X(v, block: dict):
     kx = block["kappa_X"]
     if not 0 < v < (kx if _num(kx) else math.inf):
         return "must lie in (0, kappa_X)"
+
+
+def _feasible_rho_XY(v, block: dict):
+    """The (S, X, Y) correlation matrix must be positive semidefinite."""
+    if abs(v) > 1:
+        return "must lie in [-1, 1]"
+    sx, sy = block["rho_SX"], block["rho_SY"]
+    if all(_num(r) and abs(r) <= 1 for r in (sx, sy)) and (
+        1 - sx * sx - sy * sy - v * v + 2 * sx * sy * v < -1e-12
+    ):
+        return "must keep the (S, X, Y) correlation matrix positive semidefinite"
 
 
 def _at_least_3(v: list, _):
@@ -314,13 +295,13 @@ _METHOD = _Key(
     "must be 'closed-form' or 'least-squares'",
     "least-squares",
 )
+_RHO = _param(lambda v: abs(v) <= 1, "must lie in [-1, 1]")
 _RB_PARAMS = {
     "xi0": _param(lambda v: v > 0, "must be positive"),
     "eta": _param(lambda v: v > 0, "must be positive"),
     "H": _param(lambda v: 0 < v < 0.5, "must lie in (0, 1/2)"),
-    "rho": _param(lambda v: abs(v) <= 1, "must lie in [-1, 1]"),
+    "rho": _RHO,
 }
-_RHO = _param(lambda v: abs(v) <= 1, "must lie in [-1, 1]")
 # TwoFactorParams' own ranges, so that each exits as a schema error
 _TWO_FACTOR_PARAMS = {
     "kappa_X": _param(lambda v: v > 0, "must be positive"),
@@ -328,10 +309,9 @@ _TWO_FACTOR_PARAMS = {
     "omega": _param(lambda v: v > 0, "must be positive"),
     "rho_SX": _RHO,
     "rho_SY": _RHO,
-    "rho_XY": _RHO,
+    "rho_XY": _Key(_num, _NUM, required=True, bound=_feasible_rho_XY),
     "theta": _param(lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
 }
-_TWO_FACTOR = tuple(_TWO_FACTOR_PARAMS)
 _PARAMS = {
     "rbergomi": _RB_PARAMS,
     "abergomi": _RB_PARAMS,
@@ -341,23 +321,21 @@ _PARAMS = {
         "xi0": _Key(_num, _NUM, 0.026, bound=_RB_PARAMS["xi0"].bound),
     },
 }
+_GRID = {
+    "T": _Key(_pos, _POS, required=True),
+    "N": _Key(_int_from(2), "must be an integer >= 2", required=True),
+}
+_KERNEL = {
+    "n": _Key(_int_from(1), "must be an integer >= 1", required=True),
+    "method": _METHOD,
+}
 _FIT = {
     "H": _Key(
         lambda v: _pos(v) and v < 0.5, "must be a number in (0, 1/2)", required=True
     ),
     "T": _Key(_pos, _POS, 1.0),
     "N_grid": _Key(_int_from(3), "must be an integer >= 3", 100),
-    "n": _Key(_int_from(1), "must be an integer >= 1", required=True),
-    "method": _METHOD,
-}
-_GRID = {
-    "T": _Key(_pos, _POS, 1.0, required=True),
-    "N": _Key(_int_from(2), "must be an integer >= 2", 100, required=True),
-}
-_KERNEL = {
-    "n": _Key(_int_from(1), "must be an integer >= 1", required=True),
-    "method": _METHOD,
-    "N_grid": _Key(_optional(_int_from(3)), "must be an integer >= 3"),
+    **_KERNEL,
 }
 _COMPARE = {
     "terms": _Key(_int_list(1), _INT_LIST, [15, 20, 25]),
@@ -371,19 +349,32 @@ _CONFIG = {
     ),
     "out_dir": _Key(lambda v: isinstance(v, str), "must be a string", "."),
     "model": _Key(check=_check_model),
-    "fit": _Key(check=_check_fit, commands=("fit-kernel",)),
-    "params": _Key(check=_check_params, commands=_PRICING),
-    "grid": _Key(check=_check_grid, commands=_PRICING),
+    "fit": _Key(required=True, table=_FIT, commands=("fit-kernel",)),
+    "params": _Key(required=True, table=_PARAMS.__getitem__, commands=_PRICING),
+    "grid": _Key(  # skew's maturities supply T; N only matters for MC
+        default={"T": 1.0, "N": 100},
+        required=lambda ctx: ctx["command"] != "skew",
+        table=_GRID,
+        commands=_PRICING,
+    ),
     "paths": _Key(check=_check_paths, commands=_PRICING),
     "strikes": _Key(check=_check_strikes, commands=_PRICING),
-    "kernel": _Key(check=_check_kernel, commands=_PRICING),
+    "kernel": _Key(
+        required=lambda ctx: ctx["model"] == "abergomi" or ctx["command"] == "compare",
+        table=_KERNEL,
+        commands=_PRICING,
+    ),
     "steps": _Key(
         _int_list(2),
         "must be a list of integers >= 2",
         lambda out: [out["grid"]["N"]],
         commands=("smile",),
     ),
-    "compare": _Key(check=_check_compare, commands=("compare",)),
+    "compare": _Key(
+        default={k: key.default for k, key in _COMPARE.items()},
+        table=_COMPARE,
+        commands=("compare",),
+    ),
     "maturities": _Key(
         lambda v: isinstance(v, list) and all(_pos(x) for x in v),
         "must be a list of positive numbers",
@@ -517,26 +508,24 @@ class _Run(NamedTuple):
 # simulation plumbing (numpy-importing; called after thread setup)
 
 
-def _build_kernel(kcfg: dict, H: float, T: float):
-    """Kernel per config.
+@functools.lru_cache
+def _build_kernel(n: int, method: str, H: float, T: float, n_grid: int):
+    """The configured kernel; cached, so that each distinct one is fitted once.
 
-    The regression grid defaults to 100 points regardless of the
-    simulation step count: the fit is a property of the kernel
-    approximation, and coarse grids (few points per decade of tau) can
-    make the unregularized least-squares land on spiky optima that match
-    the grid but explode between its points.
+    A least-squares kernel is fitted on n_grid points, max(N, 100) for a
+    simulation on N steps.  Above 100 steps that grid holds every lag the
+    simulation uses; the 100-point floor keeps coarse grids (few points per
+    decade of tau) from landing the unregularized least-squares on spiky
+    optima that match the grid but explode between its points.
     """
     from .kernel import closed_form_kernel, fit_kernel_ls
 
-    n = kcfg["n"]
-    if kcfg["method"] == "closed-form":
-        kern, _ = closed_form_kernel(n, H, T)
-        return kern
-    n_grid = kcfg["N_grid"] if kcfg["N_grid"] is not None else 100
+    if method == "closed-form":
+        return closed_form_kernel(n, H, T)[0]
     return fit_kernel_ls(H, T, n_grid, n)
 
 
-def _simulate(resolved: dict, N: int, T: float, kern=None):
+def _simulate(resolved: dict, N: int, T: float):
     """Simulate the configured model on N steps to T.
 
     Returns ((logS_T, V_T), seconds): terminal log-prices and variances, and
@@ -561,10 +550,12 @@ def _simulate(resolved: dict, N: int, T: float, kern=None):
         from .models import rbergomi_variance
 
         params = ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
-        if model == "abergomi" and kern is None:
-            kern = _build_kernel(resolved["kernel"], params.H, T)
         # the Markovian model is the rough one with kernel cell averages in
         # its tail (the hybrid multifactor scheme); kern is None for rbergomi
+        kern = None
+        if model == "abergomi":
+            k = resolved["kernel"]
+            kern = _build_kernel(k["n"], k["method"], params.H, T, max(N, 100))
         plan = make_hybrid_plan(grid, params.alpha, kernel=kern)
 
     t0 = time.perf_counter()
@@ -668,12 +659,12 @@ def cmd_fit_kernel(args, run: _Run) -> int:
     return exit_code
 
 
-def _smile_for(resolved: dict, N: int, T: float, kern=None):
+def _smile_for(resolved: dict, N: int, T: float):
     import numpy as np
 
     from .analytics import mc_smile
 
-    (logS_T, _), runtime = _simulate(resolved, N, T, kern=kern)
+    (logS_T, _), runtime = _simulate(resolved, N, T)
     sm = mc_smile(
         logS_T,
         strikes=np.asarray(resolved["strikes"]),
@@ -688,8 +679,6 @@ def cmd_smile(args, run: _Run) -> int:
     resolved = run.config
     model = resolved["model"]
     T = resolved["grid"]["T"]
-
-    import math
 
     files = []
     skipped_all = {}
@@ -729,47 +718,17 @@ def cmd_smile(args, run: _Run) -> int:
 
 def cmd_compare(args, run: _Run) -> int:
     resolved = run.config
-    if args.config_b:
-        resolved_b = resolve_config(
-            load_config(args.config_b),
-            "compare",
-            {"seed": args.seed, "out_dir": args.out},
-        )
-        for key, label in (
-            ("strikes", "strike grids"),
-            ("grid", "time grids"),
-            ("paths", "path counts"),
-            ("seed", "seeds (CRN requires a shared seed)"),
-        ):
-            if resolved[key] != resolved_b[key]:
-                raise CliError(
-                    EXIT_SCHEMA,
-                    f"config pair mismatch: {label} differ "
-                    f"({resolved[key]!r} vs {resolved_b[key]!r})",
-                )
-    else:
-        resolved_b = resolved
     T = resolved["grid"]["T"]
-    terms = resolved["compare"]["terms"]
-    steps = resolved["compare"]["steps"]
-    p = resolved["params"]
 
     from .analytics import smile_rmse
 
-    side_a = dict(resolved, model="rbergomi")
-    side_b = dict(resolved_b, model="abergomi")
-
     rows = []
-    kern_cache = {}
-    for N in steps:
-        smile_r, rt_r = _smile_for(side_a, N, T)
-        for n in terms:
-            kcfg = dict(side_b["kernel"], n=n)
-            if n not in kern_cache:
-                kern_cache[n] = _build_kernel(kcfg, p["H"], T)
-            smile_a, rt_a = _smile_for(
-                dict(side_b, kernel=kcfg), N, T, kern=kern_cache[n]
-            )
+    for N in resolved["compare"]["steps"]:
+        smile_r, rt_r = _smile_for(dict(resolved, model="rbergomi"), N, T)
+        for n in resolved["compare"]["terms"]:
+            kcfg = dict(resolved["kernel"], n=n)
+            side_b = dict(resolved, model="abergomi", kernel=kcfg)
+            smile_a, rt_a = _smile_for(side_b, N, T)
             rows.append((n, N, smile_rmse(smile_r, smile_a), rt_r, rt_a))
 
     path = run.write_csv(
@@ -804,7 +763,7 @@ def cmd_skew(args, run: _Run) -> int:
         from .analytics import TwoFactorParams, expansion_terms, two_factor_coeffs
 
         p = resolved["params"]
-        tf = TwoFactorParams(**{k: p[k] for k in _TWO_FACTOR})
+        tf = TwoFactorParams(**{k: p[k] for k in _TWO_FACTOR_PARAMS})
         xi0 = p["xi0"]
         psi = np.empty(len(mats))
         for i, T in enumerate(mats):
@@ -862,10 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", parents=[common], help="paths CSV + summary JSON")
     sub.add_parser("fit-kernel", parents=[common], help="kernel JSON + residuals")
     sub.add_parser("smile", parents=[common], help="smile CSV per (model, T, N)")
-    cmp_p = sub.add_parser("compare", parents=[common], help="RMSE table CSV")
-    cmp_p.add_argument(
-        "--config-b", default=None, help="second config (aBergomi side) of the pair"
-    )
+    sub.add_parser("compare", parents=[common], help="RMSE table CSV")
     sub.add_parser("skew", parents=[common], help="ATM-skew term structure JSON")
     return parser
 

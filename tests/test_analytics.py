@@ -245,10 +245,38 @@ def test_two_factor_params_validation():
         # rho combination forcing |chi| > 1: X, Y nearly parallel to spot
         # but anti-correlated with each other
         {"rho_SX": 0.95, "rho_SY": 0.95, "rho_XY": -0.5},
+        {"rho_SX": 0.9, "rho_SY": -0.9, "rho_XY": 0.9},
+        # at rho_SX = 1 only rho_XY = rho_SY is feasible
+        {"rho_SX": 1.0, "rho_SY": -0.6, "rho_XY": 0.3},
     ):
         kw = {**ok, **bad}
         with pytest.raises(ValueError):
             rv.TwoFactorParams(**kw)
+
+
+@pytest.mark.parametrize(
+    "rho_SX, rho_SY, rho_XY",
+    [
+        (-0.7, -0.6, 0.2),  # inside
+        (0.8, 0.6, 0.0),  # chi = -1
+        (1.0, -0.6, -0.6),  # rho_SX = 1: chi is 0/0
+        (-0.5, 1.0, -0.5),  # rho_SY = 1
+        (1.0, 1.0, 1.0),
+    ],
+)
+def test_two_factor_loadings_reproduce_the_correlations(rho_SX, rho_SY, rho_XY):
+    p = rv.TwoFactorParams(
+        omega=2.0, theta=0.3, kappa_X=8.0, kappa_Y=0.5,
+        rho_SX=rho_SX, rho_SY=rho_SY, rho_XY=rho_XY,
+    )
+    # omega_iX, omega_iY are (1 - theta) and theta times unit loading vectors
+    # on the three Brownians, the first of which drives the spot
+    ux, uy = p.omega_iX / (1 - p.theta), p.omega_iY / p.theta
+    assert np.isfinite(p.chi) and np.isfinite(ux).all() and np.isfinite(uy).all()
+    np.testing.assert_allclose([ux @ ux, uy @ uy], 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        [ux[0], uy[0], ux @ uy], [rho_SX, rho_SY, rho_XY], rtol=0, atol=1e-12
+    )
 
 
 FROZEN_2F = rv.TwoFactorParams(
