@@ -22,17 +22,15 @@ MATURITIES = (0.1, 0.25, 0.5, 1.0, 2.0)
 N, N_PATHS, SEED = 100, 50_000, 11
 
 
-def smile_fn(T, strikes):
-    grid = rv.make_time_grid(T, N)
-    inc = rv.sample_correlated_increments(grid, PARAMS.rho, N_PATHS, SEED)
-    plan = rv.make_hybrid_plan(grid, PARAMS.alpha)
-    V = rv.rbergomi_variance(rv.simulate_volterra(plan, inc), PARAMS)
-    logS = rv.rbergomi_log_price(V, inc)[:, -1]
-    return rv.mc_smile(logS, strikes, T=T)
-
-
 def main():
-    report = rv.atm_skew(smile_fn, MATURITIES, bump=0.01)
+    # one streamed simulation for all maturities: every path block's
+    # Gaussians are drawn once and scaled to each maturity's step
+    plans = [rv.make_hybrid_plan(rv.make_time_grid(T, N), PARAMS.alpha) for T in MATURITIES]
+    terminal = rv.simulate_terminal(plans, PARAMS, N_PATHS, SEED)
+    log_S = {T: s_T for T, (s_T, _) in zip(MATURITIES, terminal)}
+    report = rv.atm_skew(
+        lambda T, strikes: rv.mc_smile(log_S[T], strikes, T=T), MATURITIES, bump=0.01
+    )
 
     two_factor = rv.TwoFactorParams(
         omega=1.5,

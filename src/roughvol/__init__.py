@@ -50,6 +50,7 @@ _EXPORTS = {
     "AbergomiConfig": ".models",
     "rbergomi_variance": ".models",
     "rbergomi_log_price": ".models",
+    "simulate_terminal": ".models",
     "simulate_ou_factors": ".models",
     "abergomi_driver": ".models",
     "abergomi_variance": ".models",

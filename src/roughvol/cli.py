@@ -525,53 +525,49 @@ def _build_kernel(n: int, method: str, H: float, T: float, n_grid: int):
     return fit_kernel_ls(H, T, n_grid, n)
 
 
+def _rough_plan(resolved: dict, N: int, T: float):
+    """The configured rough model's (hybrid plan, ModelParams) on N steps to T.
+
+    The Markovian model is the rough one with kernel cell averages in its
+    tail (the hybrid multifactor scheme); rbergomi has no kernel.
+    """
+    from .hybrid_scheme import make_hybrid_plan
+    from .sim_core import ModelParams, make_time_grid
+
+    p = resolved["params"]
+    params = ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
+    kern = None
+    if resolved["model"] == "abergomi":
+        k = resolved["kernel"]
+        kern = _build_kernel(k["n"], k["method"], params.H, T, max(N, 100))
+    return make_hybrid_plan(make_time_grid(T, N), params.alpha, kernel=kern), params
+
+
 def _simulate(resolved: dict, N: int, T: float):
     """Simulate the configured model on N steps to T.
 
     Returns ((logS_T, V_T), seconds): terminal log-prices and variances, and
     the wall time of the simulation itself (increment draw included, plan
-    and kernel set-up excluded).  The rough models are evaluated one
-    sim_core.iter_blocks block at a time to bound peak memory.
+    and kernel set-up excluded).  The rough models run through
+    models.simulate_terminal, which streams path blocks; bs draws only dW.
     """
     import numpy as np
 
-    from .models import rbergomi_log_price
-    from .sim_core import (
-        ModelParams,
-        iter_blocks,
-        make_time_grid,
-        sample_correlated_increments,
-    )
+    from .models import simulate_terminal
+    from .sim_core import make_time_grid, sample_terminal_brownian
 
-    model, paths, p = resolved["model"], resolved["paths"], resolved["params"]
-    grid = make_time_grid(T, N)
-    if model != "bs":
-        from .hybrid_scheme import make_hybrid_plan, simulate_volterra
-        from .models import rbergomi_variance
-
-        params = ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
-        # the Markovian model is the rough one with kernel cell averages in
-        # its tail (the hybrid multifactor scheme); kern is None for rbergomi
-        kern = None
-        if model == "abergomi":
-            k = resolved["kernel"]
-            kern = _build_kernel(k["n"], k["method"], params.H, T, max(N, 100))
-        plan = make_hybrid_plan(grid, params.alpha, kernel=kern)
-
-    t0 = time.perf_counter()
-    if model == "bs":
-        vol = p["vol"]
-        inc = sample_correlated_increments(grid, 0.0, paths, resolved["seed"])
-        logS_T = -0.5 * vol * vol * T + vol * inc.dW.sum(axis=1)
+    paths, seed = resolved["paths"], resolved["seed"]
+    if resolved["model"] == "bs":
+        vol = resolved["params"]["vol"]
+        grid = make_time_grid(T, N)
+        t0 = time.perf_counter()
+        W_T = sample_terminal_brownian(grid, paths, seed)
+        logS_T = -0.5 * vol * vol * T + vol * W_T
         V_T = np.full(paths, vol * vol)
     else:
-        inc = sample_correlated_increments(grid, params.rho, paths, resolved["seed"])
-        logS_T = np.empty(paths)
-        V_T = np.empty(paths)
-        for rows, blk in iter_blocks(inc):
-            V = rbergomi_variance(simulate_volterra(plan, blk), params)
-            logS_T[rows] = rbergomi_log_price(V, blk)[:, -1]
-            V_T[rows] = V.values[:, -1]
+        plan, params = _rough_plan(resolved, N, T)
+        t0 = time.perf_counter()
+        [(logS_T, V_T)] = simulate_terminal([plan], params, paths, seed)
     return (logS_T, V_T), time.perf_counter() - t0
 
 
@@ -750,12 +746,17 @@ def cmd_skew(args, run: _Run) -> int:
     from .analytics import SkewReport, atm_skew, fit_power_law
 
     if model == "rbergomi":
-        N = resolved["grid"]["N"]
+        from .analytics import mc_smile
+        from .models import simulate_terminal
+
+        N, seed = resolved["grid"]["N"], resolved["seed"]
+        plans, params = zip(*(_rough_plan(resolved, N, T) for T in mats))
+        # one draw of each path block serves every maturity
+        terminal = simulate_terminal(plans, params[0], resolved["paths"], seed)
+        log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}
 
         def smile_fn(T, strikes):
-            sub = dict(resolved, strikes=[float(k) for k in strikes])
-            sm, _ = _smile_for(sub, N, T)
-            return sm
+            return mc_smile(log_S[T], strikes=strikes, T=T, model=model, seed=seed)
 
         report = atm_skew(smile_fn, mats, bump=resolved["bump"])
         doc_extra = {"bump": resolved["bump"], "n_paths": resolved["paths"]}

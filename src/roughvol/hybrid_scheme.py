@@ -16,9 +16,9 @@ is exactly the n-factor recursion Z_{j+1} = e^(-x dt) (Z_j + dB_j) — Markovian
 with exact decay, stable for any speed — evaluated by the same convolution.
 This is the hybrid multifactor scheme of Romer (2022), "Hybrid multifactor
 scheme for stochastic Volterra equations with completely monotone kernels",
-and it is how the Markovian (aBergomi) model is simulated: the CLI and the
-library feed one plan per model into simulate_volterra, and the variance
-step (models.rbergomi_variance) is shared.
+and it is how the Markovian (aBergomi) model is simulated: one plan per
+model goes into simulate_volterra, or into models.simulate_terminal (which
+the CLI runs, one path block at a time), and the variance step is shared.
 """
 
 from __future__ import annotations
@@ -195,26 +195,87 @@ def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"kernel length {kernel.size} exceeds signal columns {n}"
         )
-    L = 1 << int(np.ceil(np.log2(kernel.size + n - 1)))
-    K = np.fft.rfft(kernel, L)
+    K, L = _kernel_spectrum(kernel, n)
     out = np.empty((rows, n))
-    buf_rows = min(FFT_CHUNK_ROWS, rows)
 
     def convolve(chunk: int, bufs: tuple[np.ndarray, np.ndarray]) -> None:
         lo = chunk * FFT_CHUNK_ROWS
         hi = min(lo + FFT_CHUNK_ROWS, rows)
-        spec, full = bufs[0][: hi - lo], bufs[1][: hi - lo]
-        np.fft.rfft(signal[lo:hi], L, axis=1, out=spec)
-        np.multiply(K, spec, out=spec)  # K first: complex multiply is not operand-symmetric
-        np.fft.irfft(spec, L, axis=1, out=full)
-        out[lo:hi] = full[:, :n]
+        _convolve_rows(K, signal[lo:hi], out[lo:hi], bufs)
 
     run_chunks(
         (rows + FFT_CHUNK_ROWS - 1) // FFT_CHUNK_ROWS,
         convolve,
-        lambda: (np.empty((buf_rows, L // 2 + 1), complex), np.empty((buf_rows, L))),
+        lambda: _fft_buffers(L, min(FFT_CHUNK_ROWS, rows)),
     )
     return out
+
+
+def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """(K, L): the rfft K of kernel zero-padded to length L.
+
+    L is the next power of two >= len(kernel) + n - 1, so the circular
+    convolution with an n-column signal is the linear one.
+    """
+    L = 1 << int(np.ceil(np.log2(kernel.size + n - 1)))
+    return np.fft.rfft(kernel, L), L
+
+
+def _fft_buffers(L: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """One worker's spectrum and length-L signal buffers for `rows` rows."""
+    return np.empty((rows, L // 2 + 1), complex), np.empty((rows, L))
+
+
+def _convolve_rows(K, signal, out, bufs) -> None:
+    """out = the first n columns of irfft(K * rfft(signal, L), L).
+
+    signal and out are [rows x n] with rows no more than the buffers'
+    (_fft_buffers); K is _kernel_spectrum's spectrum for the buffers' L.
+    """
+    rows, n = signal.shape
+    spec, full = bufs[0][:rows], bufs[1][:rows]
+    L = full.shape[1]
+    np.fft.rfft(signal, L, axis=1, out=spec)
+    np.multiply(K, spec, out=spec)  # K first: complex multiply is not operand-symmetric
+    np.fft.irfft(spec, L, axis=1, out=full)
+    out[...] = full[:, :n]
+
+
+def _volterra_kernel(plan: HybridPlan) -> np.ndarray:
+    """The convolution kernel of the tail cells: 0, then c_2..c_N."""
+    c = np.zeros(plan.grid.N)
+    c[1:] = plan.kernel_weights
+    return c
+
+
+def _finish_volterra(plan: HybridPlan, body, dB, dU, out, tmp_b, tmp_u) -> None:
+    """out = X paths from the tail convolution body and the increments dB, dU.
+
+    X_{t_j} = sqrt(2*alpha+1) * (body + a1*dB + b1*dU) at j >= 1, X_0 = 0, in
+    that order of operations.  body is overwritten; tmp_b and tmp_u are
+    scratch of dB's shape and may be dB and dU themselves.  out is
+    [rows x (N+1)].
+    """
+    a1, b1 = first_cell_coefficients(plan.alpha, plan.grid.dt)
+    np.multiply(dB, a1, out=tmp_b)
+    np.multiply(dU, b1, out=tmp_u)
+    np.add(tmp_b, tmp_u, out=tmp_b)
+    np.add(body, tmp_b, out=body)
+    out[:, 0] = 0.0
+    np.multiply(body, np.sqrt(2 * plan.alpha + 1), out=out[:, 1:])
+
+
+def _volterra_rows(plan: HybridPlan, K, dB, dU, out, body, fft_bufs) -> None:
+    """out = X on the rows of dB and dU, in the calling thread.
+
+    The tail convolution runs in FFT_CHUNK_ROWS chunks through fft_bufs
+    (_fft_buffers) with K = the spectrum of _volterra_kernel(plan), then
+    _finish_volterra adds the first cell.  Overwrites body, dB and dU.
+    """
+    for lo in range(0, dB.shape[0], FFT_CHUNK_ROWS):
+        chunk = slice(lo, lo + FFT_CHUNK_ROWS)
+        _convolve_rows(K, dB[chunk], body[chunk], fft_bufs)
+    _finish_volterra(plan, body, dB, dU, out, dB, dU)
 
 
 def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
@@ -232,14 +293,9 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     """
     if inc.grid != plan.grid:
         raise ValueError("increments and plan were built on different grids")
-    alpha = plan.alpha
-    dt = plan.grid.dt
-    N = plan.grid.N
-    c = np.zeros(N)
-    c[1:] = plan.kernel_weights
-    a1, b1 = first_cell_coefficients(alpha, dt)
-    body = toeplitz_convolve(c, inc.dB)
-    body += a1 * inc.dB + b1 * inc.dU
-    values = np.zeros((inc.n_paths, N + 1))
-    values[:, 1:] = np.sqrt(2 * alpha + 1) * body
-    return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=alpha)
+    body = toeplitz_convolve(_volterra_kernel(plan), inc.dB)
+    values = np.empty((inc.n_paths, plan.grid.N + 1))
+    _finish_volterra(
+        plan, body, inc.dB, inc.dU, values, np.empty_like(body), np.empty_like(body)
+    )
+    return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=plan.alpha)

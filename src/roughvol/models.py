@@ -13,6 +13,13 @@ the n-factor recursion Y^i_{j+1} = e^(-x_i dt) (Y^i_j + dB_j) with exact
 decay.  Both consume the same PathIncrements, so rBergomi/aBergomi
 comparisons are common-random-number by construction.
 
+simulate_terminal runs that chain, with rbergomi_log_price, one path block
+at a time on sim_core's pool and keeps only the terminal values; plans that
+share N share each block's Gaussians.  Both routes call the same helpers
+for each step (sim_core._scale_increments, hybrid_scheme._convolve_rows and
+_finish_volterra, _lognormal_variance, _euler_steps), so they agree bit for
+bit; the chain stays as the tests' reference.
+
 The affine structure of the Markovian model is kept in closed form:
 quadratic_variation_chi is the kernel's quadratic variation over a window,
 and variance_conditional_expectation gives E[V_t | F_s] from the
@@ -43,9 +50,30 @@ from functools import cached_property
 
 import numpy as np
 
-from .hybrid_scheme import VolterraPaths, toeplitz_convolve
+from .hybrid_scheme import (
+    FFT_CHUNK_ROWS,
+    HybridPlan,
+    VolterraPaths,
+    _fft_buffers,
+    _kernel_spectrum,
+    _volterra_kernel,
+    _volterra_rows,
+    toeplitz_convolve,
+)
 from .kernel import ExpKernel
-from .sim_core import ModelParams, PathIncrements, TimeGrid, _readonly
+from .sim_core import (
+    BLOCK_SIZE,
+    ModelParams,
+    PathIncrements,
+    TimeGrid,
+    _block_normals,
+    _block_rows,
+    _check_n_paths,
+    _n_blocks,
+    _readonly,
+    _scale_increments,
+    run_chunks,
+)
 
 __all__ = [
     "SMILE_FACTOR_M2",
@@ -55,6 +83,7 @@ __all__ = [
     "AbergomiConfig",
     "rbergomi_variance",
     "rbergomi_log_price",
+    "simulate_terminal",
     "simulate_ou_factors",
     "abergomi_driver",
     "abergomi_variance",
@@ -150,15 +179,45 @@ def rbergomi_variance(volterra: VolterraPaths, params: ModelParams) -> VarianceP
     the variance of both models: X comes from the rBergomi plan or from a
     kernel plan.
     """
-    if volterra.alpha != params.alpha:
+    _check_alpha(volterra.alpha, params)
+    V = np.empty_like(volterra.values)
+    comp = _compensator(params, volterra.grid.nodes)
+    _lognormal_variance(volterra.values, params.eta, comp, params.xi0, V)
+    return VariancePaths(values=_readonly(V), grid=volterra.grid, params=params)
+
+
+def _check_alpha(alpha: float, params: ModelParams) -> None:
+    if alpha != params.alpha:
         raise ValueError(
-            f"volterra paths were simulated with alpha={volterra.alpha}, "
+            f"volterra paths were simulated with alpha={alpha}, "
             f"params have alpha={params.alpha}"
         )
-    t = volterra.grid.nodes
-    comp = 0.5 * params.eta**2 * t ** (2 * params.alpha + 1)
-    V = params.xi0 * np.exp(params.eta * volterra.values - comp)
-    return VariancePaths(values=_readonly(V), grid=volterra.grid, params=params)
+
+
+def _compensator(params: ModelParams, t: np.ndarray) -> np.ndarray:
+    """(eta^2/2) * t^(2*alpha+1) on the grid nodes t."""
+    return 0.5 * params.eta**2 * t ** (2 * params.alpha + 1)
+
+
+def _lognormal_variance(X, scale, comp, xi0, out) -> None:
+    """out = xi0 * exp(scale*X - comp), in that order of operations; out may be X."""
+    np.multiply(X, scale, out=out)
+    np.subtract(out, comp, out=out)
+    np.exp(out, out=out)
+    np.multiply(out, xi0, out=out)
+
+
+def _euler_steps(V, dW, dt, out, tmp) -> None:
+    """out_j = sqrt(V_j)*dW_j - 0.5*V_j*dt for j < N, in that order of operations.
+
+    V is [rows x (N+1)]; dW, out and tmp are [rows x N], and out may be dW.
+    """
+    v = V[:, :-1]
+    np.sqrt(v, out=out)
+    np.multiply(out, dW, out=out)
+    np.multiply(v, 0.5, out=tmp)
+    np.multiply(tmp, dt, out=tmp)
+    np.subtract(out, tmp, out=out)
 
 
 def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
@@ -169,12 +228,73 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
     """
     if inc.grid != V.grid:
         raise ValueError("variance paths and increments live on different grids")
-    dt = V.grid.dt
-    vols = np.sqrt(V.values[:, :-1])
-    steps = vols * inc.dW - 0.5 * V.values[:, :-1] * dt
+    steps = np.empty_like(inc.dW)
+    _euler_steps(V.values, inc.dW, V.grid.dt, steps, np.empty_like(steps))
     logS = np.zeros((inc.n_paths, V.grid.N + 1))
     np.cumsum(steps, axis=1, out=logS[:, 1:])
     return logS
+
+
+def simulate_terminal(
+    plans: list[HybridPlan], params: ModelParams, n_paths: int, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Terminal (log S_T, V_T) under each plan, streamed in path blocks.
+
+    Per plan, equal bit for bit to the last columns of the chain
+    sample_correlated_increments(plan.grid, params.rho, n_paths, seed) ->
+    simulate_volterra -> rbergomi_variance -> rbergomi_log_price.  The plans
+    must share grid.N; T and the kernel may differ.
+
+    Each BLOCK_SIZE-path block is one run_chunks task.  It draws the block's
+    Gaussian tile once, which depends on (seed, block, N) only, and runs
+    every plan on it: scaling into increments, the tail convolution in
+    FFT_CHUNK_ROWS chunks, the variance and the Euler log-price.  So no
+    path matrix outlives its block, and the draw is shared by all plans.
+    Every buffer is made in the calling thread (see sim_core).
+    """
+    plans = list(plans)
+    if not plans:
+        raise ValueError("need at least one plan")
+    N = plans[0].grid.N
+    for plan in plans:
+        if plan.grid.N != N:
+            raise ValueError(f"plans must share N, got {N} and {plan.grid.N}")
+        _check_alpha(plan.alpha, params)
+    n_paths = _check_n_paths(n_paths)
+    seed = int(seed)
+    runs = []
+    for plan in plans:
+        K, L = _kernel_spectrum(_volterra_kernel(plan), N)  # L follows N alone
+        runs.append((plan, K, _compensator(params, plan.grid.nodes)))
+    out = [(np.empty(n_paths), np.empty(n_paths)) for _ in plans]
+    rows_max = min(BLOCK_SIZE, n_paths)
+
+    def scratch():
+        return (
+            np.empty((3, BLOCK_SIZE, N)),  # the tile is always drawn in full
+            np.empty((4, rows_max, N)),
+            np.empty((rows_max, N + 1)),
+            _fft_buffers(L, min(FFT_CHUNK_ROWS, rows_max)),
+        )
+
+    def run_block(block: int, bufs) -> None:
+        tile, planes, X, fft_bufs = bufs
+        rows = _block_rows(block, n_paths)
+        m = rows.stop - rows.start
+        z = _block_normals(seed, block, tile)[:, :m]
+        dW, dB, dU, body = planes[:, :m]
+        X = X[:m]
+        for (plan, K, comp), (log_S, V_T) in zip(runs, out):
+            _scale_increments(z, plan.grid.dt, params.rho, dW, dB, dU)
+            _volterra_rows(plan, K, dB, dU, X, body, fft_bufs)
+            _lognormal_variance(X, params.eta, comp, params.xi0, X)
+            V_T[rows] = X[:, -1]
+            _euler_steps(X, dW, plan.grid.dt, body, dB)
+            np.cumsum(body, axis=1, out=dU)
+            log_S[rows] = dU[:, -1]
+
+    run_chunks(_n_blocks(n_paths), run_block, scratch)
+    return out
 
 
 def simulate_ou_factors(cfg: AbergomiConfig, inc: PathIncrements) -> OUFactorPaths:
@@ -226,10 +346,10 @@ def abergomi_variance(cfg: AbergomiConfig, y: DriverPaths) -> VariancePaths:
     AbergomiConfig.eta_scale); the compensator is rBergomi's.
     """
     params = cfg.params
-    t = y.grid.nodes
     scale = cfg.mult_factor * cfg.eta_scale() * y.prefactor
-    comp = 0.5 * params.eta**2 * t ** (2 * params.alpha + 1)
-    V = params.xi0 * np.exp(scale * y.values - comp)
+    V = np.empty_like(y.values)
+    comp = _compensator(params, y.grid.nodes)
+    _lognormal_variance(y.values, scale, comp, params.xi0, V)
     return VariancePaths(values=_readonly(V), grid=y.grid, params=params)
 
 

@@ -37,9 +37,7 @@ def _terminal_log_price(plan, blk):
 
 def _stream_terminal(plan, n_paths, seed):
     """Terminal log-prices under one hybrid plan, streamed in path blocks."""
-    logS = np.empty(n_paths)
-    for rows, blk in _blocks(plan.grid, n_paths, seed):
-        logS[rows] = _terminal_log_price(plan, blk)
+    [(logS, _)] = rv.simulate_terminal([plan], TABLE1, n_paths, seed)
     return logS
 
 
@@ -210,12 +208,15 @@ def test_criterion_05_conditional_expectation_vs_nested_mc():
 def test_criterion_06_atm_skew_power_law():
     t0 = time.perf_counter()
     n_paths = 200_000
+    mats = [0.1, 0.25, 0.5, 1.0, 2.0]
+    plans = [rv.make_hybrid_plan(rv.make_time_grid(T, 100), TABLE1.alpha) for T in mats]
+    terminal = rv.simulate_terminal(plans, TABLE1, n_paths, seed=6)
+    log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}
 
     def smile_fn(T, strikes):
-        logS = _rb_terminal(T, 100, n_paths, seed=6)
-        return rv.mc_smile(logS, strikes, T=T)
+        return rv.mc_smile(log_S[T], strikes, T=T)
 
-    report = rv.atm_skew(smile_fn, [0.1, 0.25, 0.5, 1.0, 2.0], bump=0.01)
+    report = rv.atm_skew(smile_fn, mats, bump=0.01)
     elapsed = time.perf_counter() - t0
     print(
         f"criterion 6: skew exponent {report.exponent:.4f} "

@@ -316,16 +316,18 @@ def test_skew_monte_carlo_report(tmp_path):
 
 
 def test_every_simulation_runs_once(tmp_path, monkeypatch):
-    from roughvol import sim_core
+    # counts Gaussian tiles: each path block of each distinct draw is one
+    from roughvol import models, sim_core
 
     draws = []
-    real = sim_core.sample_correlated_increments
+    real = sim_core._block_normals
 
     def counting(*args, **kwargs):
         draws.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sim_core, "sample_correlated_increments", counting)
+    monkeypatch.setattr(sim_core, "_block_normals", counting)
+    monkeypatch.setattr(models, "_block_normals", counting)
     cfg = write_config(
         tmp_path,
         bs_config(steps=[8, 16], out_dir=str(tmp_path)),
@@ -342,7 +344,8 @@ def test_every_simulation_runs_once(tmp_path, monkeypatch):
         name="skew.json",
     )
     assert cli.main(["skew", "--config", cfg]) == 0
-    assert len(draws) == 3
+    # one tile serves all three maturities
+    assert len(draws) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,62 @@ def test_log_price_grid_mismatch(table1):
         rv.rbergomi_log_price(V, inc)
 
 
+def _chained_terminal(plan, params, n_paths, seed):
+    """(log S_T, V_T) through the public chain, all paths at once."""
+    inc = rv.sample_correlated_increments(plan.grid, params.rho, n_paths, seed)
+    V = rv.rbergomi_variance(rv.simulate_volterra(plan, inc), params)
+    return rv.rbergomi_log_price(V, inc)[:, -1], V.values[:, -1]
+
+
+def _plan(kind, T, N, H):
+    kern = rv.closed_form_kernel(4, H, 2.0)[0] if kind == "kernel" else None
+    return rv.make_hybrid_plan(rv.make_time_grid(T, N), H - 0.5, kernel=kern)
+
+
+@pytest.mark.parametrize("n_paths", [1, rv.BLOCK_SIZE + 5, 3 * rv.BLOCK_SIZE + 7])
+@pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
+def test_streamed_terminal_equals_the_chain(kind, n_paths, table1, monkeypatch):
+    from roughvol import sim_core
+
+    plan = _plan(kind, 1.0, 12, table1.H)
+    want = _chained_terminal(plan, table1, n_paths, 4)
+    for width in (1, 2):
+        monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+        [got] = rv.simulate_terminal([plan], table1, n_paths, 4)
+        assert np.array_equal(got[0], want[0]), f"log S_T at width {width}"
+        assert np.array_equal(got[1], want[1]), f"V_T at width {width}"
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_one_streamed_call_equals_one_chain_per_maturity(width, table1, monkeypatch):
+    # every plan reads the same tile, so a plan that altered it would shift
+    # the ones after it
+    from roughvol import sim_core
+
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    plans = [_plan("rbergomi", 0.25, 12, table1.H), _plan("kernel", 2.0, 12, table1.H),
+             _plan("rbergomi", 1.0, 12, table1.H)]
+    n_paths = 2 * rv.BLOCK_SIZE + 3
+    got = rv.simulate_terminal(plans, table1, n_paths, 9)
+    for plan, (log_S, V_T) in zip(plans, got):
+        want = _chained_terminal(plan, table1, n_paths, 9)
+        assert np.array_equal(log_S, want[0]), f"log S_T at T={plan.grid.T}"
+        assert np.array_equal(V_T, want[1]), f"V_T at T={plan.grid.T}"
+
+
+def test_streamed_terminal_rejects_mismatched_plans(table1):
+    with pytest.raises(ValueError, match="share N"):
+        rv.simulate_terminal(
+            [_plan("rbergomi", 1.0, N, table1.H) for N in (12, 13)], table1, 5, 0
+        )
+    with pytest.raises(ValueError, match="alpha"):
+        rv.simulate_terminal([_plan("rbergomi", 1.0, 12, 0.2)], table1, 5, 0)
+    with pytest.raises(ValueError, match="n_paths"):
+        rv.simulate_terminal([_plan("rbergomi", 1.0, 12, table1.H)], table1, 0, 0)
+    with pytest.raises(ValueError, match="plan"):
+        rv.simulate_terminal([], table1, 5, 0)
+
+
 def _factor_state(kernel, inc, j):
     """Factor levels at node j from one matmul over dB[:, :j], exact decay.
 
@@ -226,19 +282,13 @@ def test_moments_converge_to_the_rough_limit(table1):
     t^(2H)) at t = 1.
     """
     grid = rv.make_time_grid(1.0, 256)
-    n_paths = 102_400
     m1_ref = table1.xi0
     m2_ref = table1.xi0**2 * np.exp(table1.eta**2)
+    terms = (5, 10, 25)
+    kernels = [rv.closed_form_kernel(n, table1.H, 1.0)[0] for n in terms]
+    plans = [rv.make_hybrid_plan(grid, table1.alpha, kernel=kern) for kern in kernels]
     gaps = {}
-    for n in (5, 10, 25):
-        kern, _ = rv.closed_form_kernel(n, table1.H, 1.0)
-        plan = rv.make_hybrid_plan(grid, table1.alpha, kernel=kern)
-        s1 = s2 = 0.0
-        full = rv.sample_correlated_increments(grid, table1.rho, n_paths, 99)
-        for _, inc in rv.iter_blocks(full):
-            V1 = rv.rbergomi_variance(rv.simulate_volterra(plan, inc), table1).values[:, -1]
-            s1 += V1.sum()
-            s2 += (V1**2).sum()
-        gaps[n] = (abs(s1 / n_paths - m1_ref), abs(s2 / n_paths - m2_ref))
+    for n, (_, V1) in zip(terms, rv.simulate_terminal(plans, table1, 102_400, 99)):
+        gaps[n] = (abs(V1.mean() - m1_ref), abs((V1**2).mean() - m2_ref))
     assert gaps[5][0] > gaps[10][0] > gaps[25][0], f"m1 gaps {gaps}"
     assert gaps[5][1] > gaps[10][1] > gaps[25][1], f"m2 gaps {gaps}"

@@ -181,6 +181,16 @@ def test_increments_do_not_depend_on_the_thread_count(n_paths, monkeypatch):
     assert np.array_equal(one.dU, two.dU)
 
 
+@pytest.mark.parametrize("N,n_paths", [(100, 20_000), (8, BLOCK_SIZE + 5), (200, 1)])
+def test_terminal_brownian_sums_the_full_draws_dW(N, n_paths, monkeypatch):
+    g = rv.make_time_grid(1.3, N)
+    want = rv.sample_correlated_increments(g, -0.9, n_paths, 5).dW.sum(axis=1)
+    for width in (1, 2):
+        monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+        got = sim_core.sample_terminal_brownian(g, n_paths, 5)
+        assert np.array_equal(got, want), f"width {width}"
+
+
 def test_run_chunks_gives_each_worker_its_own_buffer(monkeypatch):
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 3)
     seen = {}
