@@ -655,20 +655,24 @@ def cmd_fit_kernel(args, run: _Run) -> int:
     return exit_code
 
 
-def _smile_for(resolved: dict, N: int, T: float):
+def _smile_of(resolved: dict, logS_T, T: float):
+    """The configured strikes' smile of terminal log-prices at maturity T."""
     import numpy as np
 
     from .analytics import mc_smile
 
-    (logS_T, _), runtime = _simulate(resolved, N, T)
-    sm = mc_smile(
+    return mc_smile(
         logS_T,
         strikes=np.asarray(resolved["strikes"]),
         T=T,
         model=resolved["model"],
         seed=resolved["seed"],
     )
-    return sm, runtime
+
+
+def _smile_for(resolved: dict, N: int, T: float):
+    (logS_T, _), _ = _simulate(resolved, N, T)
+    return _smile_of(resolved, logS_T, T)
 
 
 def cmd_smile(args, run: _Run) -> int:
@@ -679,7 +683,7 @@ def cmd_smile(args, run: _Run) -> int:
     files = []
     skipped_all = {}
     for N in resolved["steps"]:
-        sm, _ = _smile_for(resolved, N, T)
+        sm = _smile_for(resolved, N, T)
         tag = f"{model}_T{_fmt(float(T))}_N{N}"
         rows = []
         for i, k in enumerate(sm.strikes):
@@ -714,24 +718,27 @@ def cmd_smile(args, run: _Run) -> int:
 
 def cmd_compare(args, run: _Run) -> int:
     resolved = run.config
-    T = resolved["grid"]["T"]
+    T, seed = resolved["grid"]["T"], resolved["seed"]
+    terms = resolved["compare"]["terms"]
 
     from .analytics import smile_rmse
+    from .models import simulate_terminal
 
+    sides = [dict(resolved, model="rbergomi")] + [
+        dict(resolved, model="abergomi", kernel=dict(resolved["kernel"], n=n))
+        for n in terms
+    ]
     rows = []
     for N in resolved["compare"]["steps"]:
-        smile_r, rt_r = _smile_for(dict(resolved, model="rbergomi"), N, T)
-        for n in resolved["compare"]["terms"]:
-            kcfg = dict(resolved["kernel"], n=n)
-            side_b = dict(resolved, model="abergomi", kernel=kcfg)
-            smile_a, rt_a = _smile_for(side_b, N, T)
-            rows.append((n, N, smile_rmse(smile_r, smile_a), rt_r, rt_a))
+        plans, params = zip(*(_rough_plan(side, N, T) for side in sides))
+        # one draw of each path block serves rBergomi and every kernel
+        terminal = simulate_terminal(plans, params[0], resolved["paths"], seed)
+        smile_r, *smiles_a = (
+            _smile_of(side, s_T, T) for side, (s_T, _) in zip(sides, terminal)
+        )
+        rows += [(n, N, smile_rmse(smile_r, sm)) for n, sm in zip(terms, smiles_a)]
 
-    path = run.write_csv(
-        "compare_rmse.csv",
-        ["terms", "steps", "rmse", "runtime_rbergomi", "runtime_abergomi"],
-        rows,
-    )
+    path = run.write_csv("compare_rmse.csv", ["terms", "steps", "rmse"], rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 

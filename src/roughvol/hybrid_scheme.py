@@ -8,6 +8,13 @@ land on t^{2H} — while the remaining cells use the optimally displaced
 left-rule nodes b_k^* and a single lower-triangular Toeplitz convolution,
 evaluated in O(N log N) by zero-padded FFT.
 
+The convolution runs in FFT_CHUNK_ROWS-row chunks, one sim_core.run_chunks
+task each (_convolve_into): a chunk goes through its worker's FFT buffers
+and lands straight in its rows of the output.  simulate_volterra writes the
+chunk into X[:, 1:] and adds the first cell to those rows in the same task,
+with two (FFT_CHUNK_ROWS, N) planes of that worker, so the only full-size
+array it makes is the one it returns.
+
 The same scheme simulates the Markovian approximation: given a
 sum-of-exponentials kernel K(tau) = sum_i w_i e^(-x_i tau), the cells k >= 2
 take the cell averages of K instead of those of tau^alpha, while the singular
@@ -24,7 +31,7 @@ the CLI runs, one path block at a time), and the variance step is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -177,7 +184,7 @@ def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     width.  O(N log N) per path instead of the O(N^2) triangular loop.  The
     kernel is transformed once; the rows are transformed in chunks of
     FFT_CHUNK_ROWS, one run_chunks task each, into per-worker buffers made
-    in the calling thread.
+    in the calling thread (_convolve_into).
 
     Parameters
     ----------
@@ -190,25 +197,52 @@ def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
         raise ValueError("kernel must be a non-empty 1-d array")
     if signal.ndim != 2:
         raise ValueError("signal must be a 2-d [n_paths x N] array")
-    rows, n = signal.shape
-    if kernel.size > n:
+    if kernel.size > signal.shape[1]:
         raise ValueError(
-            f"kernel length {kernel.size} exceeds signal columns {n}"
+            f"kernel length {kernel.size} exceeds signal columns {signal.shape[1]}"
         )
-    K, L = _kernel_spectrum(kernel, n)
-    out = np.empty((rows, n))
-
-    def convolve(chunk: int, bufs: tuple[np.ndarray, np.ndarray]) -> None:
-        lo = chunk * FFT_CHUNK_ROWS
-        hi = min(lo + FFT_CHUNK_ROWS, rows)
-        _convolve_rows(K, signal[lo:hi], out[lo:hi], bufs)
-
-    run_chunks(
-        (rows + FFT_CHUNK_ROWS - 1) // FFT_CHUNK_ROWS,
-        convolve,
-        lambda: _fft_buffers(L, min(FFT_CHUNK_ROWS, rows)),
-    )
+    out = np.empty(signal.shape)
+    _convolve_into(kernel, signal, out)
     return out
+
+
+def _run_row_chunks(n_rows: int, work: Callable, scratch: Callable) -> None:
+    """run_chunks over the FFT_CHUNK_ROWS-row slices of n_rows rows.
+
+    Calls work(rows, buf) with rows a slice (the last may be shorter) and
+    buf the worker's scratch() buffer.
+    """
+
+    def task(chunk: int, buf) -> None:
+        lo = chunk * FFT_CHUNK_ROWS
+        work(slice(lo, min(lo + FFT_CHUNK_ROWS, n_rows)), buf)
+
+    run_chunks((n_rows + FFT_CHUNK_ROWS - 1) // FFT_CHUNK_ROWS, task, scratch)
+
+
+def _convolve_into(kernel, signal, out, finish: Callable | None = None) -> None:
+    """out = toeplitz_convolve(kernel, signal), written chunk by chunk.
+
+    out is [rows x n] like signal and may be a strided view, such as the
+    last n columns of a path array.  Each chunk of _run_row_chunks
+    convolves its rows through the worker's FFT buffers; finish(rows, tmp),
+    if given, then runs on the same rows in the same task, with tmp a pair
+    of [rows x n] scratch planes of that worker.
+    """
+    rows, n = signal.shape
+    K, L = _kernel_spectrum(kernel, n)
+    r = min(FFT_CHUNK_ROWS, rows)
+
+    def scratch():
+        return _fft_buffers(L, r), None if finish is None else np.empty((2, r, n))
+
+    def convolve(chunk: slice, bufs) -> None:
+        fft_bufs, tmp = bufs
+        _convolve_rows(K, signal[chunk], out[chunk], fft_bufs)
+        if finish is not None:
+            finish(chunk, tmp[:, : chunk.stop - chunk.start])
+
+    _run_row_chunks(rows, convolve, scratch)
 
 
 def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -252,9 +286,9 @@ def _finish_volterra(plan: HybridPlan, body, dB, dU, out, tmp_b, tmp_u) -> None:
     """out = X paths from the tail convolution body and the increments dB, dU.
 
     X_{t_j} = sqrt(2*alpha+1) * (body + a1*dB + b1*dU) at j >= 1, X_0 = 0, in
-    that order of operations.  body is overwritten; tmp_b and tmp_u are
-    scratch of dB's shape and may be dB and dU themselves.  out is
-    [rows x (N+1)].
+    that order of operations.  body is overwritten and may be out[:, 1:];
+    tmp_b and tmp_u are scratch of dB's shape and may be dB and dU
+    themselves.  out is [rows x (N+1)].
     """
     a1, b1 = first_cell_coefficients(plan.alpha, plan.grid.dt)
     np.multiply(dB, a1, out=tmp_b)
@@ -293,9 +327,11 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     """
     if inc.grid != plan.grid:
         raise ValueError("increments and plan were built on different grids")
-    body = toeplitz_convolve(_volterra_kernel(plan), inc.dB)
     values = np.empty((inc.n_paths, plan.grid.N + 1))
-    _finish_volterra(
-        plan, body, inc.dB, inc.dU, values, np.empty_like(body), np.empty_like(body)
-    )
+
+    def first_cell(rows: slice, tmp: np.ndarray) -> None:
+        body = values[rows, 1:]
+        _finish_volterra(plan, body, inc.dB[rows], inc.dU[rows], values[rows], *tmp)
+
+    _convolve_into(_volterra_kernel(plan), inc.dB, values[:, 1:], first_cell)
     return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=plan.alpha)

@@ -13,6 +13,11 @@ the n-factor recursion Y^i_{j+1} = e^(-x_i dt) (Y^i_j + dB_j) with exact
 decay.  Both consume the same PathIncrements, so rBergomi/aBergomi
 comparisons are common-random-number by construction.
 
+Each chain step runs on sim_core's pool in fixed FFT_CHUNK_ROWS-row chunks
+and writes straight into the array it returns: the variance steps need no
+scratch, rbergomi_log_price two (FFT_CHUNK_ROWS, N) planes per worker, and
+abergomi_driver convolves into y[:, 1:].
+
 simulate_terminal runs that chain, with rbergomi_log_price, one path block
 at a time on sim_core's pool and keeps only the terminal values; plans that
 share N share each block's Gaussians.  Both routes call the same helpers
@@ -54,11 +59,12 @@ from .hybrid_scheme import (
     FFT_CHUNK_ROWS,
     HybridPlan,
     VolterraPaths,
+    _convolve_into,
     _fft_buffers,
     _kernel_spectrum,
+    _run_row_chunks,
     _volterra_kernel,
     _volterra_rows,
-    toeplitz_convolve,
 )
 from .kernel import ExpKernel
 from .sim_core import (
@@ -180,10 +186,9 @@ def rbergomi_variance(volterra: VolterraPaths, params: ModelParams) -> VarianceP
     kernel plan.
     """
     _check_alpha(volterra.alpha, params)
-    V = np.empty_like(volterra.values)
     comp = _compensator(params, volterra.grid.nodes)
-    _lognormal_variance(volterra.values, params.eta, comp, params.xi0, V)
-    return VariancePaths(values=_readonly(V), grid=volterra.grid, params=params)
+    V = _lognormal_paths(volterra.values, params.eta, comp, params.xi0)
+    return VariancePaths(values=V, grid=volterra.grid, params=params)
 
 
 def _check_alpha(alpha: float, params: ModelParams) -> None:
@@ -207,6 +212,20 @@ def _lognormal_variance(X, scale, comp, xi0, out) -> None:
     np.multiply(out, xi0, out=out)
 
 
+def _lognormal_paths(X, scale, comp, xi0) -> np.ndarray:
+    """_lognormal_variance of the paths X into a new read-only array.
+
+    One pool task per FFT_CHUNK_ROWS rows (hybrid_scheme._run_row_chunks).
+    """
+    V = np.empty_like(X)
+
+    def rows_task(rows: slice, _) -> None:
+        _lognormal_variance(X[rows], scale, comp, xi0, V[rows])
+
+    _run_row_chunks(X.shape[0], rows_task, lambda: None)
+    return _readonly(V)
+
+
 def _euler_steps(V, dW, dt, out, tmp) -> None:
     """out_j = sqrt(V_j)*dW_j - 0.5*V_j*dt for j < N, in that order of operations.
 
@@ -224,14 +243,22 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
     """Euler log-price: log S_{t+dt} = log S_t + sqrt(V_t)*dW_t - V_t*dt/2.
 
     S_0 = 1.  Works for any VariancePaths; the model enters only through V.
-    Returns an [n_paths x (N+1)] matrix.
+    Returns an [n_paths x (N+1)] matrix.  Each FFT_CHUNK_ROWS-row chunk is
+    one pool task, which writes its steps into the worker's scratch and
+    their running sum straight into its rows of the result.
     """
     if inc.grid != V.grid:
         raise ValueError("variance paths and increments live on different grids")
-    steps = np.empty_like(inc.dW)
-    _euler_steps(V.values, inc.dW, V.grid.dt, steps, np.empty_like(steps))
-    logS = np.zeros((inc.n_paths, V.grid.N + 1))
-    np.cumsum(steps, axis=1, out=logS[:, 1:])
+    n, N = inc.n_paths, V.grid.N
+    logS = np.empty((n, N + 1))
+
+    def euler(rows: slice, bufs: np.ndarray) -> None:
+        steps, tmp = bufs[:, : rows.stop - rows.start]
+        _euler_steps(V.values[rows], inc.dW[rows], V.grid.dt, steps, tmp)
+        logS[rows, 0] = 0.0
+        np.cumsum(steps, axis=1, out=logS[rows, 1:])
+
+    _run_row_chunks(n, euler, lambda: np.empty((2, min(FFT_CHUNK_ROWS, n), N)))
     return logS
 
 
@@ -333,8 +360,9 @@ def abergomi_driver(cfg: AbergomiConfig, factors: OUFactorPaths) -> DriverPaths:
         raise ValueError("factors were simulated under a different config")
     N = factors.grid.N
     c = np.power.outer(factors.decay, np.arange(N)).T @ cfg.kernel.weights
-    y = np.zeros((factors.dB.shape[0], N + 1))
-    y[:, 1:] = toeplitz_convolve(c, factors.dB)
+    y = np.empty((factors.dB.shape[0], N + 1))
+    y[:, 0] = 0.0
+    _convolve_into(c, factors.dB, y[:, 1:])
     pref = np.sqrt(factors.theta / factors.grid.T)
     return DriverPaths(values=_readonly(y), grid=factors.grid, prefactor=float(pref))
 
@@ -347,10 +375,9 @@ def abergomi_variance(cfg: AbergomiConfig, y: DriverPaths) -> VariancePaths:
     """
     params = cfg.params
     scale = cfg.mult_factor * cfg.eta_scale() * y.prefactor
-    V = np.empty_like(y.values)
     comp = _compensator(params, y.grid.nodes)
-    _lognormal_variance(y.values, scale, comp, params.xi0, V)
-    return VariancePaths(values=_readonly(V), grid=y.grid, params=params)
+    V = _lognormal_paths(y.values, scale, comp, params.xi0)
+    return VariancePaths(values=V, grid=y.grid, params=params)
 
 
 def quadratic_variation_chi(kernel: ExpKernel, s: float, t: float) -> float:

@@ -8,10 +8,12 @@ lets two runs with different ``n_paths`` agree on their common prefix.
 
 Because no block depends on another, the module also owns the small runner
 that spreads independent chunks of work over threads (``run_chunks``): the
-increment blocks here, the FFT row chunks of
-``hybrid_scheme.toeplitz_convolve``, and the path blocks of
-``models.simulate_terminal``.  numpy's RNG fill and ``np.fft`` release
-the interpreter lock, so the threads run on separate cores.  The pool width is
+increment blocks here, the fixed 1024-row chunks of every later step of
+the public chain (``hybrid_scheme.simulate_volterra`` and
+``toeplitz_convolve``, the variance and log-price steps of ``models``), and
+the path blocks of ``models.simulate_terminal``.  numpy's RNG fill and
+``np.fft`` release the interpreter lock, so the threads run on separate
+cores.  The pool width is
 the usable-CPU count, capped by ``OMP_NUM_THREADS`` when that variable holds an
 integer >= 1 (the CLI's ``--threads`` sets it, and a value inherited from
 the environment caps it just the same).  The width follows the affinity mask,
@@ -29,14 +31,27 @@ the calling thread; workers only fill them through ``out=`` arguments.
 Memory that worker threads allocate and free lands in glibc's per-thread
 malloc arenas, which keep it, so allocating inside the workers raises peak
 memory even though the arrays are freed.  The scratch grows with the width.
-A sample_correlated_increments worker holds one (3, BLOCK_SIZE, N) tile; a
-simulate_terminal worker holds the tile, four (BLOCK_SIZE, N) increment and
-path planes, one (BLOCK_SIZE, N+1) path array and FFT buffers for 1024 rows,
-about 30 MB at N = 100.  Measured on ``roughvol skew`` (20 000 paths,
-N = 100, five maturities, two threads): 114.6 MB peak RSS, against 142.1 MB
-when the same block steps used numpy temporaries made in the workers, and
-120.3 MB for the former one-chain-per-maturity path.  Timings and peak
-memory have been measured on 2 CPUs only.
+
+Each step of the public chain writes straight into the array it returns,
+so a chain holds its inputs, its outputs and its workers' scratch, and no
+whole-size temporary.  A sample_correlated_increments worker draws a
+block's three planes into its rows of dW, dB and dU and holds one
+(BLOCK_SIZE, N) plane, for a partial block's unused draws and the rho*dW
+term.  A simulate_volterra worker holds FFT buffers and two (1024, N)
+planes, an abergomi_driver or toeplitz_convolve worker the FFT buffers, an
+rbergomi_log_price worker two (1024, N) planes, and the variance steps
+none.  A simulate_terminal worker holds a (3, BLOCK_SIZE, N) tile, four
+(BLOCK_SIZE, N) increment and path planes, one (BLOCK_SIZE, N+1) path
+array and FFT buffers for 1024 rows, about 30 MB at N = 100.
+
+Measured with two threads: the benchmark's markov_smile chain (20 000
+paths, N = 200) peaks at 216.3 MB RSS and its rough_smile chain (100 000
+paths, N = 200) at 828.1 MB, against 240.5 MB and 1140.1 MB when the
+chain steps built whole-size temporaries and copied each block out of a
+tile; ``roughvol skew`` (20 000 paths, N = 100, five maturities) peaks at
+114.6 MB, against 142.1 MB when the same block steps used numpy
+temporaries made in the workers.  Timings and peak memory have been
+measured on 2 CPUs only.
 """
 
 from __future__ import annotations
@@ -186,17 +201,29 @@ class ModelParams:
         object.__setattr__(self, "sigma", self.eta * np.sqrt(2 * self.H))
 
 
-def _block_normals(seed: int, block: int, out: np.ndarray) -> np.ndarray:
-    """Fill out, a (3, BLOCK_SIZE, N) tile, with one block's Gaussians.
+def _block_normals(seed: int, block: int, out, spare=None):
+    """Fill out with one block's Gaussians, in the order of the full tile.
 
-    Always draws the complete tile even when fewer paths are needed, so a
-    partial block is a row-slice of the full one (prefix property).  A
-    (1, BLOCK_SIZE, N) out gets plane 0 of the full tile.
+    out is a (k, BLOCK_SIZE, N) tile, or (with spare) k planes of m <=
+    BLOCK_SIZE rows each, such as the block's rows of dW, dB and dU.  The
+    block always draws its complete (k, BLOCK_SIZE, N) tile even when fewer
+    paths are needed, so a partial block is a row-slice of the full one
+    (prefix property): after each m-row plane, the (BLOCK_SIZE - m)*N values
+    the tile holds below it are drawn into spare, a flat array of at least
+    that size, and dropped.  A (1, BLOCK_SIZE, N) out gets plane 0 of the
+    full tile.
     Sampling method: numpy's ziggurat via Generator.standard_normal, an
     exact-distribution sampler, on the counter-based Philox bit stream.
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-    return gen.standard_normal(out=out)
+    if spare is None:
+        return gen.standard_normal(out=out)
+    for plane in out:
+        gen.standard_normal(out=plane)
+        rest = (BLOCK_SIZE - plane.shape[0]) * plane.shape[1]
+        if rest:
+            gen.standard_normal(out=spare[:rest])
+    return out
 
 
 def _n_blocks(n_paths: int) -> int:
@@ -215,19 +242,22 @@ def _check_n_paths(n_paths) -> int:
     return int(n_paths)
 
 
-def _scale_increments(z, dt, rho, dW, dB, dU) -> None:
+def _scale_increments(z, dt, rho, dW, dB, dU, tmp=None) -> None:
     """Fill dW, dB, dU from one block's standard normals z = (z0, z1, z2).
 
     dW = z0*sqrt(dt), dB = rho*dW + sqrt(1-rho^2)*(z1*sqrt(dt)) and
-    dU = z2*sqrt(dt), in that order of operations.  z is only read, so one
-    tile can be scaled for several grids; dU holds rho*dW on the way.
+    dU = z2*sqrt(dt), in that order of operations.  tmp holds rho*dW on
+    the way; it defaults to dU, which is right when z is only read (one
+    tile scaled for several grids).  When z is (dW, dB, dU) itself, the
+    scaling runs in place and tmp must be a separate plane.
     """
+    tmp = dU if tmp is None else tmp
     sq_dt = np.sqrt(dt)
     np.multiply(z[0], sq_dt, out=dW)
     np.multiply(z[1], sq_dt, out=dB)
     np.multiply(dB, np.sqrt(1.0 - rho * rho), out=dB)
-    np.multiply(dW, rho, out=dU)
-    np.add(dB, dU, out=dB)
+    np.multiply(dW, rho, out=tmp)
+    np.add(dB, tmp, out=dB)
     np.multiply(z[2], sq_dt, out=dU)
 
 
@@ -239,7 +269,10 @@ def sample_correlated_increments(
     All three have per-column variance dt.  Identical (seed, grid, rho,
     n_paths) gives bit-identical output on any machine/thread count; the
     first m paths agree between runs with different n_paths.  Each
-    BLOCK_SIZE-path block is drawn by one task of run_chunks.
+    BLOCK_SIZE-path block is one task of run_chunks, which draws the
+    block's planes straight into its rows of dW, dB and dU and scales them
+    there; the worker's one (BLOCK_SIZE, N) plane takes a partial block's
+    unused draws and the rho*dW term.
     """
     if abs(rho) > 1:
         raise ValueError(f"|rho| must be <= 1, got {rho}")
@@ -251,12 +284,13 @@ def sample_correlated_increments(
     dB = np.empty((n_paths, N))
     dU = np.empty((n_paths, N))
 
-    def draw(block: int, tile: np.ndarray) -> None:
+    def draw(block: int, spare: np.ndarray) -> None:
         rows = _block_rows(block, n_paths)
-        z = _block_normals(seed, block, tile)[:, : rows.stop - rows.start]
-        _scale_increments(z, grid.dt, rho, dW[rows], dB[rows], dU[rows])
+        planes = _block_normals(seed, block, (dW[rows], dB[rows], dU[rows]), spare)
+        tmp = spare[: planes[0].size].reshape(planes[0].shape)
+        _scale_increments(planes, grid.dt, rho, *planes, tmp)
 
-    run_chunks(_n_blocks(n_paths), draw, lambda: np.empty((3, BLOCK_SIZE, N)))
+    run_chunks(_n_blocks(n_paths), draw, lambda: np.empty(BLOCK_SIZE * N))
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),

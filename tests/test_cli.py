@@ -175,17 +175,16 @@ def test_compare_grid_has_one_row_per_cell(tmp_path):
     )
     assert cli.main(["compare", "--config", cfg]) == 0
     lines = (tmp_path / "compare_rmse.csv").read_text().splitlines()
-    assert lines[1] == "terms,steps,rmse,runtime_rbergomi,runtime_abergomi"
+    # no run-specific column: both sides share one simulation per step count
+    assert lines[1] == "terms,steps,rmse"
     rows = [line.split(",") for line in lines[2:]]
     assert [(int(r[0]), int(r[1])) for r in rows] == [
         (2, 4), (3, 4), (2, 6), (3, 6),
     ]
     for r in rows:
-        rmse, rt_r, rt_a = float(r[2]), float(r[3]), float(r[4])
+        assert len(r) == 3
+        rmse = float(r[2])
         assert np.isfinite(rmse) and rmse >= 0
-        assert rt_r > 0 and rt_a > 0
-    # the rBergomi side is shared across term counts at fixed step count
-    assert rows[0][3] == rows[1][3]
 
 
 def _smile_columns(path):
@@ -346,6 +345,20 @@ def test_every_simulation_runs_once(tmp_path, monkeypatch):
     assert cli.main(["skew", "--config", cfg]) == 0
     # one tile serves all three maturities
     assert len(draws) == 1
+    draws.clear()
+    cfg = write_config(
+        tmp_path,
+        table1_config(
+            paths=64,
+            kernel=SMALL_KERNEL,
+            compare={"terms": [2, 3], "steps": [20, 40]},
+            out_dir=str(tmp_path),
+        ),
+        name="compare.json",
+    )
+    assert cli.main(["compare", "--config", cfg]) == 0
+    # one tile per step count serves rBergomi and both kernels
+    assert len(draws) == 2
 
 
 # ---------------------------------------------------------------------------

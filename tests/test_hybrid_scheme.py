@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import roughvol as rv
 from roughvol import BLOCK_SIZE, sim_core
+from roughvol.hybrid_scheme import FFT_CHUNK_ROWS
 
 ALPHA = 0.07 - 0.5  # H = 0.07
 
@@ -193,3 +194,40 @@ def test_toeplitz_does_not_depend_on_the_thread_count(rows, monkeypatch):
         runs.append(rv.toeplitz_convolve(ker, sig))
     assert runs[0].shape == (rows, 50)
     assert np.array_equal(runs[0], runs[1])
+
+
+def _whole_array_convolution(kernel, signal):
+    """The first n columns of irfft(rfft(kernel, L) * rfft(signal, L), L)."""
+    n = signal.shape[1]
+    L = 1 << int(np.ceil(np.log2(kernel.size + n - 1)))
+    spec = np.fft.rfft(kernel, L) * np.fft.rfft(signal, L, axis=1)
+    return np.fft.irfft(spec, L, axis=1)[:, :n]
+
+
+def _whole_array_volterra(plan, inc):
+    """X = sqrt(2*alpha+1) * (tail convolution + a1*dB + b1*dU), X_0 = 0."""
+    body = _whole_array_convolution(np.r_[0.0, plan.kernel_weights], inc.dB)
+    a1, b1 = rv.first_cell_coefficients(plan.alpha, plan.grid.dt)
+    X = np.zeros((inc.n_paths, plan.grid.N + 1))
+    X[:, 1:] = (body + (a1 * inc.dB + b1 * inc.dU)) * np.sqrt(2 * plan.alpha + 1)
+    return X
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize(
+    "n_paths", [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE + 5, 2 * BLOCK_SIZE + 7]
+)
+@pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
+def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypatch):
+    # each chunk task convolves into its rows of X and adds the first cell
+    # there, with its own worker's scratch
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    g = rv.make_time_grid(1.0, 12)
+    kern = rv.closed_form_kernel(4, 0.07, 2.0)[0] if kind == "kernel" else None
+    plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
+    inc = rv.sample_correlated_increments(g, -0.9, n_paths, 6)
+    got = rv.simulate_volterra(plan, inc).values
+    assert np.array_equal(got, _whole_array_volterra(plan, inc))
+    ker = np.r_[0.0, plan.kernel_weights]
+    want = _whole_array_convolution(ker, inc.dB)
+    assert np.array_equal(rv.toeplitz_convolve(ker, inc.dB), want)

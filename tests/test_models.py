@@ -1,11 +1,15 @@
 """Variance models: martingale checks, OU oracles, conditional expectations,
 and moment convergence of the kernel plan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 import roughvol as rv
+from roughvol import sim_core
+from roughvol.hybrid_scheme import FFT_CHUNK_ROWS
 
 
 def test_tabulated_smile_factors_frozen():
@@ -117,6 +121,85 @@ def test_streamed_terminal_rejects_mismatched_plans(table1):
         rv.simulate_terminal([_plan("rbergomi", 1.0, 12, table1.H)], table1, 0, 0)
     with pytest.raises(ValueError, match="plan"):
         rv.simulate_terminal([], table1, 5, 0)
+
+
+CHAIN_ROWS = [1, FFT_CHUNK_ROWS + 3, rv.BLOCK_SIZE + 5, 2 * rv.BLOCK_SIZE + 7]
+
+
+def _whole_array_log_price(V, inc):
+    """log S on whole arrays: steps sqrt(V)*dW - V*dt/2, summed from 0."""
+    v = V.values[:, :-1]
+    steps = np.sqrt(v) * inc.dW - v * 0.5 * V.grid.dt
+    logS = np.zeros((inc.n_paths, V.grid.N + 1))
+    logS[:, 1:] = np.cumsum(steps, axis=1)
+    return logS
+
+
+def _whole_array_variance(X, scale, params, grid):
+    comp = 0.5 * params.eta**2 * grid.nodes ** (2 * params.alpha + 1)
+    return np.exp(X * scale - comp) * params.xi0
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("n_paths", CHAIN_ROWS)
+def test_rbergomi_chain_equals_the_whole_array_formulas(
+    n_paths, width, table1, monkeypatch
+):
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    plan = _plan("rbergomi", 1.0, 12, table1.H)
+    inc = rv.sample_correlated_increments(plan.grid, table1.rho, n_paths, 8)
+    X = rv.simulate_volterra(plan, inc)
+    V = rv.rbergomi_variance(X, table1)
+    want = _whole_array_variance(X.values, table1.eta, table1, plan.grid)
+    assert np.array_equal(V.values, want)
+    assert np.array_equal(rv.rbergomi_log_price(V, inc), _whole_array_log_price(V, inc))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("n_paths", CHAIN_ROWS)
+def test_rescaled_chain_equals_the_whole_array_formulas(
+    n_paths, width, toy_kernel, table1, monkeypatch
+):
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    g = rv.make_time_grid(1.0, 12)
+    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1, mult_factor=0.8)
+    inc = rv.sample_correlated_increments(g, table1.rho, n_paths, 8)
+    fac = rv.simulate_ou_factors(cfg, inc)
+    y = rv.abergomi_driver(cfg, fac)
+    c = np.power.outer(fac.decay, np.arange(g.N)).T @ toy_kernel.weights
+    L = 1 << int(np.ceil(np.log2(2 * g.N - 1)))
+    spec = np.fft.rfft(c, L) * np.fft.rfft(inc.dB, L, axis=1)
+    want = np.zeros((n_paths, g.N + 1))
+    want[:, 1:] = np.fft.irfft(spec, L, axis=1)[:, : g.N]
+    assert np.array_equal(y.values, want)
+    V = rv.abergomi_variance(cfg, y)
+    scale = cfg.mult_factor * cfg.eta_scale() * y.prefactor
+    assert np.array_equal(V.values, _whole_array_variance(y.values, scale, table1, g))
+    assert np.array_equal(rv.rbergomi_log_price(V, inc), _whole_array_log_price(V, inc))
+
+
+def _traced_peak(step, *args):
+    """(step(*args), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        return step(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_steps_allocate_little_beyond_their_output(table1, monkeypatch):
+    # tracemalloc sees numpy's buffers: a step that writes straight into the
+    # array it returns peaks near that array's size (the per-worker scratch
+    # is about 3 MB at N = 50 and width 2)
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
+    plan = _plan("rbergomi", 1.0, 50, table1.H)
+    inc = rv.sample_correlated_increments(plan.grid, table1.rho, 100_000, 2)
+    X, peak = _traced_peak(rv.simulate_volterra, plan, inc)
+    assert peak <= 1.25 * X.values.nbytes, f"volterra {peak / X.values.nbytes:.2f}x"
+    V, peak = _traced_peak(rv.rbergomi_variance, X, table1)
+    assert peak <= 1.25 * V.values.nbytes, f"variance {peak / V.values.nbytes:.2f}x"
+    logS, peak = _traced_peak(rv.rbergomi_log_price, V, inc)
+    assert peak <= 1.25 * logS.nbytes, f"log-price {peak / logS.nbytes:.2f}x"
 
 
 def _factor_state(kernel, inc, j):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import roughvol as rv
 from roughvol import BLOCK_SIZE, sim_core
+from roughvol.hybrid_scheme import FFT_CHUNK_ROWS
 
 
 def test_grid_basic():
@@ -179,6 +180,37 @@ def test_increments_do_not_depend_on_the_thread_count(n_paths, monkeypatch):
     assert np.array_equal(one.dW, two.dW)
     assert np.array_equal(one.dB, two.dB)
     assert np.array_equal(one.dU, two.dU)
+
+
+# a single path, a partial block over two FFT chunks, a full block plus a
+# partial one, and two full blocks plus a partial one
+CHAIN_ROWS = [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE + 5, 2 * BLOCK_SIZE + 7]
+
+
+def _whole_array_increments(grid, rho, n_paths, seed):
+    """dW, dB, dU from every block's full tile, row-sliced, on whole arrays."""
+    tiles = [
+        sim_core._block_normals(seed, block, np.empty((3, BLOCK_SIZE, grid.N)))
+        for block in range(-(-n_paths // BLOCK_SIZE))
+    ]
+    z = np.concatenate(tiles, axis=1)[:, :n_paths]
+    sq_dt = np.sqrt(grid.dt)
+    dW = z[0] * sq_dt
+    dB = z[1] * sq_dt * np.sqrt(1.0 - rho * rho) + dW * rho
+    return dW, dB, z[2] * sq_dt
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("n_paths", CHAIN_ROWS)
+def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
+    # the planes are drawn straight into dW, dB, dU; a partial block must
+    # still consume its whole tile, or dB and dU shift
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    g = rv.make_time_grid(1.0, 7)
+    inc = rv.sample_correlated_increments(g, -0.9, n_paths, 3)
+    want = _whole_array_increments(g, -0.9, n_paths, 3)
+    for name, plane in zip(("dW", "dB", "dU"), want):
+        assert np.array_equal(getattr(inc, name), plane), name
 
 
 @pytest.mark.parametrize("N,n_paths", [(100, 20_000), (8, BLOCK_SIZE + 5), (200, 1)])
