@@ -9,11 +9,12 @@ left-rule nodes b_k^* and a single lower-triangular Toeplitz convolution,
 evaluated in O(N log N) by zero-padded FFT.
 
 The convolution runs in FFT_CHUNK_ROWS-row chunks, one sim_core.run_chunks
-task each (_convolve_into): a chunk goes through its worker's FFT buffers
-and lands straight in its rows of the output.  simulate_volterra writes the
-chunk into X[:, 1:] and adds the first cell to those rows in the same task,
-with two (FFT_CHUNK_ROWS, N) planes of that worker, so the only full-size
-array it makes is the one it returns.
+task each: a chunk goes through its worker's FFT buffers and lands straight
+in its rows of the output.  _volterra_rows, which simulate_volterra and
+models.simulate_terminal both run, writes each chunk into X[:, 1:] and adds
+the first cell to those rows, with its two scratch planes taken from the
+chunk's idle FFT signal buffer, so the only full-size array
+simulate_volterra makes is the one it returns.
 
 The same scheme simulates the Markovian approximation: given a
 sum-of-exponentials kernel K(tau) = sum_i w_i e^(-x_i tau), the cells k >= 2
@@ -31,7 +32,7 @@ the CLI runs, one path block at a time), and the variance step is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,9 +65,6 @@ class HybridPlan:
     grid : TimeGrid
     alpha : float
         Kernel exponent in (-1/2, 0).
-    b_star : ndarray or None
-        Optimal evaluation points b_k^*, k = 2..N; b_k^* lies in [k-1, k].
-        None for a kernel plan, whose weights do not use them.
     kernel_weights : ndarray
         Cell averages c_k, k = 2..N, of the kernel over [(k-1)*dt, k*dt]:
         (b_k^* * dt)^alpha for the power kernel, the sum-of-exponentials
@@ -77,7 +75,6 @@ class HybridPlan:
 
     grid: TimeGrid
     alpha: float
-    b_star: np.ndarray | None
     kernel_weights: np.ndarray
     kernel: ExpKernel | None = None
 
@@ -150,8 +147,7 @@ def make_hybrid_plan(
     kernel.H = alpha + 1/2.
     """
     if kernel is None:
-        b = _readonly(optimal_nodes(alpha, grid.N))
-        w = (b * grid.dt) ** alpha
+        w = (optimal_nodes(alpha, grid.N) * grid.dt) ** alpha
     else:
         if not (-0.5 < alpha < 0.0):
             raise ValueError(f"alpha must lie in (-1/2, 0), got {alpha}")
@@ -160,7 +156,6 @@ def make_hybrid_plan(
                 f"kernel was built for H={kernel.H}, plan has alpha={alpha} "
                 f"(H={alpha + 0.5})"
             )
-        b = None
         x_dt = kernel.speeds * grid.dt
         cell_mass = kernel.weights * -np.expm1(-x_dt) / x_dt
         lags = np.arange(1, grid.N) * grid.dt
@@ -170,7 +165,6 @@ def make_hybrid_plan(
     return HybridPlan(
         grid=grid,
         alpha=alpha,
-        b_star=b,
         kernel_weights=_readonly(w),
         kernel=kernel,
     )
@@ -206,43 +200,21 @@ def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_row_chunks(n_rows: int, work: Callable, scratch: Callable) -> None:
-    """run_chunks over the FFT_CHUNK_ROWS-row slices of n_rows rows.
-
-    Calls work(rows, buf) with rows a slice (the last may be shorter) and
-    buf the worker's scratch() buffer.
-    """
-
-    def task(chunk: int, buf) -> None:
-        lo = chunk * FFT_CHUNK_ROWS
-        work(slice(lo, min(lo + FFT_CHUNK_ROWS, n_rows)), buf)
-
-    run_chunks((n_rows + FFT_CHUNK_ROWS - 1) // FFT_CHUNK_ROWS, task, scratch)
-
-
-def _convolve_into(kernel, signal, out, finish: Callable | None = None) -> None:
+def _convolve_into(kernel, signal, out) -> None:
     """out = toeplitz_convolve(kernel, signal), written chunk by chunk.
 
     out is [rows x n] like signal and may be a strided view, such as the
-    last n columns of a path array.  Each chunk of _run_row_chunks
-    convolves its rows through the worker's FFT buffers; finish(rows, tmp),
-    if given, then runs on the same rows in the same task, with tmp a pair
-    of [rows x n] scratch planes of that worker.
+    last n columns of a path array.  Each FFT_CHUNK_ROWS-row chunk is one
+    run_chunks task, which convolves its rows through the worker's FFT
+    buffers.
     """
     rows, n = signal.shape
     K, L = _kernel_spectrum(kernel, n)
-    r = min(FFT_CHUNK_ROWS, rows)
 
-    def scratch():
-        return _fft_buffers(L, r), None if finish is None else np.empty((2, r, n))
-
-    def convolve(chunk: slice, bufs) -> None:
-        fft_bufs, tmp = bufs
+    def convolve(chunk: slice, fft_bufs) -> None:
         _convolve_rows(K, signal[chunk], out[chunk], fft_bufs)
-        if finish is not None:
-            finish(chunk, tmp[:, : chunk.stop - chunk.start])
 
-    _run_row_chunks(rows, convolve, scratch)
+    run_chunks(rows, FFT_CHUNK_ROWS, convolve, lambda: _fft_buffers(L, rows))
 
 
 def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -256,7 +228,11 @@ def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 
 
 def _fft_buffers(L: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """One worker's spectrum and length-L signal buffers for `rows` rows."""
+    """One worker's spectrum and length-L signal buffers for one chunk.
+
+    They hold min(rows, FFT_CHUNK_ROWS) rows: a chunk of a `rows`-row input.
+    """
+    rows = min(rows, FFT_CHUNK_ROWS)
     return np.empty((rows, L // 2 + 1), complex), np.empty((rows, L))
 
 
@@ -282,34 +258,30 @@ def _volterra_kernel(plan: HybridPlan) -> np.ndarray:
     return c
 
 
-def _finish_volterra(plan: HybridPlan, body, dB, dU, out, tmp_b, tmp_u) -> None:
-    """out = X paths from the tail convolution body and the increments dB, dU.
-
-    X_{t_j} = sqrt(2*alpha+1) * (body + a1*dB + b1*dU) at j >= 1, X_0 = 0, in
-    that order of operations.  body is overwritten and may be out[:, 1:];
-    tmp_b and tmp_u are scratch of dB's shape and may be dB and dU
-    themselves.  out is [rows x (N+1)].
-    """
-    a1, b1 = first_cell_coefficients(plan.alpha, plan.grid.dt)
-    np.multiply(dB, a1, out=tmp_b)
-    np.multiply(dU, b1, out=tmp_u)
-    np.add(tmp_b, tmp_u, out=tmp_b)
-    np.add(body, tmp_b, out=body)
-    out[:, 0] = 0.0
-    np.multiply(body, np.sqrt(2 * plan.alpha + 1), out=out[:, 1:])
-
-
-def _volterra_rows(plan: HybridPlan, K, dB, dU, out, body, fft_bufs) -> None:
+def _volterra_rows(plan: HybridPlan, K, dB, dU, out, fft_bufs) -> None:
     """out = X on the rows of dB and dU, in the calling thread.
 
-    The tail convolution runs in FFT_CHUNK_ROWS chunks through fft_bufs
-    (_fft_buffers) with K = the spectrum of _volterra_kernel(plan), then
-    _finish_volterra adds the first cell.  Overwrites body, dB and dU.
+    For each chunk of at most FFT_CHUNK_ROWS rows, the tail convolution (K =
+    the spectrum of _volterra_kernel(plan)) goes through fft_bufs
+    (_fft_buffers) into out[:, 1:], and then the first cell is added there:
+    X_{t_j} = sqrt(2*alpha+1) * (tail + a1*dB + b1*dU) at j >= 1, X_0 = 0,
+    in that order of operations.  The first cell's two scratch planes are
+    the chunk's FFT signal buffer, idle by then: it has L >= 2N columns, so
+    its memory holds a contiguous (2, rows, N) view.  out is [rows x (N+1)];
+    dB and dU are only read.
     """
+    a1, b1 = first_cell_coefficients(plan.alpha, plan.grid.dt)
     for lo in range(0, dB.shape[0], FFT_CHUNK_ROWS):
         chunk = slice(lo, lo + FFT_CHUNK_ROWS)
-        _convolve_rows(K, dB[chunk], body[chunk], fft_bufs)
-    _finish_volterra(plan, body, dB, dU, out, dB, dU)
+        b, u, body = dB[chunk], dU[chunk], out[chunk, 1:]
+        _convolve_rows(K, b, body, fft_bufs)
+        tmp_b, tmp_u = fft_bufs[1].reshape(-1)[: 2 * b.size].reshape(2, *b.shape)
+        np.multiply(b, a1, out=tmp_b)
+        np.multiply(u, b1, out=tmp_u)
+        np.add(tmp_b, tmp_u, out=tmp_b)
+        np.add(body, tmp_b, out=body)
+        out[chunk, 0] = 0.0
+        np.multiply(body, np.sqrt(2 * plan.alpha + 1), out=body)
 
 
 def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
@@ -327,11 +299,12 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     """
     if inc.grid != plan.grid:
         raise ValueError("increments and plan were built on different grids")
-    values = np.empty((inc.n_paths, plan.grid.N + 1))
+    n, N = inc.n_paths, plan.grid.N
+    values = np.empty((n, N + 1))
+    K, L = _kernel_spectrum(_volterra_kernel(plan), N)
 
-    def first_cell(rows: slice, tmp: np.ndarray) -> None:
-        body = values[rows, 1:]
-        _finish_volterra(plan, body, inc.dB[rows], inc.dU[rows], values[rows], *tmp)
+    def volterra(rows: slice, fft_bufs) -> None:
+        _volterra_rows(plan, K, inc.dB[rows], inc.dU[rows], values[rows], fft_bufs)
 
-    _convolve_into(_volterra_kernel(plan), inc.dB, values[:, 1:], first_cell)
+    run_chunks(n, FFT_CHUNK_ROWS, volterra, lambda: _fft_buffers(L, n))
     return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=plan.alpha)

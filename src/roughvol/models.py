@@ -21,9 +21,9 @@ abergomi_driver convolves into y[:, 1:].
 simulate_terminal runs that chain, with rbergomi_log_price, one path block
 at a time on sim_core's pool and keeps only the terminal values; plans that
 share N share each block's Gaussians.  Both routes call the same helpers
-for each step (sim_core._scale_increments, hybrid_scheme._convolve_rows and
-_finish_volterra, _lognormal_variance, _euler_steps), so they agree bit for
-bit; the chain stays as the tests' reference.
+for each step (sim_core._scale_increments, hybrid_scheme._volterra_rows,
+_lognormal_variance, _euler_steps), so they agree bit for bit; the chain
+stays as the tests' reference.
 
 The affine structure of the Markovian model is kept in closed form:
 quadratic_variation_chi is the kernel's quadratic variation over a window,
@@ -62,7 +62,6 @@ from .hybrid_scheme import (
     _convolve_into,
     _fft_buffers,
     _kernel_spectrum,
-    _run_row_chunks,
     _volterra_kernel,
     _volterra_rows,
 )
@@ -73,9 +72,7 @@ from .sim_core import (
     PathIncrements,
     TimeGrid,
     _block_normals,
-    _block_rows,
     _check_n_paths,
-    _n_blocks,
     _readonly,
     _scale_increments,
     run_chunks,
@@ -215,21 +212,23 @@ def _lognormal_variance(X, scale, comp, xi0, out) -> None:
 def _lognormal_paths(X, scale, comp, xi0) -> np.ndarray:
     """_lognormal_variance of the paths X into a new read-only array.
 
-    One pool task per FFT_CHUNK_ROWS rows (hybrid_scheme._run_row_chunks).
+    One pool task per FFT_CHUNK_ROWS rows.
     """
     V = np.empty_like(X)
 
     def rows_task(rows: slice, _) -> None:
         _lognormal_variance(X[rows], scale, comp, xi0, V[rows])
 
-    _run_row_chunks(X.shape[0], rows_task, lambda: None)
+    run_chunks(X.shape[0], FFT_CHUNK_ROWS, rows_task, lambda: None)
     return _readonly(V)
 
 
 def _euler_steps(V, dW, dt, out, tmp) -> None:
     """out_j = sqrt(V_j)*dW_j - 0.5*V_j*dt for j < N, in that order of operations.
 
-    V is [rows x (N+1)]; dW, out and tmp are [rows x N], and out may be dW.
+    V is [rows x (N+1)]; dW, out and tmp are [rows x N].  out and tmp are
+    two separate planes that alias neither V nor dW: sqrt(V) goes into out
+    before it is multiplied by dW.
     """
     v = V[:, :-1]
     np.sqrt(v, out=out)
@@ -258,7 +257,8 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
         logS[rows, 0] = 0.0
         np.cumsum(steps, axis=1, out=logS[rows, 1:])
 
-    _run_row_chunks(n, euler, lambda: np.empty((2, min(FFT_CHUNK_ROWS, n), N)))
+    rows_max = min(FFT_CHUNK_ROWS, n)
+    run_chunks(n, FFT_CHUNK_ROWS, euler, lambda: np.empty((2, rows_max, N)))
     return logS
 
 
@@ -274,10 +274,11 @@ def simulate_terminal(
 
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the block's
     Gaussian tile once, which depends on (seed, block, N) only, and runs
-    every plan on it: scaling into increments, the tail convolution in
-    FFT_CHUNK_ROWS chunks, the variance and the Euler log-price.  So no
-    path matrix outlives its block, and the draw is shared by all plans.
-    Every buffer is made in the calling thread (see sim_core).
+    every plan on it: scaling into increments, simulate_volterra's own
+    row routine (hybrid_scheme._volterra_rows), the variance and the Euler
+    log-price.  So no path matrix outlives its block, and the draw is
+    shared by all plans.  Every buffer is made in the calling thread (see
+    sim_core).
     """
     plans = list(plans)
     if not plans:
@@ -299,28 +300,27 @@ def simulate_terminal(
     def scratch():
         return (
             np.empty((3, BLOCK_SIZE, N)),  # the tile is always drawn in full
-            np.empty((4, rows_max, N)),
+            np.empty((3, rows_max, N)),
             np.empty((rows_max, N + 1)),
-            _fft_buffers(L, min(FFT_CHUNK_ROWS, rows_max)),
+            _fft_buffers(L, rows_max),
         )
 
-    def run_block(block: int, bufs) -> None:
+    def run_block(rows: slice, bufs) -> None:
         tile, planes, X, fft_bufs = bufs
-        rows = _block_rows(block, n_paths)
         m = rows.stop - rows.start
-        z = _block_normals(seed, block, tile)[:, :m]
-        dW, dB, dU, body = planes[:, :m]
+        z = _block_normals(seed, rows.start // BLOCK_SIZE, tile)[:, :m]
+        dW, dB, dU = planes[:, :m]
         X = X[:m]
         for (plan, K, comp), (log_S, V_T) in zip(runs, out):
             _scale_increments(z, plan.grid.dt, params.rho, dW, dB, dU)
-            _volterra_rows(plan, K, dB, dU, X, body, fft_bufs)
+            _volterra_rows(plan, K, dB, dU, X, fft_bufs)
             _lognormal_variance(X, params.eta, comp, params.xi0, X)
             V_T[rows] = X[:, -1]
-            _euler_steps(X, dW, plan.grid.dt, body, dB)
-            np.cumsum(body, axis=1, out=dU)
+            _euler_steps(X, dW, plan.grid.dt, dB, dU)
+            np.cumsum(dB, axis=1, out=dU)
             log_S[rows] = dU[:, -1]
 
-    run_chunks(_n_blocks(n_paths), run_block, scratch)
+    run_chunks(n_paths, BLOCK_SIZE, run_block, scratch)
     return out
 
 

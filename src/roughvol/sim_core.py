@@ -6,20 +6,20 @@ reproducibility story: a counter-based generator (Philox) is sub-seeded per
 fixed-size path block, which makes the output independent of scheduling and
 lets two runs with different ``n_paths`` agree on their common prefix.
 
-Because no block depends on another, the module also owns the small runner
-that spreads independent chunks of work over threads (``run_chunks``): the
-increment blocks here, the fixed 1024-row chunks of every later step of
-the public chain (``hybrid_scheme.simulate_volterra`` and
-``toeplitz_convolve``, the variance and log-price steps of ``models``), and
-the path blocks of ``models.simulate_terminal``.  numpy's RNG fill and
-``np.fft`` release the interpreter lock, so the threads run on separate
-cores.  The pool width is
-the usable-CPU count, capped by ``OMP_NUM_THREADS`` when that variable holds an
-integer >= 1 (the CLI's ``--threads`` sets it, and a value inherited from
-the environment caps it just the same).  The width follows the affinity mask,
-not a cgroup CPU quota.  Worker s takes chunks s,
-s + width, ..., and every chunk is computed by the same operations in the same
-order at any width, so results are bit-identical whatever the thread count.
+Because no block depends on another, the module also owns the one runner
+that spreads fixed-size row slices of work over threads (``run_chunks``):
+the BLOCK_SIZE-path increment blocks here and the path blocks of
+``models.simulate_terminal``, and the fixed 1024-row chunks of every later
+step of the public chain (``hybrid_scheme.simulate_volterra`` and
+``toeplitz_convolve``, the variance and log-price steps of ``models``).
+numpy's RNG fill and ``np.fft`` release the interpreter lock, so the
+threads run on separate cores.  The pool width is the usable-CPU count,
+capped by ``OMP_NUM_THREADS`` when that variable holds an integer >= 1 (the
+CLI's ``--threads`` sets it, and a value inherited from the environment
+caps it just the same).  The width follows the affinity mask, not a cgroup
+CPU quota.  Worker s takes slices s, s + width, ..., and every slice is
+computed by the same operations in the same order at any width, so results
+are bit-identical whatever the thread count.
 
 Models that hold per-path intermediates run over the paths in the same
 BLOCK_SIZE-path blocks, so their peak memory is set by one block:
@@ -37,12 +37,13 @@ so a chain holds its inputs, its outputs and its workers' scratch, and no
 whole-size temporary.  A sample_correlated_increments worker draws a
 block's three planes into its rows of dW, dB and dU and holds one
 (BLOCK_SIZE, N) plane, for a partial block's unused draws and the rho*dW
-term.  A simulate_volterra worker holds FFT buffers and two (1024, N)
-planes, an abergomi_driver or toeplitz_convolve worker the FFT buffers, an
-rbergomi_log_price worker two (1024, N) planes, and the variance steps
-none.  A simulate_terminal worker holds a (3, BLOCK_SIZE, N) tile, four
-(BLOCK_SIZE, N) increment and path planes, one (BLOCK_SIZE, N+1) path
-array and FFT buffers for 1024 rows, about 30 MB at N = 100.
+term.  A simulate_volterra, abergomi_driver or toeplitz_convolve worker
+holds the FFT buffers for 1024 rows (simulate_volterra takes its first-cell
+scratch from their idle signal buffer), an rbergomi_log_price worker two
+(1024, N) planes, and the variance steps none.  A simulate_terminal worker
+holds a (3, BLOCK_SIZE, N) tile, three (BLOCK_SIZE, N) increment planes,
+one (BLOCK_SIZE, N+1) path array and the FFT buffers, about 27 MB at
+N = 100.
 
 Measured with two threads: the benchmark's markov_smile chain (20 000
 paths, N = 200) peaks at 216.3 MB RSS and its rough_smile chain (100 000
@@ -93,20 +94,21 @@ def _pool_width() -> int:
     return min(width, cap) if cap >= 1 else width
 
 
-def run_chunks(n_chunks: int, work: Callable, scratch: Callable) -> None:
-    """Call work(chunk, buf) for chunk = 0..n_chunks-1 on a thread pool.
+def run_chunks(n_rows: int, size: int, work: Callable, scratch: Callable) -> None:
+    """Call work(rows, buf) for the size-row slices of range(n_rows) on a thread pool.
 
-    scratch() makes one worker's buffer; it is called once per worker, in
-    the calling thread.  Worker s takes chunks s, s + width, ..., so buf is
-    never shared between threads; work must write only to its own chunk of
-    the outputs.  A single chunk, or a width of 1, runs inline.
+    rows is slice(lo, min(lo + size, n_rows)), so the last slice may be
+    shorter.  scratch() makes one worker's buffer; it is called once per
+    worker, in the calling thread.  Worker s takes slices s, s + width, ...,
+    so buf is never shared between threads; work must write only to its own
+    rows of the outputs.  A single slice, or a width of 1, runs inline.
     """
-    width = max(1, min(_pool_width(), n_chunks))
+    width = max(1, min(_pool_width(), -(-n_rows // size)))
     bufs = [scratch() for _ in range(width)]
 
     def lane(s: int) -> None:
-        for chunk in range(s, n_chunks, width):
-            work(chunk, bufs[s])
+        for lo in range(s * size, n_rows, width * size):
+            work(slice(lo, min(lo + size, n_rows)), bufs[s])
 
     if width <= 1:
         lane(0)
@@ -226,16 +228,6 @@ def _block_normals(seed: int, block: int, out, spare=None):
     return out
 
 
-def _n_blocks(n_paths: int) -> int:
-    return (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-
-def _block_rows(block: int, n_paths: int) -> slice:
-    """The rows of path block `block`; the last block may be shorter."""
-    lo = block * BLOCK_SIZE
-    return slice(lo, min(lo + BLOCK_SIZE, n_paths))
-
-
 def _check_n_paths(n_paths) -> int:
     if int(n_paths) != n_paths or n_paths < 1:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
@@ -284,13 +276,13 @@ def sample_correlated_increments(
     dB = np.empty((n_paths, N))
     dU = np.empty((n_paths, N))
 
-    def draw(block: int, spare: np.ndarray) -> None:
-        rows = _block_rows(block, n_paths)
+    def draw(rows: slice, spare: np.ndarray) -> None:
+        block = rows.start // BLOCK_SIZE
         planes = _block_normals(seed, block, (dW[rows], dB[rows], dU[rows]), spare)
         tmp = spare[: planes[0].size].reshape(planes[0].shape)
         _scale_increments(planes, grid.dt, rho, *planes, tmp)
 
-    run_chunks(_n_blocks(n_paths), draw, lambda: np.empty(BLOCK_SIZE * N))
+    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty(BLOCK_SIZE * N))
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),
@@ -313,13 +305,13 @@ def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndar
     seed = int(seed)
     W = np.empty(n_paths)
 
-    def draw(block: int, tile: np.ndarray) -> None:
-        rows = _block_rows(block, n_paths)
+    def draw(rows: slice, tile: np.ndarray) -> None:
+        block = rows.start // BLOCK_SIZE
         dW = _block_normals(seed, block, tile)[0, : rows.stop - rows.start]
         np.multiply(dW, np.sqrt(grid.dt), out=dW)
         np.sum(dW, axis=1, out=W[rows])
 
-    run_chunks(_n_blocks(n_paths), draw, lambda: np.empty((1, BLOCK_SIZE, grid.N)))
+    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((1, BLOCK_SIZE, grid.N)))
     return W
 
 
@@ -330,8 +322,8 @@ def iter_blocks(inc: PathIncrements) -> Iterator[tuple[slice, PathIncrements]]:
     and seed; the last block may be shorter.  A model evaluated block by
     block keeps only one block's intermediate paths in memory.
     """
-    for block in range(_n_blocks(inc.n_paths)):
-        rows = _block_rows(block, inc.n_paths)
+    for lo in range(0, inc.n_paths, BLOCK_SIZE):
+        rows = slice(lo, min(lo + BLOCK_SIZE, inc.n_paths))
         yield rows, replace(
             inc,
             n_paths=rows.stop - rows.start,

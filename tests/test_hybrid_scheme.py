@@ -171,7 +171,7 @@ def test_kernel_plan_first_step_variance_is_exact():
     g = rv.make_time_grid(1.0, 8)
     inc = rv.sample_correlated_increments(g, 0.0, 200_000, 17)
     plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
-    assert plan.b_star is None and plan.kernel is kern
+    assert plan.kernel is kern
     assert np.all(np.diff(plan.kernel_weights) < 0)
     X = rv.simulate_volterra(plan, inc)
     assert X.values[:, 1].var() == pytest.approx(g.dt ** (2 * 0.07), rel=0.02)

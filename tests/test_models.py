@@ -190,16 +190,36 @@ def _traced_peak(step, *args):
 def test_chain_steps_allocate_little_beyond_their_output(table1, monkeypatch):
     # tracemalloc sees numpy's buffers: a step that writes straight into the
     # array it returns peaks near that array's size (the per-worker scratch
-    # is about 3 MB at N = 50 and width 2)
+    # is about 3 MB at N = 50 and width 2; a simulate_volterra worker holds
+    # only its FFT buffers)
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
     plan = _plan("rbergomi", 1.0, 50, table1.H)
     inc = rv.sample_correlated_increments(plan.grid, table1.rho, 100_000, 2)
     X, peak = _traced_peak(rv.simulate_volterra, plan, inc)
-    assert peak <= 1.25 * X.values.nbytes, f"volterra {peak / X.values.nbytes:.2f}x"
+    assert peak <= 1.13 * X.values.nbytes, f"volterra {peak / X.values.nbytes:.3f}x"
     V, peak = _traced_peak(rv.rbergomi_variance, X, table1)
     assert peak <= 1.25 * V.values.nbytes, f"variance {peak / V.values.nbytes:.2f}x"
     logS, peak = _traced_peak(rv.rbergomi_log_price, V, inc)
     assert peak <= 1.25 * logS.nbytes, f"log-price {peak / logS.nbytes:.2f}x"
+
+
+def test_streamed_terminal_memory_stays_flat(table1, monkeypatch):
+    # beyond its 16 bytes per path of output, simulate_terminal holds only
+    # its workers' scratch: one tile, three (BLOCK_SIZE, N) planes, one
+    # (BLOCK_SIZE, N+1) path array and FFT buffers for FFT_CHUNK_ROWS rows
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
+    N, B = 50, rv.BLOCK_SIZE
+    plan = _plan("rbergomi", 1.0, N, table1.H)
+    rv.simulate_terminal([plan], table1, 3 * B, 1)  # warm-up: numpy's FFT caches
+    L = 128  # the power of two >= 2N - 1
+    fft = FFT_CHUNK_ROWS * (16 * (L // 2 + 1) + 8 * L)
+    worker = 8 * (3 * B * N + 3 * B * N + B * (N + 1)) + fft
+    extra = {}
+    for blocks in (3, 12):
+        _, peak = _traced_peak(rv.simulate_terminal, [plan], table1, blocks * B, 1)
+        extra[blocks] = peak - 16 * blocks * B
+        assert extra[blocks] <= 2 * worker + 1e6, f"{blocks} blocks: {extra[blocks]} B"
+    assert abs(extra[12] - extra[3]) <= 0.5e6, extra
 
 
 def _factor_state(kernel, inc, j):

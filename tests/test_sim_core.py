@@ -228,37 +228,46 @@ def test_run_chunks_gives_each_worker_its_own_buffer(monkeypatch):
     seen = {}
     made = []
 
-    def work(chunk, buf):
-        buf.append(chunk)
-        seen[chunk] = threading.get_ident()
+    def work(rows, buf):
+        buf.append((rows.start, rows.stop))
+        seen[rows.start] = threading.get_ident()
 
     def scratch():
         made.append([])
         return made[-1]
 
-    sim_core.run_chunks(8, work, scratch)
-    assert sorted(seen) == list(range(8))
-    # worker s takes chunks s, s + 3, ...
-    assert made == [[0, 3, 6], [1, 4, 7], [2, 5]]
+    # 8 slices of 10 rows and a short last one of 3
+    sim_core.run_chunks(83, 10, work, scratch)
+    assert sorted(seen) == list(range(0, 90, 10))
+    # worker s takes slices s, s + 3, ...
+    assert made == [
+        [(0, 10), (30, 40), (60, 70)],
+        [(10, 20), (40, 50), (70, 80)],
+        [(20, 30), (50, 60), (80, 83)],
+    ]
     assert threading.get_ident() not in seen.values()
 
 
 def test_run_chunks_runs_a_single_chunk_inline(monkeypatch):
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
-    idents = []
-    sim_core.run_chunks(1, lambda chunk, buf: idents.append(threading.get_ident()), list)
-    assert idents == [threading.get_ident()]
+    calls = []
+
+    def work(rows, buf):
+        calls.append((rows, threading.get_ident()))
+
+    sim_core.run_chunks(7, 10, work, list)
+    assert calls == [(slice(0, 7), threading.get_ident())]
 
 
 def test_run_chunks_reraises_a_worker_error(monkeypatch):
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
 
-    def work(chunk, buf):
-        if chunk == 3:
-            raise RuntimeError("chunk 3 failed")
+    def work(rows, buf):
+        if rows.start == 30:
+            raise RuntimeError("rows 30 failed")
 
-    with pytest.raises(RuntimeError, match="chunk 3"):
-        sim_core.run_chunks(4, work, list)
+    with pytest.raises(RuntimeError, match="rows 30"):
+        sim_core.run_chunks(40, 10, work, list)
 
 
 @pytest.mark.parametrize(
