@@ -1,9 +1,9 @@
 """How many exponentials does the rough kernel need?
 
 Prints the accuracy of the two sum-of-exponentials constructions side by
-side: the closed-form geometric-node kernel with its certified L2 error
-bound, and the least-squares fit on the simulation grid.  Both target
-tau^(H-1/2) (the LS fit carries the sqrt(2H) normalization), H = 0.07.
+side: the closed-form kernel (mu-barycentres of uniform cells) with its
+certified L2 error bound, and the least-squares fit on the simulation grid.
+Both target sqrt(2H) * tau^(H-1/2), H = 0.07.
 
 Run:  python3 demos/kernel_accuracy.py
 """
@@ -16,7 +16,7 @@ H, T, N_GRID = 0.07, 1.0, 100
 
 
 def main():
-    print(f"closed-form kernel, H={H}, T={T} (plain tau^(H-1/2) target)")
+    print(f"closed-form kernel, H={H}, T={T}")
     print(f"{'n':>4}  {'L2 error':>12}  {'certified bound':>16}  {'error/bound':>12}")
     for n in (5, 10, 25, 50, 100):
         _, cert = rv.closed_form_kernel(n, H, T)
@@ -27,7 +27,7 @@ def main():
 
     tau = np.arange(1, N_GRID) * (T / N_GRID)
     target = np.sqrt(2 * H) * tau ** (H - 0.5)
-    print(f"\nleast-squares fit on the {N_GRID}-step grid (normalized target)")
+    print(f"\nleast-squares fit on the {N_GRID}-step grid")
     print(f"{'n':>4}  {'grid RMSE':>12}  {'speed range':>24}")
     for n in (5, 15, 25):
         kern = rv.fit_kernel_ls(H, T, N_GRID, n)

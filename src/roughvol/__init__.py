@@ -35,13 +35,11 @@ _EXPORTS = {
     # kernel
     "ExpKernel": ".kernel",
     "KernelErrorCert": ".kernel",
-    "KernelFitError": ".kernel",
     "power_kernel": ".kernel",
     "laplace_mu": ".kernel",
     "closed_form_kernel": ".kernel",
     "kernel_l2_error": ".kernel",
     "fit_kernel_ls": ".kernel",
-    "normalized_copy": ".kernel",
     # models
     "SMILE_FACTOR_M2": ".models",
     "VariancePaths": ".models",
@@ -72,6 +70,7 @@ _EXPORTS = {
     "mc_smile": ".analytics",
     "smile_rmse": ".analytics",
     "atm_skew": ".analytics",
+    "skew_report": ".analytics",
     "fit_power_law": ".analytics",
     "helper_functions": ".analytics",
     "two_factor_coeffs": ".analytics",

@@ -42,6 +42,7 @@ __all__ = [
     "mc_smile",
     "smile_rmse",
     "atm_skew",
+    "skew_report",
     "fit_power_law",
     "helper_functions",
     "two_factor_coeffs",
@@ -332,16 +333,25 @@ def atm_skew(smile_fn, maturities, bump: float = 0.01) -> SkewReport:
     probe = np.array([-dk, -dk / 2, dk / 2, dk])
     psi = np.empty(maturities.size)
     rich = np.empty(maturities.size)
-    flagged = np.zeros(maturities.size, dtype=bool)
     for i, T in enumerate(maturities):
         sm = smile_fn(float(T), probe)
         v = sm.vols
         psi[i] = abs(v[3] - v[0]) / (2 * dk)
         half = abs(v[2] - v[1]) / dk
         rich[i] = (4 * half - psi[i]) / 3.0
-        if not np.isfinite(psi[i]) or psi[i] <= 0:
-            flagged[i] = True
-    ok = ~flagged
+    return skew_report(maturities, psi, dk, rich)
+
+
+def skew_report(maturities, psi, bump: float, richardson) -> SkewReport:
+    """The SkewReport of psi over maturities, with its power law fitted.
+
+    psi that is not finite or <= 0 is flagged and left out of the
+    least-squares fit of log psi on log T; with fewer than 2 maturities
+    left, exponent, intercept and residual are NaN.
+    """
+    maturities = np.asarray(maturities, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    ok = np.isfinite(psi) & (psi > 0)
     if ok.sum() >= 2:
         intercept, exponent, residual = fit_power_law(maturities[ok], psi[ok])
     else:
@@ -349,12 +359,12 @@ def atm_skew(smile_fn, maturities, bump: float = 0.01) -> SkewReport:
     return SkewReport(
         maturities=maturities,
         psi=psi,
-        bump=dk,
+        bump=bump,
         exponent=exponent,
         intercept=intercept,
         residual=residual,
-        flagged=flagged,
-        richardson=rich,
+        flagged=~ok,
+        richardson=richardson,
     )
 
 
@@ -527,7 +537,7 @@ def rbergomi_expansion_coeffs(
     """
     a = params.alpha
     rho = params.rho
-    sig = params.eta * np.sqrt(2 * params.H)
+    sig = params.sigma
     xi0 = params.xi0
 
     q, wq = np.polynomial.legendre.leggauss(int(n_quad))

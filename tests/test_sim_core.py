@@ -39,6 +39,11 @@ def test_grid_equality_is_structural():
 def test_params_derived_fields(table1):
     assert table1.alpha == pytest.approx(0.07 - 0.5)
     assert table1.sigma == pytest.approx(1.9 * np.sqrt(2 * 0.07))
+    # derived, so they cannot be passed (and silently overwritten)
+    base = {"xi0": 0.026, "eta": 1.9, "H": 0.07, "rho": -0.9}
+    for derived in ("alpha", "sigma"):
+        with pytest.raises(TypeError):
+            rv.ModelParams(**base, **{derived: 3.0})
 
 
 @pytest.mark.parametrize(
