@@ -19,10 +19,10 @@ cross-check is kept as a test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .sim_core import ModelParams
 
@@ -177,13 +177,18 @@ class ExpansionCoeffs:
     c_xxi_closed: float | None = None
 
 
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF of a scalar; erfc keeps the lower tail accurate."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def bs_price(S0: float, K: float, T: float, vol: float) -> float:
     """Black-Scholes call, zero rates and dividends."""
     if S0 <= 0 or K <= 0 or T <= 0 or vol <= 0:
         raise ValueError("bs_price requires S0, K, T, vol all positive")
     sq = vol * np.sqrt(T)
     d1 = (np.log(S0 / K) + 0.5 * vol * vol * T) / sq
-    return float(S0 * ndtr(d1) - K * ndtr(d1 - sq))
+    return float(S0 * _norm_cdf(d1) - K * _norm_cdf(d1 - sq))
 
 
 def bs_vega(S0: float, K: float, T: float, vol: float) -> float:

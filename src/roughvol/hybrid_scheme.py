@@ -32,14 +32,11 @@ the CLI runs, one path block at a time), and the variance step is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .kernel import ExpKernel
 from .sim_core import PathIncrements, TimeGrid, _readonly, run_chunks
-
-if TYPE_CHECKING:  # runtime import would pull scipy into every rough-only run
-    from .kernel import ExpKernel
 
 __all__ = [
     "HybridPlan",

@@ -15,10 +15,10 @@ constructions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma  # Lanczos-class, rel. err < 1e-10
 
 from .sim_core import _readonly
 
@@ -117,7 +117,7 @@ def laplace_mu(tau: float, H: float, x_max: float = 1e4, n_quad: int = 200) -> f
     u = 0.5 * upper * (u + 1.0)
     gl_w = 0.5 * upper * gl_w
     vals = np.exp(-tau * u ** (1.0 / beta))
-    return float(np.sum(gl_w * vals) / (beta * _gamma(beta)))
+    return float(np.sum(gl_w * vals) / (beta * math.gamma(beta)))
 
 
 def _closed_form_nodes(n: int, H: float, T: float):
@@ -140,7 +140,7 @@ def _closed_form_nodes(n: int, H: float, T: float):
     i = np.arange(1, n + 1, dtype=float)
     hi = (i * pi_n) ** beta
     lo = ((i - 1) * pi_n) ** beta
-    w = (hi - lo) / (beta * _gamma(beta))
+    w = (hi - lo) / (beta * math.gamma(beta))
     num = (i * pi_n) ** (1.5 - H) - ((i - 1) * pi_n) ** (1.5 - H)
     x = (1.0 - 2 * H) / (3.0 - 2 * H) * num / (hi - lo)
     return w, x, pi_n, shape
@@ -168,7 +168,7 @@ def closed_form_kernel(n: int, H: float, T: float):
     kern = ExpKernel(weights=w * np.sqrt(2 * H), speeds=x, H=H, T=T)
     C = (
         T**H
-        / (np.sqrt(H) * _gamma(0.5 - H))
+        / (np.sqrt(H) * math.gamma(0.5 - H))
         * shape ** (-2.5 * H)
         * (2.5 / (2.5 - H))
     )

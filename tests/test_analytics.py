@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 import roughvol as rv
+from roughvol.analytics import _norm_cdf
 
 
 # ---------------------------------------------------------------- pricing
@@ -17,6 +18,13 @@ def test_bs_price_frozen_atm():
     assert rv.bs_price(1.0, 1.0, 1.0, 0.2) == pytest.approx(
         0.07965567455405798, abs=1e-16
     )
+
+
+def test_norm_cdf_matches_scipy_ndtr():
+    # down to Phi(-30) ~ 5e-198, where 1 - Phi(30) would have underflowed
+    x = np.linspace(-30.0, 9.0, 3901)
+    got = np.array([_norm_cdf(v) for v in x])
+    np.testing.assert_allclose(got, special.ndtr(x), rtol=1e-12, atol=0)
 
 
 def test_bs_price_shape():

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -464,6 +466,68 @@ def test_two_factor_model_is_analytic_only(tmp_path, capsys):
     )
     assert cli.main(["simulate", "--config", cfg]) == 2
     assert "analytic-only" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+# Imports every roughvol module and runs each command with scipy blocked, then
+# prints the exit codes and every scipy module that got loaded anyway.
+_NO_SCIPY_SCRIPT = """
+import json, pkgutil, sys
+sys.modules["scipy"] = None
+import roughvol
+from roughvol import cli
+for mod in pkgutil.iter_modules(roughvol.__path__):
+    __import__("roughvol." + mod.name)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(
+    m for m, v in sys.modules.items()
+    if v is not None and (m == "scipy" or m.startswith("scipy."))
+)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    tiny = {"grid": {"T": 0.5, "N": 8}, "paths": 64, "out_dir": str(tmp_path)}
+    small_fit = {"H": 0.07, "T": 1.0, "N_grid": 30, "n": 2}
+    runs = {
+        "simulate": [table1_config(**tiny), bs_config(**tiny)],
+        "smile": [
+            table1_config(model="abergomi", kernel={"n": 2}, **tiny),
+            table1_config(model="abergomi", kernel=SMALL_KERNEL, **tiny),
+        ],
+        "skew": [
+            table1_config(maturities=[0.1, 0.25, 0.5], **tiny),
+            two_factor_config(out_dir=str(tmp_path)),
+        ],
+        "compare": [
+            table1_config(
+                kernel=SMALL_KERNEL, compare={"terms": [2], "steps": [4]}, **tiny
+            )
+        ],
+        "fit-kernel": [
+            fit_config(fit=small_fit, out_dir=str(tmp_path)),
+            fit_config(
+                fit=dict(small_fit, method="closed-form"), out_dir=str(tmp_path)
+            ),
+        ],
+    }
+    argvs = [
+        [command, "--config", write_config(tmp_path, body, f"{command}{i}.json")]
+        for command, bodies in runs.items()
+        for i, body in enumerate(bodies)
+    ]
+    src = os.path.dirname(os.path.dirname(rv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"codes": [0] * len(argvs), "scipy": []}, done.stderr
 
 
 # ---------------------------------------------------------------------------

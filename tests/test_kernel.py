@@ -1,5 +1,7 @@
 """Kernel constructions against frozen values and an incomplete-gamma oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gamma, gammainc
@@ -25,6 +27,12 @@ def l2_error_incomplete_gamma(k, H, T):
     a = H + 0.5
     cross = (w * x ** (-a) * gammainc(a, x * T)).sum() * gamma(a)
     return float(np.sqrt(quad - 2 * c * cross + c * c * T ** (2 * H) / (2 * H)))
+
+
+def test_math_gamma_matches_scipy_on_the_node_arguments():
+    # the constructions take Gamma(1/2 - H) for H in (0, 1/2)
+    for beta in 0.5 - np.linspace(0.005, 0.495, 99):
+        assert math.gamma(beta) == pytest.approx(gamma(beta), rel=1e-14, abs=0)
 
 
 def test_power_kernel_frozen_point():
