@@ -20,14 +20,12 @@ mandatory; files are written atomically (temp + rename).
 
 Exit codes: 0 ok, 2 schema error, 3 numeric failure, 4 I/O error.
 
-Thread control: --threads N (0 = auto) or the ROUGHVOL_THREADS env var set
-the BLAS/OpenMP pool sizes; this must happen before numpy is first
-imported, which is why this module defers all numeric imports into the
-command bodies.  The same setting (through OMP_NUM_THREADS) caps the
-thread pool that draws increment blocks and runs the FFT convolution; with
-0, an OMP_NUM_THREADS inherited from the environment still caps that pool.
-The setting lasts for one main() call: main restores the thread variables
-when it returns.  Results are bit-identical at any thread count.
+Thread control: --threads N sets OMP_NUM_THREADS, the cap on the thread
+pool that draws increment blocks and runs the FFT convolution
+(sim_core.run_chunks); with 0 (auto) an OMP_NUM_THREADS inherited from the
+environment still caps that pool.  The setting lasts for one main() call:
+main restores the variable when it returns.  Results are bit-identical at
+any thread count.
 """
 
 from __future__ import annotations
@@ -45,17 +43,14 @@ import tempfile
 import time
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
+from . import analytics, hybrid_scheme, kernel, models, sim_core
+
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
 
 class CliError(Exception):
@@ -64,26 +59,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _setup_threads(threads: int | None):
-    """Pin BLAS/OpenMP pools before numpy loads.  0 or None = leave auto."""
-    if threads is None:
-        env = os.environ.get("ROUGHVOL_THREADS", "").strip()
-        if not env:
-            return
-        try:
-            threads = int(env)
-        except ValueError:
-            raise CliError(
-                EXIT_SCHEMA, f"ROUGHVOL_THREADS must be an integer, got {env!r}"
-            )
-    if threads < 0:
-        raise CliError(EXIT_SCHEMA, f"--threads must be >= 0, got {threads}")
-    if threads == 0:
-        return
-    for var in _THREAD_VARS:
-        os.environ[var] = str(threads)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +406,16 @@ def _ensure_outdir(resolved: dict) -> str:
 
 
 def _write_atomic(path: str, text: str):
+    """Write through a temp file and a rename, with the mode open() would give."""
     d = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".roughvol-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -456,18 +435,16 @@ def _fmt(x) -> str:
 
 
 def _jsonify(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
-    import numpy as np
-
+    """Recursively convert numpy scalars/arrays for json.dumps; NaN -> null."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and obj != obj:  # NaN -> null for valid JSON
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and obj != obj:
         return None
     return obj
 
@@ -500,12 +477,13 @@ class _Run(NamedTuple):
             seed=self.config["seed"],
         )
         path = os.path.join(self.out_dir, name)
-        _write_atomic(path, json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(_jsonify(doc), indent=2, sort_keys=True, allow_nan=False)
+        _write_atomic(path, text + "\n")
         return path
 
 
 # ---------------------------------------------------------------------------
-# simulation plumbing (numpy-importing; called after thread setup)
+# simulation plumbing
 
 
 @functools.lru_cache
@@ -518,11 +496,9 @@ def _build_kernel(n: int, method: str, H: float, T: float, n_grid: int):
     decade of tau) from landing the unregularized least-squares on spiky
     optima that match the grid but explode between its points.
     """
-    from .kernel import closed_form_kernel, fit_kernel_ls
-
     if method == "closed-form":
-        return closed_form_kernel(n, H, T)[0]
-    return fit_kernel_ls(H, T, n_grid, n)
+        return kernel.closed_form_kernel(n, H, T)[0]
+    return kernel.fit_kernel_ls(H, T, n_grid, n)
 
 
 def _rough_plan(resolved: dict, N: int, T: float):
@@ -531,44 +507,32 @@ def _rough_plan(resolved: dict, N: int, T: float):
     The Markovian model is the rough one with kernel cell averages in its
     tail (the hybrid multifactor scheme); rbergomi has no kernel.
     """
-    from .hybrid_scheme import make_hybrid_plan
-    from .sim_core import ModelParams, make_time_grid
-
     p = resolved["params"]
-    params = ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
+    params = sim_core.ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
     kern = None
     if resolved["model"] == "abergomi":
         k = resolved["kernel"]
         kern = _build_kernel(k["n"], k["method"], params.H, T, max(N, 100))
-    return make_hybrid_plan(make_time_grid(T, N), params.alpha, kernel=kern), params
+    grid = sim_core.make_time_grid(T, N)
+    return hybrid_scheme.make_hybrid_plan(grid, params.alpha, kernel=kern), params
 
 
 def _simulate(resolved: dict, N: int, T: float):
     """Simulate the configured model on N steps to T.
 
-    Returns ((logS_T, V_T), seconds): terminal log-prices and variances, and
-    the wall time of the simulation itself (increment draw included, plan
-    and kernel set-up excluded).  The rough models run through
-    models.simulate_terminal, which streams path blocks; bs draws only dW.
+    Returns (logS_T, V_T), the terminal log-prices and variances.  The rough
+    models run through models.simulate_terminal, which streams path blocks;
+    bs draws only dW.
     """
-    import numpy as np
-
-    from .models import simulate_terminal
-    from .sim_core import make_time_grid, sample_terminal_brownian
-
     paths, seed = resolved["paths"], resolved["seed"]
     if resolved["model"] == "bs":
         vol = resolved["params"]["vol"]
-        grid = make_time_grid(T, N)
-        t0 = time.perf_counter()
-        W_T = sample_terminal_brownian(grid, paths, seed)
-        logS_T = -0.5 * vol * vol * T + vol * W_T
-        V_T = np.full(paths, vol * vol)
-    else:
-        plan, params = _rough_plan(resolved, N, T)
-        t0 = time.perf_counter()
-        [(logS_T, V_T)] = simulate_terminal([plan], params, paths, seed)
-    return (logS_T, V_T), time.perf_counter() - t0
+        grid = sim_core.make_time_grid(T, N)
+        W_T = sim_core.sample_terminal_brownian(grid, paths, seed)
+        return -0.5 * vol * vol * T + vol * W_T, np.full(paths, vol * vol)
+    plan, params = _rough_plan(resolved, N, T)
+    [terminal] = models.simulate_terminal([plan], params, paths, seed)
+    return terminal
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +544,9 @@ def cmd_simulate(args, run: _Run) -> int:
     model = resolved["model"]
     T, N = resolved["grid"]["T"], resolved["grid"]["N"]
 
-    import numpy as np
-
-    (logS_T, V_T), runtime = _simulate(resolved, N, T)
+    t0 = time.perf_counter()
+    logS_T, V_T = _simulate(resolved, N, T)
+    runtime = time.perf_counter() - t0
     if not np.all(np.isfinite(logS_T)):
         raise CliError(EXIT_NUMERIC, "simulation produced non-finite log-prices")
 
@@ -597,7 +561,6 @@ def cmd_simulate(args, run: _Run) -> int:
             "mean_price": float(np.exp(logS_T).mean()),
             "mean_terminal_variance": float(V_T.mean()),
         },
-        "runtime_seconds": runtime,
         "files": [os.path.basename(paths_file)],
     }
     run.write_json(f"summary_{tag}.json", summary)
@@ -608,21 +571,16 @@ def cmd_simulate(args, run: _Run) -> int:
 def cmd_fit_kernel(args, run: _Run) -> int:
     fo = run.config["fit"]
     H, T, n, n_grid, method = fo["H"], fo["T"], fo["n"], fo["N_grid"], fo["method"]
-
-    import numpy as np
-
-    from .kernel import _target, closed_form_kernel, fit_kernel_ls, kernel_l2_error
-
     tau = np.arange(1, n_grid) * (T / n_grid)
     doc = dict(fo)
     if method == "closed-form":
-        kern, cert = closed_form_kernel(n, H, T)
+        kern, cert = kernel.closed_form_kernel(n, H, T)
         doc.update(bound=cert.bound, bound_satisfied=bool(cert.l2_error <= cert.bound))
     else:
-        kern = fit_kernel_ls(H, T, n_grid, n)
+        kern = kernel.fit_kernel_ls(H, T, n_grid, n)
         doc["bound"] = None
-    doc["l2_error"] = kernel_l2_error(kern, H, T)
-    doc["rmse"] = float(np.sqrt(np.mean((kern(tau) - _target(tau, H)) ** 2)))
+    doc["l2_error"] = kernel.kernel_l2_error(kern, H, T)
+    doc["rmse"] = float(np.sqrt(np.mean((kern(tau) - kernel._target(tau, H)) ** 2)))
     doc["weights"] = kern.weights
     doc["speeds"] = kern.speeds
     path = run.write_json(f"kernel_{method}_n{n}_H{_fmt(float(H))}.json", doc)
@@ -632,11 +590,7 @@ def cmd_fit_kernel(args, run: _Run) -> int:
 
 def _smile_of(resolved: dict, logS_T, T: float):
     """The configured strikes' smile of terminal log-prices at maturity T."""
-    import numpy as np
-
-    from .analytics import mc_smile
-
-    return mc_smile(
+    return analytics.mc_smile(
         logS_T,
         strikes=np.asarray(resolved["strikes"]),
         T=T,
@@ -646,7 +600,7 @@ def _smile_of(resolved: dict, logS_T, T: float):
 
 
 def _smile_for(resolved: dict, N: int, T: float):
-    (logS_T, _), _ = _simulate(resolved, N, T)
+    logS_T, _ = _simulate(resolved, N, T)
     return _smile_of(resolved, logS_T, T)
 
 
@@ -695,10 +649,6 @@ def cmd_compare(args, run: _Run) -> int:
     resolved = run.config
     T, seed = resolved["grid"]["T"], resolved["seed"]
     terms = resolved["compare"]["terms"]
-
-    from .analytics import smile_rmse
-    from .models import simulate_terminal
-
     sides = [dict(resolved, model="rbergomi")] + [
         dict(resolved, model="abergomi", kernel=dict(resolved["kernel"], n=n))
         for n in terms
@@ -707,11 +657,13 @@ def cmd_compare(args, run: _Run) -> int:
     for N in resolved["compare"]["steps"]:
         plans, params = zip(*(_rough_plan(side, N, T) for side in sides))
         # one draw of each path block serves rBergomi and every kernel
-        terminal = simulate_terminal(plans, params[0], resolved["paths"], seed)
+        terminal = models.simulate_terminal(plans, params[0], resolved["paths"], seed)
         smile_r, *smiles_a = (
             _smile_of(side, s_T, T) for side, (s_T, _) in zip(sides, terminal)
         )
-        rows += [(n, N, smile_rmse(smile_r, sm)) for n, sm in zip(terms, smiles_a)]
+        rows += [
+            (n, N, analytics.smile_rmse(smile_r, sm)) for n, sm in zip(terms, smiles_a)
+        ]
 
     path = run.write_csv("compare_rmse.csv", ["terms", "steps", "rmse"], rows)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -723,37 +675,30 @@ def cmd_skew(args, run: _Run) -> int:
     model = resolved["model"]
     mats = resolved["maturities"]
 
-    import numpy as np
-
-    from .analytics import atm_skew, skew_report
-
     if model == "rbergomi":
-        from .analytics import mc_smile
-        from .models import simulate_terminal
-
         N, seed = resolved["grid"]["N"], resolved["seed"]
         plans, params = zip(*(_rough_plan(resolved, N, T) for T in mats))
         # one draw of each path block serves every maturity
-        terminal = simulate_terminal(plans, params[0], resolved["paths"], seed)
+        terminal = models.simulate_terminal(plans, params[0], resolved["paths"], seed)
         log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}
 
         def smile_fn(T, strikes):
-            return mc_smile(log_S[T], strikes=strikes, T=T, model=model, seed=seed)
+            return analytics.mc_smile(
+                log_S[T], strikes=strikes, T=T, model=model, seed=seed
+            )
 
-        report = atm_skew(smile_fn, mats, bump=resolved["bump"])
+        report = analytics.atm_skew(smile_fn, mats, bump=resolved["bump"])
         doc_extra = {"bump": resolved["bump"], "n_paths": resolved["paths"]}
     else:  # bergomi2f: analytic ATM skew, no MC
-        from .analytics import TwoFactorParams, expansion_terms, two_factor_coeffs
-
         p = resolved["params"]
-        tf = TwoFactorParams(**{k: p[k] for k in _TWO_FACTOR_PARAMS})
+        tf = analytics.TwoFactorParams(**{k: p[k] for k in _TWO_FACTOR_PARAMS})
         xi0 = p["xi0"]
         psi = np.empty(len(mats))
         for i, T in enumerate(mats):
-            coeffs = two_factor_coeffs(tf, T, xi0)
-            _, s_t, _ = expansion_terms(coeffs, xi0 * T, T)
+            coeffs = analytics.two_factor_coeffs(tf, T, xi0)
+            _, s_t, _ = analytics.expansion_terms(coeffs, xi0 * T, T)
             psi[i] = abs(s_t)
-        report = skew_report(mats, psi, 0.0, psi.copy())
+        report = analytics.skew_report(mats, psi, 0.0, psi.copy())
         doc_extra = {"bump": None, "n_paths": 0, "analytic": True}
 
     if not np.isfinite(report.exponent):
@@ -779,10 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="BLAS/OpenMP threads, also the cap on the simulation's own thread "
-        "pool (0 = auto, though an inherited OMP_NUM_THREADS still caps "
-        "the pool; env ROUGHVOL_THREADS as fallback)",
+        default=0,
+        help="cap on the simulation's thread pool, set through OMP_NUM_THREADS "
+        "(0 = auto, though an inherited OMP_NUM_THREADS still caps the pool)",
     )
     parser = argparse.ArgumentParser(
         prog="roughvol",
@@ -809,9 +753,12 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
+    saved = os.environ.get("OMP_NUM_THREADS")
     try:
-        _setup_threads(args.threads)
+        if args.threads < 0:
+            raise CliError(EXIT_SCHEMA, f"--threads must be >= 0, got {args.threads}")
+        if args.threads:
+            os.environ["OMP_NUM_THREADS"] = str(args.threads)
         resolved = resolve_config(
             load_config(args.config),
             args.command,
@@ -836,11 +783,10 @@ def main(argv=None) -> int:
     finally:
         # --threads is scoped to this call: later library calls in the same
         # process must not stay capped
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        if saved is None:
+            os.environ.pop("OMP_NUM_THREADS", None)
+        else:
+            os.environ["OMP_NUM_THREADS"] = saved
 
 
 if __name__ == "__main__":

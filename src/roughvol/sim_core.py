@@ -48,12 +48,8 @@ N = 100.
 Measured with two threads: the benchmark's markov_smile chain (20 000
 paths, N = 200) peaks at 196.9 MB RSS and its rough_smile chain (100 000
 paths, N = 200) at 807.8 MB; ``roughvol skew`` (20 000 paths, N = 100,
-five maturities) peaks at 91.0 MB.  Each figure is about 18 MB below the
-one with scipy.special loaded (215.4, 826.2 and 108.7 MB), and with it
-loaded the chains peaked at 240.5 MB and 1140.1 MB when their steps built
-whole-size temporaries and copied each block out of a tile, and the skew
-at 142.1 MB when its block steps used numpy temporaries made in the
-workers.  Timings and peak memory have been measured on 2 CPUs only.
+five maturities) peaks at 91.0 MB.  Timings and peak memory have been
+measured on 2 CPUs only.
 """
 
 from __future__ import annotations

@@ -91,11 +91,33 @@ def test_simulate_is_byte_identical_across_output_dirs(tmp_path):
 
     sum_a = json.loads((out_a / "summary_bs_T0.25_N10.json").read_text())
     sum_b = json.loads((out_b / "summary_bs_T0.25_N10.json").read_text())
-    # wall time and destination are the only run-specific fields
+    # the destination is the only run-specific field
     for doc in (sum_a, sum_b):
-        doc.pop("runtime_seconds")
         doc["config"].pop("out_dir")
     assert sum_a == sum_b
+
+
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path):
+    cfg = write_config(tmp_path, bs_config(out_dir=str(tmp_path / "out")))
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["simulate", "--config", cfg]) == 0
+    finally:
+        os.umask(old)
+    for name in ("paths_bs_T0.25_N10.csv", "summary_bs_T0.25_N10.json"):
+        assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o644
+    assert not list((tmp_path / "out").glob(".roughvol-*"))
+
+
+def test_json_artifacts_write_nan_as_null(tmp_path):
+    doc = {"a": np.float64("nan"), "b": [float("nan"), np.float32(1.5)], "c": np.int64(2)}
+    assert json.dumps(cli._jsonify(doc), allow_nan=False) == (
+        '{"a": null, "b": [null, 1.5], "c": 2}'
+    )
+    run = cli._Run("simulate", {"seed": 0}, "0" * 64, str(tmp_path))
+    with pytest.raises(ValueError):  # an invalid document is never written
+        run.write_json("bad.json", {"x": float("inf")})
+    assert not list(tmp_path.iterdir())
 
 
 def test_seed_flag_is_equivalent_to_config_seed(tmp_path):
@@ -528,6 +550,15 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report == {"codes": [0] * len(argvs), "scipy": []}, done.stderr
+
+
+def test_package_exports_every_module_name():
+    modules = (rv.sim_core, rv.hybrid_scheme, rv.kernel, rv.models, rv.analytics)
+    names = {"__version__"}.union(*(m.__all__ for m in modules))
+    assert set(rv.__all__) == names and len(rv.__all__) == len(names)
+    for name in names - {"__version__"}:
+        owner = next(m for m in modules if name in m.__all__)
+        assert getattr(rv, name) is getattr(owner, name)
 
 
 # ---------------------------------------------------------------------------
@@ -1091,69 +1122,60 @@ def test_resolved_config_hash_is_pinned(command, body, sha):
 
 
 # ---------------------------------------------------------------------------
-# thread pinning
-
-
-THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
+# thread pool width
 
 
 @pytest.fixture
 def thread_env(monkeypatch, tmp_path):
-    for var in THREAD_VARS:
-        monkeypatch.setenv(var, "sentinel")
-    monkeypatch.delenv("ROUGHVOL_THREADS", raising=False)
+    # eight usable CPUs, so that any cap below eight shows in the pool width
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
     return write_config(tmp_path, bs_config(paths=8, out_dir=str(tmp_path)))
 
 
 @pytest.fixture
 def command_env(monkeypatch):
-    """The thread variables as the running `simulate` command sees them."""
+    """OMP_NUM_THREADS and the pool width as the running `simulate` sees them."""
     seen = {}
     real = cli._DISPATCH["simulate"]
 
     def recording(*args):
-        seen.update((var, os.environ.get(var)) for var in THREAD_VARS)
+        seen["OMP_NUM_THREADS"] = os.environ.get("OMP_NUM_THREADS")
+        seen["width"] = cli.sim_core._pool_width()
         return real(*args)
 
     monkeypatch.setitem(cli._DISPATCH, "simulate", recording)
     return seen
 
 
-def test_threads_env_var_pins_the_pools(thread_env, command_env, monkeypatch):
-    monkeypatch.setenv("ROUGHVOL_THREADS", "3")
+def test_threads_env_var_pins_the_pools(thread_env, command_env):
     assert cli.main(["simulate", "--config", thread_env]) == 0
-    assert all(command_env[var] == "3" for var in THREAD_VARS)
+    assert command_env == {"OMP_NUM_THREADS": "3", "width": 3}
 
 
-def test_threads_flag_beats_the_env_var(thread_env, command_env, monkeypatch):
-    monkeypatch.setenv("ROUGHVOL_THREADS", "3")
+def test_threads_flag_beats_the_env_var(thread_env, command_env):
     assert cli.main(["simulate", "--config", thread_env, "--threads", "2"]) == 0
-    assert all(command_env[var] == "2" for var in THREAD_VARS)
+    assert command_env == {"OMP_NUM_THREADS": "2", "width": 2}
 
 
 def test_threads_zero_means_leave_alone(thread_env, command_env):
     assert cli.main(["simulate", "--config", thread_env, "--threads", "0"]) == 0
-    assert all(command_env[var] == "sentinel" for var in THREAD_VARS)
+    assert command_env == {"OMP_NUM_THREADS": "3", "width": 3}
 
 
 def test_threads_setting_ends_when_main_returns(thread_env, command_env, monkeypatch):
+    assert cli.main(["simulate", "--config", thread_env, "--threads", "5"]) == 0
+    assert command_env == {"OMP_NUM_THREADS": "5", "width": 5}
+    assert os.environ["OMP_NUM_THREADS"] == "3"
     monkeypatch.delenv("OMP_NUM_THREADS")
     assert cli.main(["simulate", "--config", thread_env, "--threads", "2"]) == 0
     assert command_env["OMP_NUM_THREADS"] == "2"
     assert "OMP_NUM_THREADS" not in os.environ
-    assert all(os.environ[var] == "sentinel" for var in THREAD_VARS[1:])
 
 
-def test_threads_validation(thread_env, monkeypatch, capsys):
+def test_threads_validation(thread_env, capsys):
     assert cli.main(["simulate", "--config", thread_env, "--threads", "-1"]) == 2
-    monkeypatch.setenv("ROUGHVOL_THREADS", "many")
-    assert cli.main(["simulate", "--config", thread_env]) == 2
-    assert "ROUGHVOL_THREADS" in capsys.readouterr().err
+    assert "--threads must be >= 0" in capsys.readouterr().err
 
 
 def test_thread_count_leaves_smile_csvs_byte_identical(thread_env, tmp_path, monkeypatch):
