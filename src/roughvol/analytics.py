@@ -73,8 +73,7 @@ class SmileResult:
     """One maturity's smile: log-moneyness grid, implied vols, MC stderr.
 
     vols[i] is NaN when strike i was skipped (reason recorded in
-    ``skipped`` as (strike, reason) pairs).  ``seed`` records RNG
-    provenance when the smile came from simulation.
+    ``skipped`` as (strike, reason) pairs).
     """
 
     maturity: float
@@ -83,8 +82,6 @@ class SmileResult:
     prices: np.ndarray
     price_stderr: np.ndarray
     n_paths: int
-    model: str = ""
-    seed: int | None = None
     skipped: tuple = ()
 
 
@@ -132,17 +129,17 @@ class TwoFactorParams:
     omega_iY: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (0 < self.omega < math.inf):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if not (self.kappa_X > self.kappa_Y > 0):
+        if not (math.inf > self.kappa_X > self.kappa_Y > 0):
             raise ValueError(
                 f"need kappa_X > kappa_Y > 0, got {self.kappa_X}, {self.kappa_Y}"
             )
         for name in ("rho_SX", "rho_SY", "rho_XY"):
-            if abs(getattr(self, name)) > 1:
-                raise ValueError(f"|{name}| must be <= 1")
+            if not (-1 <= getattr(self, name) <= 1):
+                raise ValueError(f"{name} must lie in [-1, 1]")
         sx, sy, xy = self.rho_SX, self.rho_SY, self.rho_XY
         # the (S, X, Y) correlation matrix must be positive semidefinite
         if 1 - sx * sx - sy * sy - xy * xy + 2 * sx * sy * xy < -1e-12:
@@ -192,14 +189,14 @@ def bs_price(S0: float, K: float, T: float, vol: float) -> float:
 
 
 def bs_vega(S0: float, K: float, T: float, vol: float) -> float:
-    """d bs_price / d vol; the price sensitivity the Newton polish divides by."""
+    """d bs_price / d vol: turns a price error into a vol error."""
     sq = vol * np.sqrt(T)
     d1 = (np.log(S0 / K) + 0.5 * vol * vol * T) / sq
     return float(S0 * np.exp(-0.5 * d1 * d1) / np.sqrt(2 * np.pi) * np.sqrt(T))
 
 
 def implied_vol(price: float, S0: float, K: float, T: float) -> float:
-    """Invert bs_price: bracketing bisection, then Newton polish.
+    """Invert bs_price by bisection on a bracket [1e-9, hi], hi doubled from 1.
 
     Raises ValueError naming the violated bound when price is at or below
     intrinsic max(S0-K, 0), or at or above S0.
@@ -229,28 +226,14 @@ def implied_vol(price: float, S0: float, K: float, T: float) -> float:
             lo = mid
         else:
             hi = mid
-    vol = 0.5 * (lo + hi)
-    for _ in range(8):
-        diff = bs_price(S0, K, T, vol) - price
-        if abs(diff) < 1e-14:
-            break
-        v = bs_vega(S0, K, T, vol)
-        if v <= 0:
-            break
-        step = diff / v
-        nxt = vol - step
-        if not (lo / 2 < nxt < hi * 2) or not np.isfinite(nxt):
-            break
-        vol = nxt
-    return float(vol)
+    # 80 halvings take a bracket no wider than 2^10 below 1e-21
+    return float(0.5 * (lo + hi))
 
 
 def mc_smile(
     log_price_terminal: np.ndarray,
     strikes: np.ndarray = DEFAULT_STRIKES,
     T: float = 1.0,
-    model: str = "",
-    seed: int | None = None,
 ) -> SmileResult:
     """Smile from terminal log-prices (S0 = 1, zero rates).
 
@@ -281,8 +264,6 @@ def mc_smile(
         prices=prices,
         price_stderr=errs,
         n_paths=n,
-        model=model,
-        seed=seed,
         skipped=tuple(skipped),
     )
 
@@ -351,13 +332,14 @@ def skew_report(maturities, psi, bump: float, richardson) -> SkewReport:
     """The SkewReport of psi over maturities, with its power law fitted.
 
     psi that is not finite or <= 0 is flagged and left out of the
-    least-squares fit of log psi on log T; with fewer than 2 maturities
-    left, exponent, intercept and residual are NaN.
+    least-squares fit of log psi on log T; with fewer than 2 distinct
+    maturities left (a line through one T is not determined), exponent,
+    intercept and residual are NaN.
     """
     maturities = np.asarray(maturities, dtype=float)
     psi = np.asarray(psi, dtype=float)
     ok = np.isfinite(psi) & (psi > 0)
-    if ok.sum() >= 2:
+    if np.unique(maturities[ok]).size >= 2:
         intercept, exponent, residual = fit_power_law(maturities[ok], psi[ok])
     else:
         intercept = exponent = residual = float("nan")

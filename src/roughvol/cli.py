@@ -8,6 +8,9 @@ smile       implied-vol smile CSV, one file per (model, T, N)
 compare     rBergomi-vs-aBergomi smile RMSE table over a (terms x steps) grid
 skew        ATM-skew term structure + fitted power-law exponent (JSON)
 
+Models: rbergomi, abergomi and bs for simulate and smile; rbergomi, abergomi
+and the analytic bergomi2f for skew (each command is one row of _COMMANDS).
+
 All commands read a single JSON config (--config); --seed/--out override
 the config's seed/out_dir.  The config is checked against one table
 (_CONFIG): unknown keys are errors, numbers must be finite (json.load
@@ -182,8 +185,8 @@ def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=No
     return out
 
 
-# The rules a row cannot state: which models a command takes, when skew
-# needs no paths, and the two forms of a strike grid.
+# The rules a row cannot state: the models a command takes (its _COMMANDS
+# row), when skew needs no paths, and the two forms of a strike grid.
 
 
 def _check_model(v, ctx: dict, errors: list):
@@ -192,10 +195,11 @@ def _check_model(v, ctx: dict, errors: list):
         if command == "fit-kernel":
             return None
         v = "rbergomi" if command == "compare" else None
-    valid = _COMMAND_MODELS.get(command, _MODELS)
+    valid = _COMMANDS[command][2]
     if v not in valid:
         errors.append(f"model: must be one of {sorted(valid)}, got {v!r}")
-        v = "rbergomi"
+        if v not in _MODELS:  # a known model's params are checked as its own
+            v = "rbergomi"
     ctx["model"] = v
     return v
 
@@ -256,13 +260,13 @@ def _feasible_rho_XY(v, block: dict):
 
 
 def _at_least_3(v: list, _):
-    if len(v) < 3:
-        return f"need at least 3 maturities to fit a power law, got {len(v)}"
+    n = len(set(v))
+    if n < 3:
+        return f"need at least 3 distinct maturities to fit a power law, got {n}"
 
 
 _PRICING = ("simulate", "smile", "compare", "skew")
 _MODELS = ("abergomi", "bergomi2f", "bs", "rbergomi")
-_COMMAND_MODELS = {"skew": ("bergomi2f", "rbergomi"), "compare": ("abergomi", "rbergomi")}
 _NUM, _POS = "must be a number", "must be a positive number"
 _INT_LIST = "must be a non-empty integer list"
 _METHOD = _Key(
@@ -429,9 +433,7 @@ def _write_atomic(path: str, text: str):
 
 def _fmt(x) -> str:
     """Shortest round-trip decimal form; '.'-decimal by construction."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 def _jsonify(obj):
@@ -588,20 +590,9 @@ def cmd_fit_kernel(args, run: _Run) -> int:
     return EXIT_OK
 
 
-def _smile_of(resolved: dict, logS_T, T: float):
-    """The configured strikes' smile of terminal log-prices at maturity T."""
-    return analytics.mc_smile(
-        logS_T,
-        strikes=np.asarray(resolved["strikes"]),
-        T=T,
-        model=resolved["model"],
-        seed=resolved["seed"],
-    )
-
-
 def _smile_for(resolved: dict, N: int, T: float):
     logS_T, _ = _simulate(resolved, N, T)
-    return _smile_of(resolved, logS_T, T)
+    return analytics.mc_smile(logS_T, resolved["strikes"], T=T)
 
 
 def cmd_smile(args, run: _Run) -> int:
@@ -609,26 +600,15 @@ def cmd_smile(args, run: _Run) -> int:
     model = resolved["model"]
     T = resolved["grid"]["T"]
 
-    files = []
-    skipped_all = {}
+    files, skipped_all = [], {}
     for N in resolved["steps"]:
         sm = _smile_for(resolved, N, T)
         tag = f"{model}_T{_fmt(float(T))}_N{N}"
-        rows = []
-        for i, k in enumerate(sm.strikes):
-            rows.append(
-                (
-                    float(k),
-                    float(math.exp(k)),
-                    float(sm.vols[i]),
-                    float(sm.prices[i]),
-                    float(sm.price_stderr[i]),
-                )
-            )
+        k = sm.strikes
         path = run.write_csv(
             f"smile_{tag}.csv",
             ["log_moneyness", "strike", "implied_vol", "price", "stderr"],
-            rows,
+            zip(k, map(math.exp, k), sm.vols, sm.prices, sm.price_stderr),
         )
         files.append(os.path.basename(path))
         if sm.skipped:
@@ -659,7 +639,7 @@ def cmd_compare(args, run: _Run) -> int:
         # one draw of each path block serves rBergomi and every kernel
         terminal = models.simulate_terminal(plans, params[0], resolved["paths"], seed)
         smile_r, *smiles_a = (
-            _smile_of(side, s_T, T) for side, (s_T, _) in zip(sides, terminal)
+            analytics.mc_smile(s_T, resolved["strikes"], T=T) for s_T, _ in terminal
         )
         rows += [
             (n, N, analytics.smile_rmse(smile_r, sm)) for n, sm in zip(terms, smiles_a)
@@ -675,21 +655,7 @@ def cmd_skew(args, run: _Run) -> int:
     model = resolved["model"]
     mats = resolved["maturities"]
 
-    if model == "rbergomi":
-        N, seed = resolved["grid"]["N"], resolved["seed"]
-        plans, params = zip(*(_rough_plan(resolved, N, T) for T in mats))
-        # one draw of each path block serves every maturity
-        terminal = models.simulate_terminal(plans, params[0], resolved["paths"], seed)
-        log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}
-
-        def smile_fn(T, strikes):
-            return analytics.mc_smile(
-                log_S[T], strikes=strikes, T=T, model=model, seed=seed
-            )
-
-        report = analytics.atm_skew(smile_fn, mats, bump=resolved["bump"])
-        doc_extra = {"bump": resolved["bump"], "n_paths": resolved["paths"]}
-    else:  # bergomi2f: analytic ATM skew, no MC
+    if model == "bergomi2f":  # analytic ATM skew, no MC
         p = resolved["params"]
         tf = analytics.TwoFactorParams(**{k: p[k] for k in _TWO_FACTOR_PARAMS})
         xi0 = p["xi0"]
@@ -700,11 +666,23 @@ def cmd_skew(args, run: _Run) -> int:
             psi[i] = abs(s_t)
         report = analytics.skew_report(mats, psi, 0.0, psi.copy())
         doc_extra = {"bump": None, "n_paths": 0, "analytic": True}
+    else:  # the rough models, one plan (and kernel) per maturity
+        N, seed = resolved["grid"]["N"], resolved["seed"]
+        plans, params = zip(*(_rough_plan(resolved, N, T) for T in mats))
+        # one draw of each path block serves every maturity
+        terminal = models.simulate_terminal(plans, params[0], resolved["paths"], seed)
+        log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}
+        report = analytics.atm_skew(
+            lambda T, strikes: analytics.mc_smile(log_S[T], strikes, T=T),
+            mats,
+            bump=resolved["bump"],
+        )
+        doc_extra = {"bump": resolved["bump"], "n_paths": resolved["paths"]}
 
     if not np.isfinite(report.exponent):
         raise CliError(
             EXIT_NUMERIC,
-            "skew power-law fit failed: fewer than 2 usable maturities "
+            "skew power-law fit failed: fewer than 2 distinct usable maturities "
             f"(flagged: {report.flagged.tolist()})",
         )
     doc = dict(dataclasses.asdict(report), model=model, **doc_extra)
@@ -714,6 +692,16 @@ def cmd_skew(args, run: _Run) -> int:
 
 
 # ---------------------------------------------------------------------------
+# One row per command: its handler, its help line and the models it takes.
+
+_ROUGH = ("abergomi", "rbergomi")
+_COMMANDS = {
+    "simulate": (cmd_simulate, "paths CSV + summary JSON", (*_ROUGH, "bs")),
+    "fit-kernel": (cmd_fit_kernel, "kernel JSON + residuals", _MODELS),
+    "smile": (cmd_smile, "smile CSV per (model, T, N)", (*_ROUGH, "bs")),
+    "compare": (cmd_compare, "RMSE table CSV", _ROUGH),
+    "skew": (cmd_skew, "ATM-skew term structure JSON", (*_ROUGH, "bergomi2f")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -734,21 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
         "kernels, price smiles, compare models, measure ATM skew.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common], help="paths CSV + summary JSON")
-    sub.add_parser("fit-kernel", parents=[common], help="kernel JSON + residuals")
-    sub.add_parser("smile", parents=[common], help="smile CSV per (model, T, N)")
-    sub.add_parser("compare", parents=[common], help="RMSE table CSV")
-    sub.add_parser("skew", parents=[common], help="ATM-skew term structure JSON")
+    for name, (_, help_line, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_line)
     return parser
-
-
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "fit-kernel": cmd_fit_kernel,
-    "smile": cmd_smile,
-    "compare": cmd_compare,
-    "skew": cmd_skew,
-}
 
 
 def main(argv=None) -> int:
@@ -766,11 +742,7 @@ def main(argv=None) -> int:
         )
         sha, out_dir = config_sha(resolved), _ensure_outdir(resolved)
         run = _Run(args.command, resolved, sha, out_dir)
-        if resolved["model"] == "bergomi2f" and args.command in ("simulate", "smile"):
-            raise CliError(
-                EXIT_SCHEMA, "model: 'bergomi2f' is analytic-only (use the skew command)"
-            )
-        return _DISPATCH[args.command](args, run)
+        return _COMMANDS[args.command][0](args, run)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

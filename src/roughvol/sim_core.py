@@ -142,8 +142,8 @@ class TimeGrid:
 
 def make_time_grid(T: float, N: int) -> TimeGrid:
     """Build the uniform grid on [0, T] with N steps (N >= 2)."""
-    if not (T > 0):
-        raise ValueError(f"horizon T must be positive, got {T}")
+    if not (0 < T < np.inf):
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
     if int(N) != N or N < 2:
         raise ValueError(f"step count N must be an integer >= 2, got {N}")
     N = int(N)
@@ -177,7 +177,7 @@ class ModelParams:
 
     alpha = H - 1/2 and sigma = eta*sqrt(2*alpha + 1) are computed, not
     passed.  H must lie in (0, 1/2) (rough regime), xi0 and eta must be
-    positive, |rho| <= 1.
+    positive and finite, rho must lie in [-1, 1].
     """
 
     xi0: float
@@ -188,14 +188,14 @@ class ModelParams:
     sigma: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.xi0 > 0):
-            raise ValueError(f"xi0 must be positive, got {self.xi0}")
-        if not (self.eta > 0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (0 < self.xi0 < np.inf):
+            raise ValueError(f"xi0 must be positive and finite, got {self.xi0}")
+        if not (0 < self.eta < np.inf):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not (0.0 < self.H < 0.5):
             raise ValueError(f"H must lie in (0, 1/2), got {self.H}")
-        if abs(self.rho) > 1:
-            raise ValueError(f"|rho| must be <= 1, got {self.rho}")
+        if not (-1 <= self.rho <= 1):
+            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
         object.__setattr__(self, "alpha", self.H - 0.5)
         object.__setattr__(self, "sigma", self.eta * np.sqrt(2 * self.H))
 
@@ -263,8 +263,8 @@ def sample_correlated_increments(
     there; the worker's one (BLOCK_SIZE, N) plane takes a partial block's
     unused draws and the rho*dW term.
     """
-    if abs(rho) > 1:
-        raise ValueError(f"|rho| must be <= 1, got {rho}")
+    if not (-1 <= rho <= 1):
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     n_paths = _check_n_paths(n_paths)
     seed = int(seed)
 

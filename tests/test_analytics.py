@@ -108,8 +108,7 @@ def _bs_terminal_log_price(vol, T, n_paths, seed):
 def test_constant_variance_smile_is_flat():
     vol, T = 0.2, 1.0
     logS = _bs_terminal_log_price(vol, T, 50_000, 31)
-    sm = rv.mc_smile(logS, T=T, model="bs", seed=31)
-    assert sm.model == "bs"
+    sm = rv.mc_smile(logS, T=T)
     assert sm.n_paths == 50_000
     assert not sm.skipped
     for i, k in enumerate(sm.strikes):
@@ -212,6 +211,19 @@ def test_atm_skew_flags_flat_smiles():
     assert np.isnan(rep.exponent)
     with pytest.raises(ValueError):
         rv.atm_skew(_synthetic_smile(0.3, -0.43), [0.5, 1.0], bump=0.0)
+
+
+def test_skew_report_needs_two_distinct_maturities():
+    # one maturity (repeated, or left after flagging) fixes no slope: lstsq's
+    # minimum-norm answer for the rank-1 design would be a made-up power law
+    for mats, psi in (
+        ([0.5, 0.5, 0.5], [1.0, 1.1, 1.2]),
+        ([1.0, 1.0, 2.0], [1.0, 1.1, 0.0]),  # T = 2 flagged
+    ):
+        rep = rv.skew_report(mats, psi, 0.01, np.array(psi))
+        assert np.isnan([rep.exponent, rep.intercept, rep.residual]).all()
+    rep = rv.skew_report([1.0, 1.0, 2.0], [1.0, 1.0, 0.5], 0.01, np.ones(3))
+    assert rep.exponent == pytest.approx(-1.0, abs=1e-12)
 
 
 # ------------------------------------------------- helpers and two-factor

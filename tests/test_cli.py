@@ -351,6 +351,25 @@ def test_skew_monte_carlo_report(tmp_path):
     assert np.isfinite(doc["exponent"])
 
 
+def test_abergomi_skew_tracks_rbergomi_on_the_same_seed(tmp_path):
+    # the Markovian model's power law, one fitted kernel per maturity, on the
+    # draws rBergomi's skew uses
+    docs = {}
+    for model, kernel in (("rbergomi", None), ("abergomi", {"n": 10})):
+        body = table1_config(
+            model=model, grid={"T": 1.0, "N": 50}, paths=9000, seed=3,
+            kernel=kernel, out_dir=str(tmp_path),
+        )
+        path = write_config(tmp_path, body, name=f"{model}.json")
+        assert cli.main(["skew", "--config", path]) == 0
+        docs[model] = json.loads((tmp_path / f"skew_{model}.json").read_text())
+    rough, markov = docs["rbergomi"], docs["abergomi"]
+    assert markov["model"] == "abergomi" and markov["n_paths"] == 9000
+    assert markov["psi"] != rough["psi"]  # a different model on the same draws
+    np.testing.assert_allclose(markov["psi"], rough["psi"], rtol=1e-3)
+    assert abs(markov["exponent"] - rough["exponent"]) < 1e-3
+
+
 def test_every_simulation_runs_once(tmp_path, monkeypatch):
     # counts Gaussian tiles: each path block of each distinct draw is one
     from roughvol import models, sim_core
@@ -471,23 +490,17 @@ def test_abergomi_requires_a_kernel_block(tmp_path, capsys):
 
 
 def test_two_factor_model_is_analytic_only(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        {
-            "schema_version": 1,
-            "model": "bergomi2f",
-            "params": {
-                "omega": 2.0, "theta": 0.3, "kappa_X": 8.0, "kappa_Y": 0.5,
-                "rho_SX": -0.7, "rho_SY": -0.6, "rho_XY": 0.2,
-            },
-            "grid": {"T": 0.5, "N": 10},
-            "paths": 16,
-            "seed": 0,
-            "out_dir": str(tmp_path),
-        },
+    # a schema error: its params pass bergomi2f's own table, and nothing,
+    # not even the output directory, is made
+    body = two_factor_config(
+        grid={"T": 0.5, "N": 10}, paths=16, out_dir=str(tmp_path / "out")
     )
-    assert cli.main(["simulate", "--config", cfg]) == 2
-    assert "analytic-only" in capsys.readouterr().err
+    for command in ("simulate", "smile"):
+        assert cli.main([command, "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == (
+            SCHEMA + f"model: must be one of {SIMULATED}, got 'bergomi2f'\n"
+        )
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +582,7 @@ RB_REQUIRED = "; ".join(
     f"params.{k}: required for model 'rbergomi'" for k in ("xi0", "eta", "H", "rho")
 )
 ALL_MODELS = "['abergomi', 'bergomi2f', 'bs', 'rbergomi']"
+SIMULATED = "['abergomi', 'bs', 'rbergomi']"  # the models simulate and smile take
 KERNEL_BAD_EVERY_KEY = {"n": 0, "method": "x", "N_grid": 2, "terms": 1}
 NOT_PSD = "must keep the (S, X, Y) correlation matrix positive semidefinite"
 
@@ -599,24 +613,24 @@ SCHEMA_ERROR_CASES = [
         "simulate", bs_config(out_dir=3),
         SCHEMA + "out_dir: must be a string", id="top-out-dir",
     ),
-    # which models each command allows
+    # which models each command allows; a missing or unknown model falls
+    # back to rbergomi's params, a known one keeps its own
     pytest.param(
         "simulate", without(bs_config(), "model"),
-        SCHEMA + f"model: must be one of {ALL_MODELS}, got None; "
+        SCHEMA + f"model: must be one of {SIMULATED}, got None; "
         "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
         id="model-missing",
     ),
     pytest.param(
         "smile", bs_config(model="heston"),
-        SCHEMA + f"model: must be one of {ALL_MODELS}, got 'heston'; "
+        SCHEMA + f"model: must be one of {SIMULATED}, got 'heston'; "
         "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
         id="model-unknown",
     ),
     pytest.param(
         "skew", bs_config(model="bs"),
-        SCHEMA + "model: must be one of ['bergomi2f', 'rbergomi'], got 'bs'; "
-        "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
-        id="model-skew-allows-two",
+        SCHEMA + "model: must be one of ['abergomi', 'bergomi2f', 'rbergomi'], got 'bs'",
+        id="model-skew-allows-three",
     ),
     pytest.param(
         "fit-kernel", fit_config(model="heston"),
@@ -630,18 +644,17 @@ SCHEMA_ERROR_CASES = [
     ),
     pytest.param(
         "compare", bs_config(kernel=SMALL_KERNEL),
-        SCHEMA + "model: must be one of ['abergomi', 'rbergomi'], got 'bs'; "
-        "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
+        SCHEMA + "model: must be one of ['abergomi', 'rbergomi'], got 'bs'",
         id="model-compare-rough-only",
     ),
     pytest.param(
         "simulate", two_factor_config(grid={"T": 0.5, "N": 10}, paths=16),
-        "error: model: 'bergomi2f' is analytic-only (use the skew command)",
+        SCHEMA + f"model: must be one of {SIMULATED}, got 'bergomi2f'",
         id="model-bergomi2f-simulate",
     ),
     pytest.param(
         "smile", two_factor_config(grid={"T": 0.5, "N": 10}, paths=16),
-        "error: model: 'bergomi2f' is analytic-only (use the skew command)",
+        SCHEMA + f"model: must be one of {SIMULATED}, got 'bergomi2f'",
         id="model-bergomi2f-smile",
     ),
     # params, per model
@@ -924,8 +937,19 @@ SCHEMA_ERROR_CASES = [
     ),
     pytest.param(
         "skew", table1_config(maturities=[]),
-        SCHEMA + "maturities: need at least 3 maturities to fit a power law, got 0",
+        SCHEMA + "maturities: need at least 3 distinct maturities to fit a power law, got 0",
         id="maturities-too-few",
+    ),
+    # repeated maturities fix no slope, so the fit must not report one
+    pytest.param(
+        "skew", table1_config(maturities=[1, 1, 1]),
+        SCHEMA + "maturities: need at least 3 distinct maturities to fit a power law, got 1",
+        id="maturities-repeated",
+    ),
+    pytest.param(
+        "skew", two_factor_config(maturities=[0.5, 1, 0.5, 1.0]),
+        SCHEMA + "maturities: need at least 3 distinct maturities to fit a power law, got 2",
+        id="maturities-two-distinct",
     ),
     pytest.param(
         "skew", two_factor_config(maturities="all"),
@@ -969,7 +993,7 @@ SCHEMA_ERROR_CASES = [
         "params.rho: required for model 'rbergomi'; params.eta: must be positive; "
         "grid: must be an object; paths: must be an integer >= 1; "
         "strikes.min/max: need numbers with min < max; kernel: must be an object; "
-        "maturities: need at least 3 maturities to fit a power law, got 1; "
+        "maturities: need at least 3 distinct maturities to fit a power law, got 1; "
         "bump: must be a positive number",
         id="every-section-skew",
     ),
@@ -1137,14 +1161,14 @@ def thread_env(monkeypatch, tmp_path):
 def command_env(monkeypatch):
     """OMP_NUM_THREADS and the pool width as the running `simulate` sees them."""
     seen = {}
-    real = cli._DISPATCH["simulate"]
+    real, *row = cli._COMMANDS["simulate"]
 
     def recording(*args):
         seen["OMP_NUM_THREADS"] = os.environ.get("OMP_NUM_THREADS")
         seen["width"] = cli.sim_core._pool_width()
         return real(*args)
 
-    monkeypatch.setitem(cli._DISPATCH, "simulate", recording)
+    monkeypatch.setitem(cli._COMMANDS, "simulate", (recording, *row))
     return seen
 
 

@@ -65,6 +65,40 @@ def test_params_validation(kw):
         rv.ModelParams(**base)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _two_factor(**over):
+    base = {
+        "omega": 2.0, "theta": 0.3, "kappa_X": 8.0, "kappa_Y": 0.5,
+        "rho_SX": -0.7, "rho_SY": -0.6, "rho_XY": 0.2,
+    }
+    return rv.TwoFactorParams(**{**base, **over})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: rv.ModelParams(0.026, 1.9, 0.07, NAN), id="rho-nan"),
+        pytest.param(lambda: rv.ModelParams(INF, 1.9, 0.07, -0.9), id="xi0-inf"),
+        pytest.param(lambda: rv.ModelParams(0.026, INF, 0.07, -0.9), id="eta-inf"),
+        pytest.param(
+            lambda: rv.sample_correlated_increments(rv.make_time_grid(1.0, 4), NAN, 8, 0),
+            id="increments-rho-nan",
+        ),
+        pytest.param(lambda: _two_factor(omega=NAN), id="omega-nan"),
+        pytest.param(lambda: _two_factor(rho_SX=NAN), id="rho_SX-nan"),
+        pytest.param(lambda: _two_factor(kappa_X=INF), id="kappa_X-inf"),
+        pytest.param(lambda: rv.make_time_grid(INF, 10), id="grid-T-inf"),
+    ],
+)
+def test_non_finite_inputs_are_rejected(build):
+    # NaN fails every comparison, so a range check must pass only inside its
+    # range (not (lo <= x <= hi)) to reject it; infinity is outside every range
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_increment_shapes_and_moments():
     g = rv.make_time_grid(1.0, 64)
     inc = rv.sample_correlated_increments(g, -0.9, 4000, 7)
