@@ -181,8 +181,13 @@ def _norm_cdf(x: float) -> float:
 
 def bs_price(S0: float, K: float, T: float, vol: float) -> float:
     """Black-Scholes call, zero rates and dividends."""
-    if S0 <= 0 or K <= 0 or T <= 0 or vol <= 0:
-        raise ValueError("bs_price requires S0, K, T, vol all positive")
+    if not (
+        0 < S0 < np.inf and 0 < K < np.inf and 0 < T < np.inf and 0 < vol < np.inf
+    ):
+        raise ValueError(
+            f"bs_price requires S0, K, T, vol all positive and finite, "
+            f"got {S0}, {K}, {T}, {vol}"
+        )
     sq = vol * np.sqrt(T)
     d1 = (np.log(S0 / K) + 0.5 * vol * vol * T) / sq
     return float(S0 * _norm_cdf(d1) - K * _norm_cdf(d1 - sq))
@@ -201,8 +206,10 @@ def implied_vol(price: float, S0: float, K: float, T: float) -> float:
     Raises ValueError naming the violated bound when price is at or below
     intrinsic max(S0-K, 0), or at or above S0.
     """
-    if S0 <= 0 or K <= 0 or T <= 0:
-        raise ValueError("implied_vol requires S0, K, T positive")
+    if not (0 < S0 < np.inf and 0 < K < np.inf and 0 < T < np.inf):
+        raise ValueError(
+            f"implied_vol requires S0, K, T positive and finite, got {S0}, {K}, {T}"
+        )
     if not np.isfinite(price):
         raise ValueError(f"price is not finite: {price}")
     lower = max(S0 - K, 0.0)
@@ -314,8 +321,8 @@ def atm_skew(smile_fn, maturities, bump: float = 0.01) -> SkewReport:
     """
     maturities = np.asarray(maturities, dtype=float)
     dk = float(bump)
-    if dk <= 0:
-        raise ValueError(f"bump must be positive, got {bump}")
+    if not (0 < dk < np.inf):
+        raise ValueError(f"bump must be positive and finite, got {bump}")
     probe = np.array([-dk, -dk / 2, dk / 2, dk])
     psi = np.empty(maturities.size)
     rich = np.empty(maturities.size)

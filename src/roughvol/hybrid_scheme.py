@@ -50,7 +50,7 @@ __all__ = [
 
 # Signal rows per FFT task.  Fixed, so each row goes through the same
 # transform calls whatever the thread count.
-FFT_CHUNK_ROWS = 1024
+FFT_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)

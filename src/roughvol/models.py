@@ -19,9 +19,10 @@ scratch, rbergomi_log_price two (FFT_CHUNK_ROWS, N) planes per worker, and
 abergomi_driver convolves into y[:, 1:].
 
 simulate_terminal runs that chain, with rbergomi_log_price, one path block
-at a time on sim_core's pool and keeps only the terminal values; plans that
-share N share each block's Gaussians.  Both routes call the same helpers
-for each step (sim_core._scale_increments, hybrid_scheme._volterra_rows,
+at a time on sim_core's pool, FFT_CHUNK_ROWS rows at a time within a
+block, and keeps only the terminal values; plans that share N share each
+block's Gaussians.  Both routes call the same helpers for each step
+(sim_core._scale_increments, hybrid_scheme._volterra_rows,
 _lognormal_variance, _euler_steps), so they agree bit for bit; the chain
 stays as the tests' reference.
 
@@ -262,13 +263,15 @@ def simulate_terminal(
     simulate_volterra -> rbergomi_variance -> rbergomi_log_price.  The plans
     must share grid.N; T and the kernel may differ.
 
-    Each BLOCK_SIZE-path block is one run_chunks task.  It draws the block's
-    Gaussian tile once, which depends on (seed, block, N) only, and runs
-    every plan on it: scaling into increments, simulate_volterra's own
-    row routine (hybrid_scheme._volterra_rows), the variance and the Euler
-    log-price.  So no path matrix outlives its block, and the draw is
-    shared by all plans.  Every buffer is made in the calling thread (see
-    sim_core).
+    Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
+    block's Gaussians once, which depend on (seed, block, N) only: planes 0
+    and 1 whole, then the block's FFT_CHUNK_ROWS-row slices in turn, each
+    with its own rows of plane 2.  Every plan runs on a slice as soon as it
+    is drawn: scaling into increments, simulate_volterra's own row routine
+    (hybrid_scheme._volterra_rows), the variance and the Euler log-price.
+    So a worker holds one block's planes 0 and 1 and one slice's paths, and
+    the draw is shared by all plans.  Every buffer is made in the calling
+    thread (see sim_core).
     """
     plans = list(plans)
     if not plans:
@@ -285,30 +288,40 @@ def simulate_terminal(
         K, L = _kernel_spectrum(_volterra_kernel(plan), N)  # L follows N alone
         runs.append((plan, K, _compensator(params, plan.grid.nodes)))
     out = [(np.empty(n_paths), np.empty(n_paths)) for _ in plans]
-    rows_max = min(BLOCK_SIZE, n_paths)
+    C = FFT_CHUNK_ROWS
+    rows_max = min(C, n_paths)
 
     def scratch():
         return (
-            np.empty((3, BLOCK_SIZE, N)),  # the tile is always drawn in full
+            np.empty((2, min(BLOCK_SIZE, n_paths), N)),
+            np.empty((C, N)),  # a slice's plane 2; a partial block's dropped draws
             np.empty((3, rows_max, N)),
             np.empty((rows_max, N + 1)),
             _fft_buffers(L, rows_max),
         )
 
     def run_block(rows: slice, bufs) -> None:
-        tile, planes, X, fft_bufs = bufs
+        z01, z2, planes, X, fft_bufs = bufs
         m = rows.stop - rows.start
-        z = _block_normals(seed, rows.start // BLOCK_SIZE, tile)[:, :m]
-        dW, dB, dU = planes[:, :m]
-        X = X[:m]
-        for (plan, K, comp), (log_S, V_T) in zip(runs, out):
-            _scale_increments(z, plan.grid.dt, params.rho, dW, dB, dU)
-            _volterra_rows(plan, K, dB, dU, X, fft_bufs)
-            _lognormal_variance(X, params.eta, comp, params.xi0, X)
-            V_T[rows] = X[:, -1]
-            _euler_steps(X, dW, plan.grid.dt, dB, dU)
-            np.cumsum(dB, axis=1, out=dU)
-            log_S[rows] = dU[:, -1]
+
+        def run_slices(gen) -> None:
+            for lo in range(0, m, C):
+                k = min(C, m - lo)
+                z = (*z01[:, lo : lo + k], gen.standard_normal(out=z2[:k]))
+                dW, dB, dU = planes[:, :k]
+                x = X[:k]
+                done = slice(rows.start + lo, rows.start + lo + k)
+                for (plan, K, comp), (log_S, V_T) in zip(runs, out):
+                    _scale_increments(z, plan.grid.dt, params.rho, dW, dB, dU)
+                    _volterra_rows(plan, K, dB, dU, x, fft_bufs)
+                    _lognormal_variance(x, params.eta, comp, params.xi0, x)
+                    V_T[done] = x[:, -1]
+                    _euler_steps(x, dW, plan.grid.dt, dB, dU)
+                    np.cumsum(dB, axis=1, out=dU)
+                    log_S[done] = dU[:, -1]
+
+        block = rows.start // BLOCK_SIZE
+        _block_normals(seed, block, z01[:, :m], z2.reshape(-1), then=run_slices)
 
     run_chunks(n_paths, BLOCK_SIZE, run_block, scratch)
     return out

@@ -9,7 +9,7 @@ lets two runs with different ``n_paths`` agree on their common prefix.
 Because no block depends on another, the module also owns the one runner
 that spreads fixed-size row slices of work over threads (``run_chunks``):
 the BLOCK_SIZE-path increment blocks here and the path blocks of
-``models.simulate_terminal``, and the fixed 1024-row chunks of every later
+``models.simulate_terminal``, and the fixed 256-row chunks of every later
 step of the public chain (``hybrid_scheme.simulate_volterra`` and
 ``toeplitz_convolve``, the variance and log-price steps of ``models``).
 numpy's RNG fill and ``np.fft`` release the interpreter lock, so the
@@ -23,8 +23,9 @@ are bit-identical whatever the thread count.
 
 Models that hold per-path intermediates run over the paths in the same
 BLOCK_SIZE-path blocks, so their peak memory is set by one block:
-``models.simulate_terminal`` draws and evaluates each block inside its
-pool task, and ``iter_blocks`` splits an already drawn set into views.
+``models.simulate_terminal`` draws each block inside its pool task and
+evaluates it one FFT_CHUNK_ROWS-row slice at a time, and ``iter_blocks``
+splits an already drawn set into views.
 
 Every large buffer, the outputs and each worker's scratch, is allocated in
 the calling thread; workers only fill them through ``out=`` arguments.
@@ -38,17 +39,19 @@ whole-size temporary.  A sample_correlated_increments worker draws a
 block's three planes into its rows of dW, dB and dU and holds one
 (BLOCK_SIZE, N) plane, for a partial block's unused draws and the rho*dW
 term.  A simulate_volterra, abergomi_driver or toeplitz_convolve worker
-holds the FFT buffers for 1024 rows (simulate_volterra takes its first-cell
-scratch from their idle signal buffer), an rbergomi_log_price worker two
-(1024, N) planes, and the variance steps none.  A simulate_terminal worker
-holds a (3, BLOCK_SIZE, N) tile, three (BLOCK_SIZE, N) increment planes,
-one (BLOCK_SIZE, N+1) path array and the FFT buffers, about 27 MB at
-N = 100.
+holds the FFT buffers for FFT_CHUNK_ROWS = 256 rows (simulate_volterra
+takes its first-cell scratch from their idle signal buffer), an
+rbergomi_log_price worker two (256, N) planes, and the variance steps
+none.  A simulate_terminal worker holds planes 0 and 1 of a block's
+Gaussians, (2, BLOCK_SIZE, N), and for one 256-row slice its rows of
+plane 2, three increment planes, one (256, N+1) path array and the FFT
+buffers: about 8.6 MB at N = 100.  A slice's share, about 1.9 MB at
+N = 100, fits a 2 MB L2 cache.
 
 Measured with two threads: the benchmark's markov_smile chain (20 000
-paths, N = 200) peaks at 196.9 MB RSS and its rough_smile chain (100 000
-paths, N = 200) at 807.8 MB; ``roughvol skew`` (20 000 paths, N = 100,
-five maturities) peaks at 91.0 MB.  Timings and peak memory have been
+paths, N = 200) peaks at 194.9 MB RSS and its rough_smile chain (100 000
+paths, N = 200) at 805.7 MB; ``roughvol skew`` (20 000 paths, N = 100,
+five maturities) peaks at 55.9 MB.  Timings and peak memory have been
 measured on 2 CPUs only.
 """
 
@@ -200,7 +203,7 @@ class ModelParams:
         object.__setattr__(self, "sigma", self.eta * np.sqrt(2 * self.H))
 
 
-def _block_normals(seed: int, block: int, out, spare=None):
+def _block_normals(seed: int, block: int, out, spare=None, then=None):
     """Fill out with one block's Gaussians, in the order of the full tile.
 
     out is a (k, BLOCK_SIZE, N) tile, or (with spare) k planes of m <=
@@ -208,20 +211,28 @@ def _block_normals(seed: int, block: int, out, spare=None):
     block always draws its complete (k, BLOCK_SIZE, N) tile even when fewer
     paths are needed, so a partial block is a row-slice of the full one
     (prefix property): after each m-row plane, the (BLOCK_SIZE - m)*N values
-    the tile holds below it are drawn into spare, a flat array of at least
-    that size, and dropped.  A (1, BLOCK_SIZE, N) out gets plane 0 of the
-    full tile.
+    the tile holds below it are drawn into spare, a flat array, a piece of
+    spare.size values at a time, and dropped.  A (1, BLOCK_SIZE, N) out
+    gets plane 0 of the full tile.  then(gen), when given, is called last
+    with the block's generator, which stands at the start of plane k: a
+    caller that draws plane k's rows from it in turn, in pieces of any size,
+    gets the rows of plane k of the full tile.  Returns out.
     Sampling method: numpy's ziggurat via Generator.standard_normal, an
     exact-distribution sampler, on the counter-based Philox bit stream.
+    Philox fills sequentially, so pieces drawn one after another hold the
+    values of one draw of their total size.
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
     if spare is None:
-        return gen.standard_normal(out=out)
-    for plane in out:
-        gen.standard_normal(out=plane)
-        rest = (BLOCK_SIZE - plane.shape[0]) * plane.shape[1]
-        if rest:
-            gen.standard_normal(out=spare[:rest])
+        gen.standard_normal(out=out)
+    else:
+        for plane in out:
+            gen.standard_normal(out=plane)
+            rest = (BLOCK_SIZE - plane.shape[0]) * plane.shape[1]
+            for lo in range(0, rest, spare.size):
+                gen.standard_normal(out=spare[: min(spare.size, rest - lo)])
+    if then is not None:
+        then(gen)
     return out
 
 

@@ -65,6 +65,41 @@ def test_implied_vol_names_the_violated_bound():
         rv.implied_vol(0.1, 0.0, 1.0, 1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rv.bs_price(NAN, 1.0, 1.0, 0.2),
+        lambda: rv.bs_price(1.0, NAN, 1.0, 0.2),
+        lambda: rv.bs_price(1.0, 1.0, NAN, 0.2),
+        lambda: rv.bs_price(1.0, 1.0, 1.0, NAN),
+        lambda: rv.bs_price(1.0, 1.0, INF, 0.2),
+        lambda: rv.implied_vol(0.1, NAN, 1.0, 1.0),
+        lambda: rv.implied_vol(0.1, 1.0, NAN, 1.0),
+        lambda: rv.implied_vol(0.1, 1.0, 1.0, NAN),
+        lambda: rv.implied_vol(0.1, 1.0, INF, 1.0),
+    ],
+    ids=[
+        "bs-S0-nan", "bs-K-nan", "bs-T-nan", "bs-vol-nan", "bs-T-inf",
+        "iv-S0-nan", "iv-K-nan", "iv-T-nan", "iv-K-inf",
+    ],
+)
+def test_pricing_rejects_non_finite_inputs(call):
+    with pytest.raises(ValueError, match="positive and finite"):
+        call()
+
+
+@pytest.mark.parametrize("bump", [NAN, INF])
+def test_atm_skew_rejects_a_non_finite_bump_before_pricing(bump):
+    def smile_fn(T, strikes):
+        raise AssertionError("smile_fn called")
+
+    with pytest.raises(ValueError, match="positive and finite"):
+        rv.atm_skew(smile_fn, [0.5, 1.0], bump=bump)
+
+
 def test_implied_vol_deep_otm_tiny_price():
     # far OTM, short maturity: the solver still converges without overflow
     price = rv.bs_price(1.0, np.exp(0.4), 0.25, 0.3)

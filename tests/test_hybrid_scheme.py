@@ -200,7 +200,8 @@ def _whole_array_volterra(plan, inc):
 
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize(
-    "n_paths", [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE + 5, 2 * BLOCK_SIZE + 7]
+    "n_paths",
+    [1, FFT_CHUNK_ROWS + 3, 4 * FFT_CHUNK_ROWS + 3, BLOCK_SIZE + 5, 2 * BLOCK_SIZE + 7],
 )
 @pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
 def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypatch):

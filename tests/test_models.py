@@ -79,7 +79,19 @@ def _plan(kind, T, N, H):
     return rv.make_hybrid_plan(rv.make_time_grid(T, N), H - 0.5, kernel=kern)
 
 
-@pytest.mark.parametrize("n_paths", [1, rv.BLOCK_SIZE + 5, 3 * rv.BLOCK_SIZE + 7])
+# a single path, a partial slice in a partial block, a partial slice in a full
+# block, a partial block that ends mid-slice, and three full blocks plus a
+# partial one
+STREAM_ROWS = [
+    1,
+    FFT_CHUNK_ROWS + 3,
+    rv.BLOCK_SIZE + 5,
+    rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3,
+    3 * rv.BLOCK_SIZE + 7,
+]
+
+
+@pytest.mark.parametrize("n_paths", STREAM_ROWS)
 @pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
 def test_streamed_terminal_equals_the_chain(kind, n_paths, table1, monkeypatch):
     from roughvol import sim_core
@@ -123,7 +135,14 @@ def test_streamed_terminal_rejects_mismatched_plans(table1):
         rv.simulate_terminal([], table1, 5, 0)
 
 
-CHAIN_ROWS = [1, FFT_CHUNK_ROWS + 3, rv.BLOCK_SIZE + 5, 2 * rv.BLOCK_SIZE + 7]
+# a partial block over five chunks gives each of two workers several chunks
+CHAIN_ROWS = [
+    1,
+    FFT_CHUNK_ROWS + 3,
+    4 * FFT_CHUNK_ROWS + 3,
+    rv.BLOCK_SIZE + 5,
+    2 * rv.BLOCK_SIZE + 7,
+]
 
 
 def _whole_array_log_price(V, inc):
@@ -205,15 +224,16 @@ def test_chain_steps_allocate_little_beyond_their_output(table1, monkeypatch):
 
 def test_streamed_terminal_memory_stays_flat(table1, monkeypatch):
     # beyond its 16 bytes per path of output, simulate_terminal holds only
-    # its workers' scratch: one tile, three (BLOCK_SIZE, N) planes, one
-    # (BLOCK_SIZE, N+1) path array and FFT buffers for FFT_CHUNK_ROWS rows
+    # its workers' scratch: a block's planes 0 and 1, and for one
+    # FFT_CHUNK_ROWS-row slice its plane 2, three increment planes, one
+    # (C, N+1) path array and the FFT buffers
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
-    N, B = 50, rv.BLOCK_SIZE
+    N, B, C = 50, rv.BLOCK_SIZE, FFT_CHUNK_ROWS
     plan = _plan("rbergomi", 1.0, N, table1.H)
     rv.simulate_terminal([plan], table1, 3 * B, 1)  # warm-up: numpy's FFT caches
     L = 128  # the power of two >= 2N - 1
-    fft = FFT_CHUNK_ROWS * (16 * (L // 2 + 1) + 8 * L)
-    worker = 8 * (3 * B * N + 3 * B * N + B * (N + 1)) + fft
+    fft = C * (16 * (L // 2 + 1) + 8 * L)
+    worker = 8 * (2 * B * N + 4 * C * N + C * (N + 1)) + fft
     extra = {}
     for blocks in (3, 12):
         _, peak = _traced_peak(rv.simulate_terminal, [plan], table1, blocks * B, 1)

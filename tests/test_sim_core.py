@@ -221,9 +221,15 @@ def test_increments_do_not_depend_on_the_thread_count(n_paths, monkeypatch):
     assert np.array_equal(one.dU, two.dU)
 
 
-# a single path, a partial block over two FFT chunks, a full block plus a
-# partial one, and two full blocks plus a partial one
-CHAIN_ROWS = [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE + 5, 2 * BLOCK_SIZE + 7]
+# a single path, a partial block over two and over five FFT chunks, a full
+# block plus a partial one, and two full blocks plus a partial one
+CHAIN_ROWS = [
+    1,
+    FFT_CHUNK_ROWS + 3,
+    4 * FFT_CHUNK_ROWS + 3,
+    BLOCK_SIZE + 5,
+    2 * BLOCK_SIZE + 7,
+]
 
 
 def _whole_array_increments(grid, rho, n_paths, seed):
@@ -250,6 +256,24 @@ def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
     want = _whole_array_increments(g, -0.9, n_paths, 3)
     for name, plane in zip(("dW", "dB", "dU"), want):
         assert np.array_equal(getattr(inc, name), plane), name
+
+
+@pytest.mark.parametrize("m", [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE])
+def test_sliced_plane_two_equals_the_full_tile(m):
+    # models.simulate_terminal draws planes 0 and 1 of a block's m rows
+    # through a chunk-sized spare, then plane 2 in FFT_CHUNK_ROWS-row slices
+    N, C = 7, FFT_CHUNK_ROWS
+    tile = sim_core._block_normals(4, 2, np.empty((3, BLOCK_SIZE, N)))
+    z01, spare = np.empty((2, m, N)), np.empty(C * N)
+    slices = []
+
+    def draw_slices(gen):
+        for lo in range(0, m, C):
+            slices.append(gen.standard_normal(out=np.empty((min(C, m - lo), N))))
+
+    assert sim_core._block_normals(4, 2, z01, spare, then=draw_slices) is z01
+    assert np.array_equal(z01, tile[:2, :m])
+    assert np.array_equal(np.concatenate(slices), tile[2, :m])
 
 
 @pytest.mark.parametrize("N,n_paths", [(100, 20_000), (8, BLOCK_SIZE + 5), (200, 1)])
