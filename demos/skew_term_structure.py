@@ -23,8 +23,9 @@ N, N_PATHS, SEED = 100, 50_000, 11
 
 
 def main():
-    # one streamed simulation for all maturities: every path block's
-    # Gaussians are drawn once and scaled to each maturity's step
+    # one streamed simulation for all maturities: every path slice's
+    # Gaussians are drawn and convolved once, and the Volterra field is
+    # scaled by (T/T_ref)^H to each maturity (rBergomi is self-similar)
     plans = [rv.make_hybrid_plan(rv.make_time_grid(T, N), PARAMS.alpha) for T in MATURITIES]
     terminal = rv.simulate_terminal(plans, PARAMS, N_PATHS, SEED)
     log_S = {T: s_T for T, (s_T, _) in zip(MATURITIES, terminal)}

@@ -16,6 +16,14 @@ the first cell to those rows, with its two scratch planes taken from the
 chunk's idle FFT signal buffer, so the only full-size array
 simulate_volterra makes is the one it returns.
 
+On a uniform grid with fixed N the power plan is self-similar: the tail
+weights (b_k^* dt)^alpha and the first cell's a1, b1 scale as dt^alpha,
+and the increments as sqrt(dt), so on the same Gaussians the field of
+maturity T is (T/T_ref)^H times that of T_ref.  models.simulate_terminal
+therefore builds one field per slice for all its rBergomi plans and scales
+it in each plan's variance; a kernel plan (below) has no such symmetry and
+gets its own convolution.
+
 The same scheme simulates the Markovian approximation: given a
 sum-of-exponentials kernel K(tau) = sum_i w_i e^(-x_i tau), the cells k >= 2
 take the cell averages of K instead of those of tau^alpha, while the singular
@@ -144,7 +152,7 @@ def make_hybrid_plan(
     else:
         if not (-0.5 < alpha < 0.0):
             raise ValueError(f"alpha must lie in (-1/2, 0), got {alpha}")
-        if abs(kernel.H - 0.5 - alpha) > 1e-12:
+        if not abs(kernel.H - 0.5 - alpha) <= 1e-12:
             raise ValueError(
                 f"kernel was built for H={kernel.H}, plan has alpha={alpha} "
                 f"(H={alpha + 0.5})"

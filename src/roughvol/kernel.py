@@ -44,9 +44,10 @@ _SPEED_CAP_LOG = np.log(1e12)
 class ExpKernel:
     """K^n(tau) = sum_i weights[i] * exp(-speeds[i] * tau).
 
-    weights > 0, speeds > 0 strictly increasing; K^n is then positive,
-    strictly decreasing, and completely monotone on (0, inf).  It
-    approximates sqrt(2H) * tau^(H-1/2) on [0, T].
+    weights and speeds positive and finite, speeds strictly increasing;
+    K^n is then positive, strictly decreasing, and completely monotone on
+    (0, inf).  It approximates sqrt(2H) * tau^(H-1/2) on [0, T], with H in
+    (0, 1/2) and T positive and finite.
     """
 
     weights: np.ndarray
@@ -59,10 +60,14 @@ class ExpKernel:
         x = _readonly(np.atleast_1d(np.asarray(self.speeds, dtype=float)))
         if w.size != x.size or w.size < 1:
             raise ValueError("weights and speeds must be equal-length, non-empty")
-        if not (np.all(w > 0) and np.all(x > 0)):
-            raise ValueError("weights and speeds must all be positive")
+        if not (np.all((0 < w) & (w < np.inf)) and np.all((0 < x) & (x < np.inf))):
+            raise ValueError("weights and speeds must all be positive and finite")
         if not np.all(np.diff(x) > 0):
             raise ValueError("speeds must be strictly increasing")
+        if not (0.0 < self.H < 0.5):
+            raise ValueError(f"H must lie in (0, 1/2), got {self.H}")
+        if not (0 < self.T < np.inf):
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "speeds", x)
 

@@ -23,7 +23,10 @@ at a time on sim_core's pool, FFT_CHUNK_ROWS rows at a time within a
 block, and keeps only the terminal values; plans that share N share each
 block's Gaussians.  Both routes call the same helpers for each step
 (sim_core._scale_increments, hybrid_scheme._volterra_rows,
-_lognormal_variance, _euler_steps), so they agree bit for bit; the chain
+_lognormal_variance, _euler_steps).  rBergomi plans that share N also
+share one Volterra field, scaled by (T/T_ref)^H in the variance: the
+first plan of each such group, and every kernel plan, agree with the
+chain bit for bit, a later rBergomi plan to within 1e-13.  The chain
 stays as the tests' reference.
 
 The affine structure of the Markovian model is kept in closed form:
@@ -219,13 +222,13 @@ def _euler_steps(V, dW, dt, out, tmp) -> None:
 
     V is [rows x (N+1)]; dW, out and tmp are [rows x N].  out and tmp are
     two separate planes that alias neither V nor dW: sqrt(V) goes into out
-    before it is multiplied by dW.
+    before it is multiplied by dW.  V_j*(0.5*dt) is one multiply with the
+    bits of (V_j*0.5)*dt: halving is exact.
     """
     v = V[:, :-1]
     np.sqrt(v, out=out)
     np.multiply(out, dW, out=out)
-    np.multiply(v, 0.5, out=tmp)
-    np.multiply(tmp, dt, out=tmp)
+    np.multiply(v, 0.5 * dt, out=tmp)
     np.subtract(out, tmp, out=out)
 
 
@@ -258,20 +261,30 @@ def simulate_terminal(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Terminal (log S_T, V_T) under each plan, streamed in path blocks.
 
-    Per plan, equal bit for bit to the last columns of the chain
+    Per plan, the last columns of the chain
     sample_correlated_increments(plan.grid, params.rho, n_paths, seed) ->
     simulate_volterra -> rbergomi_variance -> rbergomi_log_price.  The plans
     must share grid.N; T and the kernel may differ.
 
+    Plans whose Volterra field is a scalar multiple of an earlier plan's
+    (_self_similar: rBergomi plans, or a repeated plan) form one group and
+    share that field: on the same Gaussians X^(T) = (T/T_ref)^H * X^(T_ref),
+    so each member's variance takes the scale eta*(T/T_ref)^H.  The first
+    plan of each group, so every kernel plan, and a repeat of it (scale
+    eta) equal the chain bit for bit; a later member of another T agrees
+    with it to within 1e-13 in log S_T, and relative in V_T: its field is
+    the reference's, scaled, not one built at its own dt, so it rounds
+    differently (measured: a few 1e-15).
+
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
     block's Gaussians once, which depend on (seed, block, N) only: planes 0
     and 1 whole, then the block's FFT_CHUNK_ROWS-row slices in turn, each
-    with its own rows of plane 2.  Every plan runs on a slice as soon as it
-    is drawn: scaling into increments, simulate_volterra's own row routine
-    (hybrid_scheme._volterra_rows), the variance and the Euler log-price.
-    So a worker holds one block's planes 0 and 1 and one slice's paths, and
-    the draw is shared by all plans.  Every buffer is made in the calling
-    thread (see sim_core).
+    with its own rows of plane 2.  Every group runs on a slice as soon as it
+    is drawn: scaling into increments and simulate_volterra's own row
+    routine (hybrid_scheme._volterra_rows), once; then, per member, the
+    variance and the Euler log-price.  So a worker holds one block's planes
+    0 and 1 and one slice's paths, and the draw is shared by all plans.
+    Every buffer is made in the calling thread (see sim_core).
     """
     plans = list(plans)
     if not plans:
@@ -283,11 +296,18 @@ def simulate_terminal(
         _check_alpha(plan.alpha, params)
     n_paths = _check_n_paths(n_paths)
     seed = int(seed)
-    runs = []
-    for plan in plans:
-        K, L = _kernel_spectrum(_volterra_kernel(plan), N)  # L follows N alone
-        runs.append((plan, K, _compensator(params, plan.grid.nodes)))
     out = [(np.empty(n_paths), np.empty(n_paths)) for _ in plans]
+    groups = []  # (reference plan, its kernel spectrum, members), in plan order
+    for plan, res in zip(plans, out):
+        group = next((g for g in groups if _self_similar(plan, g[0])), None)
+        if group is None:
+            K, L = _kernel_spectrum(_volterra_kernel(plan), N)  # L follows N alone
+            group = (plan, K, [])
+            groups.append(group)
+        ref, _, members = group
+        scale = params.eta * (plan.grid.T / ref.grid.T) ** params.H
+        comp = _compensator(params, plan.grid.nodes)
+        members.append((plan.grid.dt, scale, comp, res))
     C = FFT_CHUNK_ROWS
     rows_max = min(C, n_paths)
 
@@ -311,20 +331,39 @@ def simulate_terminal(
                 dW, dB, dU = planes[:, :k]
                 x = X[:k]
                 done = slice(rows.start + lo, rows.start + lo + k)
-                for (plan, K, comp), (log_S, V_T) in zip(runs, out):
-                    _scale_increments(z, plan.grid.dt, params.rho, dW, dB, dU)
-                    _volterra_rows(plan, K, dB, dU, x, fft_bufs)
-                    _lognormal_variance(x, params.eta, comp, params.xi0, x)
-                    V_T[done] = x[:, -1]
-                    _euler_steps(x, dW, plan.grid.dt, dB, dU)
-                    np.cumsum(dB, axis=1, out=dU)
-                    log_S[done] = dU[:, -1]
+                # V goes into the FFT signal buffer, idle once X is built
+                v = fft_bufs[1].reshape(-1)[: k * (N + 1)].reshape(k, N + 1)
+                for ref, K, members in groups:
+                    _scale_increments(z, ref.grid.dt, params.rho, dW, dB, dU)
+                    _volterra_rows(ref, K, dB, dU, x, fft_bufs)
+                    for j, (dt, scale, comp, (log_S, V_T)) in enumerate(members):
+                        if j:  # the reference's dW is _scale_increments'
+                            np.multiply(z[0], np.sqrt(dt), out=dW)
+                        _lognormal_variance(x, scale, comp, params.xi0, v)
+                        V_T[done] = v[:, -1]
+                        _euler_steps(v, dW, dt, dB, dU)
+                        np.cumsum(dB, axis=1, out=dU)
+                        log_S[done] = dU[:, -1]
 
         block = rows.start // BLOCK_SIZE
         _block_normals(seed, block, z01[:, :m], z2.reshape(-1), then=run_slices)
 
     run_chunks(n_paths, BLOCK_SIZE, run_block, scratch)
     return out
+
+
+def _self_similar(plan: HybridPlan, ref: HybridPlan) -> bool:
+    """Whether plan's Volterra field is (T/T_ref)^H times ref's on the same draws.
+
+    At a shared N the first cell's a1, b1 scale as dt^alpha and the
+    increments as sqrt(dt), so the field scales as dt^H exactly when the
+    tail weights scale as dt^alpha.  rBergomi plans do (their ratio is
+    constant to 2.2e-16); a kernel plan does only against a copy of itself.
+    """
+    ratio = (plan.grid.dt / ref.grid.dt) ** plan.alpha
+    return np.allclose(
+        plan.kernel_weights, ref.kernel_weights * ratio, rtol=1e-13, atol=0.0
+    )
 
 
 def simulate_ou_factors(cfg: AbergomiConfig, inc: PathIncrements) -> OUFactorPaths:

@@ -68,6 +68,27 @@ def test_exp_kernel_validation():
         rv.ExpKernel(weights=[1.0], speeds=[1.0, 2.0], H=H, T=T)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("H", math.nan, "H must lie"),
+        ("H", 0.5, "H must lie"),
+        ("T", math.nan, "T must be positive and finite"),
+        ("T", -1.0, "T must be positive and finite"),
+        ("T", math.inf, "T must be positive and finite"),
+        ("weights", [math.inf], "positive and finite"),
+        ("speeds", [math.inf], "positive and finite"),
+    ],
+)
+def test_exp_kernel_rejects_non_finite_and_out_of_range_fields(field, value, message):
+    # a NaN H used to reach make_hybrid_plan, whose kernel weights, and so
+    # every simulated path, then came out NaN
+    fields = dict(weights=[1.0], speeds=[1.0], H=H, T=T)
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        rv.ExpKernel(**fields)
+
+
 def test_exp_kernel_evaluates_the_sum():
     k = rv.ExpKernel(weights=[0.5, 2.0], speeds=[1.0, 3.0], H=H, T=T)
     assert k.n == 2

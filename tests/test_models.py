@@ -108,18 +108,83 @@ def test_streamed_terminal_equals_the_chain(kind, n_paths, table1, monkeypatch):
 @pytest.mark.parametrize("width", [1, 2])
 def test_one_streamed_call_equals_one_chain_per_maturity(width, table1, monkeypatch):
     # every plan reads the same tile, so a plan that altered it would shift
-    # the ones after it
-    from roughvol import sim_core
-
+    # the ones after it; the second rBergomi plan takes the first one's field,
+    # scaled, so it agrees to a bound instead of bit for bit
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     plans = [_plan("rbergomi", 0.25, 12, table1.H), _plan("kernel", 2.0, 12, table1.H),
              _plan("rbergomi", 1.0, 12, table1.H)]
     n_paths = 2 * rv.BLOCK_SIZE + 3
     got = rv.simulate_terminal(plans, table1, n_paths, 9)
-    for plan, (log_S, V_T) in zip(plans, got):
+    for i, (plan, (log_S, V_T)) in enumerate(zip(plans, got)):
         want = _chained_terminal(plan, table1, n_paths, 9)
-        assert np.array_equal(log_S, want[0]), f"log S_T at T={plan.grid.T}"
-        assert np.array_equal(V_T, want[1]), f"V_T at T={plan.grid.T}"
+        if i < 2:
+            assert np.array_equal(log_S, want[0]), f"log S_T at T={plan.grid.T}"
+            assert np.array_equal(V_T, want[1]), f"V_T at T={plan.grid.T}"
+        else:
+            np.testing.assert_allclose(log_S, want[0], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(V_T, want[1], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_scaled_plans_agree_with_their_own_run(width, table1, monkeypatch):
+    # a T=0.02 reference field, scaled down to 0.005 and up to 0.1 and 2
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    plans = [_plan("rbergomi", T, 12, table1.H) for T in (0.02, 0.005, 0.1, 2.0)]
+    n_paths = rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
+    got = rv.simulate_terminal(plans, table1, n_paths, 5)
+    for i, (plan, (log_S, V_T)) in enumerate(zip(plans, got)):
+        [(want_S, want_V)] = rv.simulate_terminal([plan], table1, n_paths, 5)
+        if i == 0:
+            assert np.array_equal(log_S, want_S) and np.array_equal(V_T, want_V)
+        else:
+            assert not np.array_equal(V_T, want_V), "scaled field is not shared"
+            np.testing.assert_allclose(log_S, want_S, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(V_T, want_V, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_repeated_and_kernel_plans_stay_bit_identical(width, table1, monkeypatch):
+    # the repeated T=0.25 plan follows the T=1.0 member of its group, so its
+    # dW must be rebuilt, not left at T=1.0's; a repeated kernel plan joins
+    # the first one's group with scale eta itself
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    kern = rv.closed_form_kernel(4, table1.H, 2.0)[0]
+    plans = [
+        _plan("rbergomi", 0.25, 12, table1.H),
+        _plan("kernel", 2.0, 12, table1.H),
+        _plan("rbergomi", 1.0, 12, table1.H),
+        _plan("rbergomi", 0.25, 12, table1.H),
+        rv.make_hybrid_plan(rv.make_time_grid(0.5, 12), table1.alpha, kernel=kern),
+        _plan("kernel", 2.0, 12, table1.H),
+    ]
+    n_paths = rv.BLOCK_SIZE + 5
+    got = rv.simulate_terminal(plans, table1, n_paths, 2)
+    for i in (0, 1, 3, 4, 5):
+        want = _chained_terminal(plans[i], table1, n_paths, 2)
+        assert np.array_equal(got[i][0], want[0]), f"log S_T of plan {i}"
+        assert np.array_equal(got[i][1], want[1]), f"V_T of plan {i}"
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_one_volterra_field_per_slice_serves_every_rbergomi_plan(
+    width, table1, monkeypatch
+):
+    from roughvol import models
+
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    calls = []
+    volterra_rows = models._volterra_rows
+
+    def spy(plan, *args):
+        calls.append(plan.grid.T)
+        volterra_rows(plan, *args)
+
+    monkeypatch.setattr(models, "_volterra_rows", spy)
+    plans = [_plan("rbergomi", T, 12, table1.H) for T in (0.005, 0.02, 0.1, 0.5, 2.0)]
+    n_paths = 2 * rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
+    rv.simulate_terminal(plans, table1, n_paths, 1)
+    slices = 2 * (rv.BLOCK_SIZE // FFT_CHUNK_ROWS) + 2
+    assert calls == [0.005] * slices
 
 
 def test_streamed_terminal_rejects_mismatched_plans(table1):
