@@ -5,10 +5,11 @@ Three views of psi(T) = |d sigma_imp / dk| at the money:
 1. Monte Carlo central differences under the rough model (CRN bumps),
    with a log-log power-law fit — the exponent should sit near H - 1/2.
 2. The second-order implied-vol expansion's analytic skew for the same
-   model, as a no-simulation cross-check.
-3. The classical two-factor model's analytic skew, which tends to a
-   constant as T -> 0 instead of blowing up: the qualitative gap the
-   rough kernel exists to close.
+   model, from its closed-form coefficients (powers of T and a Beta
+   function): a no-simulation cross-check.
+3. The classical two-factor model's analytic skew, a sum over its two
+   exponential factors, which tends to a constant as T -> 0 instead of
+   blowing up: the qualitative gap the rough kernel exists to close.
 
 Run:  python3 demos/skew_term_structure.py   (~15 s)
 """

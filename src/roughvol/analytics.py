@@ -1,13 +1,14 @@
 """Implied-vol analytics: BS pricing, MC smiles, ATM skew, vol expansions.
 
 The second-order implied-vol expansion sigma_BS(k, T) = sigma_ATM + S_T*k +
-C_T*k^2 is driven by three autocorrelation functionals (C^Xxi, C^xixi,
-C^mu).  They are provided two ways:
+C_T*k^2 (Bergomi & Guyon 2012) is driven by three autocorrelation
+functionals (C^Xxi, C^xixi, C^mu), all in closed form here:
 
-* for the rough model, by numeric quadrature of the defining integrals
-  (plus a closed form for C^Xxi, which the quadrature must reproduce);
-* for the classical two-factor model, in closed form via the helper
-  functions I, J, K, H.
+* for the rough model every inner integral is a power of (T - s), so the
+  three are powers of T, one of them with a Beta function;
+* for forward variance driven by exponential factors (the classical
+  two-factor model has two) they are sums of the helper functions I, J, K
+  over factors and factor pairs.
 
 Two of the two-factor displays circulating in the literature contain
 typos (an omitted square on the vol-of-vol in C^xixi, a wrong
@@ -165,13 +166,18 @@ class TwoFactorParams:
 
 @dataclass(frozen=True)
 class ExpansionCoeffs:
-    """The three autocorrelation functionals (quadrature values) plus the
-    closed-form C^Xxi when one is available."""
+    """The three autocorrelation functionals of the vol expansion."""
 
     c_xxi: float
     c_xixi: float
     c_mu: float
-    c_xxi_closed: float | None = None
+
+
+def _require_positive(fn: str, **values) -> None:
+    """Raise ValueError unless every value lies in (0, inf); NaN fails too."""
+    for name, x in values.items():
+        if not (0 < x < math.inf):
+            raise ValueError(f"{fn} requires {name} positive and finite, got {x}")
 
 
 def _norm_cdf(x: float) -> float:
@@ -195,6 +201,7 @@ def bs_price(S0: float, K: float, T: float, vol: float) -> float:
 
 def bs_vega(S0: float, K: float, T: float, vol: float) -> float:
     """d bs_price / d vol: turns a price error into a vol error."""
+    _require_positive("bs_vega", S0=S0, K=K, T=T, vol=vol)
     sq = vol * np.sqrt(T)
     d1 = (np.log(S0 / K) + 0.5 * vol * vol * T) / sq
     return float(S0 * np.exp(-0.5 * d1 * d1) / np.sqrt(2 * np.pi) * np.sqrt(T))
@@ -206,10 +213,7 @@ def implied_vol(price: float, S0: float, K: float, T: float) -> float:
     Raises ValueError naming the violated bound when price is at or below
     intrinsic max(S0-K, 0), or at or above S0.
     """
-    if not (0 < S0 < np.inf and 0 < K < np.inf and 0 < T < np.inf):
-        raise ValueError(
-            f"implied_vol requires S0, K, T positive and finite, got {S0}, {K}, {T}"
-        )
+    _require_positive("implied_vol", S0=S0, K=K, T=T)
     if not np.isfinite(price):
         raise ValueError(f"price is not finite: {price}")
     lower = max(S0 - K, 0.0)
@@ -297,10 +301,22 @@ def fit_power_law(maturities, psi) -> tuple[float, float, float]:
     """Least-squares fit of log psi = intercept + exponent * log T.
 
     Returns (intercept, exponent, residual), where residual is the RMS misfit
-    in log psi.  Every maturity and psi must be positive.
+    in log psi.  Raises ValueError unless maturities and psi are 1-d of equal
+    length, every value is positive and finite, and at least 2 maturities
+    are distinct (through one maturity the slope is not determined).
     """
-    log_T = np.log(np.asarray(maturities, dtype=float))
-    log_psi = np.log(np.asarray(psi, dtype=float))
+    T = np.asarray(maturities, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    if T.ndim != 1 or T.shape != psi.shape:
+        raise ValueError(
+            f"maturities and psi must be 1-d of equal length: {T.shape}, {psi.shape}"
+        )
+    if not np.all((0 < T) & (T < np.inf) & (0 < psi) & (psi < np.inf)):
+        raise ValueError("every maturity and psi must be positive and finite")
+    if np.unique(T).size < 2:
+        raise ValueError("fit_power_law needs at least 2 distinct maturities")
+    log_T = np.log(T)
+    log_psi = np.log(psi)
     A = np.vstack([np.ones(log_T.size), log_T]).T
     coef, *_ = np.linalg.lstsq(A, log_psi, rcond=None)
     residual = float(np.sqrt(np.mean((A @ coef - log_psi) ** 2)))
@@ -370,8 +386,8 @@ def helper_functions(z: float):
     (the direct forms lose precision to cancellation there); limits at
     z = 0 are I=1, J=1/2, K=1/2, H=1/6.
     """
-    if z < 0:
-        raise ValueError(f"helper_functions requires z >= 0, got {z}")
+    if not (0 <= z < np.inf):
+        raise ValueError(f"helper_functions requires 0 <= z < inf, got {z}")
     if z < 0.05:
         # sixth-order series; the direct forms below lose ~eps/z^3 to
         # cancellation (worst in H), so the switch sits where both branches
@@ -395,171 +411,90 @@ def helper_functions(z: float):
     return float(I), float(J), float(K), float(H)
 
 
-def _I(z):
-    return helper_functions(z)[0]
+def _helpers(z):
+    """helper_functions over an array: the arrays (I, J, K, H), each shaped like z."""
+    z = np.asarray(z, dtype=float)
+    return np.array([helper_functions(x) for x in z.flat]).T.reshape((4, *z.shape))
 
 
-def _J(z):
-    return helper_functions(z)[1]
+def _factor_coeffs(speeds, loadings, T: float, xi0: float) -> ExpansionCoeffs:
+    """(C^Xxi, C^xixi, C^mu) for forward variance driven by exponential factors.
 
+    Factor i decays at speeds[i] and loads the three driving Brownians with
+    loadings[i] in R^3, the first of which drives the spot.  With
+    z = speeds*T, l_i = loadings[i][0], a_i = loadings[i]/z_i, c = sum_i a_i:
 
-def _K(z):
-    return helper_functions(z)[2]
-
-
-def _H(z):
-    return helper_functions(z)[3]
+        C^Xxi  = xi0^(3/2)*T^2 * sum_i l_i J(z_i)
+        C^xixi = xi0^2*T^3 * (c.c - 2 sum_i (a_i.c) I(z_i)
+                              + sum_ij (a_i.a_j) I(z_i+z_j))
+        C^mu   = xi0^2*T^3 * sum_ij (l_i l_j/z_j)
+                 * [(J(z_i) - B_ij)/2 + J(z_i) - J(z_i+z_j)],
+          B_ij = (I(z_j) - I(z_i))/(z_i - z_j)  (-> K(z) as the speeds merge)
+    """
+    _require_positive("the vol expansion", T=T, xi0=xi0)
+    z = np.asarray(speeds, dtype=float) * T
+    L = np.asarray(loadings, dtype=float)
+    l = L[:, 0]
+    a = L / z[:, None]
+    c = a.sum(axis=0)
+    I, J, _, _ = _helpers(z)
+    z_pair = np.add.outer(z, z)
+    I2, J2, _, _ = _helpers(z_pair)
+    gap = np.subtract.outer(z, z)
+    merged = np.abs(gap) <= 1e-6 * np.maximum.outer(z, z)
+    secant = np.subtract.outer(I, I).T / np.where(merged, 1.0, gap)
+    B = np.where(merged, _helpers(z_pair / 2)[2], secant)
+    pair_mu = 0.5 * (J[:, None] - B) + J[:, None] - J2
+    scale = xi0**2 * T**3
+    return ExpansionCoeffs(
+        c_xxi=float(xi0**1.5 * T**2 * (l @ J)),
+        c_xixi=float(scale * (c @ c - 2 * (a @ c) @ I + np.sum((a @ a.T) * I2))),
+        c_mu=float(scale * np.sum(np.outer(l, l / z) * pair_mu)),
+    )
 
 
 def two_factor_coeffs(p: TwoFactorParams, T: float, xi0: float) -> ExpansionCoeffs:
     """Closed-form (C^Xxi, C^xixi, C^mu) for the two-factor model, flat curve.
 
-    With zX = kappa_X*T, zY = kappa_Y*T, w1X/w1Y the first components of
-    the loading vectors, aT = alpha_theta:
-
-        C^Xxi  = aT*w*xi0^(3/2)*T^2 * (w1X*J(zX) + w1Y*J(zY))
-        C^xixi = aT^2*w^2*xi0^2*T^3 * (w0 + wX*I(zX) + wY*I(zY)
-                  + wXX*I(2 zX) + wYY*I(2 zY) + wXY*I(zX+zY))
-        C^mu   = aT^2*w^2*xi0^2*T^3 * (C1mu + C2mu)
-
-    where the I-loadings come from the vectors a_i = omega_iX/zX,
-    b_i = omega_iY/zY, c = a + b (w0 = c.c, wX = -2 a.c, wY = -2 b.c,
-    wXX = a.a, wYY = b.b, wXY = 2 a.b), and the C^mu pieces are
-
-        C1mu = w1X^2 H(zX)/2 + w1Y^2 H(zY)/2
-             + (w1X*w1Y/2) * [ (J(zX) - Btilde)/zY + (J(zY) - Btilde)/zX ],
-          Btilde = (I(zY) - I(zX))/(zX - zY)  (-> K(z) as the speeds merge)
-        C2mu = wX''*J(zX) + wY''*J(zY) + wXX''*J(2 zX) + wYY''*J(2 zY)
-             + wXY''*J(zX+zY),
-          wX''  =  w1X^2/zX + w1X*w1Y/zY,   wY''  =  w1Y^2/zY + w1X*w1Y/zX,
-          wXX'' = -w1X^2/zX,  wYY'' = -w1Y^2/zY,
-          wXY'' = -w1X*w1Y*(1/zX + 1/zY).
-
-    Validated against nested adaptive quadrature of the lambda-integrals
-    (~1e-14 relative).
+    Two exponential factors with speeds (kappa_X, kappa_Y) and loadings
+    alpha_theta*omega*(omega_iX, omega_iY); see _factor_coeffs.
     """
-    zX = p.kappa_X * T
-    zY = p.kappa_Y * T
-    w1X = p.omega_iX[0]
-    w1Y = p.omega_iY[0]
-    aT = p.alpha_theta
-    w = p.omega
-
-    c_xxi = aT * w * xi0**1.5 * T**2 * (w1X * _J(zX) + w1Y * _J(zY))
-
-    av = p.omega_iX / zX
-    bv = p.omega_iY / zY
-    cv = av + bv
-    w0 = float(cv @ cv)
-    wX = -2.0 * float(av @ cv)
-    wY = -2.0 * float(bv @ cv)
-    wXX = float(av @ av)
-    wYY = float(bv @ bv)
-    wXY = 2.0 * float(av @ bv)
-    c_xixi = (
-        aT**2
-        * w**2
-        * xi0**2
-        * T**3
-        * (
-            w0
-            + wX * _I(zX)
-            + wY * _I(zY)
-            + wXX * _I(2 * zX)
-            + wYY * _I(2 * zY)
-            + wXY * _I(zX + zY)
-        )
-    )
-
-    if abs(zX - zY) > 1e-6 * max(zX, zY):
-        btilde = (_I(zY) - _I(zX)) / (zX - zY)
-    else:
-        btilde = _K(0.5 * (zX + zY))
-    c1mu = (
-        0.5 * w1X**2 * _H(zX)
-        + 0.5 * w1Y**2 * _H(zY)
-        + 0.5 * w1X * w1Y * ((_J(zX) - btilde) / zY + (_J(zY) - btilde) / zX)
-    )
-    wXpp = w1X**2 / zX + w1X * w1Y / zY
-    wYpp = w1Y**2 / zY + w1X * w1Y / zX
-    wXXpp = -(w1X**2) / zX
-    wYYpp = -(w1Y**2) / zY
-    wXYpp = -w1X * w1Y * (1.0 / zX + 1.0 / zY)
-    c2mu = (
-        wXpp * _J(zX)
-        + wYpp * _J(zY)
-        + wXXpp * _J(2 * zX)
-        + wYYpp * _J(2 * zY)
-        + wXYpp * _J(zX + zY)
-    )
-    c_mu = aT**2 * w**2 * xi0**2 * T**3 * (c1mu + c2mu)
-    return ExpansionCoeffs(
-        c_xxi=float(c_xxi), c_xixi=float(c_xixi), c_mu=float(c_mu), c_xxi_closed=None
-    )
+    loadings = p.alpha_theta * p.omega * np.array([p.omega_iX, p.omega_iY])
+    return _factor_coeffs((p.kappa_X, p.kappa_Y), loadings, T, xi0)
 
 
 def two_factor_skew_shape(p: TwoFactorParams, T: float, epsilon: float = 1.0) -> float:
     """First-order ATM skew of the two-factor model (signed).
 
-    psi(T) = C1*(kX*T - 1 + e^(-kX*T))/T^2 + C2*(kY*T - 1 + e^(-kY*T))/T^2
-    with C1 = (eps*alpha_theta*omega/2) * w1X/kX^2 and C2 likewise for Y;
-    equivalently C1*kX^2*J(kX*T) + C2*kY^2*J(kY*T).  Finite T -> 0 limit
-    (C1*kX^2 + C2*kY^2)/2 — no power-law blow-up, unlike the rough kernel.
+    psi(T) = (eps/2) * sum_i l_i J(kappa_i T) = eps * C^Xxi / (2 xi0^(3/2) T^2),
+    with l_i = alpha_theta*omega*omega_i[0] the factors' spot loadings.
+    Finite T -> 0 limit (eps/4) * sum_i l_i — no power-law blow-up, unlike
+    the rough kernel.
     """
-    pref = 0.5 * epsilon * p.alpha_theta * p.omega
-    C1 = pref * p.omega_iX[0] / p.kappa_X**2
-    C2 = pref * p.omega_iY[0] / p.kappa_Y**2
-    return float(
-        C1 * p.kappa_X**2 * _J(p.kappa_X * T) + C2 * p.kappa_Y**2 * _J(p.kappa_Y * T)
-    )
+    return float(0.5 * epsilon * two_factor_coeffs(p, T, 1.0).c_xxi / T**2)
 
 
-def rbergomi_expansion_coeffs(
-    params: ModelParams, T: float, n_quad: int = 200
-) -> ExpansionCoeffs:
+def rbergomi_expansion_coeffs(params: ModelParams, T: float) -> ExpansionCoeffs:
     """Autocorrelation functionals of the rough model, flat curve xi0.
 
-    All three are computed by Gauss-Legendre quadrature of the defining
-    integrals; the kernel singularity of the inner u-integrals is removed
-    by the graded substitution u = s + (T-s)*q^(1/(alpha+1)).  C^Xxi is
-    additionally returned in closed form,
+    With a = alpha, sigma = eta*sqrt(2H) and B(x, y) = Gamma(x)Gamma(y)/
+    Gamma(x+y), every inner integral of the kernel sigma*tau^a is a power of
+    (T - s), so all three are in closed form:
 
-        C^Xxi = rho*eta*sqrt(2H)*xi0^(3/2) * T^(alpha+2)/((alpha+1)(alpha+2)),
-
-    which the quadrature value must match (tested at 1e-6 relative).
-    C^mu has no closed form here and is quadrature-only.
+        C^Xxi  = rho*sigma*xi0^(3/2) * T^(a+2)/((a+1)(a+2))
+        C^xixi = sigma^2*xi0^2 * T^(2a+3)/((a+1)^2 (2a+3))
+        C^mu   = rho^2*sigma^2*xi0^2 * T^(2a+3)/(2a+3)
+                 * [B(a+1, a+2)/(2(a+1)) + 1/(2(a+1)^2)]
     """
-    a = params.alpha
-    rho = params.rho
-    sig = params.sigma
-    xi0 = params.xi0
-
-    q, wq = np.polynomial.legendre.leggauss(int(n_quad))
-    q = 0.5 * (q + 1.0)
-    wq = 0.5 * wq
-
-    s = T * q
-    ws = T * wq
-    # inner F(s) = int_s^T (u-s)^alpha du, exact under the graded substitution
-    F = (T - s) ** (a + 1) / (a + 1)
-
-    c_xxi = rho * sig * xi0**1.5 * float(np.sum(ws * F))
-    c_xixi = sig**2 * xi0**2 * float(np.sum(ws * F**2))
-
-    # C^mu inner integrand over u in (s, T]:
-    #   (u-s)^alpha * [ (T-u)^(alpha+1)/(2(alpha+1)) + (u-s)^(alpha+1)/(alpha+1) ]
-    # after u = s + (T-s) q^(1/(a+1)):  du*(u-s)^alpha = (T-s)^(a+1)/(a+1) dq
-    inner = np.empty(n_quad)
-    for i in range(n_quad):
-        si = s[i]
-        u = si + (T - si) * q ** (1.0 / (a + 1))
-        g = (T - u) ** (a + 1) / (2 * (a + 1)) + (u - si) ** (a + 1) / (a + 1)
-        inner[i] = (T - si) ** (a + 1) / (a + 1) * float(np.sum(wq * g))
-    c_mu = rho**2 * sig**2 * xi0**2 * float(np.sum(ws * inner))
-
-    closed = rho * sig * xi0**1.5 * T ** (a + 2) / ((a + 1) * (a + 2))
+    _require_positive("rbergomi_expansion_coeffs", T=T)
+    a, rho, sig, xi0 = params.alpha, params.rho, params.sigma, params.xi0
+    beta = math.gamma(a + 1) * math.gamma(a + 2) / math.gamma(2 * a + 3)
+    mu_factor = beta / (2 * (a + 1)) + 1 / (2 * (a + 1) ** 2)
+    scale = sig**2 * xi0**2 * T ** (2 * a + 3) / (2 * a + 3)
     return ExpansionCoeffs(
-        c_xxi=c_xxi, c_xixi=c_xixi, c_mu=c_mu, c_xxi_closed=float(closed)
+        c_xxi=float(rho * sig * xi0**1.5 * T ** (a + 2) / ((a + 1) * (a + 2))),
+        c_xixi=float(scale / (a + 1) ** 2),
+        c_mu=float(rho**2 * scale * mu_factor),
     )
 
 
@@ -570,8 +505,7 @@ def expansion_terms(coeffs: ExpansionCoeffs, v: float, T: float, epsilon: float 
     sigma_VS = sqrt(v/T).  S_T is the analytic ATM skew, used to
     cross-check the finite-difference machinery in atm_skew.
     """
-    if v <= 0:
-        raise ValueError(f"total variance v must be positive, got {v}")
+    _require_positive("expansion_terms", v=v, T=T)
     cx, cxx, cmu = coeffs.c_xxi, coeffs.c_xixi, coeffs.c_mu
     vs = np.sqrt(v / T)
     e = epsilon

@@ -430,8 +430,8 @@ def quadratic_variation_chi(kernel: ExpKernel, s: float, t: float) -> float:
     The quadratic variation accumulated by the kernel-smoothed driver over
     the window (t-s, t]; s = 0 gives 0, s = t gives the full int_0^t.
     """
-    if s < 0 or t < 0 or s > t:
-        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
+    if not (0 <= s <= t < np.inf):
+        raise ValueError(f"need 0 <= s <= t < inf, got s={s}, t={t}")
     w = kernel.weights
     xs = np.add.outer(kernel.speeds, kernel.speeds)
     ww = np.multiply.outer(w, w)
@@ -468,8 +468,8 @@ def variance_conditional_expectation(
     variance itself.  This module's kernels carry sqrt(2H), so sigma = eta
     for them.
     """
-    if s > t:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
+    if not (0 <= s <= t < np.inf):
+        raise ValueError(f"need 0 <= s <= t < inf, got s={s}, t={t}")
     delta = t - s
     w = kernel.weights
     x = kernel.speeds

@@ -313,7 +313,7 @@ def test_criterion_08_runtime_comparison_soft():
 
 
 def test_criterion_09_two_factor_coeffs_vs_quadrature():
-    from test_analytics import quad_two_factor_coeffs
+    from test_analytics import quad_factor_coeffs, two_factor_factors
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260814)
@@ -331,7 +331,7 @@ def test_criterion_09_two_factor_coeffs_vs_quadrature():
         T = rng.uniform(0.3, 2.0)
         xi0 = rng.uniform(0.01, 0.09)
         got = rv.two_factor_coeffs(p, T, xi0)
-        want = quad_two_factor_coeffs(p, T, xi0)
+        want = quad_factor_coeffs(*two_factor_factors(p), T, xi0)
         for g, w in zip((got.c_xxi, got.c_xixi, got.c_mu), want):
             rel = abs(g - w) / abs(w)
             worst = max(worst, rel)

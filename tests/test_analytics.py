@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import roughvol as rv
-from roughvol.analytics import _norm_cdf
+from roughvol.analytics import _factor_coeffs, _norm_cdf
 
 
 # ---------------------------------------------------------------- pricing
@@ -240,6 +240,24 @@ def test_fit_power_law_recovers_an_exact_power_law_and_matches_atm_skew():
     noisy = 0.3 * T**-0.43 * np.exp([0.01, -0.02, 0.015, 0.0, -0.01])
     assert rv.fit_power_law(T, noisy)[2] > 1e-3
 
+
+@pytest.mark.parametrize(
+    "maturities, psi",
+    [
+        ([1.0, 1.0], [1.0, 0.5]),  # one distinct maturity: no slope
+        ([1.0, 2.0], [1.0, -0.5]),
+        ([1.0, 2.0], [1.0, NAN]),
+        ([0.0, 1.0], [1.0, 0.5]),
+        ([1.0, INF], [1.0, 0.5]),
+        ([1.0, 2.0, 3.0], [1.0, 0.5]),
+    ],
+    ids=["one-T", "psi-negative", "psi-nan", "T-zero", "T-inf", "lengths"],
+)
+def test_fit_power_law_rejects_an_undetermined_or_invalid_fit(maturities, psi):
+    with pytest.raises(ValueError):
+        rv.fit_power_law(maturities, psi)
+
+
 def test_atm_skew_flags_flat_smiles():
     rep = rv.atm_skew(_synthetic_smile(0.0, -0.43), [0.5, 1.0, 2.0])
     assert rep.flagged.all()
@@ -347,18 +365,21 @@ def test_two_factor_coeffs_frozen():
     assert c.c_mu == pytest.approx(6.956733168031241e-05, rel=1e-13)
 
 
-def quad_two_factor_coeffs(p, T, xi0, eps=1e-11):
+def two_factor_factors(p):
+    """The two-factor model as (speeds, loadings) of its exponential factors."""
+    loadings = p.omega * p.alpha_theta * np.array([p.omega_iX, p.omega_iY])
+    return [p.kappa_X, p.kappa_Y], loadings
+
+
+def quad_factor_coeffs(speeds, loadings, T, xi0, eps=1e-11):
     """Nested quadrature of the definitional autocorrelation integrals.
 
     The forward-variance loading on the three driving Brownians is
-    f_b(u-t) = omega_iX[b]*e^(-kappa_X(u-t)) + omega_iY[b]*e^(-kappa_Y(u-t));
-    only b=0 (the spot Brownian) enters the spot-vol covariances.
+    f_b(u-t) = sum_i loadings[i][b]*e^(-speeds[i](u-t)); only b=0 (the spot
+    Brownian) enters the spot-vol covariances.
     """
-    f = lambda b, s: p.omega_iX[b] * np.exp(-p.kappa_X * s) + p.omega_iY[
-        b
-    ] * np.exp(-p.kappa_Y * s)
-    pre = p.omega * p.alpha_theta
-    c_xxi = pre * xi0**1.5 * integrate.dblquad(
+    f = lambda b, s: sum(L[b] * np.exp(-k * s) for k, L in zip(speeds, loadings))
+    c_xxi = xi0**1.5 * integrate.dblquad(
         lambda u, s: f(0, u - s), 0, T, lambda s: s, T, epsabs=eps, epsrel=eps
     )[0]
 
@@ -368,16 +389,14 @@ def quad_two_factor_coeffs(p, T, xi0, eps=1e-11):
             for b in range(3)
         )
 
-    c_xixi = pre**2 * xi0**2 * integrate.quad(
-        inner_sq, 0, T, epsabs=eps, epsrel=eps
-    )[0]
+    c_xixi = xi0**2 * integrate.quad(inner_sq, 0, T, epsabs=eps, epsrel=eps)[0]
 
     def mu_inner(u, s):
         tail = integrate.quad(lambda r: f(0, r - u), u, T, epsabs=eps, epsrel=eps)[0]
         head = integrate.quad(lambda r: f(0, u - r), s, u, epsabs=eps, epsrel=eps)[0]
         return f(0, u - s) * (0.5 * tail + head)
 
-    c_mu = pre**2 * xi0**2 * integrate.dblquad(
+    c_mu = xi0**2 * integrate.dblquad(
         mu_inner, 0, T, lambda s: s, T, epsabs=eps, epsrel=eps
     )[0]
     return c_xxi, c_xixi, c_mu
@@ -385,7 +404,18 @@ def quad_two_factor_coeffs(p, T, xi0, eps=1e-11):
 
 def test_two_factor_coeffs_match_definitional_quadrature():
     got = rv.two_factor_coeffs(FROZEN_2F, 1.0, 0.026)
-    want = quad_two_factor_coeffs(FROZEN_2F, 1.0, 0.026)
+    want = quad_factor_coeffs(*two_factor_factors(FROZEN_2F), 1.0, 0.026)
+    for g, w in zip((got.c_xxi, got.c_xixi, got.c_mu), want):
+        assert g == pytest.approx(w, rel=1e-10)
+
+
+def test_three_factor_coeffs_match_definitional_quadrature():
+    # a slow, a middle and a fast factor, each with its own loading on the
+    # spot Brownian and on the two others
+    speeds = [0.3, 2.0, 9.0]
+    loadings = [[-0.4, 0.5, 0.1], [0.3, -0.2, 0.6], [-0.8, 0.4, -0.3]]
+    got = _factor_coeffs(speeds, loadings, 0.7, 0.03)
+    want = quad_factor_coeffs(speeds, loadings, 0.7, 0.03)
     for g, w in zip((got.c_xxi, got.c_xixi, got.c_mu), want):
         assert g == pytest.approx(w, rel=1e-10)
 
@@ -416,16 +446,54 @@ def test_two_factor_skew_shape():
 # ------------------------------------------------------------- expansions
 
 
+def quad_rbergomi_coeffs(params, T, n_quad=200):
+    """The rough model's functionals by Gauss-Legendre quadrature.
+
+    The kernel singularity of the inner u-integrals is removed by the graded
+    substitution u = s + (T-s)*q^(1/(alpha+1)); a reference for the closed
+    forms of rbergomi_expansion_coeffs.
+    """
+    a, rho, sig, xi0 = params.alpha, params.rho, params.sigma, params.xi0
+    q, wq = np.polynomial.legendre.leggauss(int(n_quad))
+    q = 0.5 * (q + 1.0)
+    wq = 0.5 * wq
+    s = T * q
+    ws = T * wq
+    # inner F(s) = int_s^T (u-s)^alpha du, exact under the graded substitution
+    F = (T - s) ** (a + 1) / (a + 1)
+    c_xxi = rho * sig * xi0**1.5 * float(np.sum(ws * F))
+    c_xixi = sig**2 * xi0**2 * float(np.sum(ws * F**2))
+    # C^mu inner integrand over u in (s, T]:
+    #   (u-s)^alpha * [ (T-u)^(alpha+1)/(2(alpha+1)) + (u-s)^(alpha+1)/(alpha+1) ]
+    # after u = s + (T-s) q^(1/(a+1)):  du*(u-s)^alpha = (T-s)^(a+1)/(a+1) dq
+    inner = np.empty(n_quad)
+    for i in range(n_quad):
+        si = s[i]
+        u = si + (T - si) * q ** (1.0 / (a + 1))
+        g = (T - u) ** (a + 1) / (2 * (a + 1)) + (u - si) ** (a + 1) / (a + 1)
+        inner[i] = (T - si) ** (a + 1) / (a + 1) * float(np.sum(wq * g))
+    c_mu = rho**2 * sig**2 * xi0**2 * float(np.sum(ws * inner))
+    return c_xxi, c_xixi, c_mu
+
+
 def test_rbergomi_coeffs_frozen_and_quadrature_consistent(table1):
     c = rv.rbergomi_expansion_coeffs(table1, 0.5)
-    assert c.c_xxi == pytest.approx(-0.0010095516728034417, rel=1e-12)
-    assert c.c_xixi == pytest.approx(0.0001114844403665018, rel=1e-12)
-    assert c.c_mu == pytest.approx(7.869045435866219e-05, rel=1e-12)
-    # the quadrature must reproduce the closed-form C^Xxi
-    assert c.c_xxi == pytest.approx(c.c_xxi_closed, rel=1e-6)
-    # and refine stably
-    c2 = rv.rbergomi_expansion_coeffs(table1, 0.5, n_quad=400)
-    assert c2.c_mu == pytest.approx(c.c_mu, rel=1e-8)
+    assert c.c_xxi == pytest.approx(-0.0010095516639106585, rel=1e-12)
+    assert c.c_xixi == pytest.approx(0.0001114844403676221, rel=1e-12)
+    assert c.c_mu == pytest.approx(7.869045401044722e-05, rel=1e-12)
+    # the 200-point quadrature the closed forms replaced is off by < 1e-8
+    for g, w in zip((c.c_xxi, c.c_xixi, c.c_mu), quad_rbergomi_coeffs(table1, 0.5)):
+        assert g == pytest.approx(w, rel=1e-8)
+
+
+@pytest.mark.parametrize("H", [0.02, 0.07, 0.2, 0.45])
+def test_rbergomi_closed_forms_match_quadrature(H):
+    params = rv.ModelParams(xi0=0.03, eta=1.5, H=H, rho=-0.7)
+    for T in (0.05, 1.0, 2.5):
+        c = rv.rbergomi_expansion_coeffs(params, T)
+        want = quad_rbergomi_coeffs(params, T, n_quad=800)
+        for g, w in zip((c.c_xxi, c.c_xixi, c.c_mu), want):
+            assert g == pytest.approx(w, rel=1e-9), f"H={H}, T={T}"
 
 
 def test_expansion_terms_trivial_and_shape():
@@ -450,7 +518,7 @@ def test_first_order_limit_matches_linear_display(table1):
     # sigma_VS * (1 + eps*C^Xxi*(1/(4v) + k/(2v^2)))
     T = 1.0
     v = table1.xi0 * T
-    c_xxi = rv.rbergomi_expansion_coeffs(table1, T).c_xxi_closed
+    c_xxi = rv.rbergomi_expansion_coeffs(table1, T).c_xxi
     c = rv.ExpansionCoeffs(c_xxi=c_xxi, c_xixi=0.0, c_mu=0.0)
     sig_vs = np.sqrt(v / T)
     eps = 1e-6
@@ -482,3 +550,36 @@ def test_atm_skew_of_expansion_reproduces_the_analytic_slope(table1):
         c = rv.rbergomi_expansion_coeffs(table1, T)
         _, S_T, _ = rv.expansion_terms(c, table1.xi0 * T, T)
         assert rep.psi[i] == pytest.approx(abs(S_T), rel=1e-6), f"T={T}"
+
+
+_TABLE1 = rv.ModelParams(xi0=0.026, eta=1.9, H=0.07, rho=-0.9)
+_COEFFS = rv.ExpansionCoeffs(c_xxi=-1e-3, c_xixi=2e-4, c_mu=1e-4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rv.rbergomi_expansion_coeffs(_TABLE1, NAN),
+        lambda: rv.two_factor_coeffs(FROZEN_2F, NAN, 0.026),
+        lambda: rv.two_factor_coeffs(FROZEN_2F, 0.0, 0.026),
+        lambda: rv.two_factor_coeffs(FROZEN_2F, 1.0, -1.0),
+        lambda: rv.expansion_terms(_COEFFS, NAN, 1.0),
+        lambda: rv.expansion_terms(_COEFFS, 0.026, 0.0),
+        lambda: rv.sigma_bs_expansion(_COEFFS, NAN, 1.0, 0.1),
+        lambda: rv.sigma_bs_expansion(_COEFFS, 0.026, 0.0, 0.1),
+        lambda: rv.two_factor_skew_shape(FROZEN_2F, NAN),
+        lambda: rv.helper_functions(NAN),
+        lambda: rv.helper_functions(INF),
+        lambda: rv.bs_vega(1.0, 1.0, 1.0, 0.0),
+        lambda: rv.bs_vega(1.0, -1.0, 1.0, 0.2),
+    ],
+    ids=[
+        "rbergomi-T-nan", "2f-T-nan", "2f-T-zero", "2f-xi0-negative",
+        "terms-v-nan", "terms-T-zero", "sigma-v-nan", "sigma-T-zero",
+        "skew-shape-T-nan", "helpers-nan", "helpers-inf",
+        "vega-vol-zero", "vega-K-negative",
+    ],
+)
+def test_expansion_entry_points_reject_bad_input(call):
+    with pytest.raises(ValueError):
+        call()

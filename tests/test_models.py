@@ -426,6 +426,20 @@ def test_quadratic_variation_chi_against_quadrature(toy_kernel):
         rv.quadratic_variation_chi(toy_kernel, 2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "s, t",
+    [(-1.0, 0.5), (0.6, 0.5), (float("nan"), 0.5), (0.2, float("nan")),
+     (0.2, float("inf"))],
+    ids=["s-negative", "s-after-t", "s-nan", "t-nan", "t-inf"],
+)
+def test_affine_functions_reject_bad_windows(toy_kernel, s, t):
+    Y = np.zeros((3, toy_kernel.n))
+    with pytest.raises(ValueError, match="0 <= s <= t < inf"):
+        rv.quadratic_variation_chi(toy_kernel, s, t)
+    with pytest.raises(ValueError, match="0 <= s <= t < inf"):
+        rv.variance_conditional_expectation(toy_kernel, Y, s, t, 0.8, 0.026)
+
+
 def test_conditional_expectation_reduces_at_t_equals_s(toy_kernel, table1):
     g = rv.make_time_grid(1.0, 64)
     inc = rv.sample_correlated_increments(g, 0.0, 500, 7)
