@@ -21,7 +21,8 @@ out_dir left out) plus the seed, so runs are reproducible from their own
 outputs.  CSVs are comma-separated, '.' decimal, LF line endings, header
 mandatory; files are written atomically (temp + rename).
 
-Exit codes: 0 ok, 2 schema error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 ok, 2 schema error, 3 numeric failure or failed allocation,
+4 I/O error.
 
 Thread control: --threads N sets OMP_NUM_THREADS, the cap on the thread
 pool that draws increment blocks and runs the FFT convolution
@@ -113,13 +114,13 @@ class _Key(NamedTuple):
     """One row of the config table: test(value) must hold, else msg.
 
     An absent key resolves to default (called with the config resolved so
-    far when callable) and is reported if required.  bound(value, block)
-    names the range an accepted value is outside of, if any, given the
-    block's rows resolved before it; cast maps an accepted value into the
-    resolved config.  A row with a table is a section (see _section).
-    check(value, ctx, errors) -> resolved value replaces all of these for a
-    rule a row cannot state.  A key outside `commands` (empty: all) is
-    accepted but not checked or resolved.
+    far when callable) and is reported if required (called with the context
+    when callable).  bound(value, block) names the range an accepted value
+    is outside of, if any, given the block's rows resolved before it; cast
+    maps an accepted value into the resolved config.  A row with a table is
+    a section (see _section).  check(value, ctx, errors) -> resolved value
+    replaces all of these for a rule a row cannot state.  A key outside
+    `commands` (empty: all) is accepted but not checked or resolved.
     """
 
     test: Callable[[Any], bool] | None = None
@@ -132,6 +133,9 @@ class _Key(NamedTuple):
     commands: tuple = ()
     table: dict | Callable[[str], dict] | None = None
 
+    def is_required(self, ctx: dict) -> bool:
+        return self.required(ctx) if callable(self.required) else self.required
+
 
 def _section(name: str, v, key: _Key, ctx: dict, errors: list):
     """One rule for every object section: absent or null takes the default
@@ -143,7 +147,7 @@ def _section(name: str, v, key: _Key, ctx: dict, errors: list):
         return _walk(f"{name}.", v, table, ctx, errors, model)
     if v is not _ABSENT and v is not None:
         errors.append(f"{name}: must be an object")
-    elif key.required(ctx) if callable(key.required) else key.required:
+    elif key.is_required(ctx):
         errors.append(f"{name}: required")
     return copy.deepcopy(key.default)
 
@@ -170,7 +174,7 @@ def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=No
         elif v is _ABSENT:
             default = key.default
             out[name] = default(out) if callable(default) else copy.copy(default)
-            if key.required:
+            if key.is_required(ctx):
                 why = f"required{suffix}" if model else key.msg
                 errors.append(f"{prefix}{name}: {why}")
         elif not key.test(v):
@@ -186,7 +190,7 @@ def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=No
 
 
 # The rules a row cannot state: the models a command takes (its _COMMANDS
-# row), when skew needs no paths, and the two forms of a strike grid.
+# row) and the two forms of a strike grid.
 
 
 def _check_model(v, ctx: dict, errors: list):
@@ -202,14 +206,6 @@ def _check_model(v, ctx: dict, errors: list):
             v = "rbergomi"
     ctx["model"] = v
     return v
-
-
-def _check_paths(v, ctx: dict, errors: list):
-    if _int_from(1)(v):
-        return v
-    if ctx["command"] != "skew" or ctx["model"] != "bergomi2f":  # analytic: no MC
-        errors.append("paths: must be an integer >= 1")
-    return 0
 
 
 def _check_strikes(v, ctx: dict, errors: list):
@@ -336,7 +332,11 @@ _CONFIG = {
         table=_GRID,
         commands=_PRICING,
     ),
-    "paths": _Key(check=_check_paths, commands=_PRICING),
+    "paths": _Key(  # the bergomi2f skew is analytic: it needs no paths
+        _int_from(1), "must be an integer >= 1", 0,
+        required=lambda ctx: (ctx["command"], ctx["model"]) != ("skew", "bergomi2f"),
+        commands=_PRICING,
+    ),
     "strikes": _Key(check=_check_strikes, commands=_PRICING),
     "kernel": _Key(
         required=lambda ctx: ctx["model"] == "abergomi" or ctx["command"] == "compare",
@@ -503,38 +503,30 @@ def _build_kernel(n: int, method: str, H: float, T: float, n_grid: int):
     return kernel.fit_kernel_ls(H, T, n_grid, n)
 
 
-def _rough_plan(resolved: dict, N: int, T: float):
-    """The configured rough model's (hybrid plan, ModelParams) on N steps to T.
+def _simulate(resolved: dict, N: int, sides: list) -> list:
+    """Terminal (logS_T, V_T) of each (config, T) side on N steps, from one draw.
 
-    The Markovian model is the rough one with kernel cell averages in its
-    tail (the hybrid multifactor scheme); rbergomi has no kernel.
+    The sides share resolved's params, paths and seed; a side's config names
+    its model and kernel.  The rough models run through simulate_terminal,
+    aBergomi with the kernel's cell averages in the hybrid scheme's tail;
+    bs, one side only, draws only dW.
     """
-    p = resolved["params"]
-    params = sim_core.ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
-    kern = None
-    if resolved["model"] == "abergomi":
-        k = resolved["kernel"]
-        kern = _build_kernel(k["n"], k["method"], params.H, T, max(N, 100))
-    grid = sim_core.make_time_grid(T, N)
-    return hybrid_scheme.make_hybrid_plan(grid, params.alpha, kernel=kern), params
-
-
-def _simulate(resolved: dict, N: int, T: float):
-    """Simulate the configured model on N steps to T.
-
-    Returns (logS_T, V_T), the terminal log-prices and variances.  The rough
-    models run through models.simulate_terminal, which streams path blocks;
-    bs draws only dW.
-    """
-    paths, seed = resolved["paths"], resolved["seed"]
+    paths, seed, p = resolved["paths"], resolved["seed"], resolved["params"]
     if resolved["model"] == "bs":
-        vol = resolved["params"]["vol"]
+        [(_, T)], vol = sides, p["vol"]
         grid = sim_core.make_time_grid(T, N)
         W_T = sim_core.sample_terminal_brownian(grid, paths, seed)
-        return -0.5 * vol * vol * T + vol * W_T, np.full(paths, vol * vol)
-    plan, params = _rough_plan(resolved, N, T)
-    [terminal] = models.simulate_terminal([plan], params, paths, seed)
-    return terminal
+        return [(-0.5 * vol * vol * T + vol * W_T, np.full(paths, vol * vol))]
+    params = sim_core.ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
+    plans = []
+    for config, T in sides:
+        kern = None
+        if config["model"] == "abergomi":
+            k = config["kernel"]
+            kern = _build_kernel(k["n"], k["method"], params.H, T, max(N, 100))
+        grid = sim_core.make_time_grid(T, N)
+        plans.append(hybrid_scheme.make_hybrid_plan(grid, params.alpha, kernel=kern))
+    return models.simulate_terminal(plans, params, paths, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +539,7 @@ def cmd_simulate(args, run: _Run) -> int:
     T, N = resolved["grid"]["T"], resolved["grid"]["N"]
 
     t0 = time.perf_counter()
-    logS_T, V_T = _simulate(resolved, N, T)
+    [(logS_T, V_T)] = _simulate(resolved, N, [(resolved, T)])
     runtime = time.perf_counter() - t0
     if not np.all(np.isfinite(logS_T)):
         raise CliError(EXIT_NUMERIC, "simulation produced non-finite log-prices")
@@ -591,7 +583,7 @@ def cmd_fit_kernel(args, run: _Run) -> int:
 
 
 def _smile_for(resolved: dict, N: int, T: float):
-    logS_T, _ = _simulate(resolved, N, T)
+    [(logS_T, _)] = _simulate(resolved, N, [(resolved, T)])
     return analytics.mc_smile(logS_T, resolved["strikes"], T=T)
 
 
@@ -627,17 +619,14 @@ def cmd_smile(args, run: _Run) -> int:
 
 def cmd_compare(args, run: _Run) -> int:
     resolved = run.config
-    T, seed = resolved["grid"]["T"], resolved["seed"]
-    terms = resolved["compare"]["terms"]
-    sides = [dict(resolved, model="rbergomi")] + [
-        dict(resolved, model="abergomi", kernel=dict(resolved["kernel"], n=n))
+    T, terms = resolved["grid"]["T"], resolved["compare"]["terms"]
+    sides = [(dict(resolved, model="rbergomi"), T)] + [
+        (dict(resolved, model="abergomi", kernel=dict(resolved["kernel"], n=n)), T)
         for n in terms
     ]
     rows = []
-    for N in resolved["compare"]["steps"]:
-        plans, params = zip(*(_rough_plan(side, N, T) for side in sides))
-        # one draw of each path block serves rBergomi and every kernel
-        terminal = models.simulate_terminal(plans, params[0], resolved["paths"], seed)
+    for N in resolved["compare"]["steps"]:  # one draw per N serves every side
+        terminal = _simulate(resolved, N, sides)
         smile_r, *smiles_a = (
             analytics.mc_smile(s_T, resolved["strikes"], T=T) for s_T, _ in terminal
         )
@@ -666,11 +655,9 @@ def cmd_skew(args, run: _Run) -> int:
             psi[i] = abs(s_t)
         report = analytics.skew_report(mats, psi, 0.0, psi.copy())
         doc_extra = {"bump": None, "n_paths": 0, "analytic": True}
-    else:  # the rough models, one plan (and kernel) per maturity
-        N, seed = resolved["grid"]["N"], resolved["seed"]
-        plans, params = zip(*(_rough_plan(resolved, N, T) for T in mats))
-        # one draw of each path block serves every maturity
-        terminal = models.simulate_terminal(plans, params[0], resolved["paths"], seed)
+    else:  # the rough models, one plan (and kernel) per maturity, on one draw
+        N = resolved["grid"]["N"]
+        terminal = _simulate(resolved, N, [(resolved, T) for T in mats])
         log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}
         report = analytics.atm_skew(
             lambda T, strikes: analytics.mc_smile(log_S[T], strikes, T=T),
@@ -749,7 +736,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ArithmeticError) as e:
+    except (ValueError, ArithmeticError, MemoryError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     finally:

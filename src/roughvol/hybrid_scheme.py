@@ -10,11 +10,11 @@ evaluated in O(N log N) by zero-padded FFT.
 
 The convolution runs in FFT_CHUNK_ROWS-row chunks, one sim_core.run_chunks
 task each: a chunk goes through its worker's FFT buffers and lands straight
-in its rows of the output.  _volterra_rows, which simulate_volterra and
-models.simulate_terminal both run, writes each chunk into X[:, 1:] and adds
-the first cell to those rows, with its two scratch planes taken from the
-chunk's idle FFT signal buffer, so the only full-size array
-simulate_volterra makes is the one it returns.
+in its rows of the output.  _volterra_rows, which simulate_volterra runs on
+each chunk and models.simulate_terminal on each slice, writes one chunk
+into X[:, 1:] and adds the first cell to those rows, with its two scratch
+planes taken from the chunk's idle FFT signal buffer, so the only
+full-size array simulate_volterra makes is the one it returns.
 
 On a uniform grid with fixed N the power plan is self-similar: the tail
 weights (b_k^* dt)^alpha and the first cell's a1, b1 scale as dt^alpha,
@@ -254,29 +254,26 @@ def _volterra_kernel(plan: HybridPlan) -> np.ndarray:
 
 
 def _volterra_rows(plan: HybridPlan, K, dB, dU, out, fft_bufs) -> None:
-    """out = X on the rows of dB and dU, in the calling thread.
+    """out = X on the rows of dB and dU, at most FFT_CHUNK_ROWS of them.
 
-    For each chunk of at most FFT_CHUNK_ROWS rows, the tail convolution (K =
-    the spectrum of _volterra_kernel(plan)) goes through fft_bufs
-    (_fft_buffers) into out[:, 1:], and then the first cell is added there:
-    X_{t_j} = sqrt(2*alpha+1) * (tail + a1*dB + b1*dU) at j >= 1, X_0 = 0,
-    in that order of operations.  The first cell's two scratch planes are
-    the chunk's FFT signal buffer, idle by then: it has L >= 2N columns, so
-    its memory holds a contiguous (2, rows, N) view.  out is [rows x (N+1)];
-    dB and dU are only read.
+    The tail convolution (K = the spectrum of _volterra_kernel(plan)) goes
+    through fft_bufs (_fft_buffers) into out[:, 1:], and then the first cell
+    is added there: X_{t_j} = sqrt(2*alpha+1) * (tail + a1*dB + b1*dU) at
+    j >= 1, X_0 = 0, in that order of operations.  The first cell's two
+    scratch planes are the FFT signal buffer, idle by then: it has L >= 2N
+    columns, so its memory holds a contiguous (2, rows, N) view.  out is
+    [rows x (N+1)]; dB and dU are only read.
     """
     a1, b1 = first_cell_coefficients(plan.alpha, plan.grid.dt)
-    for lo in range(0, dB.shape[0], FFT_CHUNK_ROWS):
-        chunk = slice(lo, lo + FFT_CHUNK_ROWS)
-        b, u, body = dB[chunk], dU[chunk], out[chunk, 1:]
-        _convolve_rows(K, b, body, fft_bufs)
-        tmp_b, tmp_u = fft_bufs[1].reshape(-1)[: 2 * b.size].reshape(2, *b.shape)
-        np.multiply(b, a1, out=tmp_b)
-        np.multiply(u, b1, out=tmp_u)
-        np.add(tmp_b, tmp_u, out=tmp_b)
-        np.add(body, tmp_b, out=body)
-        out[chunk, 0] = 0.0
-        np.multiply(body, np.sqrt(2 * plan.alpha + 1), out=body)
+    body = out[:, 1:]
+    _convolve_rows(K, dB, body, fft_bufs)
+    tmp_b, tmp_u = fft_bufs[1].reshape(-1)[: 2 * dB.size].reshape(2, *dB.shape)
+    np.multiply(dB, a1, out=tmp_b)
+    np.multiply(dU, b1, out=tmp_u)
+    np.add(tmp_b, tmp_u, out=tmp_b)
+    np.add(body, tmp_b, out=body)
+    out[:, 0] = 0.0
+    np.multiply(body, np.sqrt(2 * plan.alpha + 1), out=body)
 
 
 def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:

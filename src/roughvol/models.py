@@ -278,8 +278,8 @@ def simulate_terminal(
 
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
     block's Gaussians once, which depend on (seed, block, N) only: planes 0
-    and 1 whole, then the block's FFT_CHUNK_ROWS-row slices in turn, each
-    with its own rows of plane 2.  Every group runs on a slice as soon as it
+    and 1 whole, then from the block's generator one FFT_CHUNK_ROWS-row
+    slice of plane 2 at a time.  Every group runs on a slice as soon as it
     is drawn: scaling into increments and simulate_volterra's own row
     routine (hybrid_scheme._volterra_rows), once; then, per member, the
     variance and the Euler log-price.  So a worker holds one block's planes
@@ -323,30 +323,26 @@ def simulate_terminal(
     def run_block(rows: slice, bufs) -> None:
         z01, z2, planes, X, fft_bufs = bufs
         m = rows.stop - rows.start
-
-        def run_slices(gen) -> None:
-            for lo in range(0, m, C):
-                k = min(C, m - lo)
-                z = (*z01[:, lo : lo + k], gen.standard_normal(out=z2[:k]))
-                dW, dB, dU = planes[:, :k]
-                x = X[:k]
-                done = slice(rows.start + lo, rows.start + lo + k)
-                # V goes into the FFT signal buffer, idle once X is built
-                v = fft_bufs[1].reshape(-1)[: k * (N + 1)].reshape(k, N + 1)
-                for ref, K, members in groups:
-                    _scale_increments(z, ref.grid.dt, params.rho, dW, dB, dU)
-                    _volterra_rows(ref, K, dB, dU, x, fft_bufs)
-                    for j, (dt, scale, comp, (log_S, V_T)) in enumerate(members):
-                        if j:  # the reference's dW is _scale_increments'
-                            np.multiply(z[0], np.sqrt(dt), out=dW)
-                        _lognormal_variance(x, scale, comp, params.xi0, v)
-                        V_T[done] = v[:, -1]
-                        _euler_steps(v, dW, dt, dB, dU)
-                        np.cumsum(dB, axis=1, out=dU)
-                        log_S[done] = dU[:, -1]
-
-        block = rows.start // BLOCK_SIZE
-        _block_normals(seed, block, z01[:, :m], z2.reshape(-1), then=run_slices)
+        gen = _block_normals(seed, rows.start // BLOCK_SIZE, z01[:, :m], z2.reshape(-1))
+        for lo in range(0, m, C):
+            k = min(C, m - lo)
+            z = (*z01[:, lo : lo + k], gen.standard_normal(out=z2[:k]))
+            dW, dB, dU = planes[:, :k]
+            x = X[:k]
+            done = slice(rows.start + lo, rows.start + lo + k)
+            # V goes into the FFT signal buffer, idle once X is built
+            v = fft_bufs[1].reshape(-1)[: k * (N + 1)].reshape(k, N + 1)
+            for ref, K, members in groups:
+                _scale_increments(z, ref.grid.dt, params.rho, dW, dB, dU)
+                _volterra_rows(ref, K, dB, dU, x, fft_bufs)
+                for j, (dt, scale, comp, (log_S, V_T)) in enumerate(members):
+                    if j:  # the reference's dW is _scale_increments'
+                        np.multiply(z[0], np.sqrt(dt), out=dW)
+                    _lognormal_variance(x, scale, comp, params.xi0, v)
+                    V_T[done] = v[:, -1]
+                    _euler_steps(v, dW, dt, dB, dU)
+                    np.cumsum(dB, axis=1, out=dU)
+                    log_S[done] = dU[:, -1]
 
     run_chunks(n_paths, BLOCK_SIZE, run_block, scratch)
     return out

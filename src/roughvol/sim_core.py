@@ -123,24 +123,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_j = j*dt, j = 0..N, with t_N = T."""
+    """Uniform grid t_j = j*dt, j = 0..N, with t_N = T; compared on (T, N, dt)."""
 
     T: float
     N: int
     dt: float
-    nodes: np.ndarray
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TimeGrid)
-            and self.T == other.T
-            and self.N == other.N
-        )
-
-    def __hash__(self):
-        return hash((self.T, self.N))
+    nodes: np.ndarray = field(compare=False)
 
 
 def make_time_grid(T: float, N: int) -> TimeGrid:
@@ -203,37 +193,28 @@ class ModelParams:
         object.__setattr__(self, "sigma", self.eta * np.sqrt(2 * self.H))
 
 
-def _block_normals(seed: int, block: int, out, spare=None, then=None):
-    """Fill out with one block's Gaussians, in the order of the full tile.
+def _block_normals(seed: int, block: int, planes, spare) -> np.random.Generator:
+    """Draw one block's Gaussians into planes; return the block's generator.
 
-    out is a (k, BLOCK_SIZE, N) tile, or (with spare) k planes of m <=
-    BLOCK_SIZE rows each, such as the block's rows of dW, dB and dU.  The
-    block always draws its complete (k, BLOCK_SIZE, N) tile even when fewer
-    paths are needed, so a partial block is a row-slice of the full one
-    (prefix property): after each m-row plane, the (BLOCK_SIZE - m)*N values
-    the tile holds below it are drawn into spare, a flat array, a piece of
-    spare.size values at a time, and dropped.  A (1, BLOCK_SIZE, N) out
-    gets plane 0 of the full tile.  then(gen), when given, is called last
-    with the block's generator, which stands at the start of plane k: a
-    caller that draws plane k's rows from it in turn, in pieces of any size,
-    gets the rows of plane k of the full tile.  Returns out.
+    The k planes, of m <= BLOCK_SIZE rows each (say the block's rows of dW,
+    dB and dU), get their rows of the block's full (k, BLOCK_SIZE, N) tile,
+    so a partial block is a row-slice of the full one (prefix property):
+    after each plane, the (BLOCK_SIZE - m)*N values the tile holds below it
+    are drawn into spare, a flat array, spare.size values at a time, and
+    dropped.  The generator then stands at plane k: drawn from in turn, in
+    pieces of any size, it gives the rows of plane k of the full tile.
     Sampling method: numpy's ziggurat via Generator.standard_normal, an
     exact-distribution sampler, on the counter-based Philox bit stream.
     Philox fills sequentially, so pieces drawn one after another hold the
     values of one draw of their total size.
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-    if spare is None:
-        gen.standard_normal(out=out)
-    else:
-        for plane in out:
-            gen.standard_normal(out=plane)
-            rest = (BLOCK_SIZE - plane.shape[0]) * plane.shape[1]
-            for lo in range(0, rest, spare.size):
-                gen.standard_normal(out=spare[: min(spare.size, rest - lo)])
-    if then is not None:
-        then(gen)
-    return out
+    for plane in planes:
+        gen.standard_normal(out=plane)
+        rest = (BLOCK_SIZE - plane.shape[0]) * plane.shape[1]
+        for lo in range(0, rest, spare.size):
+            gen.standard_normal(out=spare[: rest - lo])
+    return gen
 
 
 def _check_n_paths(n_paths) -> int:
@@ -285,8 +266,8 @@ def sample_correlated_increments(
     dU = np.empty((n_paths, N))
 
     def draw(rows: slice, spare: np.ndarray) -> None:
-        block = rows.start // BLOCK_SIZE
-        planes = _block_normals(seed, block, (dW[rows], dB[rows], dU[rows]), spare)
+        planes = dW[rows], dB[rows], dU[rows]
+        _block_normals(seed, rows.start // BLOCK_SIZE, planes, spare)
         tmp = spare[: planes[0].size].reshape(planes[0].shape)
         _scale_increments(planes, grid.dt, rho, *planes, tmp)
 
@@ -305,21 +286,25 @@ def sample_correlated_increments(
 def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     """W_T per path: the row sums of sample_correlated_increments(...).dW.
 
-    Only plane 0 of each block's tile is drawn.  Philox fills the tile in
-    C order, so that plane is a prefix of the full draw and the sums equal,
-    bit for bit, those of the dW that the full draw gives (at any rho).
+    Only plane 0 of each block's tile is drawn.  A worker's buffer holds a
+    block's m rows of dW and, below them, the spare for the dropped draws;
+    its BLOCK_SIZE + 1 rows keep that spare from being empty.  Philox fills
+    the tile in C order, so that plane is a prefix of the full draw and the
+    sums equal, bit for bit, those of the dW that the full draw gives (at
+    any rho).
     """
     n_paths = _check_n_paths(n_paths)
     seed = int(seed)
     W = np.empty(n_paths)
 
-    def draw(rows: slice, tile: np.ndarray) -> None:
-        block = rows.start // BLOCK_SIZE
-        dW = _block_normals(seed, block, tile)[0, : rows.stop - rows.start]
+    def draw(rows: slice, buf: np.ndarray) -> None:
+        m = rows.stop - rows.start
+        dW, spare = buf[:m], buf[m:].reshape(-1)
+        _block_normals(seed, rows.start // BLOCK_SIZE, (dW,), spare)
         np.multiply(dW, np.sqrt(grid.dt), out=dW)
         np.sum(dW, axis=1, out=W[rows])
 
-    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((1, BLOCK_SIZE, grid.N)))
+    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((BLOCK_SIZE + 1, grid.N)))
     return W
 
 

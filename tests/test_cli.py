@@ -452,6 +452,20 @@ def test_nonfinite_simulation_exits_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_failed_allocation_exits_3(tmp_path, capsys, monkeypatch):
+    from roughvol import models
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+    monkeypatch.setattr(models, "simulate_terminal", out_of_memory)
+    cfg = write_config(tmp_path, table1_config(out_dir=str(tmp_path)))
+    assert cli.main(["simulate", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: Unable to allocate 74.5 TiB for an array\n"
+    )
+
+
 def test_stiff_fitted_kernel_gives_a_finite_smile(tmp_path):
     # fitted kernels carry fast mean reversions (speed * dt far above 2 at
     # dt = 1/8, where an explicit Euler step would blow up); the kernel
@@ -807,6 +821,11 @@ SCHEMA_ERROR_CASES = [
         "skew", table1_config(paths=2.5),
         SCHEMA + "paths: must be an integer >= 1", id="paths-skew-rbergomi",
     ),
+    # the analytic skew needs no paths, but a given value must still be valid
+    pytest.param(
+        "skew", two_factor_config(paths="lots"),
+        SCHEMA + "paths: must be an integer >= 1", id="paths-skew-bergomi2f",
+    ),
     # strikes, as a list and as {min, max, count}
     pytest.param(
         "smile", bs_config(strikes=[]),
@@ -1061,7 +1080,7 @@ RESOLVED_SHA_CASES = [
         id="skew-rbergomi",
     ),
     pytest.param(
-        "skew", two_factor_config(paths="none", bump=0.02),
+        "skew", two_factor_config(bump=0.02),
         "1714c7fd821355e59fcbc72c923ee51494be55eb86e24ff169d7c1abcb75c9ae",
         id="skew-bergomi2f",
     ),

@@ -30,10 +30,14 @@ def test_grid_rejects_bad_inputs(T, N):
 
 def test_grid_equality_is_structural():
     a = rv.make_time_grid(1.0, 100)
-    b = rv.make_time_grid(1.0, 100)
+    b = rv.make_time_grid(1, 100)
     c = rv.make_time_grid(1.0, 50)
-    assert a == b and hash(a) == hash(b)
+    assert a is not b and a == b and hash(a) == hash(b)
     assert a != c
+    # grids of equal (T, N) are one dict key
+    seen = {a: "first", c: "coarse"}
+    seen[b] = "second"
+    assert len(seen) == 2 and seen[a] == "second"
 
 
 def test_params_derived_fields(table1):
@@ -232,12 +236,15 @@ CHAIN_ROWS = [
 ]
 
 
+def _full_tile(seed, block, N, k=3):
+    """A block's full (k, BLOCK_SIZE, N) tile, from its seeded generator."""
+    gen = sim_core._block_normals(seed, block, (), None)
+    return gen.standard_normal((k, BLOCK_SIZE, N))
+
+
 def _whole_array_increments(grid, rho, n_paths, seed):
     """dW, dB, dU from every block's full tile, row-sliced, on whole arrays."""
-    tiles = [
-        sim_core._block_normals(seed, block, np.empty((3, BLOCK_SIZE, grid.N)))
-        for block in range(-(-n_paths // BLOCK_SIZE))
-    ]
+    tiles = [_full_tile(seed, b, grid.N) for b in range(-(-n_paths // BLOCK_SIZE))]
     z = np.concatenate(tiles, axis=1)[:, :n_paths]
     sq_dt = np.sqrt(grid.dt)
     dW = z[0] * sq_dt
@@ -263,17 +270,25 @@ def test_sliced_plane_two_equals_the_full_tile(m):
     # models.simulate_terminal draws planes 0 and 1 of a block's m rows
     # through a chunk-sized spare, then plane 2 in FFT_CHUNK_ROWS-row slices
     N, C = 7, FFT_CHUNK_ROWS
-    tile = sim_core._block_normals(4, 2, np.empty((3, BLOCK_SIZE, N)))
-    z01, spare = np.empty((2, m, N)), np.empty(C * N)
-    slices = []
-
-    def draw_slices(gen):
-        for lo in range(0, m, C):
-            slices.append(gen.standard_normal(out=np.empty((min(C, m - lo), N))))
-
-    assert sim_core._block_normals(4, 2, z01, spare, then=draw_slices) is z01
+    tile = _full_tile(4, 2, N)
+    z01 = np.empty((2, m, N))
+    gen = sim_core._block_normals(4, 2, z01, np.empty(C * N))
+    slices = [gen.standard_normal((min(C, m - lo), N)) for lo in range(0, m, C)]
     assert np.array_equal(z01, tile[:2, :m])
     assert np.array_equal(np.concatenate(slices), tile[2, :m])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m,spare", [(5, 1000), (BLOCK_SIZE - 1, 3), (BLOCK_SIZE, 1)])
+def test_block_generator_continues_at_plane_k(k, m, spare):
+    # after k planes of m rows, dropped through a spare whose size need not
+    # divide the rest, the generator stands at plane k of the full tile
+    N = 6
+    tile = _full_tile(9, 1, N, k + 1)
+    planes = np.empty((k, m, N))
+    gen = sim_core._block_normals(9, 1, planes, np.empty(spare))
+    assert np.array_equal(planes, tile[:k, :m])
+    assert np.array_equal(gen.standard_normal((BLOCK_SIZE, N)), tile[k])
 
 
 @pytest.mark.parametrize("N,n_paths", [(100, 20_000), (8, BLOCK_SIZE + 5), (200, 1)])
