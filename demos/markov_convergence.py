@@ -30,10 +30,8 @@ TERMS = {50: (25,), 100: (5, 10, 25), 200: (25,), 400: (25,)}  # n per N
 @cache
 def rmse(N):
     """Smile RMSE of each TERMS[N]-term kernel plan against rBergomi, one draw."""
-    grid = rv.make_time_grid(T, N)
     kernels = [None] + [kernel(n, max(N, 100)) for n in TERMS[N]]
-    plans = [rv.make_hybrid_plan(grid, PARAMS.alpha, kernel=k) for k in kernels]
-    terminal = rv.simulate_terminal(plans, PARAMS, N_PATHS, SEED)
+    terminal = rv.simulate_terminal([(T, k) for k in kernels], PARAMS, N, N_PATHS, SEED)
     rough, *markov = (rv.mc_smile(log_S_T, T=T) for log_S_T, _ in terminal)
     return {n: rv.smile_rmse(rough, sm) for n, sm in zip(TERMS[N], markov)}
 

@@ -27,8 +27,8 @@ def main():
     # one streamed simulation for all maturities: every path slice's
     # Gaussians are drawn and convolved once, and the Volterra field is
     # scaled by (T/T_ref)^H to each maturity (rBergomi is self-similar)
-    plans = [rv.make_hybrid_plan(rv.make_time_grid(T, N), PARAMS.alpha) for T in MATURITIES]
-    terminal = rv.simulate_terminal(plans, PARAMS, N_PATHS, SEED)
+    sides = [(T, None) for T in MATURITIES]
+    terminal = rv.simulate_terminal(sides, PARAMS, N, N_PATHS, SEED)
     log_S = {T: s_T for T, (s_T, _) in zip(MATURITIES, terminal)}
     report = rv.atm_skew(
         lambda T, strikes: rv.mc_smile(log_S[T], strikes, T=T), MATURITIES, bump=0.01

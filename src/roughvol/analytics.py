@@ -339,6 +339,8 @@ def atm_skew(smile_fn, maturities, bump: float = 0.01) -> SkewReport:
     dk = float(bump)
     if not (0 < dk < np.inf):
         raise ValueError(f"bump must be positive and finite, got {bump}")
+    if not np.all((0 < maturities) & (maturities < np.inf)):
+        raise ValueError(f"maturities must be positive and finite, got {maturities}")
     probe = np.array([-dk, -dk / 2, dk / 2, dk])
     psi = np.empty(maturities.size)
     rich = np.empty(maturities.size)

@@ -49,7 +49,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import analytics, hybrid_scheme, kernel, models, sim_core
+from . import analytics, kernel, models, sim_core
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -508,8 +508,8 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
 
     The sides share resolved's params, paths and seed; a side's config names
     its model and kernel.  The rough models run through simulate_terminal,
-    aBergomi with the kernel's cell averages in the hybrid scheme's tail;
-    bs, one side only, draws only dW.
+    each side as (T, kernel): aBergomi's kernel is the configured one,
+    rBergomi's None; bs, one side only, draws only dW.
     """
     paths, seed, p = resolved["paths"], resolved["seed"], resolved["params"]
     if resolved["model"] == "bs":
@@ -518,15 +518,14 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
         W_T = sim_core.sample_terminal_brownian(grid, paths, seed)
         return [(-0.5 * vol * vol * T + vol * W_T, np.full(paths, vol * vol))]
     params = sim_core.ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
-    plans = []
+    rough_sides = []
     for config, T in sides:
         kern = None
         if config["model"] == "abergomi":
             k = config["kernel"]
             kern = _build_kernel(k["n"], k["method"], params.H, T, max(N, 100))
-        grid = sim_core.make_time_grid(T, N)
-        plans.append(hybrid_scheme.make_hybrid_plan(grid, params.alpha, kernel=kern))
-    return models.simulate_terminal(plans, params, paths, seed)
+        rough_sides.append((T, kern))
+    return models.simulate_terminal(rough_sides, params, N, paths, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ On a uniform grid with fixed N the power plan is self-similar: the tail
 weights (b_k^* dt)^alpha and the first cell's a1, b1 scale as dt^alpha,
 and the increments as sqrt(dt), so on the same Gaussians the field of
 maturity T is (T/T_ref)^H times that of T_ref.  models.simulate_terminal
-therefore builds one field per slice for all its rBergomi plans and scales
-it in each plan's variance; a kernel plan (below) has no such symmetry and
-gets its own convolution.
+therefore builds one field per slice for all its rBergomi sides (kernel
+None) and scales it in each side's variance; a kernel plan (below) has no
+such symmetry, so each kernel side gets its own convolution.
 
 The same scheme simulates the Markovian approximation: given a
 sum-of-exponentials kernel K(tau) = sum_i w_i e^(-x_i tau), the cells k >= 2
@@ -33,8 +33,8 @@ with exact decay, stable for any speed — evaluated by the same convolution.
 This is the hybrid multifactor scheme of Romer (2022), "Hybrid multifactor
 scheme for stochastic Volterra equations with completely monotone kernels",
 and it is how the Markovian (aBergomi) model is simulated: one plan per
-model goes into simulate_volterra, or into models.simulate_terminal (which
-the CLI runs, one path block at a time), and the variance step is shared.
+model goes into simulate_volterra, or one (T, kernel) side per model into
+models.simulate_terminal (the CLI's route), and the variance step is shared.
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ class VolterraPaths:
     alpha: float
 
 
+def _check_exponent(alpha: float) -> None:
+    if not (-0.5 < alpha < 0.0):
+        raise ValueError(f"alpha must lie in (-1/2, 0), got {alpha}")
+
+
 def optimal_nodes(alpha: float, N: int) -> np.ndarray:
     """Optimal displaced evaluation points b_k^* for k = 2..N.
 
@@ -107,8 +112,7 @@ def optimal_nodes(alpha: float, N: int) -> np.ndarray:
     -------
     ndarray of shape (N-1,), entries b_2^*, ..., b_N^*.
     """
-    if not (-0.5 < alpha < 0.0):
-        raise ValueError(f"alpha must lie in (-1/2, 0), got {alpha}")
+    _check_exponent(alpha)
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     k = np.arange(2, N + 1, dtype=float)
@@ -125,6 +129,9 @@ def first_cell_coefficients(alpha: float, dt: float) -> tuple[float, float]:
     the law of int_0^dt (dt - s)^alpha dB_s jointly with dB: variance
     dt^(2*alpha+1)/(2*alpha+1) and covariance dt^(alpha+1)/(alpha+1).
     """
+    _check_exponent(alpha)
+    if not (0 < dt < np.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     a1 = dt**alpha / (alpha + 1.0)
     b1 = dt**alpha * np.sqrt(1.0 / (2 * alpha + 1) - 1.0 / (alpha + 1) ** 2)
     return a1, b1
@@ -150,8 +157,7 @@ def make_hybrid_plan(
     if kernel is None:
         w = (optimal_nodes(alpha, grid.N) * grid.dt) ** alpha
     else:
-        if not (-0.5 < alpha < 0.0):
-            raise ValueError(f"alpha must lie in (-1/2, 0), got {alpha}")
+        _check_exponent(alpha)
         if not abs(kernel.H - 0.5 - alpha) <= 1e-12:
             raise ValueError(
                 f"kernel was built for H={kernel.H}, plan has alpha={alpha} "

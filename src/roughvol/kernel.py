@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim_core import _readonly
+from .sim_core import _check_int, _readonly
 
 __all__ = [
     "ExpKernel",
@@ -64,10 +64,7 @@ class ExpKernel:
             raise ValueError("weights and speeds must all be positive and finite")
         if not np.all(np.diff(x) > 0):
             raise ValueError("speeds must be strictly increasing")
-        if not (0.0 < self.H < 0.5):
-            raise ValueError(f"H must lie in (0, 1/2), got {self.H}")
-        if not (0 < self.T < np.inf):
-            raise ValueError(f"T must be positive and finite, got {self.T}")
+        _check_horizon(self.H, self.T)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "speeds", x)
 
@@ -78,6 +75,14 @@ class ExpKernel:
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
         return np.exp(-np.multiply.outer(tau, self.speeds)) @ self.weights
+
+
+def _check_horizon(H: float, T: float) -> None:
+    """Reject an H outside (0, 1/2) or a T that is not positive and finite."""
+    if not (0.0 < H < 0.5):
+        raise ValueError(f"H must lie in (0, 1/2), got {H}")
+    if not (0 < T < np.inf):
+        raise ValueError(f"T must be positive and finite, got {T}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,10 @@ class KernelErrorCert:
 
 def power_kernel(tau, H: float):
     """The fractional kernel tau^(H-1/2); singular (and rejected) at tau <= 0."""
+    if not (0.0 < H < 0.5):
+        raise ValueError(f"H must lie in (0, 1/2), got {H}")
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
+    if not np.all(tau > 0):
         raise ValueError("power_kernel requires tau > 0 (singular at 0)")
     out = tau ** (H - 0.5)
     return float(out) if out.ndim == 0 else out
@@ -112,13 +119,16 @@ def laplace_mu(tau: float, H: float, x_max: float = 1e4, n_quad: int = 200) -> f
     evaluated by n_quad-point Gauss-Legendre.  Converges to
     power_kernel(tau, H) as x_max and n_quad grow.
     """
-    if tau <= 0:
-        raise ValueError("laplace_mu requires tau > 0")
+    if not (tau > 0):
+        raise ValueError(f"laplace_mu requires tau > 0, got {tau}")
     if not (0.0 < H < 0.5):
         raise ValueError(f"H must lie in (0, 1/2), got {H}")
+    if not (0 < x_max < np.inf):
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
+    n_quad = _check_int("n_quad", n_quad, 1)
     beta = 0.5 - H
     upper = x_max**beta
-    u, gl_w = np.polynomial.legendre.leggauss(int(n_quad))
+    u, gl_w = np.polynomial.legendre.leggauss(n_quad)
     u = 0.5 * upper * (u + 1.0)
     gl_w = 0.5 * upper * gl_w
     vals = np.exp(-tau * u ** (1.0 / beta))
@@ -133,12 +143,8 @@ def _closed_form_nodes(n: int, H: float, T: float):
     nodes: started from the sqrt(2H)-scaled ones, Gauss-Newton lands in a
     different optimum.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (0.0 < H < 0.5):
-        raise ValueError(f"H must lie in (0, 1/2), got {H}")
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    n = _check_int("n", n, 1)
+    _check_horizon(H, T)
     beta = 0.5 - H
     shape = np.sqrt(10.0) * beta / (2.5 - H)
     pi_n = n ** (-0.2) / T * shape**0.4
@@ -194,10 +200,10 @@ def kernel_l2_error(k: ExpKernel, H: float, T: float, n_quad: int = 400) -> floa
     singular mass; the substitution tau = T * u^(1/(2H)) makes the singular
     part of the integrand O(1) and Gauss-Legendre in u converges fast.
     """
-    if n_quad < 100:
-        raise ValueError(f"n_quad must be >= 100, got {n_quad}")
+    _check_horizon(H, T)
+    n_quad = _check_int("n_quad", n_quad, 100)
     g = 1.0 / (2 * H)
-    u, gl_w = np.polynomial.legendre.leggauss(int(n_quad))
+    u, gl_w = np.polynomial.legendre.leggauss(n_quad)
     u = 0.5 * (u + 1.0)
     gl_w = 0.5 * gl_w
     tau = T * u**g
@@ -225,9 +231,10 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
     starts at the finite closed-form nodes and is replaced only by an
     iterate with a finite, lower RMSE.
     """
-    if N_grid < 3:
-        raise ValueError(f"N_grid must be >= 3, got {N_grid}")
-    tau = np.arange(1, int(N_grid)) * (T / N_grid)
+    _check_horizon(H, T)
+    N_grid = _check_int("N_grid", N_grid, 3)
+    n = _check_int("n", n, 1)
+    tau = np.arange(1, N_grid) * (T / N_grid)
     y = _target(tau, H)
     w, x, _, _ = _closed_form_nodes(n, H, T)
     lw = np.log(w)

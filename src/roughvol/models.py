@@ -20,14 +20,16 @@ abergomi_driver convolves into y[:, 1:].
 
 simulate_terminal runs that chain, with rbergomi_log_price, one path block
 at a time on sim_core's pool, FFT_CHUNK_ROWS rows at a time within a
-block, and keeps only the terminal values; plans that share N share each
-block's Gaussians.  Both routes call the same helpers for each step
+block, and keeps only the terminal values.  Its input is a list of
+(T, kernel) sides on one N, kernel None for rBergomi; it builds each
+side's grid and plan itself, and all sides share each block's Gaussians.
+Both routes call the same helpers for each step
 (sim_core._scale_increments, hybrid_scheme._volterra_rows,
-_lognormal_variance, _euler_steps).  rBergomi plans that share N also
-share one Volterra field, scaled by (T/T_ref)^H in the variance: the
-first plan of each such group, and every kernel plan, agree with the
-chain bit for bit, a later rBergomi plan to within 1e-13.  The chain
-stays as the tests' reference.
+_lognormal_variance, _euler_steps).  The rBergomi sides also share one
+Volterra field, the first one's, scaled by (T/T_ref)^H in the variance:
+that side, and every kernel side, agree with the chain bit for bit, a
+later rBergomi side to within 1e-13.  The chain stays as the tests'
+reference.
 
 The affine structure of the Markovian model is kept in closed form:
 quadratic_variation_chi is the kernel's quadratic variation over a window,
@@ -61,13 +63,13 @@ import numpy as np
 
 from .hybrid_scheme import (
     FFT_CHUNK_ROWS,
-    HybridPlan,
     VolterraPaths,
     _convolve_into,
     _fft_buffers,
     _kernel_spectrum,
     _volterra_kernel,
     _volterra_rows,
+    make_hybrid_plan,
 )
 from .kernel import ExpKernel
 from .sim_core import (
@@ -76,9 +78,10 @@ from .sim_core import (
     PathIncrements,
     TimeGrid,
     _block_normals,
-    _check_n_paths,
+    _check_int,
     _readonly,
     _scale_increments,
+    make_time_grid,
     run_chunks,
 )
 
@@ -257,57 +260,54 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
 
 
 def simulate_terminal(
-    plans: list[HybridPlan], params: ModelParams, n_paths: int, seed: int
+    sides: list[tuple[float, ExpKernel | None]],
+    params: ModelParams,
+    N: int,
+    n_paths: int,
+    seed: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Terminal (log S_T, V_T) under each plan, streamed in path blocks.
+    """Terminal (log S_T, V_T) of each (T, kernel) side on N steps, streamed in path blocks.
 
-    Per plan, the last columns of the chain
-    sample_correlated_increments(plan.grid, params.rho, n_paths, seed) ->
-    simulate_volterra -> rbergomi_variance -> rbergomi_log_price.  The plans
-    must share grid.N; T and the kernel may differ.
+    kernel is an ExpKernel built for params.H, or None for rBergomi.  Per
+    side, the last columns of the chain on grid = make_time_grid(T, N) with
+    plan = make_hybrid_plan(grid, params.alpha, kernel=kernel):
+    sample_correlated_increments(grid, params.rho, n_paths, seed) ->
+    simulate_volterra(plan, ...) -> rbergomi_variance -> rbergomi_log_price.
 
-    Plans whose Volterra field is a scalar multiple of an earlier plan's
-    (_self_similar: rBergomi plans, or a repeated plan) form one group and
-    share that field: on the same Gaussians X^(T) = (T/T_ref)^H * X^(T_ref),
-    so each member's variance takes the scale eta*(T/T_ref)^H.  The first
-    plan of each group, so every kernel plan, and a repeat of it (scale
-    eta) equal the chain bit for bit; a later member of another T agrees
-    with it to within 1e-13 in log S_T, and relative in V_T: its field is
-    the reference's, scaled, not one built at its own dt, so it rounds
-    differently (measured: a few 1e-15).
+    Each kernel side runs its own Volterra field.  The rBergomi sides share
+    the first one's: the power plan is self-similar at a fixed N (see
+    hybrid_scheme), so on the same Gaussians X^(T) = (T/T_ref)^H * X^(T_ref),
+    and each side's variance takes the scale eta*(T/T_ref)^H.  Kernel sides,
+    the reference and a repeat of its T (scale eta) equal the chain bit for
+    bit; an rBergomi side of another T agrees with it to within 1e-13 in
+    log S_T, and relative in V_T: its field is the reference's, scaled, not
+    one built at its own dt, so it rounds differently (measured: a few 1e-15).
 
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
     block's Gaussians once, which depend on (seed, block, N) only: planes 0
     and 1 whole, then from the block's generator one FFT_CHUNK_ROWS-row
-    slice of plane 2 at a time.  Every group runs on a slice as soon as it
+    slice of plane 2 at a time.  Every field runs on a slice as soon as it
     is drawn: scaling into increments and simulate_volterra's own row
-    routine (hybrid_scheme._volterra_rows), once; then, per member, the
+    routine (hybrid_scheme._volterra_rows), once; then, per side, the
     variance and the Euler log-price.  So a worker holds one block's planes
-    0 and 1 and one slice's paths, and the draw is shared by all plans.
+    0 and 1 and one slice's paths, and the draw is shared by all sides.
     Every buffer is made in the calling thread (see sim_core).
     """
-    plans = list(plans)
-    if not plans:
-        raise ValueError("need at least one plan")
-    N = plans[0].grid.N
-    for plan in plans:
-        if plan.grid.N != N:
-            raise ValueError(f"plans must share N, got {N} and {plan.grid.N}")
-        _check_alpha(plan.alpha, params)
-    n_paths = _check_n_paths(n_paths)
-    seed = int(seed)
-    out = [(np.empty(n_paths), np.empty(n_paths)) for _ in plans]
-    groups = []  # (reference plan, its kernel spectrum, members), in plan order
-    for plan, res in zip(plans, out):
-        group = next((g for g in groups if _self_similar(plan, g[0])), None)
-        if group is None:
+    if not sides:
+        raise ValueError("need at least one side")
+    n_paths = _check_int("n_paths", n_paths, 1)
+    seed = _check_int("seed", seed, 0)
+    out, fields = [], {}  # fields: (reference plan, its kernel spectrum, its sides)
+    for i, (T, kern) in enumerate(sides):
+        plan = make_hybrid_plan(make_time_grid(T, N), params.alpha, kernel=kern)
+        key = None if kern is None else i  # the rBergomi sides share one field
+        if key not in fields:
             K, L = _kernel_spectrum(_volterra_kernel(plan), N)  # L follows N alone
-            group = (plan, K, [])
-            groups.append(group)
-        ref, _, members = group
+            fields[key] = (plan, K, [])
+        ref, _, members = fields[key]
         scale = params.eta * (plan.grid.T / ref.grid.T) ** params.H
-        comp = _compensator(params, plan.grid.nodes)
-        members.append((plan.grid.dt, scale, comp, res))
+        out.append((np.empty(n_paths), np.empty(n_paths)))
+        members.append((plan.grid.dt, scale, _compensator(params, plan.grid.nodes), out[-1]))
     C = FFT_CHUNK_ROWS
     rows_max = min(C, n_paths)
 
@@ -323,7 +323,9 @@ def simulate_terminal(
     def run_block(rows: slice, bufs) -> None:
         z01, z2, planes, X, fft_bufs = bufs
         m = rows.stop - rows.start
-        gen = _block_normals(seed, rows.start // BLOCK_SIZE, z01[:, :m], z2.reshape(-1))
+        gen = _block_normals(  # the empty plane 2 leaves gen at its first row
+            seed, rows.start // BLOCK_SIZE, (*z01[:, :m], z2[:0]), z2.reshape(-1)
+        )
         for lo in range(0, m, C):
             k = min(C, m - lo)
             z = (*z01[:, lo : lo + k], gen.standard_normal(out=z2[:k]))
@@ -332,12 +334,11 @@ def simulate_terminal(
             done = slice(rows.start + lo, rows.start + lo + k)
             # V goes into the FFT signal buffer, idle once X is built
             v = fft_bufs[1].reshape(-1)[: k * (N + 1)].reshape(k, N + 1)
-            for ref, K, members in groups:
+            for ref, K, members in fields.values():
                 _scale_increments(z, ref.grid.dt, params.rho, dW, dB, dU)
                 _volterra_rows(ref, K, dB, dU, x, fft_bufs)
-                for j, (dt, scale, comp, (log_S, V_T)) in enumerate(members):
-                    if j:  # the reference's dW is _scale_increments'
-                        np.multiply(z[0], np.sqrt(dt), out=dW)
+                for dt, scale, comp, (log_S, V_T) in members:
+                    np.multiply(z[0], np.sqrt(dt), out=dW)
                     _lognormal_variance(x, scale, comp, params.xi0, v)
                     V_T[done] = v[:, -1]
                     _euler_steps(v, dW, dt, dB, dU)
@@ -346,20 +347,6 @@ def simulate_terminal(
 
     run_chunks(n_paths, BLOCK_SIZE, run_block, scratch)
     return out
-
-
-def _self_similar(plan: HybridPlan, ref: HybridPlan) -> bool:
-    """Whether plan's Volterra field is (T/T_ref)^H times ref's on the same draws.
-
-    At a shared N the first cell's a1, b1 scale as dt^alpha and the
-    increments as sqrt(dt), so the field scales as dt^H exactly when the
-    tail weights scale as dt^alpha.  rBergomi plans do (their ratio is
-    constant to 2.2e-16); a kernel plan does only against a copy of itself.
-    """
-    ratio = (plan.grid.dt / ref.grid.dt) ** plan.alpha
-    return np.allclose(
-        plan.kernel_weights, ref.kernel_weights * ratio, rtol=1e-13, atol=0.0
-    )
 
 
 def simulate_ou_factors(cfg: AbergomiConfig, inc: PathIncrements) -> OUFactorPaths:
@@ -466,6 +453,10 @@ def variance_conditional_expectation(
     """
     if not (0 <= s <= t < np.inf):
         raise ValueError(f"need 0 <= s <= t < inf, got s={s}, t={t}")
+    if not (-np.inf < sigma < np.inf):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    if not (0 < xi0 < np.inf):
+        raise ValueError(f"xi0 must be positive and finite, got {xi0}")
     delta = t - s
     w = kernel.weights
     x = kernel.speeds

@@ -199,28 +199,31 @@ def _block_normals(seed: int, block: int, planes, spare) -> np.random.Generator:
     The k planes, of m <= BLOCK_SIZE rows each (say the block's rows of dW,
     dB and dU), get their rows of the block's full (k, BLOCK_SIZE, N) tile,
     so a partial block is a row-slice of the full one (prefix property):
-    after each plane, the (BLOCK_SIZE - m)*N values the tile holds below it
-    are drawn into spare, a flat array, spare.size values at a time, and
-    dropped.  The generator then stands at plane k: drawn from in turn, in
-    pieces of any size, it gives the rows of plane k of the full tile.
-    Sampling method: numpy's ziggurat via Generator.standard_normal, an
-    exact-distribution sampler, on the counter-based Philox bit stream.
-    Philox fills sequentially, so pieces drawn one after another hold the
-    values of one draw of their total size.
+    between planes, the (BLOCK_SIZE - m)*N values the tile holds below a
+    plane are drawn into spare, a flat array, at most spare.size at a time,
+    and dropped.  Nothing is drawn after the last plane, so the generator
+    continues it at row m; an empty last plane leaves it at that plane's
+    first row, and a single plane never touches spare.  Sampling method:
+    numpy's ziggurat via Generator.standard_normal, an exact-distribution
+    sampler, on the counter-based Philox bit stream.  Philox fills
+    sequentially, so pieces drawn one after another hold the values of one
+    draw of their total size.
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
+    rest = 0  # the values the tile holds below the plane before
     for plane in planes:
+        while rest:  # dropped, at most spare.size at a time
+            rest -= gen.standard_normal(out=spare[: min(rest, spare.size)]).size
         gen.standard_normal(out=plane)
         rest = (BLOCK_SIZE - plane.shape[0]) * plane.shape[1]
-        for lo in range(0, rest, spare.size):
-            gen.standard_normal(out=spare[: rest - lo])
     return gen
 
 
-def _check_n_paths(n_paths) -> int:
-    if int(n_paths) != n_paths or n_paths < 1:
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
-    return int(n_paths)
+def _check_int(name: str, value, lo: int) -> int:
+    """value as an int; a ValueError naming it unless it is an integer >= lo."""
+    if not (lo <= value < np.inf and int(value) == value):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
+    return int(value)
 
 
 def _scale_increments(z, dt, rho, dW, dB, dU, tmp=None) -> None:
@@ -257,8 +260,8 @@ def sample_correlated_increments(
     """
     if not (-1 <= rho <= 1):
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    n_paths = _check_n_paths(n_paths)
-    seed = int(seed)
+    n_paths = _check_int("n_paths", n_paths, 1)
+    seed = _check_int("seed", seed, 0)
 
     N = grid.N
     dW = np.empty((n_paths, N))
@@ -286,25 +289,22 @@ def sample_correlated_increments(
 def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     """W_T per path: the row sums of sample_correlated_increments(...).dW.
 
-    Only plane 0 of each block's tile is drawn.  A worker's buffer holds a
-    block's m rows of dW and, below them, the spare for the dropped draws;
-    its BLOCK_SIZE + 1 rows keep that spare from being empty.  Philox fills
-    the tile in C order, so that plane is a prefix of the full draw and the
-    sums equal, bit for bit, those of the dW that the full draw gives (at
-    any rho).
+    Only a block's m rows of plane 0 are drawn, into a worker's
+    (BLOCK_SIZE, N) buffer.  Philox fills the tile in C order, so they are
+    a prefix of the full draw and the sums equal, bit for bit, those of the
+    dW that the full draw gives (at any rho).
     """
-    n_paths = _check_n_paths(n_paths)
-    seed = int(seed)
+    n_paths = _check_int("n_paths", n_paths, 1)
+    seed = _check_int("seed", seed, 0)
     W = np.empty(n_paths)
 
     def draw(rows: slice, buf: np.ndarray) -> None:
-        m = rows.stop - rows.start
-        dW, spare = buf[:m], buf[m:].reshape(-1)
-        _block_normals(seed, rows.start // BLOCK_SIZE, (dW,), spare)
+        dW = buf[: rows.stop - rows.start]
+        _block_normals(seed, rows.start // BLOCK_SIZE, (dW,), None)
         np.multiply(dW, np.sqrt(grid.dt), out=dW)
         np.sum(dW, axis=1, out=W[rows])
 
-    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((BLOCK_SIZE + 1, grid.N)))
+    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((BLOCK_SIZE, grid.N)))
     return W
 
 

@@ -35,16 +35,15 @@ def _terminal_log_price(plan, blk):
     return rv.rbergomi_log_price(V, blk)[:, -1]
 
 
-def _stream_terminal(plan, n_paths, seed):
-    """Terminal log-prices under one hybrid plan, streamed in path blocks."""
-    [(logS, _)] = rv.simulate_terminal([plan], TABLE1, n_paths, seed)
+def _stream_terminal(T, N, n_paths, seed, kern):
+    """Terminal log-prices of one (T, kern) side on N steps, streamed in path blocks."""
+    [(logS, _)] = rv.simulate_terminal([(T, kern)], TABLE1, N, n_paths, seed)
     return logS
 
 
 def _rb_terminal(T, N, n_paths, seed):
     """Terminal rBergomi log-prices."""
-    plan = rv.make_hybrid_plan(rv.make_time_grid(T, N), TABLE1.alpha)
-    return _stream_terminal(plan, n_paths, seed)
+    return _stream_terminal(T, N, n_paths, seed, None)
 
 
 def _ab_terminal(T, N, n_paths, seed, kern):
@@ -53,8 +52,7 @@ def _ab_terminal(T, N, n_paths, seed, kern):
     Hybrid multifactor scheme: exact singular cell, sum-of-exponentials tail
     with exact decay, m = 1 and the same power compensator as rBergomi.
     """
-    plan = rv.make_hybrid_plan(rv.make_time_grid(T, N), TABLE1.alpha, kernel=kern)
-    return _stream_terminal(plan, n_paths, seed)
+    return _stream_terminal(T, N, n_paths, seed, kern)
 
 
 def _ab_rescaled_terminal(T, N, n_paths, seed, kern):
@@ -209,8 +207,8 @@ def test_criterion_06_atm_skew_power_law():
     t0 = time.perf_counter()
     n_paths = 200_000
     mats = [0.1, 0.25, 0.5, 1.0, 2.0]
-    plans = [rv.make_hybrid_plan(rv.make_time_grid(T, 100), TABLE1.alpha) for T in mats]
-    terminal = rv.simulate_terminal(plans, TABLE1, n_paths, seed=6)
+    sides = [(T, None) for T in mats]
+    terminal = rv.simulate_terminal(sides, TABLE1, 100, n_paths, seed=6)
     log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}
 
     def smile_fn(T, strikes):

@@ -100,6 +100,15 @@ def test_atm_skew_rejects_a_non_finite_bump_before_pricing(bump):
         rv.atm_skew(smile_fn, [0.5, 1.0], bump=bump)
 
 
+@pytest.mark.parametrize("T", [NAN, 0.0, INF])
+def test_atm_skew_rejects_a_bad_maturity_before_pricing(T):
+    def smile_fn(T, strikes):
+        raise AssertionError("smile_fn called")
+
+    with pytest.raises(ValueError, match="maturities must be positive and finite"):
+        rv.atm_skew(smile_fn, [T, 1.0, 2.0])
+
+
 def test_implied_vol_deep_otm_tiny_price():
     # far OTM, short maturity: the solver still converges without overflow
     price = rv.bs_price(1.0, np.exp(0.4), 0.25, 0.3)

@@ -29,6 +29,14 @@ def test_optimal_nodes_validation():
         rv.optimal_nodes(ALPHA, 1)
 
 
+def test_first_cell_coefficients_validation():
+    # a negative dt would give complex coefficients, a NaN alpha NaN ones
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        rv.first_cell_coefficients(ALPHA, -1.0)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        rv.first_cell_coefficients(float("nan"), 0.1)
+
+
 @given(alpha=st.floats(-0.49, -0.01), N=st.integers(2, 60))
 @settings(max_examples=60, deadline=None)
 def test_optimal_nodes_lie_in_their_cells(alpha, N):

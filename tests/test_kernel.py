@@ -55,6 +55,15 @@ def test_laplace_measure_reproduces_power_kernel():
         rv.laplace_mu(0.0, H)
     with pytest.raises(ValueError):
         rv.laplace_mu(1.0, 0.6)
+    # NaN fails every comparison, so each range check must pass only inside it
+    with pytest.raises(ValueError, match="tau > 0"):
+        rv.laplace_mu(math.nan, H)
+    with pytest.raises(ValueError, match="x_max"):
+        rv.laplace_mu(1.0, H, x_max=math.nan)
+    with pytest.raises(ValueError, match="n_quad must be an integer"):
+        rv.laplace_mu(1.0, H, n_quad=2.5)
+    with pytest.raises(ValueError, match="H must lie"):
+        rv.power_kernel(0.5, math.nan)
 
 
 def test_exp_kernel_validation():
@@ -116,6 +125,13 @@ def test_l2_error_rejects_coarse_quadrature():
     k, _ = rv.closed_form_kernel(3, H, T)
     with pytest.raises(ValueError):
         rv.kernel_l2_error(k, H, T, n_quad=50)
+    with pytest.raises(ValueError, match="n_quad must be an integer"):
+        rv.kernel_l2_error(k, H, T, n_quad=150.5)
+    with pytest.raises(ValueError, match="H must lie"):
+        rv.kernel_l2_error(k, math.nan, T)
+    for bad_T in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            rv.kernel_l2_error(k, H, bad_T)
 
 
 def test_certified_bound_holds_and_error_decreases():
@@ -144,6 +160,10 @@ def test_closed_form_validation():
         rv.closed_form_kernel(5, 0.5, T)
     with pytest.raises(ValueError):
         rv.closed_form_kernel(5, H, 0.0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        rv.closed_form_kernel(2.5, H, T)
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        rv.closed_form_kernel(3, H, math.inf)
 
 
 def test_fit_is_deterministic_and_tight():
@@ -187,6 +207,13 @@ def test_fit_validation():
         rv.fit_kernel_ls(H, T, 2, 5)
     with pytest.raises(ValueError):
         rv.fit_kernel_ls(H, T, 100, 0)
+    with pytest.raises(ValueError, match="N_grid must be an integer"):
+        rv.fit_kernel_ls(H, T, 100.5, 3)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        rv.fit_kernel_ls(H, T, 100, 2.5)
+    # rejected before the fit grid is built, where a negative T would warn
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        rv.fit_kernel_ls(H, -1.0, 100, 3)
 
 
 def test_fit_is_pinned():

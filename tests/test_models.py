@@ -67,16 +67,18 @@ def test_log_price_grid_mismatch(table1):
         rv.rbergomi_log_price(V, inc)
 
 
-def _chained_terminal(plan, params, n_paths, seed):
-    """(log S_T, V_T) through the public chain, all paths at once."""
-    inc = rv.sample_correlated_increments(plan.grid, params.rho, n_paths, seed)
+def _chained_terminal(side, N, params, n_paths, seed):
+    """(log S_T, V_T) of one (T, kernel) side through the public chain, all paths at once."""
+    T, kern = side
+    grid = rv.make_time_grid(T, N)
+    plan = rv.make_hybrid_plan(grid, params.alpha, kernel=kern)
+    inc = rv.sample_correlated_increments(grid, params.rho, n_paths, seed)
     V = rv.rbergomi_variance(rv.simulate_volterra(plan, inc), params)
     return rv.rbergomi_log_price(V, inc)[:, -1], V.values[:, -1]
 
 
-def _plan(kind, T, N, H):
-    kern = rv.closed_form_kernel(4, H, 2.0)[0] if kind == "kernel" else None
-    return rv.make_hybrid_plan(rv.make_time_grid(T, N), H - 0.5, kernel=kern)
+def _side(kind, T, H):
+    return T, rv.closed_form_kernel(4, H, 2.0)[0] if kind == "kernel" else None
 
 
 # a single path, a partial slice in a partial block, a partial slice in a full
@@ -94,32 +96,30 @@ STREAM_ROWS = [
 @pytest.mark.parametrize("n_paths", STREAM_ROWS)
 @pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
 def test_streamed_terminal_equals_the_chain(kind, n_paths, table1, monkeypatch):
-    from roughvol import sim_core
-
-    plan = _plan(kind, 1.0, 12, table1.H)
-    want = _chained_terminal(plan, table1, n_paths, 4)
+    side = _side(kind, 1.0, table1.H)
+    want = _chained_terminal(side, 12, table1, n_paths, 4)
     for width in (1, 2):
         monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
-        [got] = rv.simulate_terminal([plan], table1, n_paths, 4)
+        [got] = rv.simulate_terminal([side], table1, 12, n_paths, 4)
         assert np.array_equal(got[0], want[0]), f"log S_T at width {width}"
         assert np.array_equal(got[1], want[1]), f"V_T at width {width}"
 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_one_streamed_call_equals_one_chain_per_maturity(width, table1, monkeypatch):
-    # every plan reads the same tile, so a plan that altered it would shift
-    # the ones after it; the second rBergomi plan takes the first one's field,
+    # every side reads the same tile, so a side that altered it would shift
+    # the ones after it; the second rBergomi side takes the first one's field,
     # scaled, so it agrees to a bound instead of bit for bit
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
-    plans = [_plan("rbergomi", 0.25, 12, table1.H), _plan("kernel", 2.0, 12, table1.H),
-             _plan("rbergomi", 1.0, 12, table1.H)]
+    sides = [_side("rbergomi", 0.25, table1.H), _side("kernel", 2.0, table1.H),
+             _side("rbergomi", 1.0, table1.H)]
     n_paths = 2 * rv.BLOCK_SIZE + 3
-    got = rv.simulate_terminal(plans, table1, n_paths, 9)
-    for i, (plan, (log_S, V_T)) in enumerate(zip(plans, got)):
-        want = _chained_terminal(plan, table1, n_paths, 9)
+    got = rv.simulate_terminal(sides, table1, 12, n_paths, 9)
+    for i, (side, (log_S, V_T)) in enumerate(zip(sides, got)):
+        want = _chained_terminal(side, 12, table1, n_paths, 9)
         if i < 2:
-            assert np.array_equal(log_S, want[0]), f"log S_T at T={plan.grid.T}"
-            assert np.array_equal(V_T, want[1]), f"V_T at T={plan.grid.T}"
+            assert np.array_equal(log_S, want[0]), f"log S_T at T={side[0]}"
+            assert np.array_equal(V_T, want[1]), f"V_T at T={side[0]}"
         else:
             np.testing.assert_allclose(log_S, want[0], rtol=0, atol=1e-13)
             np.testing.assert_allclose(V_T, want[1], rtol=1e-13, atol=0)
@@ -129,11 +129,11 @@ def test_one_streamed_call_equals_one_chain_per_maturity(width, table1, monkeypa
 def test_scaled_plans_agree_with_their_own_run(width, table1, monkeypatch):
     # a T=0.02 reference field, scaled down to 0.005 and up to 0.1 and 2
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
-    plans = [_plan("rbergomi", T, 12, table1.H) for T in (0.02, 0.005, 0.1, 2.0)]
+    sides = [(T, None) for T in (0.02, 0.005, 0.1, 2.0)]
     n_paths = rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
-    got = rv.simulate_terminal(plans, table1, n_paths, 5)
-    for i, (plan, (log_S, V_T)) in enumerate(zip(plans, got)):
-        [(want_S, want_V)] = rv.simulate_terminal([plan], table1, n_paths, 5)
+    got = rv.simulate_terminal(sides, table1, 12, n_paths, 5)
+    for i, (side, (log_S, V_T)) in enumerate(zip(sides, got)):
+        [(want_S, want_V)] = rv.simulate_terminal([side], table1, 12, n_paths, 5)
         if i == 0:
             assert np.array_equal(log_S, want_S) and np.array_equal(V_T, want_V)
         else:
@@ -144,25 +144,25 @@ def test_scaled_plans_agree_with_their_own_run(width, table1, monkeypatch):
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_repeated_and_kernel_plans_stay_bit_identical(width, table1, monkeypatch):
-    # the repeated T=0.25 plan follows the T=1.0 member of its group, so its
-    # dW must be rebuilt, not left at T=1.0's; a repeated kernel plan joins
-    # the first one's group with scale eta itself
+    # the repeated T=0.25 side follows the T=1.0 side on the rBergomi field,
+    # so its dW must be rebuilt, not left at T=1.0's; each kernel side, a
+    # repeated one too, runs its own field
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     kern = rv.closed_form_kernel(4, table1.H, 2.0)[0]
-    plans = [
-        _plan("rbergomi", 0.25, 12, table1.H),
-        _plan("kernel", 2.0, 12, table1.H),
-        _plan("rbergomi", 1.0, 12, table1.H),
-        _plan("rbergomi", 0.25, 12, table1.H),
-        rv.make_hybrid_plan(rv.make_time_grid(0.5, 12), table1.alpha, kernel=kern),
-        _plan("kernel", 2.0, 12, table1.H),
+    sides = [
+        _side("rbergomi", 0.25, table1.H),
+        _side("kernel", 2.0, table1.H),
+        _side("rbergomi", 1.0, table1.H),
+        _side("rbergomi", 0.25, table1.H),
+        (0.5, kern),
+        _side("kernel", 2.0, table1.H),
     ]
     n_paths = rv.BLOCK_SIZE + 5
-    got = rv.simulate_terminal(plans, table1, n_paths, 2)
+    got = rv.simulate_terminal(sides, table1, 12, n_paths, 2)
     for i in (0, 1, 3, 4, 5):
-        want = _chained_terminal(plans[i], table1, n_paths, 2)
-        assert np.array_equal(got[i][0], want[0]), f"log S_T of plan {i}"
-        assert np.array_equal(got[i][1], want[1]), f"V_T of plan {i}"
+        want = _chained_terminal(sides[i], 12, table1, n_paths, 2)
+        assert np.array_equal(got[i][0], want[0]), f"log S_T of side {i}"
+        assert np.array_equal(got[i][1], want[1]), f"V_T of side {i}"
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -180,24 +180,20 @@ def test_one_volterra_field_per_slice_serves_every_rbergomi_plan(
         volterra_rows(plan, *args)
 
     monkeypatch.setattr(models, "_volterra_rows", spy)
-    plans = [_plan("rbergomi", T, 12, table1.H) for T in (0.005, 0.02, 0.1, 0.5, 2.0)]
+    sides = [(T, None) for T in (0.005, 0.02, 0.1, 0.5, 2.0)]
     n_paths = 2 * rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
-    rv.simulate_terminal(plans, table1, n_paths, 1)
+    rv.simulate_terminal(sides, table1, 12, n_paths, 1)
     slices = 2 * (rv.BLOCK_SIZE // FFT_CHUNK_ROWS) + 2
     assert calls == [0.005] * slices
 
 
 def test_streamed_terminal_rejects_mismatched_plans(table1):
-    with pytest.raises(ValueError, match="share N"):
-        rv.simulate_terminal(
-            [_plan("rbergomi", 1.0, N, table1.H) for N in (12, 13)], table1, 5, 0
-        )
-    with pytest.raises(ValueError, match="alpha"):
-        rv.simulate_terminal([_plan("rbergomi", 1.0, 12, 0.2)], table1, 5, 0)
+    with pytest.raises(ValueError, match="kernel was built for H"):
+        rv.simulate_terminal([_side("kernel", 1.0, 0.2)], table1, 12, 5, 0)
     with pytest.raises(ValueError, match="n_paths"):
-        rv.simulate_terminal([_plan("rbergomi", 1.0, 12, table1.H)], table1, 0, 0)
-    with pytest.raises(ValueError, match="plan"):
-        rv.simulate_terminal([], table1, 5, 0)
+        rv.simulate_terminal([(1.0, None)], table1, 12, 0, 0)
+    with pytest.raises(ValueError, match="side"):
+        rv.simulate_terminal([], table1, 12, 5, 0)
 
 
 # a partial block over five chunks gives each of two workers several chunks
@@ -230,7 +226,7 @@ def test_rbergomi_chain_equals_the_whole_array_formulas(
     n_paths, width, table1, monkeypatch
 ):
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
-    plan = _plan("rbergomi", 1.0, 12, table1.H)
+    plan = rv.make_hybrid_plan(rv.make_time_grid(1.0, 12), table1.alpha)
     inc = rv.sample_correlated_increments(plan.grid, table1.rho, n_paths, 8)
     X = rv.simulate_volterra(plan, inc)
     V = rv.rbergomi_variance(X, table1)
@@ -277,7 +273,7 @@ def test_chain_steps_allocate_little_beyond_their_output(table1, monkeypatch):
     # is about 3 MB at N = 50 and width 2; a simulate_volterra worker holds
     # only its FFT buffers)
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
-    plan = _plan("rbergomi", 1.0, 50, table1.H)
+    plan = rv.make_hybrid_plan(rv.make_time_grid(1.0, 50), table1.alpha)
     inc = rv.sample_correlated_increments(plan.grid, table1.rho, 100_000, 2)
     X, peak = _traced_peak(rv.simulate_volterra, plan, inc)
     assert peak <= 1.13 * X.values.nbytes, f"volterra {peak / X.values.nbytes:.3f}x"
@@ -294,14 +290,14 @@ def test_streamed_terminal_memory_stays_flat(table1, monkeypatch):
     # (C, N+1) path array and the FFT buffers
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
     N, B, C = 50, rv.BLOCK_SIZE, FFT_CHUNK_ROWS
-    plan = _plan("rbergomi", 1.0, N, table1.H)
-    rv.simulate_terminal([plan], table1, 3 * B, 1)  # warm-up: numpy's FFT caches
+    sides = [(1.0, None)]
+    rv.simulate_terminal(sides, table1, N, 3 * B, 1)  # warm-up: numpy's FFT caches
     L = 128  # the power of two >= 2N - 1
     fft = C * (16 * (L // 2 + 1) + 8 * L)
     worker = 8 * (2 * B * N + 4 * C * N + C * (N + 1)) + fft
     extra = {}
     for blocks in (3, 12):
-        _, peak = _traced_peak(rv.simulate_terminal, [plan], table1, blocks * B, 1)
+        _, peak = _traced_peak(rv.simulate_terminal, sides, table1, N, blocks * B, 1)
         extra[blocks] = peak - 16 * blocks * B
         assert extra[blocks] <= 2 * worker + 1e6, f"{blocks} blocks: {extra[blocks]} B"
     assert abs(extra[12] - extra[3]) <= 0.5e6, extra
@@ -450,6 +446,10 @@ def test_conditional_expectation_reduces_at_t_equals_s(toy_kernel, table1):
     np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError):
         rv.variance_conditional_expectation(toy_kernel, Y, 0.6, 0.5, sigma, 1.0)
+    with pytest.raises(ValueError, match="sigma"):
+        rv.variance_conditional_expectation(toy_kernel, Y, 0.5, 0.5, float("nan"), 1.0)
+    with pytest.raises(ValueError, match="xi0"):
+        rv.variance_conditional_expectation(toy_kernel, Y, 0.5, 0.5, sigma, -1.0)
 
 
 def test_conditional_expectation_tower_property(toy_kernel, table1):
@@ -474,14 +474,13 @@ def test_moments_converge_to_the_rough_limit(table1):
     Reference moments are analytic: m1 = xi0, m2 = xi0^2 * exp(eta^2 *
     t^(2H)) at t = 1.
     """
-    grid = rv.make_time_grid(1.0, 256)
     m1_ref = table1.xi0
     m2_ref = table1.xi0**2 * np.exp(table1.eta**2)
     terms = (5, 10, 25)
     kernels = [rv.closed_form_kernel(n, table1.H, 1.0)[0] for n in terms]
-    plans = [rv.make_hybrid_plan(grid, table1.alpha, kernel=kern) for kern in kernels]
+    sides = [(1.0, kern) for kern in kernels]
     gaps = {}
-    for n, (_, V1) in zip(terms, rv.simulate_terminal(plans, table1, 102_400, 99)):
+    for n, (_, V1) in zip(terms, rv.simulate_terminal(sides, table1, 256, 102_400, 99)):
         gaps[n] = (abs(V1.mean() - m1_ref), abs((V1**2).mean() - m2_ref))
     assert gaps[5][0] > gaps[10][0] > gaps[25][0], f"m1 gaps {gaps}"
     assert gaps[5][1] > gaps[10][1] > gaps[25][1], f"m2 gaps {gaps}"

@@ -191,6 +191,14 @@ def test_increment_validation():
         rv.sample_correlated_increments(g, 0.0, 0, 0)
     with pytest.raises(ValueError):
         rv.sample_correlated_increments(g, 0.0, 2.5, 0)
+    # a fractional seed must not pass for the integer seed below it
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        rv.sample_correlated_increments(g, 0.0, 10, 1.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        rv.sample_terminal_brownian(g, 10, 1.5)
+    params = rv.ModelParams(0.026, 1.9, 0.07, -0.9)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        rv.simulate_terminal([(1.0, None)], params, 8, 10, 1.5)
 
 
 @given(
@@ -267,12 +275,13 @@ def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE])
 def test_sliced_plane_two_equals_the_full_tile(m):
-    # models.simulate_terminal draws planes 0 and 1 of a block's m rows
-    # through a chunk-sized spare, then plane 2 in FFT_CHUNK_ROWS-row slices
+    # models.simulate_terminal draws planes 0 and 1 of a block's m rows and
+    # an empty plane 2 through a chunk-sized spare, then plane 2 in
+    # FFT_CHUNK_ROWS-row slices
     N, C = 7, FFT_CHUNK_ROWS
     tile = _full_tile(4, 2, N)
     z01 = np.empty((2, m, N))
-    gen = sim_core._block_normals(4, 2, z01, np.empty(C * N))
+    gen = sim_core._block_normals(4, 2, (*z01, z01[0, :0]), np.empty(C * N))
     slices = [gen.standard_normal((min(C, m - lo), N)) for lo in range(0, m, C)]
     assert np.array_equal(z01, tile[:2, :m])
     assert np.array_equal(np.concatenate(slices), tile[2, :m])
@@ -281,13 +290,17 @@ def test_sliced_plane_two_equals_the_full_tile(m):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("m,spare", [(5, 1000), (BLOCK_SIZE - 1, 3), (BLOCK_SIZE, 1)])
 def test_block_generator_continues_at_plane_k(k, m, spare):
-    # after k planes of m rows, dropped through a spare whose size need not
-    # divide the rest, the generator stands at plane k of the full tile
+    # after k planes of m rows, the rest of each but the last dropped through
+    # a spare whose size need not divide it, the generator continues plane
+    # k-1 at row m; an empty plane k leaves it at plane k's first row.  A
+    # single plane never touches spare.
     N = 6
     tile = _full_tile(9, 1, N, k + 1)
     planes = np.empty((k, m, N))
-    gen = sim_core._block_normals(9, 1, planes, np.empty(spare))
+    gen = sim_core._block_normals(9, 1, planes, None if k == 1 else np.empty(spare))
     assert np.array_equal(planes, tile[:k, :m])
+    assert np.array_equal(gen.standard_normal((BLOCK_SIZE - m, N)), tile[k - 1, m:])
+    gen = sim_core._block_normals(9, 1, (*planes, planes[0, :0]), np.empty(spare))
     assert np.array_equal(gen.standard_normal((BLOCK_SIZE, N)), tile[k])
 
 
