@@ -246,16 +246,24 @@ def mc_smile(
     strikes: np.ndarray = DEFAULT_STRIKES,
     T: float = 1.0,
 ) -> SmileResult:
-    """Smile from terminal log-prices (S0 = 1, zero rates).
+    """Smile from terminal log-prices (S0 = 1, zero rates), T positive and finite.
 
     Per log-moneyness strike k: mean and stderr of (S_T - e^k)^+, then
-    implied_vol of the mean.  A strike whose MC price falls outside the
-    no-arbitrage bounds (e.g. every payoff zero) is skipped: its vol is NaN
-    and a (strike, reason) entry is appended to the result's skipped list.
+    implied_vol of the mean.  The stderr comes from the means of the row
+    pairs (2j, 2j+1), which sim_core draws as antithetic pairs: over the
+    n // 2 whole pairs, the pair means' sample variance s^2 estimates half
+    a row's variance when the rows are independent, and the variance of a
+    pair's mean when they are not, so the stderr is sqrt(2*s^2/n).  An odd
+    n's last row enters the price but not s^2; with fewer than 2 pairs the
+    stderr is NaN.  A strike whose MC price falls outside the no-arbitrage
+    bounds (e.g. every payoff zero) is skipped: its vol is NaN and a
+    (strike, reason) entry is appended to the result's skipped list.
     """
+    _require_positive("mc_smile", T=T)
     strikes = np.asarray(strikes, dtype=float)
     S = np.exp(np.asarray(log_price_terminal, dtype=float))
     n = S.size
+    pairs = n // 2
     vols = np.full(strikes.size, np.nan)
     prices = np.empty(strikes.size)
     errs = np.empty(strikes.size)
@@ -263,7 +271,8 @@ def mc_smile(
     for i, k in enumerate(strikes):
         payoff = np.maximum(S - np.exp(k), 0.0)
         prices[i] = float(payoff.mean())
-        errs[i] = float(payoff.std(ddof=1) / np.sqrt(n))
+        pair_means = payoff[: 2 * pairs].reshape(pairs, 2).mean(axis=1)
+        errs[i] = np.sqrt(2.0 * pair_means.var(ddof=1) / n) if pairs >= 2 else np.nan
         try:
             vols[i] = implied_vol(prices[i], 1.0, float(np.exp(k)), T)
         except ValueError as e:
@@ -297,6 +306,12 @@ def smile_rmse(a: SmileResult, b: SmileResult) -> float:
     return float(np.sqrt(np.mean((a.vols[ok] - b.vols[ok]) ** 2)))
 
 
+def _distinct(T: np.ndarray) -> bool:
+    """Whether the 1-d T holds at least 2 distinct values (not via np.unique,
+    which imports numpy.ma)."""
+    return bool(T.size) and bool(np.any(T != T[0]))
+
+
 def fit_power_law(maturities, psi) -> tuple[float, float, float]:
     """Least-squares fit of log psi = intercept + exponent * log T.
 
@@ -313,7 +328,7 @@ def fit_power_law(maturities, psi) -> tuple[float, float, float]:
         )
     if not np.all((0 < T) & (T < np.inf) & (0 < psi) & (psi < np.inf)):
         raise ValueError("every maturity and psi must be positive and finite")
-    if np.unique(T).size < 2:
+    if not _distinct(T):
         raise ValueError("fit_power_law needs at least 2 distinct maturities")
     log_T = np.log(T)
     log_psi = np.log(psi)
@@ -364,7 +379,7 @@ def skew_report(maturities, psi, bump: float, richardson) -> SkewReport:
     maturities = np.asarray(maturities, dtype=float)
     psi = np.asarray(psi, dtype=float)
     ok = np.isfinite(psi) & (psi > 0)
-    if np.unique(maturities[ok]).size >= 2:
+    if _distinct(maturities[ok]):
         intercept, exponent, residual = fit_power_law(maturities[ok], psi[ok])
     else:
         intercept = exponent = residual = float("nan")

@@ -22,7 +22,11 @@ and the increments as sqrt(dt), so on the same Gaussians the field of
 maturity T is (T/T_ref)^H times that of T_ref.  models.simulate_terminal
 therefore builds one field per slice for all its rBergomi sides (kernel
 None) and scales it in each side's variance; a kernel plan (below) has no
-such symmetry, so each kernel side gets its own convolution.
+such symmetry, so each kernel side gets its own convolution.  Every field
+is odd in (dB, dU), bit for bit: the rfft, the spectrum product, the
+irfft, the first cell and the scaling each map negated inputs to negated
+outputs.  So on sim_core's antithetic pairs simulate_terminal convolves a
+slice's even rows only and negates them into the odd ones.
 
 The same scheme simulates the Markovian approximation: given a
 sum-of-exponentials kernel K(tau) = sum_i w_i e^(-x_i tau), the cells k >= 2
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ExpKernel
-from .sim_core import PathIncrements, TimeGrid, _readonly, run_chunks
+from .sim_core import PathIncrements, TimeGrid, _check_int, _readonly, run_chunks
 
 __all__ = [
     "HybridPlan",
@@ -113,8 +117,7 @@ def optimal_nodes(alpha: float, N: int) -> np.ndarray:
     ndarray of shape (N-1,), entries b_2^*, ..., b_N^*.
     """
     _check_exponent(alpha)
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    N = _check_int("N", N, 2)
     k = np.arange(2, N + 1, dtype=float)
     return ((k ** (alpha + 1) - (k - 1) ** (alpha + 1)) / (alpha + 1)) ** (1.0 / alpha)
 

@@ -79,6 +79,7 @@ from .sim_core import (
     TimeGrid,
     _block_normals,
     _check_int,
+    _negate_pairs,
     _readonly,
     _scale_increments,
     make_time_grid,
@@ -284,14 +285,19 @@ def simulate_terminal(
     one built at its own dt, so it rounds differently (measured: a few 1e-15).
 
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
-    block's Gaussians once, which depend on (seed, block, N) only: planes 0
-    and 1 whole, then from the block's generator one FFT_CHUNK_ROWS-row
+    block's half-rows once (antithetic pairs, see sim_core._block_normals),
+    which depend on (seed, block, N) only: half-planes 0 and 1 whole, then
+    from the block's generator the half-rows of one FFT_CHUNK_ROWS-row
     slice of plane 2 at a time.  Every field runs on a slice as soon as it
-    is drawn: scaling into increments and simulate_volterra's own row
-    routine (hybrid_scheme._volterra_rows), once; then, per side, the
-    variance and the Euler log-price.  So a worker holds one block's planes
-    0 and 1 and one slice's paths, and the draw is shared by all sides.
-    Every buffer is made in the calling thread (see sim_core).
+    is drawn, on its even rows only: scaling into increments and
+    simulate_volterra's own row routine (hybrid_scheme._volterra_rows),
+    once.  The field is odd in (dB, dU), bit for bit, so the odd rows take
+    its negation.  Then, per side, the variance and the Euler log-price on
+    every row; log S_T adds the steps in the order of rbergomi_log_price's
+    cumsum, down the columns of a transposed copy.  So a worker holds one
+    block's half-planes 0 and 1 and one slice's paths, and the draw is
+    shared by all sides.  Every buffer is made in the calling thread (see
+    sim_core).
     """
     if not sides:
         raise ValueError("need at least one side")
@@ -308,13 +314,14 @@ def simulate_terminal(
         scale = params.eta * (plan.grid.T / ref.grid.T) ** params.H
         out.append((np.empty(n_paths), np.empty(n_paths)))
         members.append((plan.grid.dt, scale, _compensator(params, plan.grid.nodes), out[-1]))
-    C = FFT_CHUNK_ROWS
+    C = FFT_CHUNK_ROWS  # even, so a slice holds whole pairs
     rows_max = min(C, n_paths)
 
     def scratch():
         return (
-            np.empty((2, min(BLOCK_SIZE, n_paths), N)),
-            np.empty((C, N)),  # a slice's plane 2; a partial block's dropped draws
+            np.empty((2, (min(BLOCK_SIZE, n_paths) + 1) // 2, N)),
+            # a slice's half-rows of plane 2; a partial block's dropped draws
+            np.empty((C // 2, N)),
             np.empty((3, rows_max, N)),
             np.empty((rows_max, N + 1)),
             _fft_buffers(L, rows_max),
@@ -324,26 +331,31 @@ def simulate_terminal(
         z01, z2, planes, X, fft_bufs = bufs
         m = rows.stop - rows.start
         gen = _block_normals(  # the empty plane 2 leaves gen at its first row
-            seed, rows.start // BLOCK_SIZE, (*z01[:, :m], z2[:0]), z2.reshape(-1)
+            seed, rows.start // BLOCK_SIZE, (*z01[:, : (m + 1) // 2], z2[:0]), z2.reshape(-1)
         )
         for lo in range(0, m, C):
             k = min(C, m - lo)
-            z = (*z01[:, lo : lo + k], gen.standard_normal(out=z2[:k]))
+            h = (k + 1) // 2  # the slice's half-rows
+            z = (*z01[:, lo // 2 : lo // 2 + h], gen.standard_normal(out=z2[:h]))
             dW, dB, dU = planes[:, :k]
             x = X[:k]
             done = slice(rows.start + lo, rows.start + lo + k)
             # V goes into the FFT signal buffer, idle once X is built
             v = fft_bufs[1].reshape(-1)[: k * (N + 1)].reshape(k, N + 1)
+            # the steps, transposed, go into dU's plane, idle after the Euler step
+            steps_t = dU.reshape(-1)[: N * k].reshape(N, k)
             for ref, K, members in fields.values():
-                _scale_increments(z, ref.grid.dt, params.rho, dW, dB, dU)
-                _volterra_rows(ref, K, dB, dU, x, fft_bufs)
+                _scale_increments(z, ref.grid.dt, params.rho, dW[:h], dB[:h], dU[:h])
+                _volterra_rows(ref, K, dB[:h], dU[:h], x[::2], fft_bufs)
+                _negate_pairs(x)
                 for dt, scale, comp, (log_S, V_T) in members:
-                    np.multiply(z[0], np.sqrt(dt), out=dW)
+                    np.multiply(z[0], np.sqrt(dt), out=dW[::2])
+                    _negate_pairs(dW)
                     _lognormal_variance(x, scale, comp, params.xi0, v)
                     V_T[done] = v[:, -1]
                     _euler_steps(v, dW, dt, dB, dU)
-                    np.cumsum(dB, axis=1, out=dU)
-                    log_S[done] = dU[:, -1]
+                    np.copyto(steps_t, dB.T)
+                    np.add.reduce(steps_t, axis=0, out=log_S[done])
 
     run_chunks(n_paths, BLOCK_SIZE, run_block, scratch)
     return out

@@ -2,9 +2,14 @@
 
 Everything downstream (the Volterra simulator, both variance models, the
 smile pipeline) consumes increments produced here, so this module owns the
-reproducibility story: a counter-based generator (Philox) is sub-seeded per
-fixed-size path block, which makes the output independent of scheduling and
-lets two runs with different ``n_paths`` agree on their common prefix.
+reproducibility story: an SFC64 generator is sub-seeded per fixed-size
+path block by SeedSequence((seed, block)), which makes the output
+independent of scheduling and lets two runs with different ``n_paths``
+agree on their common prefix.  Paths come in antithetic pairs: rows 2j
+and 2j+1 of every Gaussian plane are z and -z, bit for bit, so a block
+draws half of its normals (``_block_normals``, ``_negate_pairs``), and
+whatever is odd in the Gaussians (the increments, the Volterra field, the
+Brownian sums) is computed on the even rows and negated.
 
 Because no block depends on another, the module also owns the one runner
 that spreads fixed-size row slices of work over threads (``run_chunks``):
@@ -36,23 +41,21 @@ memory even though the arrays are freed.  The scratch grows with the width.
 Each step of the public chain writes straight into the array it returns,
 so a chain holds its inputs, its outputs and its workers' scratch, and no
 whole-size temporary.  A sample_correlated_increments worker draws a
-block's three planes into its rows of dW, dB and dU and holds one
-(BLOCK_SIZE, N) plane, for a partial block's unused draws and the rho*dW
-term.  A simulate_volterra, abergomi_driver or toeplitz_convolve worker
-holds the FFT buffers for FFT_CHUNK_ROWS = 256 rows (simulate_volterra
-takes its first-cell scratch from their idle signal buffer), an
-rbergomi_log_price worker two (256, N) planes, and the variance steps
-none.  A simulate_terminal worker holds planes 0 and 1 of a block's
-Gaussians, (2, BLOCK_SIZE, N), and for one 256-row slice its rows of
-plane 2, three increment planes, one (256, N+1) path array and the FFT
-buffers: about 8.6 MB at N = 100.  A slice's share, about 1.9 MB at
-N = 100, fits a 2 MB L2 cache.
+block's three half-planes into a (3, BLOCK_SIZE/2, N) stage, whose last
+plane also takes a partial block's unused draws, and scales them into the
+even rows of dW, dB and dU.  A simulate_volterra, abergomi_driver or
+toeplitz_convolve worker holds the FFT buffers for FFT_CHUNK_ROWS = 256
+rows (simulate_volterra takes its first-cell scratch from their idle
+signal buffer), an rbergomi_log_price worker two (256, N) planes, and the
+variance steps none.  A simulate_terminal worker holds half-planes 0 and
+1 of a block's Gaussians, (2, BLOCK_SIZE/2, N), and for one 256-row slice
+its 128 half-rows of plane 2, three increment planes, one (256, N+1) path
+array and the FFT buffers: about 5.3 MB at N = 100.
 
 Measured with two threads: the benchmark's markov_smile chain (20 000
 paths, N = 200) peaks at 194.9 MB RSS and its rough_smile chain (100 000
-paths, N = 200) at 805.7 MB; ``roughvol skew`` (20 000 paths, N = 100,
-five maturities) peaks at 55.9 MB.  Timings and peak memory have been
-measured on 2 CPUs only.
+paths, N = 200) at 806 MB; ``roughvol skew`` (20 000 paths, N = 100, five
+maturities) peaks at 48.2 MB.  Timings and peak memory have been measured on 2 CPUs only.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ __all__ = [
 
 # Paths per RNG block.  Fixed (not tunable) so that every run of the same
 # seed draws the same Gaussians for path p, regardless of how many paths the
-# caller asked for or how the work is scheduled.
+# caller asked for or how the work is scheduled; even, so that a block holds
+# whole antithetic pairs.
 BLOCK_SIZE = 4096
 
 
@@ -123,6 +127,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_int(name: str, value, lo: int) -> int:
+    """value as an int; a ValueError naming it unless it is an integer >= lo."""
+    if not (lo <= value < np.inf and int(value) == value):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_j = j*dt, j = 0..N, with t_N = T; compared on (T, N, dt)."""
@@ -137,9 +148,7 @@ def make_time_grid(T: float, N: int) -> TimeGrid:
     """Build the uniform grid on [0, T] with N steps (N >= 2)."""
     if not (0 < T < np.inf):
         raise ValueError(f"horizon T must be positive and finite, got {T}")
-    if int(N) != N or N < 2:
-        raise ValueError(f"step count N must be an integer >= 2, got {N}")
-    N = int(N)
+    N = _check_int("step count N", N, 2)
     nodes = np.linspace(0.0, T, N + 1)
     return TimeGrid(T=float(T), N=N, dt=T / N, nodes=_readonly(nodes))
 
@@ -193,55 +202,58 @@ class ModelParams:
         object.__setattr__(self, "sigma", self.eta * np.sqrt(2 * self.H))
 
 
-def _block_normals(seed: int, block: int, planes, spare) -> np.random.Generator:
-    """Draw one block's Gaussians into planes; return the block's generator.
+def _block_normals(seed: int, block: int, halves, spare) -> np.random.Generator:
+    """Draw one block's half-rows into halves; return the block's generator.
 
-    The k planes, of m <= BLOCK_SIZE rows each (say the block's rows of dW,
-    dB and dU), get their rows of the block's full (k, BLOCK_SIZE, N) tile,
-    so a partial block is a row-slice of the full one (prefix property):
-    between planes, the (BLOCK_SIZE - m)*N values the tile holds below a
-    plane are drawn into spare, a flat array, at most spare.size at a time,
-    and dropped.  Nothing is drawn after the last plane, so the generator
-    continues it at row m; an empty last plane leaves it at that plane's
-    first row, and a single plane never touches spare.  Sampling method:
-    numpy's ziggurat via Generator.standard_normal, an exact-distribution
-    sampler, on the counter-based Philox bit stream.  Philox fills
-    sequentially, so pieces drawn one after another hold the values of one
-    draw of their total size.
+    A block's Gaussians come in antithetic pairs: row 2j of each of its
+    planes is half-row j of the block's (k, BLOCK_SIZE/2, N) half-tile, and
+    row 2j+1 is its exact negation (_negate_pairs).  For a block of
+    m <= BLOCK_SIZE rows, the k half-planes of ceil(m/2) rows each (say the
+    block's half-rows of dW, dB and dU) get their rows of the half-tile, so
+    a partial block is a row-slice of the full one (prefix property; an odd
+    m keeps the first row of its last pair): between half-planes, the
+    (BLOCK_SIZE/2 - ceil(m/2))*N values the half-tile holds below a plane
+    are drawn into spare, a flat array, at most spare.size at a time, and
+    dropped.  Nothing is drawn after the last half-plane, so the generator
+    continues it at half-row ceil(m/2); an empty last plane leaves it at
+    that plane's first half-row, and a single plane never touches spare.
+    Sampling method: numpy's ziggurat via Generator.standard_normal, an
+    exact-distribution sampler, on the SFC64 bit stream, seeded by
+    SeedSequence((seed, block)); that seeding, not the bit generator, makes
+    the blocks independent of one another and of the schedule.  The stream
+    fills sequentially, so pieces drawn one after another hold the values
+    of one draw of their total size.
     """
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
-    rest = 0  # the values the tile holds below the plane before
-    for plane in planes:
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
+    rest = 0  # the values the half-tile holds below the plane before
+    for half in halves:
         while rest:  # dropped, at most spare.size at a time
             rest -= gen.standard_normal(out=spare[: min(rest, spare.size)]).size
-        gen.standard_normal(out=plane)
-        rest = (BLOCK_SIZE - plane.shape[0]) * plane.shape[1]
+        gen.standard_normal(out=half)
+        rest = (BLOCK_SIZE // 2 - half.shape[0]) * half.shape[1]
     return gen
 
 
-def _check_int(name: str, value, lo: int) -> int:
-    """value as an int; a ValueError naming it unless it is an integer >= lo."""
-    if not (lo <= value < np.inf and int(value) == value):
-        raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
-    return int(value)
+def _negate_pairs(a: np.ndarray) -> None:
+    """a[2j+1] = -a[2j] along axis 0, for every whole pair of a's rows."""
+    np.negative(a[: a.shape[0] - 1 : 2], out=a[1::2])
 
 
-def _scale_increments(z, dt, rho, dW, dB, dU, tmp=None) -> None:
+def _scale_increments(z, dt, rho, dW, dB, dU) -> None:
     """Fill dW, dB, dU from one block's standard normals z = (z0, z1, z2).
 
     dW = z0*sqrt(dt), dB = rho*dW + sqrt(1-rho^2)*(z1*sqrt(dt)) and
-    dU = z2*sqrt(dt), in that order of operations.  tmp holds rho*dW on
-    the way; it defaults to dU, which is right when z is only read (one
-    tile scaled for several grids).  When z is (dW, dB, dU) itself, the
-    scaling runs in place and tmp must be a separate plane.
+    dU = z2*sqrt(dt), in that order of operations.  dU holds rho*dW on the
+    way, so z must not alias the outputs (it is only read: one half-tile
+    may be scaled for several grids).  Every step is odd in z, so the
+    negated half-rows scale to the exact negations.
     """
-    tmp = dU if tmp is None else tmp
     sq_dt = np.sqrt(dt)
     np.multiply(z[0], sq_dt, out=dW)
     np.multiply(z[1], sq_dt, out=dB)
     np.multiply(dB, np.sqrt(1.0 - rho * rho), out=dB)
-    np.multiply(dW, rho, out=tmp)
-    np.add(dB, tmp, out=dB)
+    np.multiply(dW, rho, out=dU)
+    np.add(dB, dU, out=dB)
     np.multiply(z[2], sq_dt, out=dU)
 
 
@@ -252,11 +264,15 @@ def sample_correlated_increments(
 
     All three have per-column variance dt.  Identical (seed, grid, rho,
     n_paths) gives bit-identical output on any machine/thread count; the
-    first m paths agree between runs with different n_paths.  Each
-    BLOCK_SIZE-path block is one task of run_chunks, which draws the
-    block's planes straight into its rows of dW, dB and dU and scales them
-    there; the worker's one (BLOCK_SIZE, N) plane takes a partial block's
-    unused draws and the rho*dW term.
+    first m paths agree between runs with different n_paths.  Rows 2j+1
+    are the exact negations of rows 2j (antithetic pairs; see
+    _block_normals).  Each BLOCK_SIZE-path block is one task of
+    run_chunks, which draws the block's three half-planes into the
+    worker's (3, ceil(m/2), N) stage (its last plane first takes a partial
+    block's unused draws), scales them straight into the even rows of dW,
+    dB and dU, and negates those into the odd rows: scaling is odd in z,
+    so each pair is exactly (dW, -dW) and so on, as if the paired tile had
+    been scaled whole.
     """
     if not (-1 <= rho <= 1):
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
@@ -268,13 +284,16 @@ def sample_correlated_increments(
     dB = np.empty((n_paths, N))
     dU = np.empty((n_paths, N))
 
-    def draw(rows: slice, spare: np.ndarray) -> None:
+    def draw(rows: slice, stage: np.ndarray) -> None:
+        halves = stage[:, : (rows.stop - rows.start + 1) // 2]
+        _block_normals(seed, rows.start // BLOCK_SIZE, halves, stage[2].reshape(-1))
         planes = dW[rows], dB[rows], dU[rows]
-        _block_normals(seed, rows.start // BLOCK_SIZE, planes, spare)
-        tmp = spare[: planes[0].size].reshape(planes[0].shape)
-        _scale_increments(planes, grid.dt, rho, *planes, tmp)
+        _scale_increments(halves, grid.dt, rho, *(p[::2] for p in planes))
+        for p in planes:
+            _negate_pairs(p)
 
-    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty(BLOCK_SIZE * N))
+    half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
+    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((3, half_max, N)))
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),
@@ -289,22 +308,26 @@ def sample_correlated_increments(
 def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     """W_T per path: the row sums of sample_correlated_increments(...).dW.
 
-    Only a block's m rows of plane 0 are drawn, into a worker's
-    (BLOCK_SIZE, N) buffer.  Philox fills the tile in C order, so they are
-    a prefix of the full draw and the sums equal, bit for bit, those of the
-    dW that the full draw gives (at any rho).
+    Only a block's ceil(m/2) half-rows of plane 0 are drawn, into a
+    worker's (ceil(m/2), N) buffer: they come first in the block's stream,
+    so they are the half-rows the full draw gives.  They are scaled and
+    summed into the even rows of W_T, and the odd rows take their
+    negations; scaling and summing are odd in z, so the sums equal, bit
+    for bit, those of the dW that the full draw gives (at any rho).
     """
     n_paths = _check_int("n_paths", n_paths, 1)
     seed = _check_int("seed", seed, 0)
     W = np.empty(n_paths)
 
     def draw(rows: slice, buf: np.ndarray) -> None:
-        dW = buf[: rows.stop - rows.start]
+        dW = buf[: (rows.stop - rows.start + 1) // 2]
         _block_normals(seed, rows.start // BLOCK_SIZE, (dW,), None)
         np.multiply(dW, np.sqrt(grid.dt), out=dW)
-        np.sum(dW, axis=1, out=W[rows])
+        np.sum(dW, axis=1, out=W[rows][::2])
+        _negate_pairs(W[rows])
 
-    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((BLOCK_SIZE, grid.N)))
+    half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
+    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((half_max, grid.N)))
     return W
 
 

@@ -80,10 +80,14 @@ NAN, INF = float("nan"), float("inf")
         lambda: rv.implied_vol(0.1, 1.0, NAN, 1.0),
         lambda: rv.implied_vol(0.1, 1.0, 1.0, NAN),
         lambda: rv.implied_vol(0.1, 1.0, INF, 1.0),
+        lambda: rv.mc_smile(np.zeros(4), T=NAN),
+        lambda: rv.mc_smile(np.zeros(4), T=INF),
+        lambda: rv.mc_smile(np.zeros(4), T=0.0),
     ],
     ids=[
         "bs-S0-nan", "bs-K-nan", "bs-T-nan", "bs-vol-nan", "bs-T-inf",
         "iv-S0-nan", "iv-K-nan", "iv-T-nan", "iv-K-inf",
+        "smile-T-nan", "smile-T-inf", "smile-T-zero",
     ],
 )
 def test_pricing_rejects_non_finite_inputs(call):
@@ -167,10 +171,40 @@ def test_mc_smile_prices_and_stderr():
     sm = rv.mc_smile(logS, strikes, T=1.0)
     payoff_atm = np.maximum(np.exp(logS) - 1.0, 0.0)
     assert sm.prices[1] == pytest.approx(payoff_atm.mean())
+    # the stderr of the mean of 10 000 antithetic pair means
+    pair_means = payoff_atm.reshape(10_000, 2).mean(axis=1)
     assert sm.price_stderr[1] == pytest.approx(
-        payoff_atm.std(ddof=1) / np.sqrt(20_000)
+        pair_means.std(ddof=1) / np.sqrt(10_000)
     )
+    # a monotone payoff of antithetic pairs: below the i.i.d.-row formula
+    assert sm.price_stderr[1] < payoff_atm.std(ddof=1) / np.sqrt(20_000)
     assert np.all(np.diff(sm.prices) < 0)  # call prices decrease in strike
+
+
+def test_pair_mean_stderr_at_an_odd_path_count():
+    # an odd n's last row enters the price, not the pair-mean variance; the
+    # stderr sqrt(2*s^2/n) is unbiased for independent rows, whose pair means
+    # have half a row's variance
+    rng = np.random.default_rng(3)
+    logS = 0.2 * rng.standard_normal(2001) - 0.02
+    sm = rv.mc_smile(logS, np.array([0.0]), T=1.0)
+    payoff = np.maximum(np.exp(logS) - 1.0, 0.0)
+    pair_means = payoff[:2000].reshape(1000, 2).mean(axis=1)
+    assert sm.prices[0] == pytest.approx(payoff.mean(), rel=1e-14)
+    assert sm.price_stderr[0] == pytest.approx(
+        np.sqrt(2 * pair_means.var(ddof=1) / 2001), rel=1e-14
+    )
+    # over 400 independent sets of 31 rows, the mean squared stderr matches
+    # the variance of the price
+    sets = 0.2 * rng.standard_normal((400, 31))
+    stderr2, prices = [], []
+    for row in sets:
+        sm = rv.mc_smile(row, np.array([0.0]), T=1.0)
+        stderr2.append(sm.price_stderr[0] ** 2)
+        prices.append(sm.prices[0])
+    assert np.mean(stderr2) == pytest.approx(np.var(prices, ddof=1), rel=0.2)
+    # fewer than 2 pairs give no stderr
+    assert np.isnan(rv.mc_smile(np.zeros(3), np.array([0.0]), T=1.0).price_stderr[0])
 
 
 def test_mc_smile_records_skipped_strikes():

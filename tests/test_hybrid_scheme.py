@@ -27,6 +27,8 @@ def test_optimal_nodes_validation():
         rv.optimal_nodes(0.0, 10)
     with pytest.raises(ValueError):
         rv.optimal_nodes(ALPHA, 1)
+    with pytest.raises(ValueError, match="N must be an integer >= 2"):
+        rv.optimal_nodes(ALPHA, 2.5)
 
 
 def test_first_cell_coefficients_validation():
@@ -225,3 +227,18 @@ def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypat
     ker = np.r_[0.0, plan.kernel_weights]
     want = _whole_array_convolution(ker, inc.dB)
     assert np.array_equal(rv.toeplitz_convolve(ker, inc.dB), want)
+
+
+@pytest.mark.parametrize("N", [20, 100, 257])
+@pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
+def test_volterra_field_is_odd_over_the_antithetic_pairs(kind, N):
+    # rows 2j+1 of dB and dU negate rows 2j, and every step of the field
+    # (rfft, spectrum product, irfft, first cell, scaling) is odd, so X's
+    # rows do too, bit for bit: models.simulate_terminal builds the even
+    # rows only
+    g = rv.make_time_grid(1.0, N)
+    kern = rv.closed_form_kernel(4, 0.07, 2.0)[0] if kind == "kernel" else None
+    plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
+    n = 2 * FFT_CHUNK_ROWS + 5
+    X = rv.simulate_volterra(plan, rv.sample_correlated_increments(g, -0.9, n, 13)).values
+    assert np.array_equal(X[1 : n - 1 : 2], -X[0 : n - 1 : 2])

@@ -187,6 +187,39 @@ def test_one_volterra_field_per_slice_serves_every_rbergomi_plan(
     assert calls == [0.005] * slices
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_each_field_convolves_only_the_even_rows_of_a_slice(width, table1, monkeypatch):
+    # the field is odd in the Gaussians, so a slice of k rows convolves its
+    # ceil(k/2) even rows, once per field, and negates them into the odd ones
+    from roughvol import models
+
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    calls = []
+    volterra_rows = models._volterra_rows
+
+    def spy(plan, K, dB, dU, out, fft_bufs):
+        calls.append((plan.grid.T, dB.shape[0], dU.shape[0], out.shape[0]))
+        volterra_rows(plan, K, dB, dU, out, fft_bufs)
+
+    monkeypatch.setattr(models, "_volterra_rows", spy)
+    sides = [(0.5, None), _side("kernel", 2.0, table1.H), (1.0, None)]
+    n_paths = rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3  # the last slice has 3 rows
+    rv.simulate_terminal(sides, table1, 12, n_paths, 1)
+    halves = [FFT_CHUNK_ROWS // 2] * (rv.BLOCK_SIZE // FFT_CHUNK_ROWS + 1) + [2]
+    want = [(T, h, h, h) for T in (0.5, 2.0) for h in halves]
+    assert sorted(calls) == sorted(want)
+
+
+@pytest.mark.parametrize("n1,n2", [(7, 8), (rv.BLOCK_SIZE + 3, 2 * rv.BLOCK_SIZE)])
+def test_streamed_terminal_keeps_the_prefix_property_at_odd_counts(n1, n2, table1):
+    # an odd count keeps the first row of its last pair, on every side
+    sides = [(0.5, None), _side("kernel", 2.0, table1.H), (1.0, None)]
+    small = rv.simulate_terminal(sides, table1, 12, n1, 6)
+    big = rv.simulate_terminal(sides, table1, 12, n2, 6)
+    for (log_S, V_T), (big_S, big_V) in zip(small, big):
+        assert np.array_equal(log_S, big_S[:n1]) and np.array_equal(V_T, big_V[:n1])
+
+
 def test_streamed_terminal_rejects_mismatched_plans(table1):
     with pytest.raises(ValueError, match="kernel was built for H"):
         rv.simulate_terminal([_side("kernel", 1.0, 0.2)], table1, 12, 5, 0)

@@ -12,6 +12,9 @@ from roughvol import BLOCK_SIZE, sim_core
 from roughvol.hybrid_scheme import FFT_CHUNK_ROWS
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def test_grid_basic():
     g = rv.make_time_grid(2.0, 8)
     assert g.N == 8
@@ -22,9 +25,12 @@ def test_grid_basic():
     assert not g.nodes.flags.writeable
 
 
-@pytest.mark.parametrize("T,N", [(0.0, 10), (-1.0, 10), (1.0, 1), (1.0, 2.5)])
+@pytest.mark.parametrize(
+    "T,N", [(0.0, 10), (-1.0, 10), (1.0, 1), (1.0, 2.5), (1.0, NAN), (1.0, INF)]
+)
 def test_grid_rejects_bad_inputs(T, N):
-    with pytest.raises(ValueError):
+    # a named range error, not int()'s own on NaN or infinity
+    with pytest.raises(ValueError, match="must be"):
         rv.make_time_grid(T, N)
 
 
@@ -67,9 +73,6 @@ def test_params_validation(kw):
     base.update(kw)
     with pytest.raises(ValueError):
         rv.ModelParams(**base)
-
-
-NAN, INF = float("nan"), float("inf")
 
 
 def _two_factor(**over):
@@ -245,9 +248,19 @@ CHAIN_ROWS = [
 
 
 def _full_tile(seed, block, N, k=3):
-    """A block's full (k, BLOCK_SIZE, N) tile, from its seeded generator."""
+    """A block's full (k, BLOCK_SIZE, N) tile: its half-tile, expanded by pairs.
+
+    The seeded generator's first draws are the (k, BLOCK_SIZE/2, N)
+    half-tile; row 2j of a plane is half-row j, row 2j+1 its negation.
+    """
     gen = sim_core._block_normals(seed, block, (), None)
-    return gen.standard_normal((k, BLOCK_SIZE, N))
+    return _pairs(gen.standard_normal((k, BLOCK_SIZE // 2, N)), BLOCK_SIZE)
+
+
+def _pairs(half, m):
+    """The first m rows of the planes whose half-rows (axis -2) are half."""
+    paired = np.stack([half, -half], axis=-2)
+    return paired.reshape(*half.shape[:-2], -1, half.shape[-1])[..., :m, :]
 
 
 def _whole_array_increments(grid, rho, n_paths, seed):
@@ -263,8 +276,9 @@ def _whole_array_increments(grid, rho, n_paths, seed):
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("n_paths", CHAIN_ROWS)
 def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
-    # the planes are drawn straight into dW, dB, dU; a partial block must
-    # still consume its whole tile, or dB and dU shift
+    # the half-planes are scaled into the even rows of dW, dB, dU and negated
+    # into the odd ones; a partial block must still consume its whole
+    # half-tile, or dB and dU shift
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     g = rv.make_time_grid(1.0, 7)
     inc = rv.sample_correlated_increments(g, -0.9, n_paths, 3)
@@ -275,33 +289,73 @@ def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE])
 def test_sliced_plane_two_equals_the_full_tile(m):
-    # models.simulate_terminal draws planes 0 and 1 of a block's m rows and
-    # an empty plane 2 through a chunk-sized spare, then plane 2 in
-    # FFT_CHUNK_ROWS-row slices
+    # models.simulate_terminal draws half-planes 0 and 1 of a block's m rows
+    # and an empty plane 2 through a spare of half a chunk, then the
+    # half-rows of plane 2 one FFT_CHUNK_ROWS-row slice at a time
     N, C = 7, FFT_CHUNK_ROWS
     tile = _full_tile(4, 2, N)
-    z01 = np.empty((2, m, N))
-    gen = sim_core._block_normals(4, 2, (*z01, z01[0, :0]), np.empty(C * N))
-    slices = [gen.standard_normal((min(C, m - lo), N)) for lo in range(0, m, C)]
-    assert np.array_equal(z01, tile[:2, :m])
-    assert np.array_equal(np.concatenate(slices), tile[2, :m])
+    z01 = np.empty((2, (m + 1) // 2, N))
+    gen = sim_core._block_normals(4, 2, (*z01, z01[0, :0]), np.empty(C // 2 * N))
+    slices = [
+        gen.standard_normal(((min(C, m - lo) + 1) // 2, N)) for lo in range(0, m, C)
+    ]
+    assert np.array_equal(_pairs(z01, m), tile[:2, :m])
+    assert np.array_equal(_pairs(np.concatenate(slices), m), tile[2, :m])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("m,spare", [(5, 1000), (BLOCK_SIZE - 1, 3), (BLOCK_SIZE, 1)])
 def test_block_generator_continues_at_plane_k(k, m, spare):
-    # after k planes of m rows, the rest of each but the last dropped through
-    # a spare whose size need not divide it, the generator continues plane
-    # k-1 at row m; an empty plane k leaves it at plane k's first row.  A
-    # single plane never touches spare.
-    N = 6
-    tile = _full_tile(9, 1, N, k + 1)
-    planes = np.empty((k, m, N))
-    gen = sim_core._block_normals(9, 1, planes, None if k == 1 else np.empty(spare))
-    assert np.array_equal(planes, tile[:k, :m])
-    assert np.array_equal(gen.standard_normal((BLOCK_SIZE - m, N)), tile[k - 1, m:])
-    gen = sim_core._block_normals(9, 1, (*planes, planes[0, :0]), np.empty(spare))
-    assert np.array_equal(gen.standard_normal((BLOCK_SIZE, N)), tile[k])
+    # after k half-planes of ceil(m/2) rows, the rest of each but the last
+    # dropped through a spare whose size need not divide it, the generator
+    # continues half-plane k-1 at half-row ceil(m/2); an empty plane k
+    # leaves it at plane k's first half-row.  A single plane never touches
+    # spare.
+    N, h = 6, (m + 1) // 2
+    half_tile = _full_tile(9, 1, N, k + 1)[:, ::2]
+    halves = np.empty((k, h, N))
+    gen = sim_core._block_normals(9, 1, halves, None if k == 1 else np.empty(spare))
+    assert np.array_equal(halves, half_tile[:k, :h])
+    assert np.array_equal(gen.standard_normal((BLOCK_SIZE // 2 - h, N)), half_tile[k - 1, h:])
+    gen = sim_core._block_normals(9, 1, (*halves, halves[0, :0]), np.empty(spare))
+    assert np.array_equal(gen.standard_normal((BLOCK_SIZE // 2, N)), half_tile[k])
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 7, BLOCK_SIZE + 5])
+def test_odd_rows_are_the_exact_negations_of_the_even_rows(n_paths):
+    # antithetic pairs: every Gaussian plane, and so dW, dB, dU and the
+    # Brownian sums, holds (z, -z) in rows (2j, 2j+1), bit for bit; an odd
+    # count's last row has no partner
+    g = rv.make_time_grid(1.3, 9)
+    inc = rv.sample_correlated_increments(g, -0.9, n_paths, 8)
+    W_T = sim_core.sample_terminal_brownian(g, n_paths, 8)
+    pairs = n_paths // 2
+    for a in (inc.dW, inc.dB, inc.dU, W_T):
+        assert np.array_equal(a[1 : 2 * pairs : 2], -a[0 : 2 * pairs : 2])
+        assert np.all(a != 0)
+    if pairs >= 2:  # the pairs themselves are not alike
+        assert not np.array_equal(inc.dW[2], inc.dW[0])
+
+
+@pytest.mark.parametrize(
+    "n1,n2",
+    [
+        (1, 2), (7, 8), (7, 300),
+        (BLOCK_SIZE + 3, BLOCK_SIZE + 4), (BLOCK_SIZE - 1, 2 * BLOCK_SIZE + 1),
+    ],
+)
+def test_odd_path_counts_keep_the_prefix_property(n1, n2):
+    # an odd count keeps the first row of its last pair: the same row the
+    # larger run draws there
+    g = rv.make_time_grid(1.0, 5)
+    small = rv.sample_correlated_increments(g, -0.7, n1, 12)
+    big = rv.sample_correlated_increments(g, -0.7, n2, 12)
+    for name in ("dW", "dB", "dU"):
+        assert np.array_equal(getattr(small, name), getattr(big, name)[:n1]), name
+    assert np.array_equal(
+        sim_core.sample_terminal_brownian(g, n1, 12),
+        sim_core.sample_terminal_brownian(g, n2, 12)[:n1],
+    )
 
 
 @pytest.mark.parametrize("N,n_paths", [(100, 20_000), (8, BLOCK_SIZE + 5), (200, 1)])
