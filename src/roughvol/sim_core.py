@@ -268,8 +268,8 @@ def sample_correlated_increments(
     are the exact negations of rows 2j (antithetic pairs; see
     _block_normals).  Each BLOCK_SIZE-path block is one task of
     run_chunks, which draws the block's three half-planes into the
-    worker's (3, ceil(m/2), N) stage (its last plane first takes a partial
-    block's unused draws), scales them straight into the even rows of dW,
+    worker's (3, BLOCK_SIZE/2, N) stage (its last plane first takes a
+    partial block's unused draws, in one piece), scales them straight into the even rows of dW,
     dB and dU, and negates those into the odd rows: scaling is odd in z,
     so each pair is exactly (dW, -dW) and so on, as if the paired tile had
     been scaled whole.
@@ -292,8 +292,7 @@ def sample_correlated_increments(
         for p in planes:
             _negate_pairs(p)
 
-    half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
-    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((3, half_max, N)))
+    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((3, BLOCK_SIZE // 2, N)))
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),
