@@ -489,18 +489,18 @@ class _Run(NamedTuple):
 
 
 @functools.lru_cache
-def _build_kernel(n: int, method: str, H: float, T: float, n_grid: int):
-    """The configured kernel; cached, so that each distinct one is fitted once.
+def _build_kernel(n: int, method: str, H: float, n_grid: int):
+    """The configured kernel, built on [0, 1]; cached, so each is fitted once.
 
-    A least-squares kernel is fitted on n_grid points, max(N, 100) for a
-    simulation on N steps.  Above 100 steps that grid holds every lag the
-    simulation uses; the 100-point floor keeps coarse grids (few points per
-    decade of tau) from landing the unregularized least-squares on spiky
-    optima that match the grid but explode between its points.
+    simulate_terminal rescales it to each T.  A least-squares kernel is
+    fitted on n_grid points, max(N, 100) for a simulation on N steps.  Above
+    100 steps that grid holds every lag the simulation uses; the 100-point
+    floor keeps coarse grids from landing the unregularized least-squares
+    on spiky optima that match the grid but explode between its points.
     """
     if method == "closed-form":
-        return kernel.closed_form_kernel(n, H, T)[0]
-    return kernel.fit_kernel_ls(H, T, n_grid, n)
+        return kernel.closed_form_kernel(n, H, 1.0)[0]
+    return kernel.fit_kernel_ls(H, 1.0, n_grid, n)
 
 
 def _simulate(resolved: dict, N: int, sides: list) -> list:
@@ -508,8 +508,8 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
 
     The sides share resolved's params, paths and seed; a side's config names
     its model and kernel.  The rough models run through simulate_terminal,
-    each side as (T, kernel): aBergomi's kernel is the configured one,
-    rBergomi's None; bs, one side only, draws only dW.
+    each side as (T, kernel): aBergomi's kernel is the configured one, built
+    once on [0, 1], rBergomi's None; bs, one side only, draws only dW.
     """
     paths, seed, p = resolved["paths"], resolved["seed"], resolved["params"]
     if resolved["model"] == "bs":
@@ -523,7 +523,7 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
         kern = None
         if config["model"] == "abergomi":
             k = config["kernel"]
-            kern = _build_kernel(k["n"], k["method"], params.H, T, max(N, 100))
+            kern = _build_kernel(k["n"], k["method"], params.H, max(N, 100))
         rough_sides.append((T, kern))
     return models.simulate_terminal(rough_sides, params, N, paths, seed)
 
@@ -654,7 +654,7 @@ def cmd_skew(args, run: _Run) -> int:
             psi[i] = abs(s_t)
         report = analytics.skew_report(mats, psi, 0.0, psi.copy())
         doc_extra = {"bump": None, "n_paths": 0, "analytic": True}
-    else:  # the rough models, one plan (and kernel) per maturity, on one draw
+    else:  # the rough models, one plan per maturity, on one draw
         N = resolved["grid"]["N"]
         terminal = _simulate(resolved, N, [(resolved, T) for T in mats])
         log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}

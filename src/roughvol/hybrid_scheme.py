@@ -19,14 +19,14 @@ full-size array simulate_volterra makes is the one it returns.
 On a uniform grid with fixed N the power plan is self-similar: the tail
 weights (b_k^* dt)^alpha and the first cell's a1, b1 scale as dt^alpha,
 and the increments as sqrt(dt), so on the same Gaussians the field of
-maturity T is (T/T_ref)^H times that of T_ref.  models.simulate_terminal
-therefore builds one field per slice for all its rBergomi sides (kernel
-None) and scales it in each side's variance; a kernel plan (below) has no
-such symmetry, so each kernel side gets its own convolution.  Every field
-is odd in (dB, dU), bit for bit: the rfft, the spectrum product, the
-irfft, the first cell and the scaling each map negated inputs to negated
-outputs.  So on sim_core's antithetic pairs simulate_terminal convolves a
-slice's even rows only and negates them into the odd ones.
+maturity T is (T/T_ref)^H times that of T_ref; so is a kernel plan's (see
+make_hybrid_plan).  models.simulate_terminal therefore builds one field per
+slice for all its sides of one kernel (None for rBergomi) and scales it in
+each side's variance.  Every field is odd in (dB, dU), bit for bit: the
+rfft, the spectrum product, the irfft, the first cell and the scaling each
+map negated inputs to negated outputs.  So on sim_core's antithetic pairs
+simulate_terminal convolves a slice's even rows only and negates them into
+the odd ones.
 
 The same scheme simulates the Markovian approximation: given a
 sum-of-exponentials kernel K(tau) = sum_i w_i e^(-x_i tau), the cells k >= 2
@@ -149,13 +149,16 @@ def make_hybrid_plan(
 
     Without ``kernel`` the cells k >= 2 carry (b_k^* dt)^alpha, which is the
     cell average of the power kernel tau^alpha (rBergomi).  With an ExpKernel
-    they carry its cell average
+    they carry the cell average of the kernel rescaled from kernel.T to T,
+    with speeds x = speeds * kernel.T/T and weights w = weights * (T/kernel.T)^alpha,
 
         c_k = sum_i w_i e^(-x_i (k-1) dt) (1 - e^(-x_i dt)) / (x_i dt),
 
     divided by sqrt(2H): the kernel approximates sqrt(2H) * tau^alpha, and
-    simulate_volterra applies sqrt(2*alpha+1) itself.  The kernel must share
-    alpha: kernel.H = alpha + 1/2.
+    simulate_volterra applies sqrt(2*alpha+1) itself.  x*dt does not depend
+    on T at a fixed N, so the c_k scale as T^alpha, as the power plan's do
+    (both factors are 1 at T == kernel.T).  The kernel must share alpha:
+    kernel.H = alpha + 1/2.
     """
     if kernel is None:
         w = (optimal_nodes(alpha, grid.N) * grid.dt) ** alpha
@@ -166,10 +169,11 @@ def make_hybrid_plan(
                 f"kernel was built for H={kernel.H}, plan has alpha={alpha} "
                 f"(H={alpha + 0.5})"
             )
-        x_dt = kernel.speeds * grid.dt
-        cell_mass = kernel.weights * -np.expm1(-x_dt) / x_dt
+        x = kernel.speeds * (kernel.T / grid.T)
+        x_dt = x * grid.dt
+        cell_mass = kernel.weights * (grid.T / kernel.T) ** alpha * -np.expm1(-x_dt) / x_dt
         lags = np.arange(1, grid.N) * grid.dt
-        w = np.exp(-np.multiply.outer(lags, kernel.speeds)) @ cell_mass
+        w = np.exp(-np.multiply.outer(lags, x)) @ cell_mass
         w = w / np.sqrt(2 * kernel.H)
     return HybridPlan(grid=grid, alpha=alpha, kernel_weights=_readonly(w))
 

@@ -20,16 +20,11 @@ abergomi_driver convolves into y[:, 1:].
 
 simulate_terminal runs that chain, with rbergomi_log_price, one path block
 at a time on sim_core's pool, FFT_CHUNK_ROWS rows at a time within a
-block, and keeps only the terminal values.  Its input is a list of
-(T, kernel) sides on one N, kernel None for rBergomi; it builds each
-side's grid and plan itself, and all sides share each block's Gaussians.
-Both routes call the same helpers for each step
-(sim_core._scale_increments, hybrid_scheme._volterra_rows,
-_lognormal_variance, _euler_steps).  The rBergomi sides also share one
-Volterra field, the first one's, scaled by (T/T_ref)^H in the variance:
-that side, and every kernel side, agree with the chain bit for bit, a
-later rBergomi side to within 1e-13.  The chain stays as the tests'
-reference.
+block, and keeps only the terminal values of (T, kernel) sides on one N
+(kernel None for rBergomi).  They share each block's Gaussians and, per
+kernel, one Volterra field.  Both routes call the same helpers for each
+step (sim_core._scale_increments, hybrid_scheme._volterra_rows,
+_lognormal_variance, _euler_steps); the chain stays as the tests' reference.
 
 The affine structure of the Markovian model is kept in closed form:
 quadratic_variation_chi is the kernel's quadratic variation over a window,
@@ -168,8 +163,8 @@ class AbergomiConfig:
     mult_factor: float = 1.0
 
     def __post_init__(self):
-        if self.mult_factor <= 0:
-            raise ValueError(f"mult_factor must be positive, got {self.mult_factor}")
+        if not (0 < self.mult_factor < np.inf):
+            raise ValueError(f"mult_factor must be positive and finite: {self.mult_factor}")
 
 
 def rbergomi_variance(volterra: VolterraPaths, params: ModelParams) -> VariancePaths:
@@ -269,20 +264,21 @@ def simulate_terminal(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Terminal (log S_T, V_T) of each (T, kernel) side on N steps, streamed in path blocks.
 
-    kernel is an ExpKernel built for params.H, or None for rBergomi.  Per
-    side, the last columns of the chain on grid = make_time_grid(T, N) with
-    plan = make_hybrid_plan(grid, params.alpha, kernel=kernel):
+    kernel is an ExpKernel built for params.H, rescaled from its own
+    horizon kernel.T to T (see make_hybrid_plan), or None for rBergomi.
+    Per side, the last columns of the chain on grid = make_time_grid(T, N)
+    with plan = make_hybrid_plan(grid, params.alpha, kernel=kernel):
     sample_correlated_increments(grid, params.rho, n_paths, seed) ->
     simulate_volterra(plan, ...) -> rbergomi_variance -> rbergomi_log_price.
 
-    Each kernel side runs its own Volterra field.  The rBergomi sides share
-    the first one's: the power plan is self-similar at a fixed N (see
+    The sides of one kernel (one ExpKernel object, or None) share the first
+    one's Volterra field: both plans are self-similar at a fixed N (see
     hybrid_scheme), so on the same Gaussians X^(T) = (T/T_ref)^H * X^(T_ref),
-    and each side's variance takes the scale eta*(T/T_ref)^H.  Kernel sides,
-    the reference and a repeat of its T (scale eta) equal the chain bit for
-    bit; an rBergomi side of another T agrees with it to within 1e-13 in
-    log S_T, and relative in V_T: its field is the reference's, scaled, not
-    one built at its own dt, so it rounds differently (measured: a few 1e-15).
+    and each side's variance takes the scale eta*(T/T_ref)^H.  The
+    reference and a repeat of its T (scale eta) equal the chain bit for bit;
+    a side of another T agrees with it to within 1e-13 in log S_T, and
+    relative in V_T: its field is the reference's, scaled, not one built at
+    its own dt, so it rounds differently (measured: a few 1e-15).
 
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
     block's half-rows once (antithetic pairs, see sim_core._block_normals),
@@ -293,24 +289,21 @@ def simulate_terminal(
     simulate_volterra's own row routine (hybrid_scheme._volterra_rows),
     once.  The field is odd in (dB, dU), bit for bit, so the odd rows take
     its negation.  Then, per side, the variance and the Euler log-price on
-    every row; log S_T adds the steps in the order of rbergomi_log_price's
-    cumsum, down the columns of a transposed copy.  So a worker holds one
-    block's half-planes 0 and 1 and one slice's paths, and the draw is
-    shared by all sides.  Every buffer is made in the calling thread (see
-    sim_core).
+    every row; log S_T adds the steps in rbergomi_log_price's cumsum order,
+    down the columns of a transposed copy (a lone row by cumsum).  So a
+    worker holds one block's half-planes 0 and 1 and one slice's paths, and
+    the draw is shared by all sides.  Every buffer is made in the calling
+    thread (see sim_core).
     """
     if not sides:
         raise ValueError("need at least one side")
     n_paths = _check_int("n_paths", n_paths, 1)
     seed = _check_int("seed", seed, 0)
-    out, fields = [], {}  # fields: (reference plan, its kernel spectrum, its sides)
-    for i, (T, kern) in enumerate(sides):
+    out, fields = [], {}  # per kernel object: (reference plan, its spectrum, its sides)
+    for T, kern in sides:
         plan = make_hybrid_plan(make_time_grid(T, N), params.alpha, kernel=kern)
-        key = None if kern is None else i  # the rBergomi sides share one field
-        if key not in fields:
-            K, L = _kernel_spectrum(_volterra_kernel(plan), N)  # L follows N alone
-            fields[key] = (plan, K, [])
-        ref, _, members = fields[key]
+        K, L = _kernel_spectrum(_volterra_kernel(plan), N)  # L follows N alone
+        ref, _, members = fields.setdefault(kern, (plan, K, []))
         scale = params.eta * (plan.grid.T / ref.grid.T) ** params.H
         out.append((np.empty(n_paths), np.empty(n_paths)))
         members.append((plan.grid.dt, scale, _compensator(params, plan.grid.nodes), out[-1]))
@@ -354,8 +347,11 @@ def simulate_terminal(
                     _lognormal_variance(x, scale, comp, params.xi0, v)
                     V_T[done] = v[:, -1]
                     _euler_steps(v, dW, dt, dB, dU)
-                    np.copyto(steps_t, dB.T)
-                    np.add.reduce(steps_t, axis=0, out=log_S[done])
+                    if k == 1:  # add.reduce would sum a lone row pairwise
+                        log_S[done] = np.cumsum(dB[0])[-1]
+                    else:
+                        np.copyto(steps_t, dB.T)
+                        np.add.reduce(steps_t, axis=0, out=log_S[done])
 
     run_chunks(n_paths, BLOCK_SIZE, run_block, scratch)
     return out

@@ -352,8 +352,8 @@ def test_skew_monte_carlo_report(tmp_path):
 
 
 def test_abergomi_skew_tracks_rbergomi_on_the_same_seed(tmp_path):
-    # the Markovian model's power law, one fitted kernel per maturity, on the
-    # draws rBergomi's skew uses
+    # the Markovian model's power law, one kernel fitted on [0, 1] and
+    # rescaled to each maturity, on the draws rBergomi's skew uses
     docs = {}
     for model, kernel in (("rbergomi", None), ("abergomi", {"n": 10})):
         body = table1_config(
@@ -368,6 +368,33 @@ def test_abergomi_skew_tracks_rbergomi_on_the_same_seed(tmp_path):
     assert markov["psi"] != rough["psi"]  # a different model on the same draws
     np.testing.assert_allclose(markov["psi"], rough["psi"], rtol=1e-3)
     assert abs(markov["exponent"] - rough["exponent"]) < 1e-3
+
+
+def test_abergomi_skew_fits_one_kernel_and_runs_one_field(tmp_path, monkeypatch):
+    from roughvol import kernel, models
+
+    fits, fields = [], []
+    fit, volterra_rows = kernel.fit_kernel_ls, models._volterra_rows
+
+    def fit_spy(*args):
+        fits.append(args)
+        return fit(*args)
+
+    def rows_spy(plan, *args):
+        fields.append(plan.grid.T)
+        volterra_rows(plan, *args)
+
+    monkeypatch.setattr(kernel, "fit_kernel_ls", fit_spy)
+    monkeypatch.setattr(models, "_volterra_rows", rows_spy)
+    cli._build_kernel.cache_clear()  # a kernel cached by another test is not fitted
+    mats = [0.5, 0.02, 2.0, 0.1, 0.005]
+    body = table1_config(
+        model="abergomi", grid={"T": 1.0, "N": 20}, paths=64, maturities=mats,
+        kernel={"n": 5, "method": "least-squares"}, out_dir=str(tmp_path),
+    )
+    assert cli.main(["skew", "--config", write_config(tmp_path, body)]) == 0
+    assert fits == [(0.07, 1.0, 100, 5)]  # (H, T, N_grid, n): on [0, 1]
+    assert fields == [0.5]  # one 64-row slice, one field, the first maturity's
 
 
 def test_every_simulation_runs_once(tmp_path, monkeypatch):

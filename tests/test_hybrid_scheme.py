@@ -172,6 +172,38 @@ def test_kernel_plan_first_step_variance_is_exact():
     assert X.values[:, 1].var() == pytest.approx(g.dt ** (2 * 0.07), rel=0.02)
 
 
+@pytest.mark.parametrize("T", [0.005, 0.3, 2.0])
+def test_kernel_plan_rescales_the_kernel_to_the_grid(T):
+    # a kernel built at T0 = 1 acts on a grid of maturity T as
+    # K_T(tau) = T^alpha * K(tau/T): speeds / T, weights * T^alpha
+    kern = rv.fit_kernel_ls(0.07, 1.0, 100, 10)
+    by_hand = rv.ExpKernel(kern.weights * T**ALPHA, kern.speeds / T, H=0.07, T=T)
+    g = rv.make_time_grid(T, 50)
+    got = rv.make_hybrid_plan(g, ALPHA, kernel=kern).kernel_weights
+    want = rv.make_hybrid_plan(g, ALPHA, kernel=by_hand).kernel_weights
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    # self-similar: the unit-horizon plan times T^alpha
+    unit = rv.make_hybrid_plan(rv.make_time_grid(1.0, 50), ALPHA, kernel=kern)
+    np.testing.assert_allclose(got, T**ALPHA * unit.kernel_weights, rtol=1e-13, atol=0)
+    # the closed-form kernel is of this form already: built at T or rescaled
+    # from T = 1, it gives one plan
+    at_T = rv.make_hybrid_plan(g, ALPHA, kernel=rv.closed_form_kernel(8, 0.07, T)[0])
+    rescaled = rv.make_hybrid_plan(g, ALPHA, kernel=rv.closed_form_kernel(8, 0.07, 1.0)[0])
+    np.testing.assert_allclose(at_T.kernel_weights, rescaled.kernel_weights, rtol=1e-13)
+
+
+def test_kernel_plan_at_its_own_horizon_is_the_unscaled_cell_average():
+    # at grid.T == kernel.T both rescale factors are exactly 1, bit for bit
+    kern = rv.fit_kernel_ls(0.07, 0.4, 100, 10)
+    g = rv.make_time_grid(0.4, 50)
+    x_dt = kern.speeds * g.dt
+    cell_mass = kern.weights * -np.expm1(-x_dt) / x_dt
+    lags = np.arange(1, g.N) * g.dt
+    want = np.exp(-np.multiply.outer(lags, kern.speeds)) @ cell_mass / np.sqrt(2 * 0.07)
+    got = rv.make_hybrid_plan(g, ALPHA, kernel=kern).kernel_weights
+    assert np.array_equal(got, want)
+
+
 def test_kernel_plan_rejects_a_kernel_for_another_H():
     kern = rv.fit_kernel_ls(0.1, 1.0, 50, 3)
     with pytest.raises(ValueError, match="H=0.1"):

@@ -82,27 +82,34 @@ def _side(kind, T, H):
 
 
 # a single path, a partial slice in a partial block, a partial slice in a full
-# block, a partial block that ends mid-slice, and three full blocks plus a
-# partial one
+# block, a partial block that ends mid-slice, three full blocks plus a partial
+# one, and two counts whose last slice has one row: numpy sums a lone row
+# pairwise unless it is summed in cumsum order
 STREAM_ROWS = [
     1,
     FFT_CHUNK_ROWS + 3,
     rv.BLOCK_SIZE + 5,
     rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3,
     3 * rv.BLOCK_SIZE + 7,
+    FFT_CHUNK_ROWS + 1,
+    rv.BLOCK_SIZE + 1,
 ]
 
 
 @pytest.mark.parametrize("n_paths", STREAM_ROWS)
 @pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
 def test_streamed_terminal_equals_the_chain(kind, n_paths, table1, monkeypatch):
+    # several seeds: a lone row summed in another order still matches the
+    # chain's bits on about three seeds in five
     side = _side(kind, 1.0, table1.H)
-    want = _chained_terminal(side, 12, table1, n_paths, 4)
-    for width in (1, 2):
-        monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
-        [got] = rv.simulate_terminal([side], table1, 12, n_paths, 4)
-        assert np.array_equal(got[0], want[0]), f"log S_T at width {width}"
-        assert np.array_equal(got[1], want[1]), f"V_T at width {width}"
+    for seed in range(4, 10):
+        want = _chained_terminal(side, 12, table1, n_paths, seed)
+        for width in (1, 2):
+            monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+            [got] = rv.simulate_terminal([side], table1, 12, n_paths, seed)
+            at = f"seed {seed}, width {width}"
+            assert np.array_equal(got[0], want[0]), f"log S_T at {at}"
+            assert np.array_equal(got[1], want[1]), f"V_T at {at}"
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -145,7 +152,7 @@ def test_scaled_plans_agree_with_their_own_run(width, table1, monkeypatch):
 @pytest.mark.parametrize("width", [1, 2])
 def test_repeated_and_kernel_plans_stay_bit_identical(width, table1, monkeypatch):
     # the repeated T=0.25 side follows the T=1.0 side on the rBergomi field,
-    # so its dW must be rebuilt, not left at T=1.0's; each kernel side, a
+    # so its dW must be rebuilt, not left at T=1.0's; each kernel object, a
     # repeated one too, runs its own field
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     kern = rv.closed_form_kernel(4, table1.H, 2.0)[0]
@@ -166,12 +173,28 @@ def test_repeated_and_kernel_plans_stay_bit_identical(width, table1, monkeypatch
 
 
 @pytest.mark.parametrize("width", [1, 2])
-def test_one_volterra_field_per_slice_serves_every_rbergomi_plan(
-    width, table1, monkeypatch
-):
+def test_later_sides_of_a_kernel_agree_with_the_chain(width, table1, monkeypatch):
+    # one fitted unit-horizon kernel: a T=0.02 reference field, scaled down to
+    # 0.005 and up to 0.5 and 2, against each side's own chain on the kernel
+    # rescaled to its T
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    kern = rv.fit_kernel_ls(table1.H, 1.0, 100, 5)
+    sides = [(T, kern) for T in (0.02, 0.005, 0.5, 2.0)]
+    n_paths = rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
+    got = rv.simulate_terminal(sides, table1, 12, n_paths, 5)
+    for i, (side, (log_S, V_T)) in enumerate(zip(sides, got)):
+        want_S, want_V = _chained_terminal(side, 12, table1, n_paths, 5)
+        if i == 0:
+            assert np.array_equal(log_S, want_S) and np.array_equal(V_T, want_V)
+        else:
+            np.testing.assert_allclose(log_S, want_S, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(V_T, want_V, rtol=1e-13, atol=0)
+
+
+def _field_maturities(monkeypatch):
+    """The maturity of each _volterra_rows call simulate_terminal makes, in order."""
     from roughvol import models
 
-    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     calls = []
     volterra_rows = models._volterra_rows
 
@@ -180,11 +203,36 @@ def test_one_volterra_field_per_slice_serves_every_rbergomi_plan(
         volterra_rows(plan, *args)
 
     monkeypatch.setattr(models, "_volterra_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_one_volterra_field_per_slice_serves_every_rbergomi_plan(
+    width, table1, monkeypatch
+):
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    calls = _field_maturities(monkeypatch)
     sides = [(T, None) for T in (0.005, 0.02, 0.1, 0.5, 2.0)]
     n_paths = 2 * rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
     rv.simulate_terminal(sides, table1, 12, n_paths, 1)
     slices = 2 * (rv.BLOCK_SIZE // FFT_CHUNK_ROWS) + 2
     assert calls == [0.005] * slices
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_one_volterra_field_per_slice_serves_every_side_of_a_kernel(
+    width, table1, monkeypatch
+):
+    # five maturities on one kernel object make one field; another object,
+    # even an equal one, makes its own
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    calls = _field_maturities(monkeypatch)
+    kern, twin = (rv.closed_form_kernel(4, table1.H, 1.0)[0] for _ in range(2))
+    sides = [(T, kern) for T in (0.1, 0.005, 0.02, 0.5, 2.0)] + [(1.0, twin)]
+    n_paths = 2 * rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
+    rv.simulate_terminal(sides, table1, 12, n_paths, 1)
+    slices = 2 * (rv.BLOCK_SIZE // FFT_CHUNK_ROWS) + 2
+    assert sorted(calls) == sorted([0.1, 1.0] * slices)
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -347,8 +395,9 @@ def _factor_state(kernel, inc, j):
 
 
 def test_abergomi_config_validation(toy_kernel, table1):
-    with pytest.raises(ValueError):
-        rv.AbergomiConfig(kernel=toy_kernel, params=table1, mult_factor=0.0)
+    for m in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mult_factor"):
+            rv.AbergomiConfig(kernel=toy_kernel, params=table1, mult_factor=m)
     # the rescaled construction truncates the horizon at theta = T - dt
     g = rv.make_time_grid(1.0, 10)
     inc = rv.sample_correlated_increments(g, 0.0, 3, 0)
