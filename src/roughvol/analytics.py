@@ -258,10 +258,19 @@ def mc_smile(
     stderr is NaN.  A strike whose MC price falls outside the no-arbitrage
     bounds (e.g. every payoff zero) is skipped: its vol is NaN and a
     (strike, reason) entry is appended to the result's skipped list.
+    log_price_terminal must be non-empty, 1-D (one value per path: a path
+    matrix's last column, not the matrix) and finite, or a ValueError names
+    it.
     """
     _require_positive("mc_smile", T=T)
     strikes = np.asarray(strikes, dtype=float)
-    S = np.exp(np.asarray(log_price_terminal, dtype=float))
+    x = np.asarray(log_price_terminal, dtype=float)
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+        raise ValueError(
+            "mc_smile: log_price_terminal must be a non-empty 1-D array of finite "
+            f"values, got shape {x.shape}"
+        )
+    S = np.exp(x)
     n = S.size
     pairs = n // 2
     vols = np.full(strikes.size, np.nan)

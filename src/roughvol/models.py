@@ -72,7 +72,7 @@ from .sim_core import (
     ModelParams,
     PathIncrements,
     TimeGrid,
-    _block_normals,
+    _block_streams,
     _check_int,
     _negate_pairs,
     _readonly,
@@ -281,19 +281,18 @@ def simulate_terminal(
     its own dt, so it rounds differently (measured: a few 1e-15).
 
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
-    block's half-rows once (antithetic pairs, see sim_core._block_normals),
-    which depend on (seed, block, N) only: half-planes 0 and 1 whole, then
-    from the block's generator the half-rows of one FFT_CHUNK_ROWS-row
-    slice of plane 2 at a time.  Every field runs on a slice as soon as it
-    is drawn, on its even rows only: scaling into increments and
-    simulate_volterra's own row routine (hybrid_scheme._volterra_rows),
-    once.  The field is odd in (dB, dU), bit for bit, so the odd rows take
-    its negation.  Then, per side, the variance and the Euler log-price on
-    every row; log S_T adds the steps in rbergomi_log_price's cumsum order,
-    down the columns of a transposed copy (a lone row by cumsum).  So a
-    worker holds one block's half-planes 0 and 1 and one slice's paths, and
-    the draw is shared by all sides.  Every buffer is made in the calling
-    thread (see sim_core).
+    block's half-rows once (antithetic pairs, see sim_core._block_streams),
+    which depend on (seed, block, N) only: one FFT_CHUNK_ROWS-row slice at
+    a time, its half-rows of each plane from that plane's stream.  Every
+    field runs on a slice as soon as it is drawn, on its even rows only:
+    scaling into increments and simulate_volterra's own row routine
+    (hybrid_scheme._volterra_rows), once.  The field is odd in (dB, dU),
+    bit for bit, so the odd rows take its negation.  Then, per side, the
+    variance and the Euler log-price on every row; log S_T adds the steps
+    in rbergomi_log_price's cumsum order, down the columns of a transposed
+    copy (a lone row by cumsum).  So a worker holds one slice's Gaussians
+    and paths, and the draw is shared by all sides.  Every buffer is made
+    in the calling thread (see sim_core).
     """
     if not sides:
         raise ValueError("need at least one side")
@@ -312,24 +311,22 @@ def simulate_terminal(
 
     def scratch():
         return (
-            np.empty((2, (min(BLOCK_SIZE, n_paths) + 1) // 2, N)),
-            # a slice's half-rows of plane 2; a partial block's dropped draws
-            np.empty((C // 2, N)),
+            np.empty((3, (rows_max + 1) // 2, N)),  # a slice's half-rows
             np.empty((3, rows_max, N)),
             np.empty((rows_max, N + 1)),
             _fft_buffers(L, rows_max),
         )
 
     def run_block(rows: slice, bufs) -> None:
-        z01, z2, planes, X, fft_bufs = bufs
+        stage, planes, X, fft_bufs = bufs
         m = rows.stop - rows.start
-        gen = _block_normals(  # the empty plane 2 leaves gen at its first row
-            seed, rows.start // BLOCK_SIZE, (*z01[:, : (m + 1) // 2], z2[:0]), z2.reshape(-1)
-        )
+        gens = _block_streams(seed, rows.start // BLOCK_SIZE)
         for lo in range(0, m, C):
             k = min(C, m - lo)
             h = (k + 1) // 2  # the slice's half-rows
-            z = (*z01[:, lo // 2 : lo // 2 + h], gen.standard_normal(out=z2[:h]))
+            z = stage[:, :h]
+            for gen, half in zip(gens, z):
+                gen.standard_normal(out=half)
             dW, dB, dU = planes[:, :k]
             x = X[:k]
             done = slice(rows.start + lo, rows.start + lo + k)

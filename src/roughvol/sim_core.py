@@ -2,14 +2,16 @@
 
 Everything downstream (the Volterra simulator, both variance models, the
 smile pipeline) consumes increments produced here, so this module owns the
-reproducibility story: an SFC64 generator is sub-seeded per fixed-size
-path block by SeedSequence((seed, block)), which makes the output
-independent of scheduling and lets two runs with different ``n_paths``
-agree on their common prefix.  Paths come in antithetic pairs: rows 2j
-and 2j+1 of every Gaussian plane are z and -z, bit for bit, so a block
-draws half of its normals (``_block_normals``, ``_negate_pairs``), and
-whatever is odd in the Gaussians (the increments, the Volterra field, the
-Brownian sums) is computed on the even rows and negated.
+reproducibility story: each Gaussian plane (dW, dB, dU) of each
+fixed-size path block draws from its own SFC64 stream, seeded by
+SeedSequence((seed, block, plane)) (``_block_streams``).  That makes the
+output independent of scheduling and of which planes a caller draws, and
+lets two runs with different ``n_paths`` agree on their common prefix.
+Paths come in antithetic pairs: rows 2j and 2j+1 of every Gaussian plane
+are z and -z, bit for bit, so a block draws half of its normals
+(``_negate_pairs``), and whatever is odd in the Gaussians (the increments,
+the Volterra field, the Brownian sums) is computed on the even rows and
+negated.
 
 Because no block depends on another, the module also owns the one runner
 that spreads fixed-size row slices of work over threads (``run_chunks``):
@@ -28,9 +30,9 @@ are bit-identical whatever the thread count.
 
 Models that hold per-path intermediates run over the paths in the same
 BLOCK_SIZE-path blocks, so their peak memory is set by one block:
-``models.simulate_terminal`` draws each block inside its pool task and
-evaluates it one FFT_CHUNK_ROWS-row slice at a time, and ``iter_blocks``
-splits an already drawn set into views.
+``models.simulate_terminal`` draws each block inside its pool task, one
+FFT_CHUNK_ROWS-row slice at a time, and evaluates each slice as it is
+drawn.
 
 Every large buffer, the outputs and each worker's scratch, is allocated in
 the calling thread; workers only fill them through ``out=`` arguments.
@@ -41,29 +43,28 @@ memory even though the arrays are freed.  The scratch grows with the width.
 Each step of the public chain writes straight into the array it returns,
 so a chain holds its inputs, its outputs and its workers' scratch, and no
 whole-size temporary.  A sample_correlated_increments worker draws a
-block's three half-planes into a (3, BLOCK_SIZE/2, N) stage, whose last
-plane also takes a partial block's unused draws, and scales them into the
-even rows of dW, dB and dU.  A simulate_volterra, abergomi_driver or
-toeplitz_convolve worker holds the FFT buffers for FFT_CHUNK_ROWS = 256
-rows (simulate_volterra takes its first-cell scratch from their idle
-signal buffer), an rbergomi_log_price worker two (256, N) planes, and the
-variance steps none.  A simulate_terminal worker holds half-planes 0 and
-1 of a block's Gaussians, (2, BLOCK_SIZE/2, N), and for one 256-row slice
-its 128 half-rows of plane 2, three increment planes, one (256, N+1) path
-array and the FFT buffers: about 5.3 MB at N = 100.
+block's three half-planes into a stage of at most (3, BLOCK_SIZE/2, N)
+and scales them into the even rows of dW, dB and dU.  A simulate_volterra,
+abergomi_driver or toeplitz_convolve worker holds the FFT buffers for
+FFT_CHUNK_ROWS = 256 rows (simulate_volterra takes its first-cell scratch
+from their idle signal buffer), an rbergomi_log_price worker two (256, N)
+planes, and the variance steps none.  A simulate_terminal worker holds,
+for one 256-row slice, its 128 half-rows of each of the three planes in a
+(3, 128, N) stage, three increment planes, one (256, N+1) path array and
+the FFT buffers: about 2.2 MB at N = 100.
 
 Measured with two threads: the benchmark's markov_smile chain (20 000
 paths, N = 200) peaks at 194.9 MB RSS and its rough_smile chain (100 000
 paths, N = 200) at 806 MB; ``roughvol skew`` (20 000 paths, N = 100, five
-maturities) peaks at 48.2 MB.  Timings and peak memory have been measured on 2 CPUs only.
+maturities) peaks at 42.7 MB.  Timings and peak memory have been measured on 2 CPUs only.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -74,7 +75,6 @@ __all__ = [
     "make_time_grid",
     "sample_correlated_increments",
     "sample_terminal_brownian",
-    "iter_blocks",
     "BLOCK_SIZE",
 ]
 
@@ -202,36 +202,26 @@ class ModelParams:
         object.__setattr__(self, "sigma", self.eta * np.sqrt(2 * self.H))
 
 
-def _block_normals(seed: int, block: int, halves, spare) -> np.random.Generator:
-    """Draw one block's half-rows into halves; return the block's generator.
+def _block_streams(seed: int, block: int, planes=(0, 1, 2)) -> list[np.random.Generator]:
+    """The Gaussian generators of one block's planes (0: dW, 1: dB, 2: dU).
 
-    A block's Gaussians come in antithetic pairs: row 2j of each of its
-    planes is half-row j of the block's (k, BLOCK_SIZE/2, N) half-tile, and
-    row 2j+1 is its exact negation (_negate_pairs).  For a block of
-    m <= BLOCK_SIZE rows, the k half-planes of ceil(m/2) rows each (say the
-    block's half-rows of dW, dB and dU) get their rows of the half-tile, so
-    a partial block is a row-slice of the full one (prefix property; an odd
-    m keeps the first row of its last pair): between half-planes, the
-    (BLOCK_SIZE/2 - ceil(m/2))*N values the half-tile holds below a plane
-    are drawn into spare, a flat array, at most spare.size at a time, and
-    dropped.  Nothing is drawn after the last half-plane, so the generator
-    continues it at half-row ceil(m/2); an empty last plane leaves it at
-    that plane's first half-row, and a single plane never touches spare.
-    Sampling method: numpy's ziggurat via Generator.standard_normal, an
-    exact-distribution sampler, on the SFC64 bit stream, seeded by
-    SeedSequence((seed, block)); that seeding, not the bit generator, makes
-    the blocks independent of one another and of the schedule.  The stream
-    fills sequentially, so pieces drawn one after another hold the values
-    of one draw of their total size.
+    Plane p of block b is seeded by SeedSequence((seed, b, p)) alone, so
+    drawing a subset of the planes gives each the same values, in any
+    order.  A block's Gaussians come in antithetic pairs: row 2j of a plane
+    is the plane's j-th draw of N values, and row 2j+1 its exact negation
+    (_negate_pairs), so m rows draw ceil(m/2) half-rows per plane, and a
+    partial block is a row-slice of the full one (prefix property; an odd
+    m keeps the first row of its last pair).  Sampling method: numpy's
+    ziggurat via Generator.standard_normal, an exact-distribution sampler,
+    on the SFC64 bit stream; the seeding, not the bit generator, makes the
+    streams independent of one another and of the schedule.  A stream fills
+    sequentially, so slices drawn one after another hold the values of one
+    draw of their total size.
     """
-    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
-    rest = 0  # the values the half-tile holds below the plane before
-    for half in halves:
-        while rest:  # dropped, at most spare.size at a time
-            rest -= gen.standard_normal(out=spare[: min(rest, spare.size)]).size
-        gen.standard_normal(out=half)
-        rest = (BLOCK_SIZE // 2 - half.shape[0]) * half.shape[1]
-    return gen
+    return [
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block, p))))
+        for p in planes
+    ]
 
 
 def _negate_pairs(a: np.ndarray) -> None:
@@ -266,13 +256,12 @@ def sample_correlated_increments(
     n_paths) gives bit-identical output on any machine/thread count; the
     first m paths agree between runs with different n_paths.  Rows 2j+1
     are the exact negations of rows 2j (antithetic pairs; see
-    _block_normals).  Each BLOCK_SIZE-path block is one task of
-    run_chunks, which draws the block's three half-planes into the
-    worker's (3, BLOCK_SIZE/2, N) stage (its last plane first takes a
-    partial block's unused draws, in one piece), scales them straight into the even rows of dW,
-    dB and dU, and negates those into the odd rows: scaling is odd in z,
-    so each pair is exactly (dW, -dW) and so on, as if the paired tile had
-    been scaled whole.
+    _block_streams).  Each BLOCK_SIZE-path block is one task of
+    run_chunks, which draws the block's ceil(m/2) half-rows of each plane
+    from that plane's stream into the worker's (3, ceil(m/2), N) stage,
+    scales them straight into the even rows of dW, dB and dU, and negates
+    those into the odd rows: scaling is odd in z, so each pair is exactly
+    (dW, -dW) and so on, as if the paired tile had been scaled whole.
     """
     if not (-1 <= rho <= 1):
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
@@ -285,14 +274,16 @@ def sample_correlated_increments(
     dU = np.empty((n_paths, N))
 
     def draw(rows: slice, stage: np.ndarray) -> None:
-        halves = stage[:, : (rows.stop - rows.start + 1) // 2]
-        _block_normals(seed, rows.start // BLOCK_SIZE, halves, stage[2].reshape(-1))
+        z = stage[:, : (rows.stop - rows.start + 1) // 2]
+        for gen, half in zip(_block_streams(seed, rows.start // BLOCK_SIZE), z):
+            gen.standard_normal(out=half)
         planes = dW[rows], dB[rows], dU[rows]
-        _scale_increments(halves, grid.dt, rho, *(p[::2] for p in planes))
+        _scale_increments(z, grid.dt, rho, *(p[::2] for p in planes))
         for p in planes:
             _negate_pairs(p)
 
-    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((3, BLOCK_SIZE // 2, N)))
+    half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
+    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((3, half_max, N)))
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),
@@ -308,8 +299,8 @@ def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndar
     """W_T per path: the row sums of sample_correlated_increments(...).dW.
 
     Only a block's ceil(m/2) half-rows of plane 0 are drawn, into a
-    worker's (ceil(m/2), N) buffer: they come first in the block's stream,
-    so they are the half-rows the full draw gives.  They are scaled and
+    worker's (ceil(m/2), N) buffer: plane 0 has its own stream, so they
+    are the half-rows the full draw gives.  They are scaled and
     summed into the even rows of W_T, and the odd rows take their
     negations; scaling and summing are odd in z, so the sums equal, bit
     for bit, those of the dW that the full draw gives (at any rho).
@@ -320,7 +311,8 @@ def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndar
 
     def draw(rows: slice, buf: np.ndarray) -> None:
         dW = buf[: (rows.stop - rows.start + 1) // 2]
-        _block_normals(seed, rows.start // BLOCK_SIZE, (dW,), None)
+        [gen] = _block_streams(seed, rows.start // BLOCK_SIZE, (0,))
+        gen.standard_normal(out=dW)
         np.multiply(dW, np.sqrt(grid.dt), out=dW)
         np.sum(dW, axis=1, out=W[rows][::2])
         _negate_pairs(W[rows])
@@ -328,21 +320,3 @@ def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndar
     half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
     run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((half_max, grid.N)))
     return W
-
-
-def iter_blocks(inc: PathIncrements) -> Iterator[tuple[slice, PathIncrements]]:
-    """Yield (rows, block) over inc in BLOCK_SIZE-path blocks, in row order.
-
-    block holds views of inc's rows `rows` (no copy) with the same grid, rho
-    and seed; the last block may be shorter.  A model evaluated block by
-    block keeps only one block's intermediate paths in memory.
-    """
-    for lo in range(0, inc.n_paths, BLOCK_SIZE):
-        rows = slice(lo, min(lo + BLOCK_SIZE, inc.n_paths))
-        yield rows, replace(
-            inc,
-            n_paths=rows.stop - rows.start,
-            dW=inc.dW[rows],
-            dB=inc.dB[rows],
-            dU=inc.dU[rows],
-        )

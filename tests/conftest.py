@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,21 @@ def aggregate_increments(fine, N, alpha):
         seed=fine.seed,
         grid=coarse,
     )
+
+
+def iter_blocks(inc):
+    """Yield (rows, block) over inc in BLOCK_SIZE-path blocks, in row order.
+
+    block holds views of inc's rows `rows` (no copy) with the same grid, rho
+    and seed; the last block may be shorter.  A model evaluated block by
+    block keeps only one block's intermediate paths in memory.
+    """
+    for lo in range(0, inc.n_paths, rv.BLOCK_SIZE):
+        rows = slice(lo, min(lo + rv.BLOCK_SIZE, inc.n_paths))
+        yield rows, replace(
+            inc,
+            n_paths=rows.stop - rows.start,
+            dW=inc.dW[rows],
+            dB=inc.dB[rows],
+            dU=inc.dU[rows],
+        )

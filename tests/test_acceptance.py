@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 import roughvol as rv
-from conftest import aggregate_increments
+from conftest import aggregate_increments, iter_blocks
 
 TABLE1 = rv.ModelParams(xi0=0.026, eta=1.9, H=0.07, rho=-0.9)
 
@@ -27,7 +27,7 @@ def _fit_grid_rmse(kern, H, T, N_grid):
 def _blocks(grid, n_paths, seed):
     """Path blocks of one increment draw under the Table 1 correlation."""
     inc = rv.sample_correlated_increments(grid, TABLE1.rho, n_paths, seed)
-    return rv.iter_blocks(inc)
+    return iter_blocks(inc)
 
 
 def _terminal_log_price(plan, blk):

@@ -207,6 +207,22 @@ def test_pair_mean_stderr_at_an_odd_path_count():
     assert np.isnan(rv.mc_smile(np.zeros(3), np.array([0.0]), T=1.0).price_stderr[0])
 
 
+@pytest.mark.parametrize(
+    "log_prices",
+    [
+        np.array([]), np.zeros((3, 4)), np.float64(0.1),
+        np.array([0.0, NAN]), np.array([-INF, 0.0]),
+    ],
+    ids=["empty", "matrix", "scalar", "nan", "inf"],
+)
+def test_mc_smile_rejects_log_prices_not_1d_non_empty_and_finite(log_prices):
+    # an empty set has no mean, a path matrix would be flattened into rows
+    # of every time step, and a non-finite value would price every strike
+    # non-finite
+    with pytest.raises(ValueError, match="log_price_terminal"):
+        rv.mc_smile(log_prices, np.array([0.0]), T=1.0)
+
+
 def test_mc_smile_records_skipped_strikes():
     # all paths end at the same huge value: price > S0 at every strike
     logS = np.full(100, 4.0)

@@ -402,14 +402,14 @@ def test_every_simulation_runs_once(tmp_path, monkeypatch):
     from roughvol import models, sim_core
 
     draws = []
-    real = sim_core._block_normals
+    real = sim_core._block_streams
 
     def counting(*args, **kwargs):
         draws.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sim_core, "_block_normals", counting)
-    monkeypatch.setattr(models, "_block_normals", counting)
+    monkeypatch.setattr(sim_core, "_block_streams", counting)
+    monkeypatch.setattr(models, "_block_streams", counting)
     cfg = write_config(
         tmp_path,
         bs_config(steps=[8, 16], out_dir=str(tmp_path)),

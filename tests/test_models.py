@@ -366,16 +366,17 @@ def test_chain_steps_allocate_little_beyond_their_output(table1, monkeypatch):
 
 def test_streamed_terminal_memory_stays_flat(table1, monkeypatch):
     # beyond its 16 bytes per path of output, simulate_terminal holds only
-    # its workers' scratch: a block's planes 0 and 1, and for one
-    # FFT_CHUNK_ROWS-row slice its plane 2, three increment planes, one
-    # (C, N+1) path array and the FFT buffers
+    # its workers' scratch, all sized by one FFT_CHUNK_ROWS-row slice: its
+    # C/2 half-rows of the three Gaussian planes, three increment planes,
+    # one (C, N+1) path array and the FFT buffers (about 3.2 MB in all at
+    # width 2, with the 1 MB allowance; no block-wide plane is held)
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
     N, B, C = 50, rv.BLOCK_SIZE, FFT_CHUNK_ROWS
     sides = [(1.0, None)]
     rv.simulate_terminal(sides, table1, N, 3 * B, 1)  # warm-up: numpy's FFT caches
     L = 128  # the power of two >= 2N - 1
     fft = C * (16 * (L // 2 + 1) + 8 * L)
-    worker = 8 * (2 * B * N + 4 * C * N + C * (N + 1)) + fft
+    worker = 8 * (3 * (C // 2) * N + 3 * C * N + C * (N + 1)) + fft
     extra = {}
     for blocks in (3, 12):
         _, peak = _traced_peak(rv.simulate_terminal, sides, table1, N, blocks * B, 1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvol as rv
+from conftest import iter_blocks
 from roughvol import BLOCK_SIZE, sim_core
 from roughvol.hybrid_scheme import FFT_CHUNK_ROWS
 
@@ -159,7 +160,7 @@ def test_prefix_property_across_block_boundary():
 def test_iter_blocks_yields_views_of_the_parent_in_row_order():
     g = rv.make_time_grid(1.0, 3)
     inc = rv.sample_correlated_increments(g, -0.7, 2 * BLOCK_SIZE + 9, 5)
-    blocks = list(rv.iter_blocks(inc))
+    blocks = list(iter_blocks(inc))
     B = BLOCK_SIZE
     assert [(rows.start, rows.stop) for rows, _ in blocks] == [
         (0, B), (B, 2 * B), (2 * B, 2 * B + 9),
@@ -172,7 +173,7 @@ def test_iter_blocks_yields_views_of_the_parent_in_row_order():
             assert np.array_equal(part, whole[rows])
         assert (blk.grid, blk.rho, blk.seed) == (inc.grid, inc.rho, inc.seed)
     # fewer paths than a block: one short block covering them all
-    (rows, blk), = rv.iter_blocks(rv.sample_correlated_increments(g, 0.0, 7, 5))
+    (rows, blk), = iter_blocks(rv.sample_correlated_increments(g, 0.0, 7, 5))
     assert (rows.start, rows.stop, blk.n_paths) == (0, 7, 7)
 
 def test_seed_and_rho_sensitivity():
@@ -247,14 +248,19 @@ CHAIN_ROWS = [
 ]
 
 
-def _full_tile(seed, block, N, k=3):
-    """A block's full (k, BLOCK_SIZE, N) tile: its half-tile, expanded by pairs.
+def _full_tile(seed, block, N):
+    """A block's full (3, BLOCK_SIZE, N) tile: its half-tile, expanded by pairs.
 
-    The seeded generator's first draws are the (k, BLOCK_SIZE/2, N)
-    half-tile; row 2j of a plane is half-row j, row 2j+1 its negation.
+    Half-plane p is the first (BLOCK_SIZE/2, N) draw of its own SFC64
+    stream, seeded by SeedSequence((seed, block, p)); row 2j of a plane is
+    half-row j, row 2j+1 its negation.
     """
-    gen = sim_core._block_normals(seed, block, (), None)
-    return _pairs(gen.standard_normal((k, BLOCK_SIZE // 2, N)), BLOCK_SIZE)
+    half = [
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block, p))))
+        .standard_normal((BLOCK_SIZE // 2, N))
+        for p in range(3)
+    ]
+    return _pairs(np.stack(half), BLOCK_SIZE)
 
 
 def _pairs(half, m):
@@ -277,8 +283,8 @@ def _whole_array_increments(grid, rho, n_paths, seed):
 @pytest.mark.parametrize("n_paths", CHAIN_ROWS)
 def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
     # the half-planes are scaled into the even rows of dW, dB, dU and negated
-    # into the odd ones; a partial block must still consume its whole
-    # half-tile, or dB and dU shift
+    # into the odd ones; a partial block draws a prefix of each plane's
+    # stream, so it is a row-slice of the full tile
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     g = rv.make_time_grid(1.0, 7)
     inc = rv.sample_correlated_increments(g, -0.9, n_paths, 3)
@@ -288,37 +294,32 @@ def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE])
-def test_sliced_plane_two_equals_the_full_tile(m):
-    # models.simulate_terminal draws half-planes 0 and 1 of a block's m rows
-    # and an empty plane 2 through a spare of half a chunk, then the
-    # half-rows of plane 2 one FFT_CHUNK_ROWS-row slice at a time
+def test_sliced_planes_equal_the_full_tile(m):
+    # models.simulate_terminal draws a block's m rows one FFT_CHUNK_ROWS-row
+    # slice at a time, the slice's half-rows of each plane from that plane's
+    # stream: slices drawn one after another equal one draw of their total
     N, C = 7, FFT_CHUNK_ROWS
-    tile = _full_tile(4, 2, N)
-    z01 = np.empty((2, (m + 1) // 2, N))
-    gen = sim_core._block_normals(4, 2, (*z01, z01[0, :0]), np.empty(C // 2 * N))
+    gens = sim_core._block_streams(4, 2)
     slices = [
-        gen.standard_normal(((min(C, m - lo) + 1) // 2, N)) for lo in range(0, m, C)
+        np.stack([gen.standard_normal(((min(C, m - lo) + 1) // 2, N)) for gen in gens])
+        for lo in range(0, m, C)
     ]
-    assert np.array_equal(_pairs(z01, m), tile[:2, :m])
-    assert np.array_equal(_pairs(np.concatenate(slices), m), tile[2, :m])
+    drawn = _pairs(np.concatenate(slices, axis=1), m)
+    assert np.array_equal(drawn, _full_tile(4, 2, N)[:, :m])
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("m,spare", [(5, 1000), (BLOCK_SIZE - 1, 3), (BLOCK_SIZE, 1)])
-def test_block_generator_continues_at_plane_k(k, m, spare):
-    # after k half-planes of ceil(m/2) rows, the rest of each but the last
-    # dropped through a spare whose size need not divide it, the generator
-    # continues half-plane k-1 at half-row ceil(m/2); an empty plane k
-    # leaves it at plane k's first half-row.  A single plane never touches
-    # spare.
+@pytest.mark.parametrize(
+    "planes", [(0,), (2,), (0, 1, 2), (2, 0)], ids=["0", "2", "012", "20"]
+)
+@pytest.mark.parametrize("m", [5, BLOCK_SIZE - 1, BLOCK_SIZE])
+def test_a_subset_of_planes_draws_the_same_values(m, planes):
+    # a plane's stream depends on (seed, block, plane) alone: drawing {0},
+    # {2} or all three planes, in any order, gives each the half-rows of the
+    # full tile, so leaving out the dW plane does not move dB or dU
     N, h = 6, (m + 1) // 2
-    half_tile = _full_tile(9, 1, N, k + 1)[:, ::2]
-    halves = np.empty((k, h, N))
-    gen = sim_core._block_normals(9, 1, halves, None if k == 1 else np.empty(spare))
-    assert np.array_equal(halves, half_tile[:k, :h])
-    assert np.array_equal(gen.standard_normal((BLOCK_SIZE // 2 - h, N)), half_tile[k - 1, h:])
-    gen = sim_core._block_normals(9, 1, (*halves, halves[0, :0]), np.empty(spare))
-    assert np.array_equal(gen.standard_normal((BLOCK_SIZE // 2, N)), half_tile[k])
+    half_tile = _full_tile(9, 1, N)[:, ::2]
+    for p, gen in zip(planes, sim_core._block_streams(9, 1, planes), strict=True):
+        assert np.array_equal(gen.standard_normal((h, N)), half_tile[p, :h]), p
 
 
 @pytest.mark.parametrize("n_paths", [1, 2, 7, BLOCK_SIZE + 5])
