@@ -29,10 +29,6 @@ from .sim_core import ModelParams
 
 __all__ = [
     "DEFAULT_STRIKES",
-    "IV_GRID_MONEYNESS",
-    "IV_GRID_MATURITIES",
-    "IV_GRID_VOLS",
-    "IV_MIN_VEGA",
     "SmileResult",
     "SkewReport",
     "TwoFactorParams",
@@ -50,23 +46,9 @@ __all__ = [
     "two_factor_skew_shape",
     "rbergomi_expansion_coeffs",
     "expansion_terms",
-    "sigma_bs_expansion",
 ]
 
 DEFAULT_STRIKES = np.linspace(-0.2, 0.2, 21)
-
-# Reference grid for the implied-vol round-trip property: the solver must
-# recover the input vol to 1e-8 at every (K/S0, T, vol) combination whose
-# vega is at least IV_MIN_VEGA.  Below that vega the map vol -> float64
-# price is locally flat (moving the vol by 1e-8 moves the price by less
-# than one ulp), so the input vol is not recoverable by *any* solver; such
-# combinations are excluded from the round-trip check (price reproduction
-# still holds wherever the solver returns at all).  At 1e-7 the measured
-# worst-case recovery error on this grid is 4e-10.
-IV_GRID_MONEYNESS = np.linspace(0.6, 1.6, 11)
-IV_GRID_MATURITIES = (0.05, 0.25, 0.5, 1.0, 2.0, 3.0)
-IV_GRID_VOLS = (0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
-IV_MIN_VEGA = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,13 +525,3 @@ def expansion_terms(coeffs: ExpansionCoeffs, v: float, T: float, epsilon: float 
     s_t = vs * (e / (2 * v**2) * cx + e**2 / (8 * v**3) * (4 * cmu * v - 3 * cx**2))
     c_t = vs * e**2 / (8 * v**4) * (4 * cmu * v + cxx * v - 6 * cx**2)
     return float(sigma_atm), float(s_t), float(c_t)
-
-
-def sigma_bs_expansion(
-    coeffs: ExpansionCoeffs, v: float, T: float, k, epsilon: float = 1.0
-):
-    """Second-order implied vol sigma_BS(k) = sigma_ATM + S_T*k + C_T*k^2."""
-    sigma_atm, s_t, c_t = expansion_terms(coeffs, v, T, epsilon)
-    k = np.asarray(k, dtype=float)
-    out = sigma_atm + s_t * k + c_t * k**2
-    return float(out) if out.ndim == 0 else out

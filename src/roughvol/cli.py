@@ -318,7 +318,9 @@ _COMPARE = {
 }
 # The whole schema, in the order its messages are reported.
 _CONFIG = {
-    "schema_version": _Key(lambda v: v == 1, "must be 1", 1, True, cast=lambda v: 1),
+    "schema_version": _Key(
+        lambda v: _num(v) and v == 1, "must be 1", 1, True, cast=lambda v: 1
+    ),
     "seed": _Key(
         lambda v: _int(v) and 0 <= v < 2**64, "must be an integer in [0, 2^64)", 0
     ),

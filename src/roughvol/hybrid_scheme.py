@@ -8,24 +8,24 @@ land on t^{2H} — while the remaining cells use the optimally displaced
 left-rule nodes b_k^* and a single lower-triangular Toeplitz convolution,
 evaluated in O(N log N) by zero-padded FFT.
 
-The convolution runs in FFT_CHUNK_ROWS-row chunks, one sim_core.run_chunks
-task each: a chunk goes through its worker's FFT buffers and lands straight
-in its rows of the output.  _volterra_rows, which simulate_volterra runs on
-each chunk and models.simulate_terminal on each slice, writes one chunk
-into X[:, 1:] and adds the first cell to those rows, with its two scratch
-planes taken from the chunk's idle FFT signal buffer, so the only
-full-size array simulate_volterra makes is the one it returns.
+The convolution runs in sim_core's BLOCK_SIZE-row blocks, one
+sim_core.run_chunks task each: a block goes through its worker's FFT
+buffers and lands straight in its rows of the output.  _volterra_rows,
+which simulate_volterra and models.simulate_terminal run on each block,
+writes one block into X[:, 1:] and adds the first cell to those rows, with
+its two scratch planes taken from the block's idle FFT signal buffer, so
+the only full-size array simulate_volterra makes is the one it returns.
 
 On a uniform grid with fixed N the power plan is self-similar: the tail
 weights (b_k^* dt)^alpha and the first cell's a1, b1 scale as dt^alpha,
 and the increments as sqrt(dt), so on the same Gaussians the field of
 maturity T is (T/T_ref)^H times that of T_ref; so is a kernel plan's (see
 make_hybrid_plan).  models.simulate_terminal therefore builds one field per
-slice for all its sides of one kernel (None for rBergomi) and scales it in
+block for all its sides of one kernel (None for rBergomi) and scales it in
 each side's variance.  Every field is odd in (dB, dU), bit for bit: the
 rfft, the spectrum product, the irfft, the first cell and the scaling each
 map negated inputs to negated outputs.  So on sim_core's antithetic pairs
-simulate_terminal convolves a slice's even rows only and negates them into
+simulate_terminal convolves a block's even rows only and negates them into
 the odd ones.
 
 The same scheme simulates the Markovian approximation: given a
@@ -48,7 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ExpKernel
-from .sim_core import PathIncrements, TimeGrid, _check_int, _readonly, run_chunks
+from .sim_core import (
+    BLOCK_SIZE,
+    PathIncrements,
+    TimeGrid,
+    _check_int,
+    _readonly,
+    run_chunks,
+)
 
 __all__ = [
     "HybridPlan",
@@ -59,11 +66,6 @@ __all__ = [
     "toeplitz_convolve",
     "simulate_volterra",
 ]
-
-# Signal rows per FFT task.  Fixed, so each row goes through the same
-# transform calls whatever the thread count.
-FFT_CHUNK_ROWS = 256
-
 
 @dataclass(frozen=True, eq=False)
 class HybridPlan:
@@ -184,9 +186,9 @@ def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     Computed as a linear convolution via FFT with zero padding to the next
     power of two >= len(kernel) + n_cols - 1, truncated back to the signal
     width.  O(N log N) per path instead of the O(N^2) triangular loop.  The
-    kernel is transformed once; the rows are transformed in chunks of
-    FFT_CHUNK_ROWS, one run_chunks task each, into per-worker buffers made
-    in the calling thread (_convolve_into).
+    kernel is transformed once; the rows are transformed in BLOCK_SIZE-row
+    blocks, one run_chunks task each, into per-worker buffers made in the
+    calling thread (_convolve_into).
 
     Parameters
     ----------
@@ -209,20 +211,19 @@ def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
 
 
 def _convolve_into(kernel, signal, out) -> None:
-    """out = toeplitz_convolve(kernel, signal), written chunk by chunk.
+    """out = toeplitz_convolve(kernel, signal), written block by block.
 
     out is [rows x n] like signal and may be a strided view, such as the
-    last n columns of a path array.  Each FFT_CHUNK_ROWS-row chunk is one
-    run_chunks task, which convolves its rows through the worker's FFT
-    buffers.
+    last n columns of a path array.  Each block is one run_chunks task,
+    which convolves its rows through the worker's FFT buffers.
     """
     rows, n = signal.shape
     K, L = _kernel_spectrum(kernel, n)
 
-    def convolve(chunk: slice, fft_bufs) -> None:
-        _convolve_rows(K, signal[chunk], out[chunk], fft_bufs)
+    def convolve(block: slice, fft_bufs) -> None:
+        _convolve_rows(K, signal[block], out[block], fft_bufs)
 
-    run_chunks(rows, FFT_CHUNK_ROWS, convolve, lambda: _fft_buffers(L, rows))
+    run_chunks(rows, convolve, lambda: _fft_buffers(L, rows))
 
 
 def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -236,11 +237,11 @@ def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 
 
 def _fft_buffers(L: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """One worker's spectrum and length-L signal buffers for one chunk.
+    """One worker's spectrum and length-L signal buffers for one block.
 
-    They hold min(rows, FFT_CHUNK_ROWS) rows: a chunk of a `rows`-row input.
+    They hold min(rows, BLOCK_SIZE) rows: a block of a `rows`-row input.
     """
-    rows = min(rows, FFT_CHUNK_ROWS)
+    rows = min(rows, BLOCK_SIZE)
     return np.empty((rows, L // 2 + 1), complex), np.empty((rows, L))
 
 
@@ -267,7 +268,7 @@ def _volterra_kernel(plan: HybridPlan) -> np.ndarray:
 
 
 def _volterra_rows(plan: HybridPlan, K, dB, dU, out, fft_bufs) -> None:
-    """out = X on the rows of dB and dU, at most FFT_CHUNK_ROWS of them.
+    """out = X on the rows of dB and dU, at most BLOCK_SIZE of them.
 
     The tail convolution (K = the spectrum of _volterra_kernel(plan)) goes
     through fft_bufs (_fft_buffers) into out[:, 1:], and then the first cell
@@ -311,5 +312,5 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     def volterra(rows: slice, fft_bufs) -> None:
         _volterra_rows(plan, K, inc.dB[rows], inc.dU[rows], values[rows], fft_bufs)
 
-    run_chunks(n, FFT_CHUNK_ROWS, volterra, lambda: _fft_buffers(L, n))
+    run_chunks(n, volterra, lambda: _fft_buffers(L, n))
     return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=plan.alpha)

@@ -13,18 +13,18 @@ the n-factor recursion Y^i_{j+1} = e^(-x_i dt) (Y^i_j + dB_j) with exact
 decay.  Both consume the same PathIncrements, so rBergomi/aBergomi
 comparisons are common-random-number by construction.
 
-Each chain step runs on sim_core's pool in fixed FFT_CHUNK_ROWS-row chunks
+Each chain step runs on sim_core's pool, one BLOCK_SIZE-row block per task,
 and writes straight into the array it returns: the variance steps need no
-scratch, rbergomi_log_price two (FFT_CHUNK_ROWS, N) planes per worker, and
+scratch, rbergomi_log_price two (BLOCK_SIZE, N) planes per worker, and
 abergomi_driver convolves into y[:, 1:].
 
 simulate_terminal runs that chain, with rbergomi_log_price, one path block
-at a time on sim_core's pool, FFT_CHUNK_ROWS rows at a time within a
-block, and keeps only the terminal values of (T, kernel) sides on one N
-(kernel None for rBergomi).  They share each block's Gaussians and, per
-kernel, one Volterra field.  Both routes call the same helpers for each
-step (sim_core._scale_increments, hybrid_scheme._volterra_rows,
-_lognormal_variance, _euler_steps); the chain stays as the tests' reference.
+at a time on sim_core's pool, and keeps only the terminal values of
+(T, kernel) sides on one N (kernel None for rBergomi).  They share each
+block's Gaussians and, per kernel, one Volterra field.  Both routes call
+the same helpers for each step (sim_core._scale_increments,
+hybrid_scheme._volterra_rows, _lognormal_variance, _euler_steps); the chain
+stays as the tests' reference.
 
 The affine structure of the Markovian model is kept in closed form:
 quadratic_variation_chi is the kernel's quadratic variation over a window,
@@ -57,7 +57,6 @@ from functools import cached_property
 import numpy as np
 
 from .hybrid_scheme import (
-    FFT_CHUNK_ROWS,
     VolterraPaths,
     _convolve_into,
     _fft_buffers,
@@ -205,14 +204,14 @@ def _lognormal_variance(X, scale, comp, xi0, out) -> None:
 def _lognormal_paths(X, scale, comp, xi0) -> np.ndarray:
     """_lognormal_variance of the paths X into a new read-only array.
 
-    One pool task per FFT_CHUNK_ROWS rows.
+    One pool task per block.
     """
     V = np.empty_like(X)
 
     def rows_task(rows: slice, _) -> None:
         _lognormal_variance(X[rows], scale, comp, xi0, V[rows])
 
-    run_chunks(X.shape[0], FFT_CHUNK_ROWS, rows_task, lambda: None)
+    run_chunks(X.shape[0], rows_task, lambda: None)
     return _readonly(V)
 
 
@@ -235,9 +234,9 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
     """Euler log-price: log S_{t+dt} = log S_t + sqrt(V_t)*dW_t - V_t*dt/2.
 
     S_0 = 1.  Works for any VariancePaths; the model enters only through V.
-    Returns an [n_paths x (N+1)] matrix.  Each FFT_CHUNK_ROWS-row chunk is
-    one pool task, which writes its steps into the worker's scratch and
-    their running sum straight into its rows of the result.
+    Returns an [n_paths x (N+1)] matrix.  Each block is one pool task,
+    which writes its steps into the worker's scratch and their running sum
+    straight into its rows of the result.
     """
     if inc.grid != V.grid:
         raise ValueError("variance paths and increments live on different grids")
@@ -250,8 +249,8 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
         logS[rows, 0] = 0.0
         np.cumsum(steps, axis=1, out=logS[rows, 1:])
 
-    rows_max = min(FFT_CHUNK_ROWS, n)
-    run_chunks(n, FFT_CHUNK_ROWS, euler, lambda: np.empty((2, rows_max, N)))
+    rows_max = min(BLOCK_SIZE, n)
+    run_chunks(n, euler, lambda: np.empty((2, rows_max, N)))
     return logS
 
 
@@ -282,15 +281,14 @@ def simulate_terminal(
 
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
     block's half-rows once (antithetic pairs, see sim_core._block_streams),
-    which depend on (seed, block, N) only: one FFT_CHUNK_ROWS-row slice at
-    a time, its half-rows of each plane from that plane's stream.  Every
-    field runs on a slice as soon as it is drawn, on its even rows only:
+    which depend on (seed, block, N) only: its half-rows of each plane from
+    that plane's stream.  Every field runs on the block's even rows only:
     scaling into increments and simulate_volterra's own row routine
     (hybrid_scheme._volterra_rows), once.  The field is odd in (dB, dU),
     bit for bit, so the odd rows take its negation.  Then, per side, the
     variance and the Euler log-price on every row; log S_T adds the steps
     in rbergomi_log_price's cumsum order, down the columns of a transposed
-    copy (a lone row by cumsum).  So a worker holds one slice's Gaussians
+    copy (a lone row by cumsum).  So a worker holds one block's Gaussians
     and paths, and the draw is shared by all sides.  Every buffer is made
     in the calling thread (see sim_core).
     """
@@ -306,12 +304,11 @@ def simulate_terminal(
         scale = params.eta * (plan.grid.T / ref.grid.T) ** params.H
         out.append((np.empty(n_paths), np.empty(n_paths)))
         members.append((plan.grid.dt, scale, _compensator(params, plan.grid.nodes), out[-1]))
-    C = FFT_CHUNK_ROWS  # even, so a slice holds whole pairs
-    rows_max = min(C, n_paths)
+    rows_max = min(BLOCK_SIZE, n_paths)
 
     def scratch():
         return (
-            np.empty((3, (rows_max + 1) // 2, N)),  # a slice's half-rows
+            np.empty((3, (rows_max + 1) // 2, N)),  # a block's half-rows
             np.empty((3, rows_max, N)),
             np.empty((rows_max, N + 1)),
             _fft_buffers(L, rows_max),
@@ -319,38 +316,34 @@ def simulate_terminal(
 
     def run_block(rows: slice, bufs) -> None:
         stage, planes, X, fft_bufs = bufs
-        m = rows.stop - rows.start
-        gens = _block_streams(seed, rows.start // BLOCK_SIZE)
-        for lo in range(0, m, C):
-            k = min(C, m - lo)
-            h = (k + 1) // 2  # the slice's half-rows
-            z = stage[:, :h]
-            for gen, half in zip(gens, z):
-                gen.standard_normal(out=half)
-            dW, dB, dU = planes[:, :k]
-            x = X[:k]
-            done = slice(rows.start + lo, rows.start + lo + k)
-            # V goes into the FFT signal buffer, idle once X is built
-            v = fft_bufs[1].reshape(-1)[: k * (N + 1)].reshape(k, N + 1)
-            # the steps, transposed, go into dU's plane, idle after the Euler step
-            steps_t = dU.reshape(-1)[: N * k].reshape(N, k)
-            for ref, K, members in fields.values():
-                _scale_increments(z, ref.grid.dt, params.rho, dW[:h], dB[:h], dU[:h])
-                _volterra_rows(ref, K, dB[:h], dU[:h], x[::2], fft_bufs)
-                _negate_pairs(x)
-                for dt, scale, comp, (log_S, V_T) in members:
-                    np.multiply(z[0], np.sqrt(dt), out=dW[::2])
-                    _negate_pairs(dW)
-                    _lognormal_variance(x, scale, comp, params.xi0, v)
-                    V_T[done] = v[:, -1]
-                    _euler_steps(v, dW, dt, dB, dU)
-                    if k == 1:  # add.reduce would sum a lone row pairwise
-                        log_S[done] = np.cumsum(dB[0])[-1]
-                    else:
-                        np.copyto(steps_t, dB.T)
-                        np.add.reduce(steps_t, axis=0, out=log_S[done])
+        k = rows.stop - rows.start
+        h = (k + 1) // 2  # the block's half-rows
+        z = stage[:, :h]
+        for gen, half in zip(_block_streams(seed, rows.start // BLOCK_SIZE), z):
+            gen.standard_normal(out=half)
+        dW, dB, dU = planes[:, :k]
+        x = X[:k]
+        # V goes into the FFT signal buffer, idle once X is built
+        v = fft_bufs[1].reshape(-1)[: k * (N + 1)].reshape(k, N + 1)
+        # the steps, transposed, go into dU's plane, idle after the Euler step
+        steps_t = dU.reshape(-1)[: N * k].reshape(N, k)
+        for ref, K, members in fields.values():
+            _scale_increments(z, ref.grid.dt, params.rho, dW[:h], dB[:h], dU[:h])
+            _volterra_rows(ref, K, dB[:h], dU[:h], x[::2], fft_bufs)
+            _negate_pairs(x)
+            for dt, scale, comp, (log_S, V_T) in members:
+                np.multiply(z[0], np.sqrt(dt), out=dW[::2])
+                _negate_pairs(dW)
+                _lognormal_variance(x, scale, comp, params.xi0, v)
+                V_T[rows] = v[:, -1]
+                _euler_steps(v, dW, dt, dB, dU)
+                if k == 1:  # add.reduce would sum a lone row pairwise
+                    log_S[rows] = np.cumsum(dB[0])[-1]
+                else:
+                    np.copyto(steps_t, dB.T)
+                    np.add.reduce(steps_t, axis=0, out=log_S[rows])
 
-    run_chunks(n_paths, BLOCK_SIZE, run_block, scratch)
+    run_chunks(n_paths, run_block, scratch)
     return out
 
 

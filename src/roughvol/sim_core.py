@@ -14,25 +14,20 @@ the Volterra field, the Brownian sums) is computed on the even rows and
 negated.
 
 Because no block depends on another, the module also owns the one runner
-that spreads fixed-size row slices of work over threads (``run_chunks``):
-the BLOCK_SIZE-path increment blocks here and the path blocks of
-``models.simulate_terminal``, and the fixed 256-row chunks of every later
-step of the public chain (``hybrid_scheme.simulate_volterra`` and
-``toeplitz_convolve``, the variance and log-price steps of ``models``).
-numpy's RNG fill and ``np.fft`` release the interpreter lock, so the
-threads run on separate cores.  The pool width is the usable-CPU count,
+that spreads the BLOCK_SIZE-row blocks of a task over threads
+(``run_chunks``).  One block is the unit of everything that walks the paths:
+it is seeded as one block here, it is one pool task of every step of the
+public chain (the increments here, ``hybrid_scheme.simulate_volterra`` and
+``toeplitz_convolve``, the variance and log-price steps of ``models``) and
+of ``models.simulate_terminal``, and it is the row count of every worker's
+scratch.  numpy's RNG fill and ``np.fft`` release the interpreter lock, so
+the threads run on separate cores.  The pool width is the usable-CPU count,
 capped by ``OMP_NUM_THREADS`` when that variable holds an integer >= 1 (the
 CLI's ``--threads`` sets it, and a value inherited from the environment
 caps it just the same).  The width follows the affinity mask, not a cgroup
-CPU quota.  Worker s takes slices s, s + width, ..., and every slice is
+CPU quota.  Worker s takes blocks s, s + width, ..., and every block is
 computed by the same operations in the same order at any width, so results
 are bit-identical whatever the thread count.
-
-Models that hold per-path intermediates run over the paths in the same
-BLOCK_SIZE-path blocks, so their peak memory is set by one block:
-``models.simulate_terminal`` draws each block inside its pool task, one
-FFT_CHUNK_ROWS-row slice at a time, and evaluates each slice as it is
-drawn.
 
 Every large buffer, the outputs and each worker's scratch, is allocated in
 the calling thread; workers only fill them through ``out=`` arguments.
@@ -45,18 +40,18 @@ so a chain holds its inputs, its outputs and its workers' scratch, and no
 whole-size temporary.  A sample_correlated_increments worker draws a
 block's three half-planes into a stage of at most (3, BLOCK_SIZE/2, N)
 and scales them into the even rows of dW, dB and dU.  A simulate_volterra,
-abergomi_driver or toeplitz_convolve worker holds the FFT buffers for
-FFT_CHUNK_ROWS = 256 rows (simulate_volterra takes its first-cell scratch
-from their idle signal buffer), an rbergomi_log_price worker two (256, N)
-planes, and the variance steps none.  A simulate_terminal worker holds,
-for one 256-row slice, its 128 half-rows of each of the three planes in a
-(3, 128, N) stage, three increment planes, one (256, N+1) path array and
-the FFT buffers: about 2.2 MB at N = 100.
+abergomi_driver or toeplitz_convolve worker holds the FFT buffers for one
+block (simulate_volterra takes its first-cell scratch from their idle
+signal buffer), an rbergomi_log_price worker two (BLOCK_SIZE, N) planes,
+and the variance steps none.  A simulate_terminal worker holds, for one
+block, its 128 half-rows of each of the three planes in a (3, 128, N)
+stage, three increment planes, one (256, N+1) path array and the FFT
+buffers: about 2.2 MB at N = 100, so its peak memory is set by one block.
 
 Measured with two threads: the benchmark's markov_smile chain (20 000
-paths, N = 200) peaks at 194.9 MB RSS and its rough_smile chain (100 000
-paths, N = 200) at 806 MB; ``roughvol skew`` (20 000 paths, N = 100, five
-maturities) peaks at 42.7 MB.  Timings and peak memory have been measured on 2 CPUs only.
+paths, N = 200) peaks at 192.4 MB RSS and ``roughvol skew`` (20 000 paths,
+N = 100, five maturities) at 42.3 MB.  Timings and peak memory have been
+measured on 2 CPUs only.
 """
 
 from __future__ import annotations
@@ -78,11 +73,12 @@ __all__ = [
     "BLOCK_SIZE",
 ]
 
-# Paths per RNG block.  Fixed (not tunable) so that every run of the same
-# seed draws the same Gaussians for path p, regardless of how many paths the
-# caller asked for or how the work is scheduled; even, so that a block holds
-# whole antithetic pairs.
-BLOCK_SIZE = 4096
+# Paths per RNG block, per pool task and per worker buffer.  Fixed (not
+# tunable) so that every run of the same seed draws the same Gaussians for
+# path p, and puts each row through the same calls, regardless of how many
+# paths the caller asked for or how the work is scheduled; even, so that a
+# block holds whole antithetic pairs.
+BLOCK_SIZE = 256
 
 
 def _pool_width() -> int:
@@ -98,21 +94,22 @@ def _pool_width() -> int:
     return min(width, cap) if cap >= 1 else width
 
 
-def run_chunks(n_rows: int, size: int, work: Callable, scratch: Callable) -> None:
-    """Call work(rows, buf) for the size-row slices of range(n_rows) on a thread pool.
+def run_chunks(n_rows: int, work: Callable, scratch: Callable) -> None:
+    """Call work(rows, buf) for each BLOCK_SIZE-row block of range(n_rows) on a pool.
 
-    rows is slice(lo, min(lo + size, n_rows)), so the last slice may be
-    shorter.  scratch() makes one worker's buffer; it is called once per
-    worker, in the calling thread.  Worker s takes slices s, s + width, ...,
-    so buf is never shared between threads; work must write only to its own
-    rows of the outputs.  A single slice, or a width of 1, runs inline.
+    rows is slice(lo, min(lo + BLOCK_SIZE, n_rows)), so the last block may
+    be shorter; it is block rows.start // BLOCK_SIZE.  scratch() makes one
+    worker's buffer; it is called once per worker, in the calling thread.
+    Worker s takes blocks s, s + width, ..., so buf is never shared between
+    threads; work must write only to its own rows of the outputs.  A single
+    block, or a width of 1, runs inline.
     """
-    width = max(1, min(_pool_width(), -(-n_rows // size)))
+    width = max(1, min(_pool_width(), -(-n_rows // BLOCK_SIZE)))
     bufs = [scratch() for _ in range(width)]
 
     def lane(s: int) -> None:
-        for lo in range(s * size, n_rows, width * size):
-            work(slice(lo, min(lo + size, n_rows)), bufs[s])
+        for lo in range(s * BLOCK_SIZE, n_rows, width * BLOCK_SIZE):
+            work(slice(lo, min(lo + BLOCK_SIZE, n_rows)), bufs[s])
 
     if width <= 1:
         lane(0)
@@ -214,9 +211,7 @@ def _block_streams(seed: int, block: int, planes=(0, 1, 2)) -> list[np.random.Ge
     m keeps the first row of its last pair).  Sampling method: numpy's
     ziggurat via Generator.standard_normal, an exact-distribution sampler,
     on the SFC64 bit stream; the seeding, not the bit generator, makes the
-    streams independent of one another and of the schedule.  A stream fills
-    sequentially, so slices drawn one after another hold the values of one
-    draw of their total size.
+    streams independent of one another and of the schedule.
     """
     return [
         np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block, p))))
@@ -283,7 +278,7 @@ def sample_correlated_increments(
             _negate_pairs(p)
 
     half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
-    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((3, half_max, N)))
+    run_chunks(n_paths, draw, lambda: np.empty((3, half_max, N)))
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),
@@ -318,5 +313,5 @@ def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndar
         _negate_pairs(W[rows])
 
     half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
-    run_chunks(n_paths, BLOCK_SIZE, draw, lambda: np.empty((half_max, grid.N)))
+    run_chunks(n_paths, draw, lambda: np.empty((half_max, grid.N)))
     return W

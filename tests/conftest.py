@@ -6,6 +6,20 @@ import pytest
 import roughvol as rv
 
 
+# Reference grid for the implied-vol round-trip property: the solver must
+# recover the input vol to 1e-8 at every (K/S0, T, vol) combination whose
+# vega is at least IV_MIN_VEGA.  Below that vega the map vol -> float64
+# price is locally flat (moving the vol by 1e-8 moves the price by less
+# than one ulp), so the input vol is not recoverable by *any* solver; such
+# combinations are excluded from the round-trip check (price reproduction
+# still holds wherever the solver returns at all).  At 1e-7 the measured
+# worst-case recovery error on this grid is 4e-10.
+IV_GRID_MONEYNESS = np.linspace(0.6, 1.6, 11)
+IV_GRID_MATURITIES = (0.05, 0.25, 0.5, 1.0, 2.0, 3.0)
+IV_GRID_VOLS = (0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
+IV_MIN_VEGA = 1e-7
+
+
 @pytest.fixture(scope="session")
 def table1():
     """The reference rBergomi parameter set used throughout."""

@@ -13,7 +13,14 @@ import pytest
 from scipy.linalg import toeplitz
 
 import roughvol as rv
-from conftest import aggregate_increments, iter_blocks
+from conftest import (
+    IV_GRID_MATURITIES,
+    IV_GRID_MONEYNESS,
+    IV_GRID_VOLS,
+    IV_MIN_VEGA,
+    aggregate_increments,
+    iter_blocks,
+)
 
 TABLE1 = rv.ModelParams(xi0=0.026, eta=1.9, H=0.07, rho=-0.9)
 
@@ -350,9 +357,9 @@ def test_criterion_10_implied_vol_round_trip_on_module_grid():
     t0 = time.perf_counter()
     tested = low_vega = refused = 0
     worst_vol = worst_price = 0.0
-    for m in rv.IV_GRID_MONEYNESS:
-        for T in rv.IV_GRID_MATURITIES:
-            for vol in rv.IV_GRID_VOLS:
+    for m in IV_GRID_MONEYNESS:
+        for T in IV_GRID_MATURITIES:
+            for vol in IV_GRID_VOLS:
                 K = float(m)
                 price = rv.bs_price(1.0, K, T, vol)
                 vega = rv.bs_vega(1.0, K, T, vol)
@@ -361,13 +368,13 @@ def test_criterion_10_implied_vol_round_trip_on_module_grid():
                 except ValueError:
                     # price indistinguishable from intrinsic in float64;
                     # must only ever happen below the resolvability floor
-                    assert vega < rv.IV_MIN_VEGA
+                    assert vega < IV_MIN_VEGA
                     refused += 1
                     continue
                 worst_price = max(
                     worst_price, abs(rv.bs_price(1.0, K, T, iv) - price)
                 )
-                if vega >= rv.IV_MIN_VEGA:
+                if vega >= IV_MIN_VEGA:
                     tested += 1
                     worst_vol = max(worst_vol, abs(iv - vol))
                 else:
@@ -381,9 +388,9 @@ def test_criterion_10_implied_vol_round_trip_on_module_grid():
         f"{worst_price:.2e}; {elapsed:.2f}s"
     )
     assert total == (
-        len(rv.IV_GRID_MONEYNESS)
-        * len(rv.IV_GRID_MATURITIES)
-        * len(rv.IV_GRID_VOLS)
+        len(IV_GRID_MONEYNESS)
+        * len(IV_GRID_MATURITIES)
+        * len(IV_GRID_VOLS)
     )
     assert worst_vol <= 1e-8
     assert worst_price <= 1e-10

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import roughvol as rv
+from conftest import IV_GRID_MATURITIES, IV_GRID_MONEYNESS, IV_GRID_VOLS, IV_MIN_VEGA
 from roughvol.analytics import _factor_coeffs, _norm_cdf
 
 
@@ -122,7 +123,7 @@ def test_implied_vol_deep_otm_tiny_price():
     # genuinely tiny price (~6e-9) right at the edge of vega resolvability
     tiny = rv.bs_price(1.0, 1.6, 0.05, 0.4)
     assert tiny < 1e-7
-    assert rv.bs_vega(1.0, 1.6, 0.05, 0.4) >= rv.IV_MIN_VEGA
+    assert rv.bs_vega(1.0, 1.6, 0.05, 0.4) >= IV_MIN_VEGA
     assert rv.implied_vol(tiny, 1.0, 1.6, 0.05) == pytest.approx(0.4, abs=1e-8)
 
 
@@ -139,9 +140,9 @@ def test_implied_vol_round_trip_property(vol, k, T):
 
 
 def test_iv_reference_grid_spans_the_stated_ranges():
-    assert rv.IV_GRID_MONEYNESS[0] == 0.6 and rv.IV_GRID_MONEYNESS[-1] == 1.6
-    assert min(rv.IV_GRID_MATURITIES) == 0.05 and max(rv.IV_GRID_MATURITIES) == 3.0
-    assert min(rv.IV_GRID_VOLS) == 0.05 and max(rv.IV_GRID_VOLS) == 1.0
+    assert IV_GRID_MONEYNESS[0] == 0.6 and IV_GRID_MONEYNESS[-1] == 1.6
+    assert min(IV_GRID_MATURITIES) == 0.05 and max(IV_GRID_MATURITIES) == 3.0
+    assert min(IV_GRID_VOLS) == 0.05 and max(IV_GRID_VOLS) == 1.0
 
 
 # ----------------------------------------------------------------- smiles
@@ -555,6 +556,14 @@ def test_rbergomi_closed_forms_match_quadrature(H):
             assert g == pytest.approx(w, rel=1e-9), f"H={H}, T={T}"
 
 
+def sigma_bs_expansion(coeffs, v, T, k, epsilon=1.0):
+    """Second-order implied vol sigma_BS(k) = sigma_ATM + S_T*k + C_T*k^2."""
+    sigma_atm, s_t, c_t = rv.expansion_terms(coeffs, v, T, epsilon)
+    k = np.asarray(k, dtype=float)
+    out = sigma_atm + s_t * k + c_t * k**2
+    return float(out) if out.ndim == 0 else out
+
+
 def test_expansion_terms_trivial_and_shape():
     flat = rv.ExpansionCoeffs(c_xxi=0.0, c_xixi=0.0, c_mu=0.0)
     v, T = 0.026, 1.3
@@ -567,9 +576,9 @@ def test_expansion_terms_trivial_and_shape():
     c = rv.ExpansionCoeffs(c_xxi=-1e-3, c_xixi=2e-4, c_mu=1e-4)
     atm, S, C = rv.expansion_terms(c, v, T)
     k = np.array([-0.2, -0.05, 0.0, 0.1])
-    vols = rv.sigma_bs_expansion(c, v, T, k)
+    vols = sigma_bs_expansion(c, v, T, k)
     np.testing.assert_allclose(vols, atm + S * k + C * k * k, rtol=1e-14)
-    assert rv.sigma_bs_expansion(c, v, T, 0.0) == pytest.approx(atm)
+    assert sigma_bs_expansion(c, v, T, 0.0) == pytest.approx(atm)
 
 
 def test_first_order_limit_matches_linear_display(table1):
@@ -582,7 +591,7 @@ def test_first_order_limit_matches_linear_display(table1):
     sig_vs = np.sqrt(v / T)
     eps = 1e-6
     for k in (-0.1, 0.0, 0.2):
-        got = (rv.sigma_bs_expansion(c, v, T, k, epsilon=eps) - sig_vs) / eps
+        got = (sigma_bs_expansion(c, v, T, k, epsilon=eps) - sig_vs) / eps
         want = sig_vs * c_xxi * (1 / (4 * v) + k / (2 * v**2))
         assert got == pytest.approx(want, rel=1e-4), f"k={k}"
 
@@ -594,7 +603,7 @@ def test_atm_skew_of_expansion_reproduces_the_analytic_slope(table1):
     def smile_fn(T, strikes):
         c = rv.rbergomi_expansion_coeffs(table1, T)
         strikes = np.asarray(strikes, dtype=float)
-        vols = rv.sigma_bs_expansion(c, table1.xi0 * T, T, strikes)
+        vols = sigma_bs_expansion(c, table1.xi0 * T, T, strikes)
         return rv.SmileResult(
             maturity=T,
             strikes=strikes,
@@ -624,8 +633,8 @@ _COEFFS = rv.ExpansionCoeffs(c_xxi=-1e-3, c_xixi=2e-4, c_mu=1e-4)
         lambda: rv.two_factor_coeffs(FROZEN_2F, 1.0, -1.0),
         lambda: rv.expansion_terms(_COEFFS, NAN, 1.0),
         lambda: rv.expansion_terms(_COEFFS, 0.026, 0.0),
-        lambda: rv.sigma_bs_expansion(_COEFFS, NAN, 1.0, 0.1),
-        lambda: rv.sigma_bs_expansion(_COEFFS, 0.026, 0.0, 0.1),
+        lambda: sigma_bs_expansion(_COEFFS, NAN, 1.0, 0.1),
+        lambda: sigma_bs_expansion(_COEFFS, 0.026, 0.0, 0.1),
         lambda: rv.two_factor_skew_shape(FROZEN_2F, NAN),
         lambda: rv.helper_functions(NAN),
         lambda: rv.helper_functions(INF),

@@ -222,7 +222,7 @@ def test_abergomi_smile_is_the_library_kernel_plan(tmp_path):
     # the CLI's aBergomi is the rBergomi pipeline with the fitted kernel's
     # cell averages in the plan (the hybrid multifactor scheme)
     body = table1_config(
-        model="abergomi", grid={"T": 1.0, "N": 16}, paths=4096 + 904,
+        model="abergomi", grid={"T": 1.0, "N": 16}, paths=rv.BLOCK_SIZE + 904,
         kernel={"n": 5}, out_dir=str(tmp_path),
     )
     assert cli.main(["smile", "--config", write_config(tmp_path, body)]) == 0
@@ -637,6 +637,10 @@ SCHEMA_ERROR_CASES = [
     pytest.param(
         "simulate", without(bs_config(), "schema_version"),
         SCHEMA + "schema_version: must be 1", id="top-version-missing",
+    ),
+    pytest.param(  # True == 1, but a boolean is not a number
+        "simulate", bs_config(schema_version=True),
+        SCHEMA + "schema_version: must be 1", id="top-version-bool",
     ),
     pytest.param(
         "simulate", bs_config(seed=-1),
@@ -1254,7 +1258,7 @@ def test_thread_count_leaves_smile_csvs_byte_identical(thread_env, tmp_path, mon
     cfg = write_config(
         tmp_path,
         table1_config(
-            paths=4096 + 5,
+            paths=rv.BLOCK_SIZE + 5,
             steps=[8, 16],
             strikes={"min": -0.1, "max": 0.1, "count": 5},
         ),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import roughvol as rv
 from roughvol import BLOCK_SIZE, sim_core
-from roughvol.hybrid_scheme import FFT_CHUNK_ROWS
 
 ALPHA = 0.07 - 0.5  # H = 0.07
 
@@ -210,7 +209,9 @@ def test_kernel_plan_rejects_a_kernel_for_another_H():
         rv.make_hybrid_plan(rv.make_time_grid(1.0, 10), ALPHA, kernel=kern)
 
 
-@pytest.mark.parametrize("rows", [1, 1023, 1025, BLOCK_SIZE + 5, 3 * BLOCK_SIZE + 7])
+@pytest.mark.parametrize(
+    "rows", [1, 1023, 1025, 16 * BLOCK_SIZE + 5, 48 * BLOCK_SIZE + 7]
+)
 def test_toeplitz_does_not_depend_on_the_thread_count(rows, monkeypatch):
     rng = np.random.default_rng(rows)
     ker = rng.standard_normal(50)
@@ -243,11 +244,11 @@ def _whole_array_volterra(plan, inc):
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize(
     "n_paths",
-    [1, FFT_CHUNK_ROWS + 3, 4 * FFT_CHUNK_ROWS + 3, BLOCK_SIZE + 5, 2 * BLOCK_SIZE + 7],
+    [1, BLOCK_SIZE + 3, 4 * BLOCK_SIZE + 3, 16 * BLOCK_SIZE + 5, 32 * BLOCK_SIZE + 7],
 )
 @pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
 def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypatch):
-    # each chunk task convolves into its rows of X and adds the first cell
+    # each block task convolves into its rows of X and adds the first cell
     # there, with its own worker's scratch
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     g = rv.make_time_grid(1.0, 12)
@@ -271,6 +272,6 @@ def test_volterra_field_is_odd_over_the_antithetic_pairs(kind, N):
     g = rv.make_time_grid(1.0, N)
     kern = rv.closed_form_kernel(4, 0.07, 2.0)[0] if kind == "kernel" else None
     plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
-    n = 2 * FFT_CHUNK_ROWS + 5
+    n = 2 * BLOCK_SIZE + 5
     X = rv.simulate_volterra(plan, rv.sample_correlated_increments(g, -0.9, n, 13)).values
     assert np.array_equal(X[1 : n - 1 : 2], -X[0 : n - 1 : 2])

@@ -9,7 +9,6 @@ from scipy import integrate
 
 import roughvol as rv
 from roughvol import sim_core
-from roughvol.hybrid_scheme import FFT_CHUNK_ROWS
 
 
 def test_tabulated_smile_factors_frozen():
@@ -81,17 +80,15 @@ def _side(kind, T, H):
     return T, rv.closed_form_kernel(4, H, 2.0)[0] if kind == "kernel" else None
 
 
-# a single path, a partial slice in a partial block, a partial slice in a full
-# block, a partial block that ends mid-slice, three full blocks plus a partial
-# one, and two counts whose last slice has one row: numpy sums a lone row
-# pairwise unless it is summed in cumsum order
+# a single path, a partial block of 3, 5, 3 and 7 rows after one, sixteen,
+# seventeen and forty-eight full blocks, and a count whose last block has one
+# row: numpy sums a lone row pairwise unless it is summed in cumsum order
 STREAM_ROWS = [
     1,
-    FFT_CHUNK_ROWS + 3,
-    rv.BLOCK_SIZE + 5,
-    rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3,
-    3 * rv.BLOCK_SIZE + 7,
-    FFT_CHUNK_ROWS + 1,
+    rv.BLOCK_SIZE + 3,
+    16 * rv.BLOCK_SIZE + 5,
+    17 * rv.BLOCK_SIZE + 3,
+    48 * rv.BLOCK_SIZE + 7,
     rv.BLOCK_SIZE + 1,
 ]
 
@@ -137,7 +134,7 @@ def test_scaled_plans_agree_with_their_own_run(width, table1, monkeypatch):
     # a T=0.02 reference field, scaled down to 0.005 and up to 0.1 and 2
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     sides = [(T, None) for T in (0.02, 0.005, 0.1, 2.0)]
-    n_paths = rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
+    n_paths = 2 * rv.BLOCK_SIZE + 3
     got = rv.simulate_terminal(sides, table1, 12, n_paths, 5)
     for i, (side, (log_S, V_T)) in enumerate(zip(sides, got)):
         [(want_S, want_V)] = rv.simulate_terminal([side], table1, 12, n_paths, 5)
@@ -180,7 +177,7 @@ def test_later_sides_of_a_kernel_agree_with_the_chain(width, table1, monkeypatch
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     kern = rv.fit_kernel_ls(table1.H, 1.0, 100, 5)
     sides = [(T, kern) for T in (0.02, 0.005, 0.5, 2.0)]
-    n_paths = rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
+    n_paths = 2 * rv.BLOCK_SIZE + 3
     got = rv.simulate_terminal(sides, table1, 12, n_paths, 5)
     for i, (side, (log_S, V_T)) in enumerate(zip(sides, got)):
         want_S, want_V = _chained_terminal(side, 12, table1, n_paths, 5)
@@ -213,10 +210,9 @@ def test_one_volterra_field_per_slice_serves_every_rbergomi_plan(
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     calls = _field_maturities(monkeypatch)
     sides = [(T, None) for T in (0.005, 0.02, 0.1, 0.5, 2.0)]
-    n_paths = 2 * rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
+    n_paths = 2 * rv.BLOCK_SIZE + 3
     rv.simulate_terminal(sides, table1, 12, n_paths, 1)
-    slices = 2 * (rv.BLOCK_SIZE // FFT_CHUNK_ROWS) + 2
-    assert calls == [0.005] * slices
+    assert calls == [0.005] * 3
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -229,15 +225,14 @@ def test_one_volterra_field_per_slice_serves_every_side_of_a_kernel(
     calls = _field_maturities(monkeypatch)
     kern, twin = (rv.closed_form_kernel(4, table1.H, 1.0)[0] for _ in range(2))
     sides = [(T, kern) for T in (0.1, 0.005, 0.02, 0.5, 2.0)] + [(1.0, twin)]
-    n_paths = 2 * rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3
+    n_paths = 2 * rv.BLOCK_SIZE + 3
     rv.simulate_terminal(sides, table1, 12, n_paths, 1)
-    slices = 2 * (rv.BLOCK_SIZE // FFT_CHUNK_ROWS) + 2
-    assert sorted(calls) == sorted([0.1, 1.0] * slices)
+    assert sorted(calls) == sorted([0.1, 1.0] * 3)
 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_each_field_convolves_only_the_even_rows_of_a_slice(width, table1, monkeypatch):
-    # the field is odd in the Gaussians, so a slice of k rows convolves its
+    # the field is odd in the Gaussians, so a block of k rows convolves its
     # ceil(k/2) even rows, once per field, and negates them into the odd ones
     from roughvol import models
 
@@ -251,14 +246,16 @@ def test_each_field_convolves_only_the_even_rows_of_a_slice(width, table1, monke
 
     monkeypatch.setattr(models, "_volterra_rows", spy)
     sides = [(0.5, None), _side("kernel", 2.0, table1.H), (1.0, None)]
-    n_paths = rv.BLOCK_SIZE + FFT_CHUNK_ROWS + 3  # the last slice has 3 rows
+    n_paths = 2 * rv.BLOCK_SIZE + 3  # the last block has 3 rows
     rv.simulate_terminal(sides, table1, 12, n_paths, 1)
-    halves = [FFT_CHUNK_ROWS // 2] * (rv.BLOCK_SIZE // FFT_CHUNK_ROWS + 1) + [2]
+    halves = [rv.BLOCK_SIZE // 2] * 2 + [2]
     want = [(T, h, h, h) for T in (0.5, 2.0) for h in halves]
     assert sorted(calls) == sorted(want)
 
 
-@pytest.mark.parametrize("n1,n2", [(7, 8), (rv.BLOCK_SIZE + 3, 2 * rv.BLOCK_SIZE)])
+@pytest.mark.parametrize(
+    "n1,n2", [(7, 8), (16 * rv.BLOCK_SIZE + 3, 32 * rv.BLOCK_SIZE)]
+)
 def test_streamed_terminal_keeps_the_prefix_property_at_odd_counts(n1, n2, table1):
     # an odd count keeps the first row of its last pair, on every side
     sides = [(0.5, None), _side("kernel", 2.0, table1.H), (1.0, None)]
@@ -277,13 +274,14 @@ def test_streamed_terminal_rejects_mismatched_plans(table1):
         rv.simulate_terminal([], table1, 12, 5, 0)
 
 
-# a partial block over five chunks gives each of two workers several chunks
+# a single path, then a partial block after one, four, sixteen and
+# thirty-two full blocks: from four on, each of two workers runs several
 CHAIN_ROWS = [
     1,
-    FFT_CHUNK_ROWS + 3,
-    4 * FFT_CHUNK_ROWS + 3,
-    rv.BLOCK_SIZE + 5,
-    2 * rv.BLOCK_SIZE + 7,
+    rv.BLOCK_SIZE + 3,
+    4 * rv.BLOCK_SIZE + 3,
+    16 * rv.BLOCK_SIZE + 5,
+    32 * rv.BLOCK_SIZE + 7,
 ]
 
 
@@ -350,12 +348,18 @@ def _traced_peak(step, *args):
 
 def test_chain_steps_allocate_little_beyond_their_output(table1, monkeypatch):
     # tracemalloc sees numpy's buffers: a step that writes straight into the
-    # array it returns peaks near that array's size (the per-worker scratch
-    # is about 3 MB at N = 50 and width 2; a simulate_volterra worker holds
-    # only its FFT buffers)
+    # array it returns peaks near that array's size (an increments worker
+    # may hold one 256-row block's (3, 128, N) stage of half-rows, 154 kB at
+    # N = 50, with a 1 MB allowance; a simulate_volterra worker holds only
+    # its FFT buffers)
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
     plan = rv.make_hybrid_plan(rv.make_time_grid(1.0, 50), table1.alpha)
-    inc = rv.sample_correlated_increments(plan.grid, table1.rho, 100_000, 2)
+    inc, peak = _traced_peak(
+        rv.sample_correlated_increments, plan.grid, table1.rho, 100_000, 2
+    )
+    planes = inc.dW.nbytes + inc.dB.nbytes + inc.dU.nbytes
+    stage = 8 * 3 * 128 * plan.grid.N
+    assert peak - planes <= 2 * stage + 1e6, f"increments {peak - planes} B"
     X, peak = _traced_peak(rv.simulate_volterra, plan, inc)
     assert peak <= 1.13 * X.values.nbytes, f"volterra {peak / X.values.nbytes:.3f}x"
     V, peak = _traced_peak(rv.rbergomi_variance, X, table1)
@@ -366,23 +370,23 @@ def test_chain_steps_allocate_little_beyond_their_output(table1, monkeypatch):
 
 def test_streamed_terminal_memory_stays_flat(table1, monkeypatch):
     # beyond its 16 bytes per path of output, simulate_terminal holds only
-    # its workers' scratch, all sized by one FFT_CHUNK_ROWS-row slice: its
-    # C/2 half-rows of the three Gaussian planes, three increment planes,
-    # one (C, N+1) path array and the FFT buffers (about 3.2 MB in all at
-    # width 2, with the 1 MB allowance; no block-wide plane is held)
+    # its workers' scratch, all sized by one block: its B/2 half-rows of the
+    # three Gaussian planes, three increment planes, one (B, N+1) path array
+    # and the FFT buffers (about 3.2 MB in all at width 2, with the 1 MB
+    # allowance)
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
-    N, B, C = 50, rv.BLOCK_SIZE, FFT_CHUNK_ROWS
+    N, B = 50, rv.BLOCK_SIZE
     sides = [(1.0, None)]
     rv.simulate_terminal(sides, table1, N, 3 * B, 1)  # warm-up: numpy's FFT caches
     L = 128  # the power of two >= 2N - 1
-    fft = C * (16 * (L // 2 + 1) + 8 * L)
-    worker = 8 * (3 * (C // 2) * N + 3 * C * N + C * (N + 1)) + fft
+    fft = B * (16 * (L // 2 + 1) + 8 * L)
+    worker = 8 * (3 * (B // 2) * N + 3 * B * N + B * (N + 1)) + fft
     extra = {}
-    for blocks in (3, 12):
+    for blocks in (48, 192):
         _, peak = _traced_peak(rv.simulate_terminal, sides, table1, N, blocks * B, 1)
         extra[blocks] = peak - 16 * blocks * B
         assert extra[blocks] <= 2 * worker + 1e6, f"{blocks} blocks: {extra[blocks]} B"
-    assert abs(extra[12] - extra[3]) <= 0.5e6, extra
+    assert abs(extra[192] - extra[48]) <= 0.5e6, extra
 
 
 def _factor_state(kernel, inc, j):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import roughvol as rv
 from conftest import iter_blocks
 from roughvol import BLOCK_SIZE, sim_core
-from roughvol.hybrid_scheme import FFT_CHUNK_ROWS
 
 
 NAN, INF = float("nan"), float("inf")
@@ -221,7 +220,7 @@ def test_prefix_property_holds_generally(n1, extra, seed, N):
     assert np.array_equal(a.dU, b.dU[:n1])
 
 
-THREAD_ROWS = [1, 1023, 1025, BLOCK_SIZE + 5, 3 * BLOCK_SIZE + 7]
+THREAD_ROWS = [1, 1023, 1025, 16 * BLOCK_SIZE + 5, 48 * BLOCK_SIZE + 7]
 
 
 @pytest.mark.parametrize("n_paths", THREAD_ROWS)
@@ -237,14 +236,14 @@ def test_increments_do_not_depend_on_the_thread_count(n_paths, monkeypatch):
     assert np.array_equal(one.dU, two.dU)
 
 
-# a single path, a partial block over two and over five FFT chunks, a full
-# block plus a partial one, and two full blocks plus a partial one
+# a single path, then a partial block after one, four, sixteen and
+# thirty-two full blocks: from four on, each of two workers runs several
 CHAIN_ROWS = [
     1,
-    FFT_CHUNK_ROWS + 3,
-    4 * FFT_CHUNK_ROWS + 3,
-    BLOCK_SIZE + 5,
-    2 * BLOCK_SIZE + 7,
+    BLOCK_SIZE + 3,
+    4 * BLOCK_SIZE + 3,
+    16 * BLOCK_SIZE + 5,
+    32 * BLOCK_SIZE + 7,
 ]
 
 
@@ -293,21 +292,6 @@ def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
         assert np.array_equal(getattr(inc, name), plane), name
 
 
-@pytest.mark.parametrize("m", [1, FFT_CHUNK_ROWS + 3, BLOCK_SIZE])
-def test_sliced_planes_equal_the_full_tile(m):
-    # models.simulate_terminal draws a block's m rows one FFT_CHUNK_ROWS-row
-    # slice at a time, the slice's half-rows of each plane from that plane's
-    # stream: slices drawn one after another equal one draw of their total
-    N, C = 7, FFT_CHUNK_ROWS
-    gens = sim_core._block_streams(4, 2)
-    slices = [
-        np.stack([gen.standard_normal(((min(C, m - lo) + 1) // 2, N)) for gen in gens])
-        for lo in range(0, m, C)
-    ]
-    drawn = _pairs(np.concatenate(slices, axis=1), m)
-    assert np.array_equal(drawn, _full_tile(4, 2, N)[:, :m])
-
-
 @pytest.mark.parametrize(
     "planes", [(0,), (2,), (0, 1, 2), (2, 0)], ids=["0", "2", "012", "20"]
 )
@@ -322,7 +306,7 @@ def test_a_subset_of_planes_draws_the_same_values(m, planes):
         assert np.array_equal(gen.standard_normal((h, N)), half_tile[p, :h]), p
 
 
-@pytest.mark.parametrize("n_paths", [1, 2, 7, BLOCK_SIZE + 5])
+@pytest.mark.parametrize("n_paths", [1, 2, 7, 16 * BLOCK_SIZE + 5])
 def test_odd_rows_are_the_exact_negations_of_the_even_rows(n_paths):
     # antithetic pairs: every Gaussian plane, and so dW, dB, dU and the
     # Brownian sums, holds (z, -z) in rows (2j, 2j+1), bit for bit; an odd
@@ -342,7 +326,8 @@ def test_odd_rows_are_the_exact_negations_of_the_even_rows(n_paths):
     "n1,n2",
     [
         (1, 2), (7, 8), (7, 300),
-        (BLOCK_SIZE + 3, BLOCK_SIZE + 4), (BLOCK_SIZE - 1, 2 * BLOCK_SIZE + 1),
+        (16 * BLOCK_SIZE + 3, 16 * BLOCK_SIZE + 4),
+        (16 * BLOCK_SIZE - 1, 32 * BLOCK_SIZE + 1),
     ],
 )
 def test_odd_path_counts_keep_the_prefix_property(n1, n2):
@@ -359,7 +344,9 @@ def test_odd_path_counts_keep_the_prefix_property(n1, n2):
     )
 
 
-@pytest.mark.parametrize("N,n_paths", [(100, 20_000), (8, BLOCK_SIZE + 5), (200, 1)])
+@pytest.mark.parametrize(
+    "N,n_paths", [(100, 20_000), (8, 16 * BLOCK_SIZE + 5), (200, 1)]
+)
 def test_terminal_brownian_sums_the_full_draws_dW(N, n_paths, monkeypatch):
     g = rv.make_time_grid(1.3, N)
     want = rv.sample_correlated_increments(g, -0.9, n_paths, 5).dW.sum(axis=1)
@@ -382,14 +369,15 @@ def test_run_chunks_gives_each_worker_its_own_buffer(monkeypatch):
         made.append([])
         return made[-1]
 
-    # 8 slices of 10 rows and a short last one of 3
-    sim_core.run_chunks(83, 10, work, scratch)
-    assert sorted(seen) == list(range(0, 90, 10))
-    # worker s takes slices s, s + 3, ...
+    # 8 full blocks and a short last one of 3 rows
+    B = BLOCK_SIZE
+    sim_core.run_chunks(8 * B + 3, work, scratch)
+    assert sorted(seen) == list(range(0, 9 * B, B))
+    # worker s takes blocks s, s + 3, ...
     assert made == [
-        [(0, 10), (30, 40), (60, 70)],
-        [(10, 20), (40, 50), (70, 80)],
-        [(20, 30), (50, 60), (80, 83)],
+        [(0, B), (3 * B, 4 * B), (6 * B, 7 * B)],
+        [(B, 2 * B), (4 * B, 5 * B), (7 * B, 8 * B)],
+        [(2 * B, 3 * B), (5 * B, 6 * B), (8 * B, 8 * B + 3)],
     ]
     assert threading.get_ident() not in seen.values()
 
@@ -401,19 +389,19 @@ def test_run_chunks_runs_a_single_chunk_inline(monkeypatch):
     def work(rows, buf):
         calls.append((rows, threading.get_ident()))
 
-    sim_core.run_chunks(7, 10, work, list)
-    assert calls == [(slice(0, 7), threading.get_ident())]
+    sim_core.run_chunks(BLOCK_SIZE - 3, work, list)
+    assert calls == [(slice(0, BLOCK_SIZE - 3), threading.get_ident())]
 
 
 def test_run_chunks_reraises_a_worker_error(monkeypatch):
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
 
     def work(rows, buf):
-        if rows.start == 30:
-            raise RuntimeError("rows 30 failed")
+        if rows.start == 3 * BLOCK_SIZE:
+            raise RuntimeError(f"rows {rows.start} failed")
 
-    with pytest.raises(RuntimeError, match="rows 30"):
-        sim_core.run_chunks(40, 10, work, list)
+    with pytest.raises(RuntimeError, match=f"rows {3 * BLOCK_SIZE}"):
+        sim_core.run_chunks(4 * BLOCK_SIZE, work, list)
 
 
 @pytest.mark.parametrize(
