@@ -387,42 +387,37 @@ def skew_report(maturities, psi, bump: float, richardson) -> SkewReport:
 
 
 def helper_functions(z: float):
-    """The exponential moment helpers (I, J, K, H).
+    """The exponential moment helpers (I, J, K).
 
-    I(z) = (1-e^-z)/z, J(z) = (z-1+e^-z)/z^2, K(z) = (1-e^-z-z e^-z)/z^2,
-    H(z) = (J(z)-K(z))/z.  For z < 0.05 sixth-order Taylor series are used
-    (the direct forms lose precision to cancellation there); limits at
-    z = 0 are I=1, J=1/2, K=1/2, H=1/6.
+    I(z) = (1-e^-z)/z, J(z) = (z-1+e^-z)/z^2, K(z) = (1-e^-z-z e^-z)/z^2.
+    For z < 0.05 sixth-order Taylor series are used (the direct forms lose
+    precision to cancellation there); limits at z = 0 are I=1, J=1/2,
+    K=1/2.
     """
     if not (0 <= z < np.inf):
         raise ValueError(f"helper_functions requires 0 <= z < inf, got {z}")
     if z < 0.05:
-        # sixth-order series; the direct forms below lose ~eps/z^3 to
-        # cancellation (worst in H), so the switch sits where both branches
-        # agree to ~1e-11
+        # sixth-order series; the direct forms below lose ~eps/z^2 to
+        # cancellation, so the switch sits where both branches agree to
+        # ~1e-11
         I = 1 - z / 2 + z**2 / 6 - z**3 / 24 + z**4 / 120 - z**5 / 720 + z**6 / 5040
         J = (
             0.5 - z / 6 + z**2 / 24 - z**3 / 120 + z**4 / 720 - z**5 / 5040
             + z**6 / 40320
         )
         K = 0.5 - z / 3 + z**2 / 8 - z**3 / 30 + z**4 / 144 - z**5 / 840 + z**6 / 5760
-        H = (
-            1 / 6 - z / 12 + z**2 / 40 - z**3 / 180 + z**4 / 1008 - z**5 / 6720
-            + z**6 / 51840
-        )
-        return I, J, K, H
+        return I, J, K
     e = np.exp(-z)
     I = (1 - e) / z
     J = (z - 1 + e) / z**2
     K = (1 - e - z * e) / z**2
-    H = (J - K) / z
-    return float(I), float(J), float(K), float(H)
+    return float(I), float(J), float(K)
 
 
 def _helpers(z):
-    """helper_functions over an array: the arrays (I, J, K, H), each shaped like z."""
+    """helper_functions over an array: the arrays (I, J, K), each shaped like z."""
     z = np.asarray(z, dtype=float)
-    return np.array([helper_functions(x) for x in z.flat]).T.reshape((4, *z.shape))
+    return np.array([helper_functions(x) for x in z.flat]).T.reshape((3, *z.shape))
 
 
 def _factor_coeffs(speeds, loadings, T: float, xi0: float) -> ExpansionCoeffs:
@@ -445,9 +440,9 @@ def _factor_coeffs(speeds, loadings, T: float, xi0: float) -> ExpansionCoeffs:
     l = L[:, 0]
     a = L / z[:, None]
     c = a.sum(axis=0)
-    I, J, _, _ = _helpers(z)
+    I, J, _ = _helpers(z)
     z_pair = np.add.outer(z, z)
-    I2, J2, _, _ = _helpers(z_pair)
+    I2, J2, _ = _helpers(z_pair)
     gap = np.subtract.outer(z, z)
     merged = np.abs(gap) <= 1e-6 * np.maximum.outer(z, z)
     secant = np.subtract.outer(I, I).T / np.where(merged, 1.0, gap)
@@ -471,15 +466,15 @@ def two_factor_coeffs(p: TwoFactorParams, T: float, xi0: float) -> ExpansionCoef
     return _factor_coeffs((p.kappa_X, p.kappa_Y), loadings, T, xi0)
 
 
-def two_factor_skew_shape(p: TwoFactorParams, T: float, epsilon: float = 1.0) -> float:
+def two_factor_skew_shape(p: TwoFactorParams, T: float) -> float:
     """First-order ATM skew of the two-factor model (signed).
 
-    psi(T) = (eps/2) * sum_i l_i J(kappa_i T) = eps * C^Xxi / (2 xi0^(3/2) T^2),
+    psi(T) = (1/2) * sum_i l_i J(kappa_i T) = C^Xxi / (2 xi0^(3/2) T^2),
     with l_i = alpha_theta*omega*omega_i[0] the factors' spot loadings.
-    Finite T -> 0 limit (eps/4) * sum_i l_i — no power-law blow-up, unlike
+    Finite T -> 0 limit (1/4) * sum_i l_i — no power-law blow-up, unlike
     the rough kernel.
     """
-    return float(0.5 * epsilon * two_factor_coeffs(p, T, 1.0).c_xxi / T**2)
+    return float(0.5 * two_factor_coeffs(p, T, 1.0).c_xxi / T**2)
 
 
 def rbergomi_expansion_coeffs(params: ModelParams, T: float) -> ExpansionCoeffs:
@@ -506,22 +501,23 @@ def rbergomi_expansion_coeffs(params: ModelParams, T: float) -> ExpansionCoeffs:
     )
 
 
-def expansion_terms(coeffs: ExpansionCoeffs, v: float, T: float, epsilon: float = 1.0):
+def expansion_terms(coeffs: ExpansionCoeffs, v: float, T: float):
     """(sigma_ATM, S_T, C_T) of the second-order implied-vol expansion.
 
     v is the total variance-swap variance (xi0*T for a flat curve);
     sigma_VS = sqrt(v/T).  S_T is the analytic ATM skew, used to
-    cross-check the finite-difference machinery in atm_skew.
+    cross-check the finite-difference machinery in atm_skew.  The
+    expansion is in the scale eps of the vol-of-vol at eps = 1: another
+    eps is the coefficients eps*C^Xxi, eps^2*C^xixi, eps^2*C^mu.
     """
     _require_positive("expansion_terms", v=v, T=T)
     cx, cxx, cmu = coeffs.c_xxi, coeffs.c_xixi, coeffs.c_mu
     vs = np.sqrt(v / T)
-    e = epsilon
     sigma_atm = vs * (
         1.0
-        + e / (4 * v) * cx
-        + e**2 / (32 * v**3) * (12 * cx**2 - v * (v + 4) * cxx + 4 * v * (v - 4) * cmu)
+        + 1 / (4 * v) * cx
+        + 1 / (32 * v**3) * (12 * cx**2 - v * (v + 4) * cxx + 4 * v * (v - 4) * cmu)
     )
-    s_t = vs * (e / (2 * v**2) * cx + e**2 / (8 * v**3) * (4 * cmu * v - 3 * cx**2))
-    c_t = vs * e**2 / (8 * v**4) * (4 * cmu * v + cxx * v - 6 * cx**2)
+    s_t = vs * (1 / (2 * v**2) * cx + 1 / (8 * v**3) * (4 * cmu * v - 3 * cx**2))
+    c_t = vs / (8 * v**4) * (4 * cmu * v + cxx * v - 6 * cx**2)
     return float(sigma_atm), float(s_t), float(c_t)

@@ -505,28 +505,31 @@ def _build_kernel(n: int, method: str, H: float, n_grid: int):
     return kernel.fit_kernel_ls(H, 1.0, n_grid, n)
 
 
-def _simulate(resolved: dict, N: int, sides: list) -> list:
-    """Terminal (logS_T, V_T) of each (config, T) side on N steps, from one draw.
+def _sides(resolved: dict, maturities) -> list:
+    """The (T, kernel) sides of the configured model, one per maturity."""
+    kern = resolved["kernel"] if resolved["model"] == "abergomi" else None
+    return [(T, kern) for T in maturities]
 
-    The sides share resolved's params, paths and seed; a side's config names
-    its model and kernel.  The rough models run through simulate_terminal,
-    each side as (T, kernel): aBergomi's kernel is the configured one, built
-    once on [0, 1], rBergomi's None; bs, one side only, draws only dW.
+
+def _simulate(resolved: dict, N: int, sides: list) -> list:
+    """Terminal (logS_T, V_T) of each (T, kernel) side on N steps, from one draw.
+
+    The sides share resolved's params, paths and seed.  A side's kernel is
+    a kernel section ({n, method}) for aBergomi, built once on [0, 1], and
+    None for rBergomi; simulate_terminal runs them.  bs, one side only,
+    draws only dW.
     """
     paths, seed, p = resolved["paths"], resolved["seed"], resolved["params"]
     if resolved["model"] == "bs":
-        [(_, T)], vol = sides, p["vol"]
+        [(T, _)], vol = sides, p["vol"]
         grid = sim_core.make_time_grid(T, N)
         W_T = sim_core.sample_terminal_brownian(grid, paths, seed)
         return [(-0.5 * vol * vol * T + vol * W_T, np.full(paths, vol * vol))]
     params = sim_core.ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
-    rough_sides = []
-    for config, T in sides:
-        kern = None
-        if config["model"] == "abergomi":
-            k = config["kernel"]
-            kern = _build_kernel(k["n"], k["method"], params.H, max(N, 100))
-        rough_sides.append((T, kern))
+    rough_sides = [
+        (T, k and _build_kernel(k["n"], k["method"], params.H, max(N, 100)))
+        for T, k in sides
+    ]
     return models.simulate_terminal(rough_sides, params, N, paths, seed)
 
 
@@ -540,7 +543,7 @@ def cmd_simulate(args, run: _Run) -> int:
     T, N = resolved["grid"]["T"], resolved["grid"]["N"]
 
     t0 = time.perf_counter()
-    [(logS_T, V_T)] = _simulate(resolved, N, [(resolved, T)])
+    [(logS_T, V_T)] = _simulate(resolved, N, _sides(resolved, [T]))
     runtime = time.perf_counter() - t0
     if not np.all(np.isfinite(logS_T)):
         raise CliError(EXIT_NUMERIC, "simulation produced non-finite log-prices")
@@ -584,7 +587,7 @@ def cmd_fit_kernel(args, run: _Run) -> int:
 
 
 def _smile_for(resolved: dict, N: int, T: float):
-    [(logS_T, _)] = _simulate(resolved, N, [(resolved, T)])
+    [(logS_T, _)] = _simulate(resolved, N, _sides(resolved, [T]))
     return analytics.mc_smile(logS_T, resolved["strikes"], T=T)
 
 
@@ -621,10 +624,7 @@ def cmd_smile(args, run: _Run) -> int:
 def cmd_compare(args, run: _Run) -> int:
     resolved = run.config
     T, terms = resolved["grid"]["T"], resolved["compare"]["terms"]
-    sides = [(dict(resolved, model="rbergomi"), T)] + [
-        (dict(resolved, model="abergomi", kernel=dict(resolved["kernel"], n=n)), T)
-        for n in terms
-    ]
+    sides = [(T, None)] + [(T, dict(resolved["kernel"], n=n)) for n in terms]
     rows = []
     for N in resolved["compare"]["steps"]:  # one draw per N serves every side
         terminal = _simulate(resolved, N, sides)
@@ -658,7 +658,7 @@ def cmd_skew(args, run: _Run) -> int:
         doc_extra = {"bump": None, "n_paths": 0, "analytic": True}
     else:  # the rough models, one plan per maturity, on one draw
         N = resolved["grid"]["N"]
-        terminal = _simulate(resolved, N, [(resolved, T) for T in mats])
+        terminal = _simulate(resolved, N, _sides(resolved, mats))
         log_S = {T: s_T for T, (s_T, _) in zip(mats, terminal)}
         report = analytics.atm_skew(
             lambda T, strikes: analytics.mc_smile(log_S[T], strikes, T=T),

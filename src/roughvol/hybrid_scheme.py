@@ -48,14 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ExpKernel
-from .sim_core import (
-    BLOCK_SIZE,
-    PathIncrements,
-    TimeGrid,
-    _check_int,
-    _readonly,
-    run_chunks,
-)
+from .sim_core import PathIncrements, TimeGrid, _check_int, _readonly, run_chunks
 
 __all__ = [
     "HybridPlan",
@@ -223,7 +216,7 @@ def _convolve_into(kernel, signal, out) -> None:
     def convolve(block: slice, fft_bufs) -> None:
         _convolve_rows(K, signal[block], out[block], fft_bufs)
 
-    run_chunks(rows, convolve, lambda: _fft_buffers(L, rows))
+    run_chunks(rows, convolve, lambda height: _fft_buffers(L, height))
 
 
 def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -237,11 +230,7 @@ def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 
 
 def _fft_buffers(L: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """One worker's spectrum and length-L signal buffers for one block.
-
-    They hold min(rows, BLOCK_SIZE) rows: a block of a `rows`-row input.
-    """
-    rows = min(rows, BLOCK_SIZE)
+    """One worker's spectrum and length-L signal buffers for blocks of `rows` rows."""
     return np.empty((rows, L // 2 + 1), complex), np.empty((rows, L))
 
 
@@ -312,5 +301,5 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     def volterra(rows: slice, fft_bufs) -> None:
         _volterra_rows(plan, K, inc.dB[rows], inc.dU[rows], values[rows], fft_bufs)
 
-    run_chunks(n, volterra, lambda: _fft_buffers(L, n))
+    run_chunks(n, volterra, lambda height: _fft_buffers(L, height))
     return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=plan.alpha)

@@ -25,8 +25,6 @@ from .sim_core import _check_int, _readonly
 __all__ = [
     "ExpKernel",
     "KernelErrorCert",
-    "power_kernel",
-    "laplace_mu",
     "closed_form_kernel",
     "kernel_l2_error",
     "fit_kernel_ls",
@@ -91,52 +89,10 @@ class KernelErrorCert:
 
     l2_error: float
     bound: float
-    constant: float
-    pi_n: float
-
-
-def power_kernel(tau, H: float):
-    """The fractional kernel tau^(H-1/2); singular (and rejected) at tau <= 0."""
-    if not (0.0 < H < 0.5):
-        raise ValueError(f"H must lie in (0, 1/2), got {H}")
-    tau = np.asarray(tau, dtype=float)
-    if not np.all(tau > 0):
-        raise ValueError("power_kernel requires tau > 0 (singular at 0)")
-    out = tau ** (H - 0.5)
-    return float(out) if out.ndim == 0 else out
-
-
-def laplace_mu(tau: float, H: float, x_max: float = 1e4, n_quad: int = 200) -> float:
-    """Quadrature of the truncated Laplace representation of the kernel.
-
-    tau^(H-1/2) = int_0^inf e^(-tau*x) mu(dx), mu(dx) = dx / (x^(H+1/2) *
-    Gamma(1/2-H)).  The integrable singularity at x = 0 is removed by the
-    substitution u = x^(1/2-H), after which the integrand is smooth:
-
-        int_0^{x_max} e^(-tau*x) mu(dx)
-            = 1/((1/2-H)*Gamma(1/2-H)) * int_0^{x_max^(1/2-H)} e^(-tau*u^(1/(1/2-H))) du
-
-    evaluated by n_quad-point Gauss-Legendre.  Converges to
-    power_kernel(tau, H) as x_max and n_quad grow.
-    """
-    if not (tau > 0):
-        raise ValueError(f"laplace_mu requires tau > 0, got {tau}")
-    if not (0.0 < H < 0.5):
-        raise ValueError(f"H must lie in (0, 1/2), got {H}")
-    if not (0 < x_max < np.inf):
-        raise ValueError(f"x_max must be positive and finite, got {x_max}")
-    n_quad = _check_int("n_quad", n_quad, 1)
-    beta = 0.5 - H
-    upper = x_max**beta
-    u, gl_w = np.polynomial.legendre.leggauss(n_quad)
-    u = 0.5 * upper * (u + 1.0)
-    gl_w = 0.5 * upper * gl_w
-    vals = np.exp(-tau * u ** (1.0 / beta))
-    return float(np.sum(gl_w * vals) / (beta * math.gamma(beta)))
 
 
 def _closed_form_nodes(n: int, H: float, T: float):
-    """Unscaled closed-form weights and speeds, the cell width pi_n and shape.
+    """Unscaled closed-form weights and speeds, and the factor shape of pi_n.
 
     The weights are the mu-masses of the cells, so sum_i w_i e^(-x_i tau)
     approximates the plain tau^(H-1/2).  fit_kernel_ls starts from these
@@ -154,7 +110,7 @@ def _closed_form_nodes(n: int, H: float, T: float):
     w = (hi - lo) / (beta * math.gamma(beta))
     num = (i * pi_n) ** (1.5 - H) - ((i - 1) * pi_n) ** (1.5 - H)
     x = (1.0 - 2 * H) / (3.0 - 2 * H) * num / (hi - lo)
-    return w, x, pi_n, shape
+    return w, x, shape
 
 
 def closed_form_kernel(n: int, H: float, T: float):
@@ -175,7 +131,7 @@ def closed_form_kernel(n: int, H: float, T: float):
     the plain kernel's constant times sqrt(2H), and cert.l2_error is the
     measured quadrature error against sqrt(2H) * tau^(H-1/2).
     """
-    w, x, pi_n, shape = _closed_form_nodes(n, H, T)
+    w, x, shape = _closed_form_nodes(n, H, T)
     kern = ExpKernel(weights=w * np.sqrt(2 * H), speeds=x, H=H, T=T)
     C = (
         T**H
@@ -184,26 +140,23 @@ def closed_form_kernel(n: int, H: float, T: float):
         * (2.5 / (2.5 - H))
     )
     cert = KernelErrorCert(
-        l2_error=kernel_l2_error(kern, H, T),
-        bound=float(C * n ** (-0.8 * H)),
-        constant=float(C),
-        pi_n=float(pi_n),
+        l2_error=kernel_l2_error(kern, H, T), bound=float(C * n ** (-0.8 * H))
     )
     return kern, cert
 
 
-def kernel_l2_error(k: ExpKernel, H: float, T: float, n_quad: int = 400) -> float:
+def kernel_l2_error(k: ExpKernel, H: float, T: float) -> float:
     """L2([0,T]) distance between K^n and its target sqrt(2H) * tau^(H-1/2).
 
     The integrand (K^n(tau) - sqrt(2H) * tau^(H-1/2))^2 inherits the
     tau^(2H-1) singularity at 0, so a uniform mesh underestimates the
     singular mass; the substitution tau = T * u^(1/(2H)) makes the singular
-    part of the integrand O(1) and Gauss-Legendre in u converges fast.
+    part of the integrand O(1) and 400-node Gauss-Legendre in u converges
+    fast.
     """
     _check_horizon(H, T)
-    n_quad = _check_int("n_quad", n_quad, 100)
     g = 1.0 / (2 * H)
-    u, gl_w = np.polynomial.legendre.leggauss(n_quad)
+    u, gl_w = np.polynomial.legendre.leggauss(400)
     u = 0.5 * (u + 1.0)
     gl_w = 0.5 * gl_w
     tau = T * u**g
@@ -236,7 +189,7 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
     n = _check_int("n", n, 1)
     tau = np.arange(1, N_grid) * (T / N_grid)
     y = _target(tau, H)
-    w, x, _, _ = _closed_form_nodes(n, H, T)
+    w, x, _ = _closed_form_nodes(n, H, T)
     lw = np.log(w)
     lx = np.log(x)
 

@@ -67,11 +67,10 @@ from .hybrid_scheme import (
 )
 from .kernel import ExpKernel
 from .sim_core import (
-    BLOCK_SIZE,
     ModelParams,
     PathIncrements,
     TimeGrid,
-    _block_streams,
+    _block_normals,
     _check_int,
     _negate_pairs,
     _readonly,
@@ -211,7 +210,7 @@ def _lognormal_paths(X, scale, comp, xi0) -> np.ndarray:
     def rows_task(rows: slice, _) -> None:
         _lognormal_variance(X[rows], scale, comp, xi0, V[rows])
 
-    run_chunks(X.shape[0], rows_task, lambda: None)
+    run_chunks(X.shape[0], rows_task, lambda height: None)
     return _readonly(V)
 
 
@@ -249,8 +248,7 @@ def rbergomi_log_price(V: VariancePaths, inc: PathIncrements) -> np.ndarray:
         logS[rows, 0] = 0.0
         np.cumsum(steps, axis=1, out=logS[rows, 1:])
 
-    rows_max = min(BLOCK_SIZE, n)
-    run_chunks(n, euler, lambda: np.empty((2, rows_max, N)))
+    run_chunks(n, euler, lambda height: np.empty((2, height, N)))
     return logS
 
 
@@ -280,7 +278,7 @@ def simulate_terminal(
     its own dt, so it rounds differently (measured: a few 1e-15).
 
     Each BLOCK_SIZE-path block is one run_chunks task.  It draws the
-    block's half-rows once (antithetic pairs, see sim_core._block_streams),
+    block's half-rows once (antithetic pairs, see sim_core._block_normals),
     which depend on (seed, block, N) only: its half-rows of each plane from
     that plane's stream.  Every field runs on the block's even rows only:
     scaling into increments and simulate_volterra's own row routine
@@ -298,29 +296,29 @@ def simulate_terminal(
     seed = _check_int("seed", seed, 0)
     out, fields = [], {}  # per kernel object: (reference plan, its spectrum, its sides)
     for T, kern in sides:
-        plan = make_hybrid_plan(make_time_grid(T, N), params.alpha, kernel=kern)
-        K, L = _kernel_spectrum(_volterra_kernel(plan), N)  # L follows N alone
-        ref, _, members = fields.setdefault(kern, (plan, K, []))
-        scale = params.eta * (plan.grid.T / ref.grid.T) ** params.H
+        grid = make_time_grid(T, N)
+        if kern not in fields:  # the first side of a kernel is its reference
+            ref = make_hybrid_plan(grid, params.alpha, kernel=kern)
+            K, L = _kernel_spectrum(_volterra_kernel(ref), N)  # L follows N alone
+            fields[kern] = (ref, K, [])
+        ref, _, members = fields[kern]
+        scale = params.eta * (grid.T / ref.grid.T) ** params.H
         out.append((np.empty(n_paths), np.empty(n_paths)))
-        members.append((plan.grid.dt, scale, _compensator(params, plan.grid.nodes), out[-1]))
-    rows_max = min(BLOCK_SIZE, n_paths)
+        members.append((grid.dt, scale, _compensator(params, grid.nodes), out[-1]))
 
-    def scratch():
+    def scratch(height):
         return (
-            np.empty((3, (rows_max + 1) // 2, N)),  # a block's half-rows
-            np.empty((3, rows_max, N)),
-            np.empty((rows_max, N + 1)),
-            _fft_buffers(L, rows_max),
+            np.empty((3, (height + 1) // 2, N)),  # a block's half-rows
+            np.empty((3, height, N)),
+            np.empty((height, N + 1)),
+            _fft_buffers(L, height),
         )
 
     def run_block(rows: slice, bufs) -> None:
         stage, planes, X, fft_bufs = bufs
         k = rows.stop - rows.start
-        h = (k + 1) // 2  # the block's half-rows
-        z = stage[:, :h]
-        for gen, half in zip(_block_streams(seed, rows.start // BLOCK_SIZE), z):
-            gen.standard_normal(out=half)
+        z = _block_normals(seed, rows, stage)
+        h = z.shape[1]  # the block's half-rows
         dW, dB, dU = planes[:, :k]
         x = X[:k]
         # V goes into the FFT signal buffer, idle once X is built

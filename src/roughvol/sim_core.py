@@ -11,7 +11,9 @@ Paths come in antithetic pairs: rows 2j and 2j+1 of every Gaussian plane
 are z and -z, bit for bit, so a block draws half of its normals
 (``_negate_pairs``), and whatever is odd in the Gaussians (the increments,
 the Volterra field, the Brownian sums) is computed on the even rows and
-negated.
+negated.  Every sampler, ``models.simulate_terminal`` too, draws a block's
+half-rows through one primitive, ``_block_normals``, which alone maps a
+block's rows to its streams.
 
 Because no block depends on another, the module also owns the one runner
 that spreads the BLOCK_SIZE-row blocks of a task over threads
@@ -98,14 +100,15 @@ def run_chunks(n_rows: int, work: Callable, scratch: Callable) -> None:
     """Call work(rows, buf) for each BLOCK_SIZE-row block of range(n_rows) on a pool.
 
     rows is slice(lo, min(lo + BLOCK_SIZE, n_rows)), so the last block may
-    be shorter; it is block rows.start // BLOCK_SIZE.  scratch() makes one
-    worker's buffer; it is called once per worker, in the calling thread.
+    be shorter; it is block rows.start // BLOCK_SIZE.  scratch(height) makes
+    one worker's buffer for blocks of at most height = min(n_rows,
+    BLOCK_SIZE) rows; it is called once per worker, in the calling thread.
     Worker s takes blocks s, s + width, ..., so buf is never shared between
     threads; work must write only to its own rows of the outputs.  A single
     block, or a width of 1, runs inline.
     """
     width = max(1, min(_pool_width(), -(-n_rows // BLOCK_SIZE)))
-    bufs = [scratch() for _ in range(width)]
+    bufs = [scratch(min(n_rows, BLOCK_SIZE)) for _ in range(width)]
 
     def lane(s: int) -> None:
         for lo in range(s * BLOCK_SIZE, n_rows, width * BLOCK_SIZE):
@@ -219,6 +222,20 @@ def _block_streams(seed: int, block: int, planes=(0, 1, 2)) -> list[np.random.Ge
     ]
 
 
+def _block_normals(seed: int, rows: slice, stage: np.ndarray, planes=(0, 1, 2)) -> np.ndarray:
+    """Draw the half-rows of block rows' planes into stage and return them.
+
+    rows is a run_chunks block of m rows; stage is a worker's (len(planes),
+    >= ceil(m/2), N) buffer.  The result is stage[:, :ceil(m/2)], whose
+    i-th half-plane is drawn from the stream of plane planes[i]
+    (_block_streams); row j of a half-plane is row 2j of the block's plane.
+    """
+    z = stage[:, : (rows.stop - rows.start + 1) // 2]
+    for gen, half in zip(_block_streams(seed, rows.start // BLOCK_SIZE, planes), z):
+        gen.standard_normal(out=half)
+    return z
+
+
 def _negate_pairs(a: np.ndarray) -> None:
     """a[2j+1] = -a[2j] along axis 0, for every whole pair of a's rows."""
     np.negative(a[: a.shape[0] - 1 : 2], out=a[1::2])
@@ -269,16 +286,13 @@ def sample_correlated_increments(
     dU = np.empty((n_paths, N))
 
     def draw(rows: slice, stage: np.ndarray) -> None:
-        z = stage[:, : (rows.stop - rows.start + 1) // 2]
-        for gen, half in zip(_block_streams(seed, rows.start // BLOCK_SIZE), z):
-            gen.standard_normal(out=half)
+        z = _block_normals(seed, rows, stage)
         planes = dW[rows], dB[rows], dU[rows]
         _scale_increments(z, grid.dt, rho, *(p[::2] for p in planes))
         for p in planes:
             _negate_pairs(p)
 
-    half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
-    run_chunks(n_paths, draw, lambda: np.empty((3, half_max, N)))
+    run_chunks(n_paths, draw, lambda height: np.empty((3, (height + 1) // 2, N)))
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),
@@ -294,7 +308,7 @@ def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndar
     """W_T per path: the row sums of sample_correlated_increments(...).dW.
 
     Only a block's ceil(m/2) half-rows of plane 0 are drawn, into a
-    worker's (ceil(m/2), N) buffer: plane 0 has its own stream, so they
+    worker's (1, ceil(m/2), N) stage: plane 0 has its own stream, so they
     are the half-rows the full draw gives.  They are scaled and
     summed into the even rows of W_T, and the odd rows take their
     negations; scaling and summing are odd in z, so the sums equal, bit
@@ -304,14 +318,11 @@ def sample_terminal_brownian(grid: TimeGrid, n_paths: int, seed: int) -> np.ndar
     seed = _check_int("seed", seed, 0)
     W = np.empty(n_paths)
 
-    def draw(rows: slice, buf: np.ndarray) -> None:
-        dW = buf[: (rows.stop - rows.start + 1) // 2]
-        [gen] = _block_streams(seed, rows.start // BLOCK_SIZE, (0,))
-        gen.standard_normal(out=dW)
+    def draw(rows: slice, stage: np.ndarray) -> None:
+        [dW] = _block_normals(seed, rows, stage, (0,))
         np.multiply(dW, np.sqrt(grid.dt), out=dW)
         np.sum(dW, axis=1, out=W[rows][::2])
         _negate_pairs(W[rows])
 
-    half_max = (min(n_paths, BLOCK_SIZE) + 1) // 2
-    run_chunks(n_paths, draw, lambda: np.empty((half_max, grid.N)))
+    run_chunks(n_paths, draw, lambda height: np.empty((1, (height + 1) // 2, grid.N)))
     return W

@@ -342,8 +342,8 @@ def test_criterion_09_two_factor_coeffs_vs_quadrature():
             worst = max(worst, rel)
             assert rel <= 1e-6
 
-    I, J, K, H = rv.helper_functions(1e-9)
-    for value, limit in zip((I, J, K, H), (1.0, 0.5, 0.5, 1 / 6)):
+    I, J, K = rv.helper_functions(1e-9)
+    for value, limit in zip((I, J, K), (1.0, 0.5, 0.5)):
         assert abs(value - limit) <= 1e-8
     elapsed = time.perf_counter() - t0
     print(

@@ -343,19 +343,17 @@ def test_skew_report_needs_two_distinct_maturities():
 
 
 def test_helper_functions_frozen_at_one():
-    I, J, K, Hh = rv.helper_functions(1.0)
+    I, J, K = rv.helper_functions(1.0)
     assert I == pytest.approx(0.6321205588285577, rel=1e-15)
     assert J == pytest.approx(0.36787944117144233, rel=1e-15)
     assert K == pytest.approx(0.26424111765711533, rel=1e-15)
-    assert Hh == pytest.approx(0.103638323514327, rel=1e-13)
 
 
 def test_helper_functions_limits_and_continuity():
-    I, J, K, Hh = rv.helper_functions(1e-9)
+    I, J, K = rv.helper_functions(1e-9)
     assert abs(I - 1.0) < 1e-8
     assert abs(J - 0.5) < 1e-8
     assert abs(K - 0.5) < 1e-8
-    assert abs(Hh - 1.0 / 6.0) < 1e-8
     # the series branch hands over smoothly to the direct branch at 0.05
     lo = np.array(rv.helper_functions(np.nextafter(0.05, 0)))
     hi = np.array(rv.helper_functions(0.05))
@@ -556,9 +554,9 @@ def test_rbergomi_closed_forms_match_quadrature(H):
             assert g == pytest.approx(w, rel=1e-9), f"H={H}, T={T}"
 
 
-def sigma_bs_expansion(coeffs, v, T, k, epsilon=1.0):
+def sigma_bs_expansion(coeffs, v, T, k):
     """Second-order implied vol sigma_BS(k) = sigma_ATM + S_T*k + C_T*k^2."""
-    sigma_atm, s_t, c_t = rv.expansion_terms(coeffs, v, T, epsilon)
+    sigma_atm, s_t, c_t = rv.expansion_terms(coeffs, v, T)
     k = np.asarray(k, dtype=float)
     out = sigma_atm + s_t * k + c_t * k**2
     return float(out) if out.ndim == 0 else out
@@ -582,16 +580,17 @@ def test_expansion_terms_trivial_and_shape():
 
 
 def test_first_order_limit_matches_linear_display(table1):
-    # with only C^Xxi and a small vol-of-vol scale, the smile collapses to
-    # sigma_VS * (1 + eps*C^Xxi*(1/(4v) + k/(2v^2)))
+    # with only C^Xxi and a small vol-of-vol scale eps, which scales the
+    # coefficients as eps*C^Xxi, eps^2*C^xixi, eps^2*C^mu, the smile
+    # collapses to sigma_VS * (1 + eps*C^Xxi*(1/(4v) + k/(2v^2)))
     T = 1.0
     v = table1.xi0 * T
     c_xxi = rv.rbergomi_expansion_coeffs(table1, T).c_xxi
-    c = rv.ExpansionCoeffs(c_xxi=c_xxi, c_xixi=0.0, c_mu=0.0)
-    sig_vs = np.sqrt(v / T)
     eps = 1e-6
+    c = rv.ExpansionCoeffs(c_xxi=eps * c_xxi, c_xixi=0.0, c_mu=0.0)
+    sig_vs = np.sqrt(v / T)
     for k in (-0.1, 0.0, 0.2):
-        got = (sigma_bs_expansion(c, v, T, k, epsilon=eps) - sig_vs) / eps
+        got = (sigma_bs_expansion(c, v, T, k) - sig_vs) / eps
         want = sig_vs * c_xxi * (1 / (4 * v) + k / (2 * v**2))
         assert got == pytest.approx(want, rel=1e-4), f"k={k}"
 

@@ -399,7 +399,7 @@ def test_abergomi_skew_fits_one_kernel_and_runs_one_field(tmp_path, monkeypatch)
 
 def test_every_simulation_runs_once(tmp_path, monkeypatch):
     # counts Gaussian tiles: each path block of each distinct draw is one
-    from roughvol import models, sim_core
+    from roughvol import sim_core
 
     draws = []
     real = sim_core._block_streams
@@ -409,7 +409,6 @@ def test_every_simulation_runs_once(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sim_core, "_block_streams", counting)
-    monkeypatch.setattr(models, "_block_streams", counting)
     cfg = write_config(
         tmp_path,
         bs_config(steps=[8, 16], out_dir=str(tmp_path)),

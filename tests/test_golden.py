@@ -8,7 +8,8 @@ RMSE table for compare, the power law and psi for skew, and the errors of
 fit-kernel.  A change that moves any Monte Carlo bit, or any bit of a
 kernel, moves one of them; a change meant to keep every bit keeps them all.
 The pins hold at any pool width (CI runs this module at OMP_NUM_THREADS=1
-too).  The least-squares cases go through LAPACK's solve in the kernel fit.
+too) and, as chosen below, across OpenBLAS's CPU-specific kernels, which
+the least-squares kernel fit runs through.
 """
 
 import csv

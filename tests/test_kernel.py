@@ -35,37 +35,6 @@ def test_math_gamma_matches_scipy_on_the_node_arguments():
         assert math.gamma(beta) == pytest.approx(gamma(beta), rel=1e-14, abs=0)
 
 
-def test_power_kernel_frozen_point():
-    assert rv.power_kernel(0.25, H) == pytest.approx(1.8150383106343217, rel=1e-15)
-
-
-def test_power_kernel_rejects_origin():
-    with pytest.raises(ValueError):
-        rv.power_kernel(0.0, H)
-    with pytest.raises(ValueError):
-        rv.power_kernel(np.array([0.5, -1.0]), H)
-
-
-def test_laplace_measure_reproduces_power_kernel():
-    for tau in (0.1, 0.25, 1.0, 2.0):
-        assert rv.laplace_mu(tau, H) == pytest.approx(
-            rv.power_kernel(tau, H), rel=1e-9
-        )
-    with pytest.raises(ValueError):
-        rv.laplace_mu(0.0, H)
-    with pytest.raises(ValueError):
-        rv.laplace_mu(1.0, 0.6)
-    # NaN fails every comparison, so each range check must pass only inside it
-    with pytest.raises(ValueError, match="tau > 0"):
-        rv.laplace_mu(math.nan, H)
-    with pytest.raises(ValueError, match="x_max"):
-        rv.laplace_mu(1.0, H, x_max=math.nan)
-    with pytest.raises(ValueError, match="n_quad must be an integer"):
-        rv.laplace_mu(1.0, H, n_quad=2.5)
-    with pytest.raises(ValueError, match="H must lie"):
-        rv.power_kernel(0.5, math.nan)
-
-
 def test_exp_kernel_validation():
     with pytest.raises(ValueError):
         rv.ExpKernel(weights=[1.0, -1.0], speeds=[1.0, 2.0], H=H, T=T)
@@ -121,12 +90,9 @@ def test_l2_error_matches_incomplete_gamma_oracle(method, n):
     assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_l2_error_rejects_coarse_quadrature():
+def test_l2_error_validation():
+    # NaN fails every comparison, so each range check must pass only inside it
     k, _ = rv.closed_form_kernel(3, H, T)
-    with pytest.raises(ValueError):
-        rv.kernel_l2_error(k, H, T, n_quad=50)
-    with pytest.raises(ValueError, match="n_quad must be an integer"):
-        rv.kernel_l2_error(k, H, T, n_quad=150.5)
     with pytest.raises(ValueError, match="H must lie"):
         rv.kernel_l2_error(k, math.nan, T)
     for bad_T in (math.nan, -1.0):
@@ -140,7 +106,6 @@ def test_certified_bound_holds_and_error_decreases():
         kern, cert = rv.closed_form_kernel(n, H, T)
         assert kern.n == n
         assert np.all(np.diff(kern.speeds) > 0)
-        assert cert.pi_n > 0 and cert.constant > 0
         assert cert.l2_error <= cert.bound
         errs.append(cert.l2_error)
     assert all(a > b for a, b in zip(errs, errs[1:]))

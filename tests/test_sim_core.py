@@ -365,7 +365,8 @@ def test_run_chunks_gives_each_worker_its_own_buffer(monkeypatch):
         buf.append((rows.start, rows.stop))
         seen[rows.start] = threading.get_ident()
 
-    def scratch():
+    def scratch(height):
+        assert height == BLOCK_SIZE
         made.append([])
         return made[-1]
 
@@ -389,8 +390,10 @@ def test_run_chunks_runs_a_single_chunk_inline(monkeypatch):
     def work(rows, buf):
         calls.append((rows, threading.get_ident()))
 
-    sim_core.run_chunks(BLOCK_SIZE - 3, work, list)
+    heights = []
+    sim_core.run_chunks(BLOCK_SIZE - 3, work, heights.append)
     assert calls == [(slice(0, BLOCK_SIZE - 3), threading.get_ident())]
+    assert heights == [BLOCK_SIZE - 3]  # the worker's buffer fits the one block
 
 
 def test_run_chunks_reraises_a_worker_error(monkeypatch):
@@ -401,7 +404,7 @@ def test_run_chunks_reraises_a_worker_error(monkeypatch):
             raise RuntimeError(f"rows {rows.start} failed")
 
     with pytest.raises(RuntimeError, match=f"rows {3 * BLOCK_SIZE}"):
-        sim_core.run_chunks(4 * BLOCK_SIZE, work, list)
+        sim_core.run_chunks(4 * BLOCK_SIZE, work, lambda height: None)
 
 
 @pytest.mark.parametrize(
