@@ -297,9 +297,11 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     n, N = inc.n_paths, plan.grid.N
     values = np.empty((n, N + 1))
     K, L = _kernel_spectrum(_volterra_kernel(plan), N)
+    # read here, not in a worker: a first read of dU draws it on the pool
+    dB, dU = inc.dB, inc.dU
 
     def volterra(rows: slice, fft_bufs) -> None:
-        _volterra_rows(plan, K, inc.dB[rows], inc.dU[rows], values[rows], fft_bufs)
+        _volterra_rows(plan, K, dB[rows], dU[rows], values[rows], fft_bufs)
 
     run_chunks(n, volterra, lambda height: _fft_buffers(L, height))
     return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=plan.alpha)

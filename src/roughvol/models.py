@@ -327,6 +327,7 @@ def simulate_terminal(
         steps_t = dU.reshape(-1)[: N * k].reshape(N, k)
         for ref, K, members in fields.values():
             _scale_increments(z, ref.grid.dt, params.rho, dW[:h], dB[:h], dU[:h])
+            np.multiply(z[2], np.sqrt(ref.grid.dt), out=dU[:h])
             _volterra_rows(ref, K, dB[:h], dU[:h], x[::2], fft_bufs)
             _negate_pairs(x)
             for dt, scale, comp, (log_S, V_T) in members:

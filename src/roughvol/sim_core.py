@@ -5,8 +5,9 @@ smile pipeline) consumes increments produced here, so this module owns the
 reproducibility story: each Gaussian plane (dW, dB, dU) of each
 fixed-size path block draws from its own SFC64 stream, seeded by
 SeedSequence((seed, block, plane)) (``_block_streams``).  That makes the
-output independent of scheduling and of which planes a caller draws, and
-lets two runs with different ``n_paths`` agree on their common prefix.
+output independent of scheduling and of which planes a caller draws (dU
+is drawn later, on its first read, with the same bits), and lets two runs
+with different ``n_paths`` agree on their common prefix.
 Paths come in antithetic pairs: rows 2j and 2j+1 of every Gaussian plane
 are z and -z, bit for bit, so a block draws half of its normals
 (``_negate_pairs``), and whatever is odd in the Gaussians (the increments,
@@ -40,8 +41,11 @@ memory even though the arrays are freed.  The scratch grows with the width.
 Each step of the public chain writes straight into the array it returns,
 so a chain holds its inputs, its outputs and its workers' scratch, and no
 whole-size temporary.  A sample_correlated_increments worker draws a
-block's three half-planes into a stage of at most (3, BLOCK_SIZE/2, N)
-and scales them into the even rows of dW, dB and dU.  A simulate_volterra,
+block's dW and dB half-planes into a stage of at most (2, BLOCK_SIZE/2,
+N) and scales them into the even rows of dW and dB.  The auxiliary plane
+dU is drawn only when it is first read (PathIncrements), the same way
+through a (1, BLOCK_SIZE/2, N) stage, so a chain that never reads it (the
+rescaled one) neither draws nor holds it.  A simulate_volterra,
 abergomi_driver or toeplitz_convolve worker holds the FFT buffers for one
 block (simulate_volterra takes its first-cell scratch from their idle
 signal buffer), an rbergomi_log_price worker two (BLOCK_SIZE, N) planes,
@@ -51,7 +55,7 @@ stage, three increment planes, one (256, N+1) path array and the FFT
 buffers: about 2.2 MB at N = 100, so its peak memory is set by one block.
 
 Measured with two threads: the benchmark's markov_smile chain (20 000
-paths, N = 200) peaks at 192.4 MB RSS and ``roughvol skew`` (20 000 paths,
+paths, N = 200) peaks at 161.8 MB RSS and ``roughvol skew`` (20 000 paths,
 N = 100, five maturities) at 42.3 MB.  Timings and peak memory have been
 measured on 2 CPUs only.
 """
@@ -60,7 +64,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -158,19 +163,52 @@ class PathIncrements:
     """A batch of correlated Gaussian increments on a shared grid.
 
     dW drives the price, dB the variance, with corr(dW_j, dB_j) = rho.
-    dU is an auxiliary stream orthogonal to both, consumed only by the
-    exact-first-cell Volterra simulator; models that do not need it simply
-    ignore it, so common-random-number comparisons across models still share
-    dW and dB.
+    dU is an auxiliary stream orthogonal to both, read only by the
+    exact-first-cell Volterra simulator.  A dU passed in is kept as given;
+    otherwise it is drawn from plane 2's streams on its first read and
+    cached (_draw_dU), so a chain that never reads it neither draws nor
+    holds it.  The draw runs on the pool, so read dU first in the calling
+    thread, as simulate_volterra does: a first read in a pool worker would
+    nest the pool, and cached_property takes no lock from Python 3.12 on.
     """
 
     n_paths: int
     dW: np.ndarray
     dB: np.ndarray
-    dU: np.ndarray
     rho: float
     seed: int
     grid: TimeGrid
+    dU: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, dU):
+        if dU is not None:
+            self.__dict__["dU"] = dU  # shadows the lazy draw
+
+    def _draw_dU(self) -> np.ndarray:
+        """dU = z2*sqrt(dt), with z2 the Gaussian plane 2 of each block.
+
+        Each BLOCK_SIZE-path block is one run_chunks task, which draws the
+        block's ceil(m/2) half-rows of plane 2 into the worker's (1,
+        ceil(m/2), N) stage, scales them into the even rows and negates
+        those into the odd ones (antithetic pairs, see _block_streams).
+        """
+        n, N = self.n_paths, self.grid.N
+        dU = np.empty((n, N))
+        sq_dt = np.sqrt(self.grid.dt)
+
+        def draw(rows: slice, stage: np.ndarray) -> None:
+            [z2] = _block_normals(self.seed, rows, stage, (2,))
+            np.multiply(z2, sq_dt, out=dU[rows][::2])
+            _negate_pairs(dU[rows])
+
+        run_chunks(n, draw, lambda height: np.empty((1, (height + 1) // 2, N)))
+        return _readonly(dU)
+
+
+# The dataclass has taken the InitVar's default (None) from the class body;
+# the class attribute dU now becomes the cached lazy draw.
+PathIncrements.dU = cached_property(PathIncrements._draw_dU)
+PathIncrements.dU.__set_name__(PathIncrements, "dU")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,39 +279,42 @@ def _negate_pairs(a: np.ndarray) -> None:
     np.negative(a[: a.shape[0] - 1 : 2], out=a[1::2])
 
 
-def _scale_increments(z, dt, rho, dW, dB, dU) -> None:
-    """Fill dW, dB, dU from one block's standard normals z = (z0, z1, z2).
+def _scale_increments(z, dt, rho, dW, dB, tmp) -> None:
+    """Fill dW and dB from one block's standard normals z0 = z[0], z1 = z[1].
 
-    dW = z0*sqrt(dt), dB = rho*dW + sqrt(1-rho^2)*(z1*sqrt(dt)) and
-    dU = z2*sqrt(dt), in that order of operations.  dU holds rho*dW on the
-    way, so z must not alias the outputs (it is only read: one half-tile
-    may be scaled for several grids).  Every step is odd in z, so the
-    negated half-rows scale to the exact negations.
+    dW = z0*sqrt(dt) and dB = rho*dW + sqrt(1-rho^2)*(z1*sqrt(dt)), in that
+    order of operations, with rho*dW held in tmp on the way.  The outputs
+    must not alias z; tmp may be z[0], which is read before tmp is written
+    (otherwise z is only read: one half-tile may be scaled for several
+    grids).  Every step is odd in z, so the negated half-rows scale to the
+    exact negations.
     """
     sq_dt = np.sqrt(dt)
     np.multiply(z[0], sq_dt, out=dW)
     np.multiply(z[1], sq_dt, out=dB)
     np.multiply(dB, np.sqrt(1.0 - rho * rho), out=dB)
-    np.multiply(dW, rho, out=dU)
-    np.add(dB, dU, out=dB)
-    np.multiply(z[2], sq_dt, out=dU)
+    np.multiply(dW, rho, out=tmp)
+    np.add(dB, tmp, out=dB)
 
 
 def sample_correlated_increments(
     grid: TimeGrid, rho: float, n_paths: int, seed: int
 ) -> PathIncrements:
-    """Sample dW, dB = rho*dW + sqrt(1-rho^2)*dZ, and the auxiliary dU.
+    """Sample dW and dB = rho*dW + sqrt(1-rho^2)*dZ; dU is drawn when read.
 
     All three have per-column variance dt.  Identical (seed, grid, rho,
     n_paths) gives bit-identical output on any machine/thread count; the
     first m paths agree between runs with different n_paths.  Rows 2j+1
     are the exact negations of rows 2j (antithetic pairs; see
     _block_streams).  Each BLOCK_SIZE-path block is one task of
-    run_chunks, which draws the block's ceil(m/2) half-rows of each plane
-    from that plane's stream into the worker's (3, ceil(m/2), N) stage,
-    scales them straight into the even rows of dW, dB and dU, and negates
+    run_chunks, which draws the block's ceil(m/2) half-rows of planes 0
+    and 1 from their streams into the worker's (2, ceil(m/2), N) stage,
+    scales them straight into the even rows of dW and dB, and negates
     those into the odd rows: scaling is odd in z, so each pair is exactly
-    (dW, -dW) and so on, as if the paired tile had been scaled whole.
+    (dW, -dW) and so on, as if the paired tile had been scaled whole.  The
+    auxiliary dU (plane 2) is drawn on its first read
+    (PathIncrements._draw_dU), so a caller that never reads it draws
+    2*ceil(m/2)*N normals per block.
     """
     if not (-1 <= rho <= 1):
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
@@ -283,21 +324,19 @@ def sample_correlated_increments(
     N = grid.N
     dW = np.empty((n_paths, N))
     dB = np.empty((n_paths, N))
-    dU = np.empty((n_paths, N))
 
     def draw(rows: slice, stage: np.ndarray) -> None:
-        z = _block_normals(seed, rows, stage)
-        planes = dW[rows], dB[rows], dU[rows]
-        _scale_increments(z, grid.dt, rho, *(p[::2] for p in planes))
+        z = _block_normals(seed, rows, stage, (0, 1))
+        planes = dW[rows], dB[rows]
+        _scale_increments(z, grid.dt, rho, *(p[::2] for p in planes), z[0])
         for p in planes:
             _negate_pairs(p)
 
-    run_chunks(n_paths, draw, lambda height: np.empty((3, (height + 1) // 2, N)))
+    run_chunks(n_paths, draw, lambda height: np.empty((2, (height + 1) // 2, N)))
     return PathIncrements(
         n_paths=n_paths,
         dW=_readonly(dW),
         dB=_readonly(dB),
-        dU=_readonly(dU),
         rho=float(rho),
         seed=seed,
         grid=grid,

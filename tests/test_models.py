@@ -349,17 +349,22 @@ def _traced_peak(step, *args):
 def test_chain_steps_allocate_little_beyond_their_output(table1, monkeypatch):
     # tracemalloc sees numpy's buffers: a step that writes straight into the
     # array it returns peaks near that array's size (an increments worker
-    # may hold one 256-row block's (3, 128, N) stage of half-rows, 154 kB at
-    # N = 50, with a 1 MB allowance; a simulate_volterra worker holds only
-    # its FFT buffers)
+    # may hold one 256-row block's (2, 128, N) stage of dW and dB half-rows,
+    # 102 kB at N = 50, with a 1 MB allowance; the first read of dU draws
+    # its plane through a (1, 128, N) stage per worker; a simulate_volterra
+    # worker holds only its FFT buffers)
     monkeypatch.setattr(sim_core, "_pool_width", lambda: 2)
     plan = rv.make_hybrid_plan(rv.make_time_grid(1.0, 50), table1.alpha)
     inc, peak = _traced_peak(
         rv.sample_correlated_increments, plan.grid, table1.rho, 100_000, 2
     )
-    planes = inc.dW.nbytes + inc.dB.nbytes + inc.dU.nbytes
-    stage = 8 * 3 * 128 * plan.grid.N
-    assert peak - planes <= 2 * stage + 1e6, f"increments {peak - planes} B"
+    planes = inc.dW.nbytes + inc.dB.nbytes
+    stage = 8 * 128 * plan.grid.N  # one half-plane of a block
+    assert peak - planes <= 2 * 2 * stage + 1e6, f"increments {peak - planes} B"
+    assert "dU" not in vars(inc)
+    dU, peak = _traced_peak(getattr, inc, "dU")
+    assert peak - dU.nbytes <= 2 * stage + 1e6, f"first dU read {peak - dU.nbytes} B"
+    assert inc.dU is dU
     X, peak = _traced_peak(rv.simulate_volterra, plan, inc)
     assert peak <= 1.13 * X.values.nbytes, f"volterra {peak / X.values.nbytes:.3f}x"
     V, peak = _traced_peak(rv.rbergomi_variance, X, table1)
@@ -423,6 +428,30 @@ def test_ou_factor_containers(toy_kernel, table1):
     np.testing.assert_array_equal(
         fac.Y[:, 5, :], fac.Y[:, 4, :] * fac.decay + inc.dB[:, 4, None]
     )
+
+
+def test_only_the_planes_read_are_drawn(toy_kernel, table1, monkeypatch):
+    # a spy on the streams: the sampler asks each block for planes (0, 1);
+    # the rescaled chain never reads dU, so it asks for nothing more; the
+    # first read of dU asks each block for plane 2, and a second read none
+    asked = []
+    real = sim_core._block_streams
+
+    def spy(seed, block, planes):
+        asked.append((block, tuple(planes)))
+        return real(seed, block, planes)
+
+    monkeypatch.setattr(sim_core, "_block_streams", spy)
+    g = rv.make_time_grid(1.0, 16)
+    inc = rv.sample_correlated_increments(g, table1.rho, 2 * rv.BLOCK_SIZE + 3, 3)
+    assert sorted(asked) == [(b, (0, 1)) for b in range(3)]
+    asked.clear()
+    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1)
+    driver = rv.abergomi_driver(cfg, rv.simulate_ou_factors(cfg, inc))
+    rv.rbergomi_log_price(rv.abergomi_variance(cfg, driver), inc)
+    assert asked == [] and "dU" not in vars(inc)
+    assert inc.dU is inc.dU
+    assert sorted(asked) == [(b, (2,)) for b in range(3)]
 
 
 def test_ou_variance_oracles(toy_kernel, table1):

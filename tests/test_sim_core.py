@@ -292,6 +292,37 @@ def test_increments_equal_the_whole_array_formulas(n_paths, width, monkeypatch):
         assert np.array_equal(getattr(inc, name), plane), name
 
 
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("n_paths", [1, BLOCK_SIZE + 3, 4 * BLOCK_SIZE + 3])
+def test_the_lazy_first_cell_plane_keeps_its_bits(n_paths, width, monkeypatch):
+    # dU is drawn on its first read, from plane 2's streams alone; an odd
+    # count leaves its last row unpaired.  It is the whole-array formula's
+    # plane and a prefix of a larger run's, and simulate_volterra, which
+    # draws it once from the calling thread, gives the same field whether
+    # or not dU was read before
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    g = rv.make_time_grid(1.0, 7)
+    inc = rv.sample_correlated_increments(g, -0.9, n_paths, 3)
+    assert "dU" not in vars(inc)
+    assert np.array_equal(inc.dU, _whole_array_increments(g, -0.9, n_paths, 3)[2])
+    big = rv.sample_correlated_increments(g, -0.9, 5 * BLOCK_SIZE, 3)
+    assert np.array_equal(inc.dU, big.dU[:n_paths])
+    callers = []
+    real = sim_core.run_chunks
+
+    def spy(*args):
+        callers.append(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(sim_core, "run_chunks", spy)
+    plan = rv.make_hybrid_plan(g, -0.43)
+    fresh = rv.sample_correlated_increments(g, -0.9, n_paths, 3)
+    callers.clear()
+    X = rv.simulate_volterra(plan, fresh).values
+    assert callers == [True]  # one draw of dU, run from the calling thread
+    assert np.array_equal(X, rv.simulate_volterra(plan, inc).values)
+
+
 @pytest.mark.parametrize(
     "planes", [(0,), (2,), (0, 1, 2), (2, 0)], ids=["0", "2", "012", "20"]
 )
