@@ -24,9 +24,11 @@ make_hybrid_plan).  models.simulate_terminal therefore builds one field per
 block for all its sides of one kernel (None for rBergomi) and scales it in
 each side's variance.  Every field is odd in (dB, dU), bit for bit: the
 rfft, the spectrum product, the irfft, the first cell and the scaling each
-map negated inputs to negated outputs.  So on sim_core's antithetic pairs
-simulate_terminal convolves a block's even rows only and negates them into
-the odd ones.
+map negated inputs to negated outputs.  So every convolution of exactly
+paired rows (sim_core's antithetic pairs) runs on a block's even rows and
+is negated into the odd ones: simulate_terminal's always, and each block
+of toeplitz_convolve and simulate_volterra whose input passes _paired; any
+other block runs whole, with the same bits.
 
 The same scheme simulates the Markovian approximation: given a
 sum-of-exponentials kernel K(tau) = sum_i w_i e^(-x_i tau), the cells k >= 2
@@ -48,7 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ExpKernel
-from .sim_core import PathIncrements, TimeGrid, _check_int, _readonly, run_chunks
+from .sim_core import (
+    PathIncrements,
+    TimeGrid,
+    _check_int,
+    _negate_pairs,
+    _readonly,
+    run_chunks,
+)
 
 __all__ = [
     "HybridPlan",
@@ -181,7 +190,8 @@ def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     width.  O(N log N) per path instead of the O(N^2) triangular loop.  The
     kernel is transformed once; the rows are transformed in BLOCK_SIZE-row
     blocks, one run_chunks task each, into per-worker buffers made in the
-    calling thread (_convolve_into).
+    calling thread (_convolve_into).  A block of exact antithetic pairs is
+    convolved on its even rows and negated into the odd ones.
 
     Parameters
     ----------
@@ -214,7 +224,12 @@ def _convolve_into(kernel, signal, out) -> None:
     K, L = _kernel_spectrum(kernel, n)
 
     def convolve(block: slice, fft_bufs) -> None:
-        _convolve_rows(K, signal[block], out[block], fft_bufs)
+        sig, dst = signal[block], out[block]
+        if _paired(fft_bufs[1], sig):
+            _convolve_rows(K, sig[::2], dst[::2], fft_bufs)
+            _negate_pairs(dst)
+        else:
+            _convolve_rows(K, sig, dst, fft_bufs)
 
     run_chunks(rows, convolve, lambda height: _fft_buffers(L, height))
 
@@ -227,6 +242,23 @@ def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """
     L = 1 << int(np.ceil(np.log2(kernel.size + n - 1)))
     return np.fft.rfft(kernel, L), L
+
+
+def _paired(scratch: np.ndarray, *planes: np.ndarray) -> bool:
+    """Whether row 2j+1 of every plane is the exact negation of row 2j.
+
+    The planes share one shape.  For finite doubles x + y == 0 only when
+    y == -x; a NaN or an inf reads as unpaired.  The sums go into scratch,
+    a block's idle FFT signal buffer.
+    """
+    m, n = planes[0].shape
+    t = scratch.reshape(-1)[: m // 2 * n].reshape(m // 2, n)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for a in planes:
+            np.add(a[1::2], a[: m - 1 : 2], out=t)
+            if t.any():
+                return False
+    return True
 
 
 def _fft_buffers(L: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +322,8 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     first_cell_coefficients), using the orthogonal stream inc.dU.
 
     The sqrt(2*alpha+1) normalization is applied here, so Var(X_{t_j}) ~
-    t_j^{2H}.
+    t_j^{2H}.  A block whose dB and dU are exact antithetic pairs is built
+    on its even rows and negated into the odd ones.
     """
     if inc.grid != plan.grid:
         raise ValueError("increments and plan were built on different grids")
@@ -301,7 +334,13 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     dB, dU = inc.dB, inc.dU
 
     def volterra(rows: slice, fft_bufs) -> None:
-        _volterra_rows(plan, K, dB[rows], dU[rows], values[rows], fft_bufs)
+        b, u, x = dB[rows], dU[rows], values[rows]
+        if _paired(fft_bufs[1], b, u):
+            _volterra_rows(plan, K, b[::2], u[::2], x[::2], fft_bufs)
+            _negate_pairs(x)
+            x[:, 0] = 0.0  # not -0.0
+        else:
+            _volterra_rows(plan, K, b, u, x, fft_bufs)
 
     run_chunks(n, volterra, lambda height: _fft_buffers(L, height))
     return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=plan.alpha)

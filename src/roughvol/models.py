@@ -16,7 +16,8 @@ comparisons are common-random-number by construction.
 Each chain step runs on sim_core's pool, one BLOCK_SIZE-row block per task,
 and writes straight into the array it returns: the variance steps need no
 scratch, rbergomi_log_price two (BLOCK_SIZE, N) planes per worker, and
-abergomi_driver convolves into y[:, 1:].
+abergomi_driver convolves into y[:, 1:], each block of exact antithetic
+pairs on its even rows (see hybrid_scheme).
 
 simulate_terminal runs that chain, with rbergomi_log_price, one path block
 at a time on sim_core's pool, and keeps only the terminal values of

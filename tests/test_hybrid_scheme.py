@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvol as rv
-from roughvol import BLOCK_SIZE, sim_core
+from roughvol import BLOCK_SIZE, hybrid_scheme, sim_core
 
 ALPHA = 0.07 - 0.5  # H = 0.07
 
@@ -244,12 +244,21 @@ def _whole_array_volterra(plan, inc):
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize(
     "n_paths",
-    [1, BLOCK_SIZE + 3, 4 * BLOCK_SIZE + 3, 16 * BLOCK_SIZE + 5, 32 * BLOCK_SIZE + 7],
+    [
+        1,
+        BLOCK_SIZE + 3,
+        2 * BLOCK_SIZE + 5,
+        4 * BLOCK_SIZE + 3,
+        16 * BLOCK_SIZE + 5,
+        16 * BLOCK_SIZE + 7,
+        32 * BLOCK_SIZE + 7,
+    ],
 )
 @pytest.mark.parametrize("kind", ["rbergomi", "kernel"])
 def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypatch):
-    # each block task convolves into its rows of X and adds the first cell
-    # there, with its own worker's scratch
+    # each block task builds its rows of X on the even rows of its
+    # antithetic pairs, with its own worker's scratch, and negates them into
+    # the odd rows; X_0 stays +0.0
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     g = rv.make_time_grid(1.0, 12)
     kern = rv.closed_form_kernel(4, 0.07, 2.0)[0] if kind == "kernel" else None
@@ -257,6 +266,7 @@ def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypat
     inc = rv.sample_correlated_increments(g, -0.9, n_paths, 6)
     got = rv.simulate_volterra(plan, inc).values
     assert np.array_equal(got, _whole_array_volterra(plan, inc))
+    assert not np.signbit(got[:, 0]).any()
     ker = np.r_[0.0, plan.kernel_weights]
     want = _whole_array_convolution(ker, inc.dB)
     assert np.array_equal(rv.toeplitz_convolve(ker, inc.dB), want)
@@ -275,3 +285,75 @@ def test_volterra_field_is_odd_over_the_antithetic_pairs(kind, N):
     n = 2 * BLOCK_SIZE + 5
     X = rv.simulate_volterra(plan, rv.sample_correlated_increments(g, -0.9, n, 13)).values
     assert np.array_equal(X[1 : n - 1 : 2], -X[0 : n - 1 : 2])
+
+
+def _spy_rows(monkeypatch):
+    """The row count of each hybrid_scheme._convolve_rows call, as a list."""
+    calls, convolve_rows = [], hybrid_scheme._convolve_rows
+
+    def spy(K, signal, out, bufs):
+        calls.append(signal.shape[0])
+        convolve_rows(K, signal, out, bufs)
+
+    monkeypatch.setattr(hybrid_scheme, "_convolve_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("step", ["toeplitz", "volterra", "driver"])
+def test_sampled_pairs_are_convolved_on_their_even_rows(
+    step, width, toy_kernel, table1, monkeypatch
+):
+    # every block of sampled increments holds exact antithetic pairs, so each
+    # step convolves its even rows only (the lone last row of an odd block
+    # included): half of each block's FFT work
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    g = rv.make_time_grid(1.0, 12)
+    inc = rv.sample_correlated_increments(g, -0.9, 2 * BLOCK_SIZE + 5, 6)
+    cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1)
+    calls = _spy_rows(monkeypatch)
+    if step == "toeplitz":
+        rv.toeplitz_convolve(np.arange(1.0, 6.0), inc.dB)
+    elif step == "volterra":
+        rv.simulate_volterra(rv.make_hybrid_plan(g, ALPHA), inc)
+    else:
+        rv.abergomi_driver(cfg, rv.simulate_ou_factors(cfg, inc))
+    assert sorted(calls) == [3, BLOCK_SIZE // 2, BLOCK_SIZE // 2]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the FFT of an inf
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("defect", ["shifted", "nan", "infinite"])
+def test_a_block_with_an_unpaired_row_is_convolved_whole(defect, width, monkeypatch):
+    # the pairing is tested exactly, per block: one pair of block 1 that is
+    # not an exact negation (a shifted entry, a NaN, or -inf under +inf,
+    # whose sum is NaN) sends that block, and only it, through every row;
+    # in simulate_volterra either plane's defect does
+    monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
+    g = rv.make_time_grid(1.0, 12)
+    plan = rv.make_hybrid_plan(g, ALPHA)
+    n = 2 * BLOCK_SIZE + 5
+    inc = rv.sample_correlated_increments(g, -0.9, n, 6)
+    r = BLOCK_SIZE + 6  # an even row of block 1
+    bad = {}
+    for name in ("dB", "dU"):
+        a = getattr(inc, name).copy()
+        if defect == "shifted":
+            a[r + 1, 3] += 1.0
+        elif defect == "nan":
+            a[r, 3] = np.nan
+        else:
+            a[r : r + 2, 3] = np.inf, -np.inf
+        bad[name] = a
+    ker = np.r_[0.0, plan.kernel_weights]
+    calls = _spy_rows(monkeypatch)
+    got = rv.toeplitz_convolve(ker, bad["dB"])
+    assert np.array_equal(got, _whole_array_convolution(ker, bad["dB"]), equal_nan=True)
+    assert sorted(calls) == [3, BLOCK_SIZE // 2, BLOCK_SIZE]
+    for dB, dU in ((bad["dB"], inc.dU), (inc.dB, bad["dU"])):
+        calls.clear()
+        built = rv.PathIncrements(n, inc.dW, dB, inc.rho, inc.seed, g, dU=dU)
+        X = rv.simulate_volterra(plan, built).values
+        assert np.array_equal(X, _whole_array_volterra(plan, built), equal_nan=True)
+        assert not np.signbit(X[:, 0]).any()
+        assert sorted(calls) == [3, BLOCK_SIZE // 2, BLOCK_SIZE]

@@ -274,13 +274,16 @@ def test_streamed_terminal_rejects_mismatched_plans(table1):
         rv.simulate_terminal([], table1, 12, 5, 0)
 
 
-# a single path, then a partial block after one, four, sixteen and
-# thirty-two full blocks: from four on, each of two workers runs several
+# a single path, then a partial block after one, two, four, sixteen and
+# thirty-two full blocks: from four on, each of two workers runs several;
+# the odd counts end on the lone first row of a pair
 CHAIN_ROWS = [
     1,
     rv.BLOCK_SIZE + 3,
+    2 * rv.BLOCK_SIZE + 5,
     4 * rv.BLOCK_SIZE + 3,
     16 * rv.BLOCK_SIZE + 5,
+    16 * rv.BLOCK_SIZE + 7,
     32 * rv.BLOCK_SIZE + 7,
 ]
 
