@@ -209,10 +209,9 @@ def implied_vol(price: float, S0: float, K: float, T: float) -> float:
             f"price {price} is at or above the upper no-arbitrage bound (S0 = {S0})"
         )
     lo, hi = 1e-9, 1.0
+    # ends: for price < S0, bs_price reaches S0 exactly in floating point
     while bs_price(S0, K, T, hi) < price:
         hi *= 2.0
-        if hi > 1e3:  # unreachable for price < S0, defensive
-            break
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if bs_price(S0, K, T, mid) < price:

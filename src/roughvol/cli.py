@@ -491,18 +491,19 @@ class _Run(NamedTuple):
 
 
 @functools.lru_cache
-def _build_kernel(n: int, method: str, H: float, n_grid: int):
-    """The configured kernel, built on [0, 1]; cached, so each is fitted once.
+def _build_kernel(n: int, method: str, H: float, T: float, n_grid: int):
+    """The configured kernel on [0, T]; cached, so each is fitted once.
 
-    simulate_terminal rescales it to each T.  A least-squares kernel is
-    fitted on n_grid points, max(N, 100) for a simulation on N steps.  Above
-    100 steps that grid holds every lag the simulation uses; the 100-point
-    floor keeps coarse grids from landing the unregularized least-squares
-    on spiky optima that match the grid but explode between its points.
+    A simulation builds it on [0, 1], which simulate_terminal rescales to
+    each maturity.  A least-squares kernel is fitted on n_grid points,
+    max(N, 100) for a simulation on N steps.  Above 100 steps that grid
+    holds every lag the simulation uses; the 100-point floor keeps coarse
+    grids from landing the unregularized least-squares on spiky optima that
+    match the grid but explode between its points.
     """
     if method == "closed-form":
-        return kernel.closed_form_kernel(n, H, 1.0)[0]
-    return kernel.fit_kernel_ls(H, 1.0, n_grid, n)
+        return kernel.closed_form_kernel(n, H, T)
+    return kernel.fit_kernel_ls(H, T, n_grid, n)
 
 
 def _sides(resolved: dict, maturities) -> list:
@@ -527,7 +528,7 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
         return [(-0.5 * vol * vol * T + vol * W_T, np.full(paths, vol * vol))]
     params = sim_core.ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
     rough_sides = [
-        (T, k and _build_kernel(k["n"], k["method"], params.H, max(N, 100)))
+        (T, k and _build_kernel(k["n"], k["method"], params.H, 1.0, max(N, 100)))
         for T, k in sides
     ]
     return models.simulate_terminal(rough_sides, params, N, paths, seed)
@@ -570,14 +571,11 @@ def cmd_fit_kernel(args, run: _Run) -> int:
     fo = run.config["fit"]
     H, T, n, n_grid, method = fo["H"], fo["T"], fo["n"], fo["N_grid"], fo["method"]
     tau = np.arange(1, n_grid) * (T / n_grid)
-    doc = dict(fo)
+    kern = _build_kernel(n, method, H, T, n_grid)
+    doc = dict(fo, bound=None, l2_error=kernel.kernel_l2_error(kern, H, T))
     if method == "closed-form":
-        kern, cert = kernel.closed_form_kernel(n, H, T)
-        doc.update(bound=cert.bound, bound_satisfied=bool(cert.l2_error <= cert.bound))
-    else:
-        kern = kernel.fit_kernel_ls(H, T, n_grid, n)
-        doc["bound"] = None
-    doc["l2_error"] = kernel.kernel_l2_error(kern, H, T)
+        doc["bound"] = kernel.closed_form_bound(n, H, T)
+        doc["bound_satisfied"] = bool(doc["l2_error"] <= doc["bound"])
     doc["rmse"] = float(np.sqrt(np.mean((kern(tau) - kernel._target(tau, H)) ** 2)))
     doc["weights"] = kern.weights
     doc["speeds"] = kern.speeds

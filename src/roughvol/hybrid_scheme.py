@@ -27,7 +27,7 @@ rfft, the spectrum product, the irfft, the first cell and the scaling each
 map negated inputs to negated outputs.  So every convolution of exactly
 paired rows (sim_core's antithetic pairs) runs on a block's even rows and
 is negated into the odd ones: simulate_terminal's always, and each block
-of toeplitz_convolve and simulate_volterra whose input passes _paired; any
+of simulate_volterra and abergomi_driver whose input passes _paired; any
 other block runs whole, with the same bits.
 
 The same scheme simulates the Markovian approximation: given a
@@ -65,7 +65,6 @@ __all__ = [
     "optimal_nodes",
     "first_cell_coefficients",
     "make_hybrid_plan",
-    "toeplitz_convolve",
     "simulate_volterra",
 ]
 
@@ -182,43 +181,15 @@ def make_hybrid_plan(
     return HybridPlan(grid=grid, alpha=alpha, kernel_weights=_readonly(w))
 
 
-def toeplitz_convolve(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
+def _convolve_into(kernel, signal, out) -> None:
     """Lower-triangular Toeplitz multiply: out[p, j] = sum_k kernel[k] * signal[p, j-k].
 
-    Computed as a linear convolution via FFT with zero padding to the next
-    power of two >= len(kernel) + n_cols - 1, truncated back to the signal
-    width.  O(N log N) per path instead of the O(N^2) triangular loop.  The
-    kernel is transformed once; the rows are transformed in BLOCK_SIZE-row
-    blocks, one run_chunks task each, into per-worker buffers made in the
-    calling thread (_convolve_into).  A block of exact antithetic pairs is
-    convolved on its even rows and negated into the odd ones.
-
-    Parameters
-    ----------
-    kernel : 1-d array, length <= signal.shape[1]
-    signal : 2-d array [n_paths x N]
-    """
-    kernel = np.asarray(kernel, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    if kernel.ndim != 1 or kernel.size == 0:
-        raise ValueError("kernel must be a non-empty 1-d array")
-    if signal.ndim != 2:
-        raise ValueError("signal must be a 2-d [n_paths x N] array")
-    if kernel.size > signal.shape[1]:
-        raise ValueError(
-            f"kernel length {kernel.size} exceeds signal columns {signal.shape[1]}"
-        )
-    out = np.empty(signal.shape)
-    _convolve_into(kernel, signal, out)
-    return out
-
-
-def _convolve_into(kernel, signal, out) -> None:
-    """out = toeplitz_convolve(kernel, signal), written block by block.
-
-    out is [rows x n] like signal and may be a strided view, such as the
-    last n columns of a path array.  Each block is one run_chunks task,
-    which convolves its rows through the worker's FFT buffers.
+    A linear convolution via FFT, zero-padded to the next power of two >=
+    len(kernel) + n - 1 and truncated to the signal's n columns: O(N log N)
+    per path, not O(N^2).  The 1-d kernel, at most n long, is transformed
+    once; the rows in BLOCK_SIZE-row blocks, one run_chunks task each, a
+    block of exact antithetic pairs on its even rows, negated into the odd
+    ones.  out is [rows x n] like signal and may be a strided view.
     """
     rows, n = signal.shape
     K, L = _kernel_spectrum(kernel, n)

@@ -7,8 +7,8 @@ constructions:
 
 * ``closed_form_kernel`` — explicit weights/speeds from cell averages of the
   Laplace representation tau^(H-1/2) = int_0^inf e^(-x*tau) mu(dx), scaled
-  by sqrt(2H), with a certified L2([0,T]) error bound C * n^(-4H/5)
-  (Abi Jaber & El Euch 2019).
+  by sqrt(2H), with a certified L2([0,T]) error bound C * n^(-4H/5),
+  ``closed_form_bound`` (Abi Jaber & El Euch 2019).
 * ``fit_kernel_ls`` — damped Gauss–Newton least squares on a fixed grid,
   started from the unscaled closed-form nodes.
 """
@@ -24,8 +24,8 @@ from .sim_core import _check_int, _readonly
 
 __all__ = [
     "ExpKernel",
-    "KernelErrorCert",
     "closed_form_kernel",
+    "closed_form_bound",
     "kernel_l2_error",
     "fit_kernel_ls",
 ]
@@ -83,14 +83,6 @@ def _check_horizon(H: float, T: float) -> None:
         raise ValueError(f"T must be positive and finite, got {T}")
 
 
-@dataclass(frozen=True)
-class KernelErrorCert:
-    """Measured L2([0,T]) error and the certified bound C * n^(-4H/5)."""
-
-    l2_error: float
-    bound: float
-
-
 def _closed_form_nodes(n: int, H: float, T: float):
     """Unscaled closed-form weights and speeds, and the factor shape of pi_n.
 
@@ -113,8 +105,8 @@ def _closed_form_nodes(n: int, H: float, T: float):
     return w, x, shape
 
 
-def closed_form_kernel(n: int, H: float, T: float):
-    """Explicit n-term kernel with a certified L2 error bound.
+def closed_form_kernel(n: int, H: float, T: float) -> ExpKernel:
+    """Explicit n-term kernel whose L2 error has a certified bound.
 
     Partition (0, n*pi_n] into cells of width pi_n = n^(-1/5)/T *
     (sqrt(10)*(1/2-H)/(5/2-H))^(2/5); weight i carries sqrt(2H) times the
@@ -125,24 +117,21 @@ def closed_form_kernel(n: int, H: float, T: float):
         x_i = (1-2H)/(3-2H) * ((i*pi_n)^(3/2-H) - ((i-1)*pi_n)^(3/2-H))
                             / ((i*pi_n)^(1/2-H) - ((i-1)*pi_n)^(1/2-H))
 
-    Returns (kernel, cert) where cert.bound = C * n^(-4H/5) with
-    C = T^H / (sqrt(H)*Gamma(1/2-H)) * (sqrt(10)*(1/2-H)/(5/2-H))^(-5H/2)
-        * (5/2)/(5/2-H),
-    the plain kernel's constant times sqrt(2H), and cert.l2_error is the
-    measured quadrature error against sqrt(2H) * tau^(H-1/2).
+    Its kernel_l2_error is at most closed_form_bound(n, H, T).
     """
-    w, x, shape = _closed_form_nodes(n, H, T)
-    kern = ExpKernel(weights=w * np.sqrt(2 * H), speeds=x, H=H, T=T)
-    C = (
-        T**H
-        / (np.sqrt(H) * math.gamma(0.5 - H))
-        * shape ** (-2.5 * H)
-        * (2.5 / (2.5 - H))
-    )
-    cert = KernelErrorCert(
-        l2_error=kernel_l2_error(kern, H, T), bound=float(C * n ** (-0.8 * H))
-    )
-    return kern, cert
+    w, x, _ = _closed_form_nodes(n, H, T)
+    return ExpKernel(weights=w * np.sqrt(2 * H), speeds=x, H=H, T=T)
+
+
+def closed_form_bound(n: int, H: float, T: float) -> float:
+    """Certified L2([0,T]) error bound C * n^(-4H/5) of closed_form_kernel.
+
+    C = T^H / (sqrt(H)*Gamma(1/2-H)) * (sqrt(10)*(1/2-H)/(5/2-H))^(-5H/2)
+        * (5/2)/(5/2-H), the plain kernel's constant times sqrt(2H).
+    """
+    _, _, shape = _closed_form_nodes(n, H, T)
+    C = T**H / (np.sqrt(H) * math.gamma(0.5 - H)) * shape ** (-2.5 * H)
+    return float(C * (2.5 / (2.5 - H)) * n ** (-0.8 * H))
 
 
 def kernel_l2_error(k: ExpKernel, H: float, T: float) -> float:

@@ -374,7 +374,7 @@ def abergomi_driver(cfg: AbergomiConfig, factors: OUFactorPaths) -> DriverPaths:
 
     Unrolling the factor recursion gives y_{t_j} = sum_{k<j} c_{j-1-k} dB_k
     with c_m = sum_i w_i decay_i^m; the sum is evaluated by FFT
-    (toeplitz_convolve), so the factor tensor is never built and the cost
+    (hybrid_scheme._convolve_into), so the factor tensor is never built and the cost
     does not depend on the number of terms.  Downstream, sqrt(theta/T)*y_t
     stands in for the Volterra process; that prefactor is recorded on the
     result.

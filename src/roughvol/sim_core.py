@@ -21,8 +21,8 @@ Because no block depends on another, the module also owns the one runner
 that spreads the BLOCK_SIZE-row blocks of a task over threads
 (``run_chunks``).  One block is the unit of everything that walks the paths:
 it is seeded as one block here, it is one pool task of every step of the
-public chain (the increments here, ``hybrid_scheme.simulate_volterra`` and
-``toeplitz_convolve``, the variance and log-price steps of ``models``) and
+public chain (the increments here, ``hybrid_scheme.simulate_volterra``,
+``models.abergomi_driver``, the variance and log-price steps) and
 of ``models.simulate_terminal``, and it is the row count of every worker's
 scratch.  numpy's RNG fill and ``np.fft`` release the interpreter lock, so
 threads can overlap, but the gain depends on the host: in-process on 2
@@ -37,10 +37,13 @@ width, ..., and every block is computed by the same operations in the same
 order at any width, so results are bit-identical whatever the thread count.
 
 Every large buffer, the outputs and each worker's scratch, is allocated in
-the calling thread; workers only fill them through ``out=`` arguments.
+the calling thread, and workers fill them through ``out=`` arguments.
 Memory that worker threads allocate and free lands in glibc's per-thread
 malloc arenas, which keep it, so allocating inside the workers raises peak
 memory even though the arrays are freed.  The scratch grows with the width.
+Only numpy's iterator buffers for ufuncs on row-strided views are made in
+the workers, briefly: up to 64 KB per operand in ``_negate_pairs``, the
+even-row scaling and ``hybrid_scheme._paired``.
 
 Each step of the public chain writes straight into the array it returns,
 so a chain holds its inputs, its outputs and its workers' scratch, and no
@@ -49,8 +52,8 @@ block's dW and dB half-planes into a stage of at most (2, BLOCK_SIZE/2,
 N) and scales them into the even rows of dW and dB.  The auxiliary plane
 dU is drawn only when it is first read (PathIncrements), the same way
 through a (1, BLOCK_SIZE/2, N) stage, so a chain that never reads it (the
-rescaled one) neither draws nor holds it.  A simulate_volterra,
-abergomi_driver or toeplitz_convolve worker holds the FFT buffers for one
+rescaled one) neither draws nor holds it.  A simulate_volterra
+or abergomi_driver worker holds the FFT buffers for one
 block (the pairing test and simulate_volterra's first cell take their
 scratch from the idle signal buffer), an rbergomi_log_price worker two
 (BLOCK_SIZE, N) planes, and the variance steps none.  A simulate_terminal worker holds, for one

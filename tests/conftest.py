@@ -69,6 +69,17 @@ def aggregate_increments(fine, N, alpha):
     )
 
 
+def convolve(kernel, signal):
+    """Lower-triangular Toeplitz product of each signal row with kernel.
+
+    hybrid_scheme._convolve_into, the FFT convolution the library runs,
+    written into a fresh array.
+    """
+    out = np.empty_like(signal)
+    rv.hybrid_scheme._convolve_into(kernel, signal, out)
+    return out
+
+
 def iter_blocks(inc):
     """Yield (rows, block) over inc in BLOCK_SIZE-path blocks, in row order.
 

@@ -55,6 +55,15 @@ def test_implied_vol_round_trip_spot_checks():
             assert rv.implied_vol(price, 1.0, K, 1.0) == pytest.approx(vol, abs=1e-8)
 
 
+@pytest.mark.parametrize("vol", [3000.0, 1e4])
+def test_implied_vol_recovers_a_vol_above_1024(vol):
+    # at T = 1e-8 a vol of thousands is an ordinary ATM price (about 0.12
+    # and 0.40); the bracket keeps doubling until it holds the root
+    price = rv.bs_price(1.0, 1.0, 1e-8, vol)
+    assert price < 1.0
+    assert rv.implied_vol(price, 1.0, 1.0, 1e-8) == pytest.approx(vol, rel=1e-8)
+
+
 def test_implied_vol_names_the_violated_bound():
     with pytest.raises(ValueError, match="lower no-arbitrage bound"):
         rv.implied_vol(0.1, 1.0, 0.8, 1.0)  # below intrinsic 0.2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvol as rv
+from conftest import convolve
 from roughvol import BLOCK_SIZE, hybrid_scheme, sim_core
 
 ALPHA = 0.07 - 0.5  # H = 0.07
@@ -59,7 +60,7 @@ def test_toeplitz_semantics_lower_triangular():
     # out[j] = sum_k ker[k] * sig[j-k], hand-checked
     ker = np.array([2.0, 3.0, 5.0])
     sig = np.array([[1.0, 10.0, 100.0, 1000.0]])
-    out = rv.toeplitz_convolve(ker, sig)[0]
+    out = convolve(ker, sig)[0]
     np.testing.assert_allclose(out, [2.0, 23.0, 235.0, 2350.0], rtol=1e-12)
 
 
@@ -68,18 +69,9 @@ def test_toeplitz_matches_direct_convolution(n):
     rng = np.random.default_rng(0)
     ker = rng.standard_normal(min(n, 5))
     sig = rng.standard_normal((3, n))
-    out = rv.toeplitz_convolve(ker, sig)
+    out = convolve(ker, sig)
     want = np.stack([np.convolve(ker, row)[:n] for row in sig])
     np.testing.assert_allclose(out, want, atol=1e-12)
-
-
-def test_toeplitz_validation():
-    with pytest.raises(ValueError):
-        rv.toeplitz_convolve(np.array([]), np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        rv.toeplitz_convolve(np.ones(5), np.zeros((2, 4)))  # kernel too long
-    with pytest.raises(ValueError):
-        rv.toeplitz_convolve(np.ones(2), np.zeros(4))  # signal not 2-d
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -89,8 +81,8 @@ def test_toeplitz_linearity(seed):
     ker = rng.standard_normal(6)
     a = rng.standard_normal((2, 16))
     b = rng.standard_normal((2, 16))
-    lhs = rv.toeplitz_convolve(ker, a + b)
-    rhs = rv.toeplitz_convolve(ker, a) + rv.toeplitz_convolve(ker, b)
+    lhs = convolve(ker, a + b)
+    rhs = convolve(ker, a) + convolve(ker, b)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -186,8 +178,8 @@ def test_kernel_plan_rescales_the_kernel_to_the_grid(T):
     np.testing.assert_allclose(got, T**ALPHA * unit.kernel_weights, rtol=1e-13, atol=0)
     # the closed-form kernel is of this form already: built at T or rescaled
     # from T = 1, it gives one plan
-    at_T = rv.make_hybrid_plan(g, ALPHA, kernel=rv.closed_form_kernel(8, 0.07, T)[0])
-    rescaled = rv.make_hybrid_plan(g, ALPHA, kernel=rv.closed_form_kernel(8, 0.07, 1.0)[0])
+    at_T = rv.make_hybrid_plan(g, ALPHA, kernel=rv.closed_form_kernel(8, 0.07, T))
+    rescaled = rv.make_hybrid_plan(g, ALPHA, kernel=rv.closed_form_kernel(8, 0.07, 1.0))
     np.testing.assert_allclose(at_T.kernel_weights, rescaled.kernel_weights, rtol=1e-13)
 
 
@@ -219,7 +211,7 @@ def test_toeplitz_does_not_depend_on_the_thread_count(rows, monkeypatch):
     runs = []
     for width in (1, 2):
         monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
-        runs.append(rv.toeplitz_convolve(ker, sig))
+        runs.append(convolve(ker, sig))
     assert runs[0].shape == (rows, 50)
     assert np.array_equal(runs[0], runs[1])
 
@@ -261,7 +253,7 @@ def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypat
     # the odd rows; X_0 stays +0.0
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     g = rv.make_time_grid(1.0, 12)
-    kern = rv.closed_form_kernel(4, 0.07, 2.0)[0] if kind == "kernel" else None
+    kern = rv.closed_form_kernel(4, 0.07, 2.0) if kind == "kernel" else None
     plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
     inc = rv.sample_correlated_increments(g, -0.9, n_paths, 6)
     got = rv.simulate_volterra(plan, inc).values
@@ -269,7 +261,7 @@ def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypat
     assert not np.signbit(got[:, 0]).any()
     ker = np.r_[0.0, plan.kernel_weights]
     want = _whole_array_convolution(ker, inc.dB)
-    assert np.array_equal(rv.toeplitz_convolve(ker, inc.dB), want)
+    assert np.array_equal(convolve(ker, inc.dB), want)
 
 
 @pytest.mark.parametrize("N", [20, 100, 257])
@@ -280,7 +272,7 @@ def test_volterra_field_is_odd_over_the_antithetic_pairs(kind, N):
     # rows do too, bit for bit: models.simulate_terminal builds the even
     # rows only
     g = rv.make_time_grid(1.0, N)
-    kern = rv.closed_form_kernel(4, 0.07, 2.0)[0] if kind == "kernel" else None
+    kern = rv.closed_form_kernel(4, 0.07, 2.0) if kind == "kernel" else None
     plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
     n = 2 * BLOCK_SIZE + 5
     X = rv.simulate_volterra(plan, rv.sample_correlated_increments(g, -0.9, n, 13)).values
@@ -313,7 +305,7 @@ def test_sampled_pairs_are_convolved_on_their_even_rows(
     cfg = rv.AbergomiConfig(kernel=toy_kernel, params=table1)
     calls = _spy_rows(monkeypatch)
     if step == "toeplitz":
-        rv.toeplitz_convolve(np.arange(1.0, 6.0), inc.dB)
+        convolve(np.arange(1.0, 6.0), inc.dB)
     elif step == "volterra":
         rv.simulate_volterra(rv.make_hybrid_plan(g, ALPHA), inc)
     else:
@@ -347,7 +339,7 @@ def test_a_block_with_an_unpaired_row_is_convolved_whole(defect, width, monkeypa
         bad[name] = a
     ker = np.r_[0.0, plan.kernel_weights]
     calls = _spy_rows(monkeypatch)
-    got = rv.toeplitz_convolve(ker, bad["dB"])
+    got = convolve(ker, bad["dB"])
     assert np.array_equal(got, _whole_array_convolution(ker, bad["dB"]), equal_nan=True)
     assert sorted(calls) == [3, BLOCK_SIZE // 2, BLOCK_SIZE]
     for dB, dU in ((bad["dB"], inc.dU), (inc.dB, bad["dU"])):

@@ -82,7 +82,7 @@ def test_exp_kernel_evaluates_the_sum():
 def test_l2_error_matches_incomplete_gamma_oracle(method, n):
     # both constructions approximate the one target sqrt(2H) * tau^(H-1/2)
     if method == "closed-form":
-        k, _ = rv.closed_form_kernel(n, H, T)
+        k = rv.closed_form_kernel(n, H, T)
     else:
         k = rv.fit_kernel_ls(H, T, 100, n)
     got = rv.kernel_l2_error(k, H, T)
@@ -92,7 +92,7 @@ def test_l2_error_matches_incomplete_gamma_oracle(method, n):
 
 def test_l2_error_validation():
     # NaN fails every comparison, so each range check must pass only inside it
-    k, _ = rv.closed_form_kernel(3, H, T)
+    k = rv.closed_form_kernel(3, H, T)
     with pytest.raises(ValueError, match="H must lie"):
         rv.kernel_l2_error(k, math.nan, T)
     for bad_T in (math.nan, -1.0):
@@ -103,32 +103,35 @@ def test_l2_error_validation():
 def test_certified_bound_holds_and_error_decreases():
     errs = []
     for n in (5, 10, 25, 50):
-        kern, cert = rv.closed_form_kernel(n, H, T)
+        kern = rv.closed_form_kernel(n, H, T)
         assert kern.n == n
         assert np.all(np.diff(kern.speeds) > 0)
-        assert cert.l2_error <= cert.bound
-        errs.append(cert.l2_error)
+        err = rv.kernel_l2_error(kern, H, T)
+        assert err <= rv.closed_form_bound(n, H, T)
+        errs.append(err)
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
 def test_error_decay_rate_matches_bound_exponent():
     ns = np.array([5, 10, 25, 50, 100])
-    errs = [rv.closed_form_kernel(int(n), H, T)[1].l2_error for n in ns]
+    errs = [rv.kernel_l2_error(rv.closed_form_kernel(int(n), H, T), H, T) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-0.8 * H, abs=0.03)
 
 
 def test_closed_form_validation():
-    with pytest.raises(ValueError):
-        rv.closed_form_kernel(0, H, T)
-    with pytest.raises(ValueError):
-        rv.closed_form_kernel(5, 0.5, T)
-    with pytest.raises(ValueError):
-        rv.closed_form_kernel(5, H, 0.0)
-    with pytest.raises(ValueError, match="n must be an integer"):
-        rv.closed_form_kernel(2.5, H, T)
-    with pytest.raises(ValueError, match="T must be positive and finite"):
-        rv.closed_form_kernel(3, H, math.inf)
+    # the kernel and its bound check the same (n, H, T)
+    for build in (rv.closed_form_kernel, rv.closed_form_bound):
+        with pytest.raises(ValueError):
+            build(0, H, T)
+        with pytest.raises(ValueError):
+            build(5, 0.5, T)
+        with pytest.raises(ValueError):
+            build(5, H, 0.0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build(2.5, H, T)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            build(3, H, math.inf)
 
 
 def test_fit_is_deterministic_and_tight():
@@ -153,7 +156,7 @@ def test_fit_error_decreases_with_terms():
 
 
 def test_fit_improves_on_its_initialization():
-    init, _ = rv.closed_form_kernel(8, H, T)
+    init = rv.closed_form_kernel(8, H, T)
     fitted = rv.fit_kernel_ls(H, T, 100, 8)
     assert rv.kernel_l2_error(fitted, H, T) < rv.kernel_l2_error(init, H, T)
 
