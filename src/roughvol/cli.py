@@ -10,6 +10,8 @@ skew        ATM-skew term structure + fitted power-law exponent (JSON)
 
 Models: rbergomi, abergomi and bs for simulate and smile; rbergomi, abergomi
 and the analytic bergomi2f for skew (each command is one row of _COMMANDS).
+compare runs rBergomi against aBergomi at each compare.terms count, with the
+kernel.method kernel; its model key and kernel.n are checked but not read.
 
 All commands read a single JSON config (--config); --seed/--out override
 the config's seed/out_dir.  The config is checked against one table
@@ -118,7 +120,7 @@ class _Key(NamedTuple):
     when callable).  bound(value, block) names the range an accepted value
     is outside of, if any, given the block's rows resolved before it; cast
     maps an accepted value into the resolved config.  A row with a table is
-    a section (see _section).  check(value, ctx, errors) -> resolved value
+    a section (see _walk).  check(value, ctx, errors) -> resolved value
     replaces all of these for a rule a row cannot state.  A key outside
     `commands` (empty: all) is accepted but not checked or resolved.
     """
@@ -133,50 +135,42 @@ class _Key(NamedTuple):
     commands: tuple = ()
     table: dict | Callable[[str], dict] | None = None
 
-    def is_required(self, ctx: dict) -> bool:
-        return self.required(ctx) if callable(self.required) else self.required
-
-
-def _section(name: str, v, key: _Key, ctx: dict, errors: list):
-    """One rule for every object section: absent or null takes the default
-    (or is reported if required), an object is walked, anything else is
-    reported.  A callable sub-table maps the model to its rows."""
-    if isinstance(v, dict):
-        model = ctx["model"] if callable(key.table) else None
-        table = key.table(model) if model else key.table
-        return _walk(f"{name}.", v, table, ctx, errors, model)
-    if v is not _ABSENT and v is not None:
-        errors.append(f"{name}: must be an object")
-    elif key.is_required(ctx):
-        errors.append(f"{name}: required")
-    return copy.deepcopy(key.default)
-
 
 def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=None):
     """Check obj against table; return it resolved, defaults filled in.
 
     Unknown keys are reported first, sorted, then each key in table order.
     In a model's parameter block, messages name the model and every range
-    error follows every type error.
+    error follows every type error.  One rule for every object section:
+    absent or null takes the default (or is reported if required), an
+    object is walked, anything else is reported.  A callable sub-table maps
+    the model to its rows.
     """
     suffix = f" for model {model!r}" if model else ""
     for k in sorted(set(obj) - set(table)):
         errors.append(f"{prefix}{k}: unknown key{suffix}")
     out, ranges = {}, []
     for name, key in table.items():
-        v = obj.get(name, _ABSENT)
+        v, section = obj.get(name, _ABSENT), key.table is not None
         if key.commands and ctx["command"] not in key.commands:
             continue
         if key.check:
             out[name] = key.check(v, ctx, errors)
-        elif key.table is not None:
-            out[name] = _section(prefix + name, v, key, ctx, errors)
-        elif v is _ABSENT:
-            default = key.default
-            out[name] = default(out) if callable(default) else copy.copy(default)
-            if key.is_required(ctx):
-                why = f"required{suffix}" if model else key.msg
+        elif v is _ABSENT or (section and v is None):
+            default, required = key.default, key.required
+            out[name] = default(out) if callable(default) else copy.deepcopy(default)
+            if callable(required):
+                required = required(ctx)
+            if required:
+                why = f"required{suffix}" if section or model else key.msg
                 errors.append(f"{prefix}{name}: {why}")
+        elif section and isinstance(v, dict):
+            by_model = ctx["model"] if callable(key.table) else None
+            rows = key.table(by_model) if by_model else key.table
+            out[name] = _walk(f"{prefix}{name}.", v, rows, ctx, errors, by_model)
+        elif section:
+            out[name] = copy.deepcopy(key.default)
+            errors.append(f"{prefix}{name}: must be an object")
         elif not key.test(v):
             out[name] = v
             errors.append(f"{prefix}{name}: {key.msg}")
@@ -300,8 +294,11 @@ _GRID = {
     "T": _Key(_pos, _POS, required=True),
     "N": _Key(_int_from(2), "must be an integer >= 2", required=True),
 }
-_KERNEL = {
-    "n": _Key(_int_from(1), "must be an integer >= 1", required=True),
+_KERNEL = {  # compare takes its term counts from compare.terms
+    "n": _Key(
+        _int_from(1), "must be an integer >= 1",
+        required=lambda ctx: ctx["command"] != "compare",
+    ),
     "method": _METHOD,
 }
 _FIT = {
@@ -556,7 +553,7 @@ def cmd_simulate(args, run: _Run) -> int:
         "n_paths": resolved["paths"],
         "moments": {
             "mean_log_price": float(logS_T.mean()),
-            "var_log_price": float(logS_T.var(ddof=1)),
+            "var_log_price": float(logS_T.var(ddof=1)) if logS_T.size > 1 else None,
             "mean_price": float(np.exp(logS_T).mean()),
             "mean_terminal_variance": float(V_T.mean()),
         },

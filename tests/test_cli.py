@@ -212,6 +212,39 @@ def test_compare_grid_has_one_row_per_cell(tmp_path):
         assert np.isfinite(rmse) and rmse >= 0
 
 
+def test_compare_reads_no_kernel_n(tmp_path):
+    # compare's term counts come from compare.terms: kernel.n is optional there
+    # and, if given, never read
+    rows = {}
+    kernels = {"no_n": {"method": "closed-form"}, "n99": dict(SMALL_KERNEL, n=99)}
+    for name, kern in kernels.items():
+        cfg = write_config(
+            tmp_path,
+            table1_config(
+                paths=300,
+                strikes={"min": -0.05, "max": 0.05, "count": 3},
+                kernel=kern,
+                compare={"terms": [2, 3], "steps": [4]},
+            ),
+            name=f"{name}.json",
+        )
+        out = tmp_path / name
+        assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        rows[name] = (out / "compare_rmse.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows["no_n"][1:]] == ["2", "3"]
+    assert rows["no_n"] == rows["n99"]
+
+
+def test_simulate_one_path_writes_a_null_variance(tmp_path):
+    # a sample variance needs two paths; tier-1 turns numpy's RuntimeWarning
+    # on one path into an error
+    cfg = write_config(tmp_path, bs_config(paths=1, out_dir=str(tmp_path)))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    doc = json.loads((tmp_path / "summary_bs_T0.25_N10.json").read_text())
+    assert doc["moments"]["var_log_price"] is None
+    assert np.isfinite(doc["moments"]["mean_log_price"])
+
+
 def _smile_columns(path):
     """(log-moneyness, implied vol) columns of a smile CSV."""
     rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
@@ -888,6 +921,10 @@ SCHEMA_ERROR_CASES = [
     pytest.param(
         "compare", table1_config(),
         SCHEMA + "kernel: required", id="kernel-missing-compare",
+    ),
+    pytest.param(  # only compare, which reads compare.terms, goes without n
+        "simulate", table1_config(model="abergomi", kernel={"method": "closed-form"}),
+        SCHEMA + "kernel.n: must be an integer >= 1", id="kernel-n-missing-abergomi",
     ),
     pytest.param(
         "smile", table1_config(model="abergomi", kernel=[2]),

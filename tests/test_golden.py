@@ -7,14 +7,15 @@ below, at rtol 1e-12: moments for simulate, implied vols for smile, the
 RMSE table for compare, the power law and psi for skew, and the errors of
 fit-kernel.  A change that moves any Monte Carlo bit, or any bit of a
 kernel, moves one of them; a change meant to keep every bit keeps them all.
-The pins hold at any pool width (CI runs this module at OMP_NUM_THREADS=1
-too) and, as chosen below, across OpenBLAS's CPU-specific kernels, which
-the least-squares kernel fit runs through.
+The pins hold, as chosen below, across OpenBLAS's CPU-specific kernels,
+which the least-squares kernel fit runs through.  The Monte Carlo cases
+also run at --threads 1 and 2, whose artifacts must match byte for byte.
 """
 
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,13 +100,20 @@ def key_numbers(command: str, out: str) -> list:
     return [doc["l2_error"], doc["rmse"], doc["bound"] or 0.0]
 
 
-def run_case(case: str, out: str) -> list:
-    command, config = CASES[case]
+def run(command: str, config: dict, out: str, *flags: str) -> dict:
+    """Run one command into out; return its artifacts, name -> bytes."""
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "config.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config, fh)
-    assert cli.main([command, "--config", path, "--out", out]) == 0
+    assert cli.main([command, "--config", path, "--out", out, *flags]) == 0
     os.remove(path)
+    return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+def run_case(case: str, out: str) -> list:
+    command, config = CASES[case]
+    run(command, config, out)
     return key_numbers(command, out)
 
 
@@ -217,3 +225,32 @@ PINNED = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_key_numbers_are_pinned(case, tmp_path):
     np.testing.assert_allclose(run_case(case, str(tmp_path)), PINNED[case], rtol=1e-12)
+
+
+# The Monte Carlo cases, plus the rBergomi skew at N = 100, whose
+# convolution runs the FFT length of 256 (N = 16 runs 64).
+WIDTH_CASES = {
+    **{c: CASES[c] for c in CASES if "paths" in CASES[c][1]},
+    "skew-rbergomi-N100": (
+        "skew", dict(CASES["skew-rbergomi"][1], grid={"T": 1.0, "N": 100})
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDTH_CASES))
+def test_artifacts_are_byte_identical_at_any_pool_width(case, tmp_path, monkeypatch):
+    # Two usable CPUs even on a one-core machine, so --threads 2 runs a pool.
+    # 600 paths are three blocks, so the two workers stride; 601 leave an
+    # odd last block, whose unpaired last row runs at both widths.  Both
+    # widths write into one directory: the simulate summary embeds it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    command, config = WIDTH_CASES[case]
+    runs = {}
+    for paths in (600, 601):
+        out, cfg = str(tmp_path / str(paths)), dict(config, paths=paths)
+        runs[paths] = run(command, cfg, out, "--threads", "1")
+        assert run(command, cfg, out, "--threads", "2") == runs[paths], paths
+    if command == "simulate":  # a run's paths are a prefix of a longer run's
+        [name] = [f for f in runs[600] if f.startswith("paths_")]
+        rows = runs[600][name].splitlines()[2:]  # after the hash line and header
+        assert runs[601][name].splitlines()[2:602] == rows
