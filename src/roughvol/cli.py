@@ -11,7 +11,9 @@ skew        ATM-skew term structure + fitted power-law exponent (JSON)
 Models: rbergomi, abergomi and bs for simulate and smile; rbergomi, abergomi
 and the analytic bergomi2f for skew (each command is one row of _COMMANDS).
 compare runs rBergomi against aBergomi at each compare.terms count, with the
-kernel.method kernel; its model key and kernel.n are checked but not read.
+kernel.method kernel.  A command checks and hashes only the keys it reads
+(the `commands` column of _CONFIG); any other key of the table is accepted
+and ignored.
 
 All commands read a single JSON config (--config); --seed/--out override
 the config's seed/out_dir.  The config is checked against one table
@@ -188,15 +190,11 @@ def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=No
 
 
 def _check_model(v, ctx: dict, errors: list):
-    command = ctx["command"]
-    if v is _ABSENT:
-        if command == "fit-kernel":
-            return None
-        v = "rbergomi" if command == "compare" else None
-    valid = _COMMANDS[command][2]
+    v = None if v is _ABSENT else v
+    valid = _COMMANDS[ctx["command"]][2]
     if v not in valid:
         errors.append(f"model: must be one of {sorted(valid)}, got {v!r}")
-        if v not in _MODELS:  # a known model's params are checked as its own
+        if v not in _PARAMS:  # a known model's params are checked as its own
             v = "rbergomi"
     ctx["model"] = v
     return v
@@ -256,7 +254,6 @@ def _at_least_3(v: list, _):
 
 
 _PRICING = ("simulate", "smile", "compare", "skew")
-_MODELS = ("abergomi", "bergomi2f", "bs", "rbergomi")
 _NUM, _POS = "must be a number", "must be a positive number"
 _INT_LIST = "must be a non-empty integer list"
 _METHOD = _Key(
@@ -290,14 +287,17 @@ _PARAMS = {
         "xi0": _Key(_num, _NUM, 0.026, bound=_RB_PARAMS["xi0"].bound),
     },
 }
-_GRID = {
-    "T": _Key(_pos, _POS, required=True),
-    "N": _Key(_int_from(2), "must be an integer >= 2", required=True),
+_GRID = {  # skew's maturities supply T; compare's steps supply N
+    "T": _Key(_pos, _POS, required=True, commands=("simulate", "smile", "compare")),
+    "N": _Key(
+        _int_from(2), "must be an integer >= 2", required=True,
+        commands=("simulate", "smile", "skew"),
+    ),
 }
 _KERNEL = {  # compare takes its term counts from compare.terms
     "n": _Key(
-        _int_from(1), "must be an integer >= 1",
-        required=lambda ctx: ctx["command"] != "compare",
+        _int_from(1), "must be an integer >= 1", required=True,
+        commands=("fit-kernel", "simulate", "smile", "skew"),
     ),
     "method": _METHOD,
 }
@@ -322,11 +322,11 @@ _CONFIG = {
         lambda v: _int(v) and 0 <= v < 2**64, "must be an integer in [0, 2^64)", 0
     ),
     "out_dir": _Key(lambda v: isinstance(v, str), "must be a string", "."),
-    "model": _Key(check=_check_model),
+    "model": _Key(check=_check_model, commands=("simulate", "smile", "skew")),
     "fit": _Key(required=True, table=_FIT, commands=("fit-kernel",)),
     "params": _Key(required=True, table=_PARAMS.__getitem__, commands=_PRICING),
-    "grid": _Key(  # skew's maturities supply T; N only matters for MC
-        default={"T": 1.0, "N": 100},
+    "grid": _Key(  # N only matters for a Monte Carlo skew
+        default={"N": 100},
         required=lambda ctx: ctx["command"] != "skew",
         table=_GRID,
         commands=_PRICING,
@@ -336,7 +336,7 @@ _CONFIG = {
         required=lambda ctx: (ctx["command"], ctx["model"]) != ("skew", "bergomi2f"),
         commands=_PRICING,
     ),
-    "strikes": _Key(check=_check_strikes, commands=_PRICING),
+    "strikes": _Key(check=_check_strikes, commands=("smile", "compare")),
     "kernel": _Key(
         required=lambda ctx: ctx["model"] == "abergomi" or ctx["command"] == "compare",
         table=_KERNEL,
@@ -375,9 +375,9 @@ def resolve_config(raw: dict, command: str, overrides: dict) -> dict:
     cfg = dict(raw)
     cfg.update((k, v) for k, v in overrides.items() if v is not None)
     errors = []
-    out = _walk("", cfg, _CONFIG, {"command": command, "model": None}, errors)
-    if command in _PRICING:
-        out["strikes_defaulted"] = "strikes" not in cfg
+    # compare reads no model: its params are rBergomi's, which aBergomi shares
+    ctx = {"command": command, "model": "rbergomi" if command == "compare" else None}
+    out = _walk("", cfg, _CONFIG, ctx, errors)
     if errors:
         raise CliError(EXIT_SCHEMA, "config schema errors: " + "; ".join(errors))
     return out
@@ -515,10 +515,10 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
     The sides share resolved's params, paths and seed.  A side's kernel is
     a kernel section ({n, method}) for aBergomi, built once on [0, 1], and
     None for rBergomi; simulate_terminal runs them.  bs, one side only,
-    draws only dW.
+    draws only dW.  compare's config has no model: its sides are rough.
     """
     paths, seed, p = resolved["paths"], resolved["seed"], resolved["params"]
-    if resolved["model"] == "bs":
+    if resolved.get("model") == "bs":
         [(T, _)], vol = sides, p["vol"]
         grid = sim_core.make_time_grid(T, N)
         W_T = sim_core.sample_terminal_brownian(grid, paths, seed)
@@ -607,7 +607,6 @@ def cmd_smile(args, run: _Run) -> int:
 
     summary = {
         "strikes": resolved["strikes"],
-        "strikes_defaulted": resolved["strikes_defaulted"],
         "skipped": skipped_all,
         "files": files,
     }
@@ -675,14 +674,15 @@ def cmd_skew(args, run: _Run) -> int:
 
 
 # ---------------------------------------------------------------------------
-# One row per command: its handler, its help line and the models it takes.
+# One row per command: its handler, its help line and the models it takes
+# (none for compare and fit-kernel, which read no model key).
 
 _ROUGH = ("abergomi", "rbergomi")
 _COMMANDS = {
     "simulate": (cmd_simulate, "paths CSV + summary JSON", (*_ROUGH, "bs")),
-    "fit-kernel": (cmd_fit_kernel, "kernel JSON + residuals", _MODELS),
+    "fit-kernel": (cmd_fit_kernel, "kernel JSON + residuals", ()),
     "smile": (cmd_smile, "smile CSV per (model, T, N)", (*_ROUGH, "bs")),
-    "compare": (cmd_compare, "RMSE table CSV", _ROUGH),
+    "compare": (cmd_compare, "RMSE table CSV", ()),
     "skew": (cmd_skew, "ATM-skew term structure JSON", (*_ROUGH, "bergomi2f")),
 }
 

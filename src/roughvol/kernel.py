@@ -214,8 +214,9 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
                 continue
             lw_t = lw + step[:n]
             lx_t = lx + step[n:]
-            E_t, r_t = model_and_resid(lw_t, lx_t)
-            rmse_t = float(np.sqrt(np.mean(r_t**2)))
+            with np.errstate(over="ignore"):  # an overflowed trial is rejected
+                E_t, r_t = model_and_resid(lw_t, lx_t)
+                rmse_t = float(np.sqrt(np.mean(r_t**2)))
             if np.isfinite(rmse_t) and rmse_t < best[2]:
                 lw, lx, E, r = lw_t, lx_t, E_t, r_t
                 best = (lw.copy(), lx.copy(), rmse_t)

@@ -184,7 +184,7 @@ def test_smile_csv_schema_and_summary(tmp_path):
     summary = json.loads((tmp_path / "smile_summary_bs_T0.25.json").read_text())
     assert summary["files"] == ["smile_bs_T0.25_N8.csv", "smile_bs_T0.25_N10.csv"]
     assert summary["skipped"] == {}
-    assert summary["strikes_defaulted"] is False
+    assert "strikes_defaulted" not in summary
 
 
 def test_compare_grid_has_one_row_per_cell(tmp_path):
@@ -214,7 +214,7 @@ def test_compare_grid_has_one_row_per_cell(tmp_path):
 
 def test_compare_reads_no_kernel_n(tmp_path):
     # compare's term counts come from compare.terms: kernel.n is optional there
-    # and, if given, never read
+    # and, if given, neither read nor hashed
     rows = {}
     kernels = {"no_n": {"method": "closed-form"}, "n99": dict(SMALL_KERNEL, n=99)}
     for name, kern in kernels.items():
@@ -230,9 +230,9 @@ def test_compare_reads_no_kernel_n(tmp_path):
         )
         out = tmp_path / name
         assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
-        rows[name] = (out / "compare_rmse.csv").read_text().splitlines()[1:]
-    assert [r.split(",")[0] for r in rows["no_n"][1:]] == ["2", "3"]
-    assert rows["no_n"] == rows["n99"]
+        rows[name] = (out / "compare_rmse.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows["no_n"][2:]] == ["2", "3"]
+    assert rows["no_n"] == rows["n99"]  # the config_sha256 line too
 
 
 def test_simulate_one_path_writes_a_null_variance(tmp_path):
@@ -654,7 +654,6 @@ SCHEMA = "error: config schema errors: "
 RB_REQUIRED = "; ".join(
     f"params.{k}: required for model 'rbergomi'" for k in ("xi0", "eta", "H", "rho")
 )
-ALL_MODELS = "['abergomi', 'bergomi2f', 'bs', 'rbergomi']"
 SIMULATED = "['abergomi', 'bs', 'rbergomi']"  # the models simulate and smile take
 KERNEL_BAD_EVERY_KEY = {"n": 0, "method": "x", "N_grid": 2, "terms": 1}
 NOT_PSD = "must keep the (S, X, Y) correlation matrix positive semidefinite"
@@ -709,19 +708,10 @@ SCHEMA_ERROR_CASES = [
         SCHEMA + "model: must be one of ['abergomi', 'bergomi2f', 'rbergomi'], got 'bs'",
         id="model-skew-allows-three",
     ),
-    pytest.param(
-        "fit-kernel", fit_config(model="heston"),
-        SCHEMA + f"model: must be one of {ALL_MODELS}, got 'heston'",
-        id="model-fit-kernel-checked-if-given",
-    ),
-    pytest.param(
-        "compare", table1_config(model="sabr", kernel=SMALL_KERNEL),
-        SCHEMA + "model: must be one of ['abergomi', 'rbergomi'], got 'sabr'",
-        id="model-compare-checked-if-given",
-    ),
+    # compare reads no model: its params are rBergomi's whatever model says
     pytest.param(
         "compare", bs_config(kernel=SMALL_KERNEL),
-        SCHEMA + "model: must be one of ['abergomi', 'rbergomi'], got 'bs'",
+        SCHEMA + "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
         id="model-compare-rough-only",
     ),
     pytest.param(
@@ -868,7 +858,7 @@ SCHEMA_ERROR_CASES = [
     ),
     pytest.param(
         "compare", table1_config(grid={}, kernel=SMALL_KERNEL),
-        SCHEMA + "grid.T: must be a positive number; grid.N: must be an integer >= 2",
+        SCHEMA + "grid.T: must be a positive number",  # compare reads no grid.N
         id="grid-empty",
     ),
     # paths
@@ -1078,7 +1068,7 @@ SCHEMA_ERROR_CASES = [
         "params.H: required for model 'rbergomi'; "
         "params.rho: required for model 'rbergomi'; params.eta: must be positive; "
         "grid: must be an object; paths: must be an integer >= 1; "
-        "strikes.min/max: need numbers with min < max; kernel: must be an object; "
+        "kernel: must be an object; "
         "maturities: need at least 3 distinct maturities to fit a power law, got 1; "
         "bump: must be a positive number",
         id="every-section-skew",
@@ -1097,22 +1087,22 @@ def test_schema_error_text(command, body, line, tmp_path, monkeypatch, capsys):
 RESOLVED_SHA_CASES = [
     pytest.param(
         "simulate", table1_config(),
-        "2490ec74468171c61581fbb64775653fdf0e90c6d6fb31e3378e124675706149",
+        "2603a699f98357b263c8203a2c115f24e2fabfde2e24acca56ad79273a0b1c89",
         id="simulate-rbergomi",
     ),
     pytest.param(
         "simulate", table1_config(model="abergomi", kernel={"n": 3}),
-        "2623e511d44b5beee5dd544f234b5bc6121947080af0ec0a1c590075e09f07a2",
+        "4ca85b9a103e3cae858e6c7e5f28879ddbe75c277b86adeac201879cb30dac43",
         id="simulate-abergomi",
     ),
     pytest.param(
         "simulate", bs_config(grid={"T": 1, "N": 50}),
-        "a5299cbfcb955fdf1e8dadb3a8d93879869aaa0233921e6b21919405aed41111",
+        "6bb2c7c04da0086f9d93866b55719543270f562b63aa4b82b19f3dbb0485fdf5",
         id="simulate-bs",
     ),
     pytest.param(
         "smile", table1_config(strikes=[-0.1, 0, 0.1]),
-        "0ba601b5d147d81259daa05e3ec26a22c1f5dc8ba932401b3b3ab773c9665aab",
+        "80d8e297b077015771a85113cd58b1465ecd6bd0cb19ff6436693c94beb4c583",
         id="smile-rbergomi",
     ),
     pytest.param(
@@ -1122,50 +1112,49 @@ RESOLVED_SHA_CASES = [
             steps=[8, 16],
             kernel={"n": 2, "method": "closed-form"},
         ),
-        "de32e99a6d912f6148bb335a38f144c7a85daace4a4ea17329493fe45a1c6091",
+        "4c17757205c36cde075605d9ffb04063d2933acb0b74c9e5ea7302540d7fd58c",
         id="smile-abergomi",
     ),
     pytest.param(
         "smile", bs_config(strikes={"min": -0.1, "max": 0.1, "count": 5}),
-        "b4ecc1992c4308891e2afdd1ae86d90719bf18a8de183c1e1f6cd920b0166e3f",
+        "75c1fc55481d9a4d13342340533943537e639afef215af4c78b582df73c07037",
         id="smile-bs",
     ),
     pytest.param(
         "compare", without(table1_config(kernel=SMALL_KERNEL), "model"),
-        "c4fe7c0acfd11b8fbeaaef0888a09079d6ab22bf06b2ccc9f77d51c6994c13bb",
+        "23868e18dbc5a1cd4b490ea4323dab40a2b4d27276b7aa4bf0fa5c93b365ad46",
         id="compare-rbergomi",
     ),
     # a null section is an absent one: it takes its defaults
     pytest.param(
         "compare", without(table1_config(kernel=SMALL_KERNEL, compare=None), "model"),
-        "c4fe7c0acfd11b8fbeaaef0888a09079d6ab22bf06b2ccc9f77d51c6994c13bb",
+        "23868e18dbc5a1cd4b490ea4323dab40a2b4d27276b7aa4bf0fa5c93b365ad46",
         id="compare-rbergomi-null-compare",
     ),
     pytest.param(
         "skew", table1_config(),
-        "3359d2361483ef066a2b3edadbd93ce280052fa346a1aa755a232db90a5c7e55",
+        "b81a86e9887467bf4c9539db6cab3bd0be0378c3ca0bc2ea6945595e3965d9b7",
         id="skew-rbergomi",
     ),
     pytest.param(
         "skew", two_factor_config(bump=0.02),
-        "1714c7fd821355e59fcbc72c923ee51494be55eb86e24ff169d7c1abcb75c9ae",
+        "0eed32a76913e50fed1070d16a9726bcb32b2038bc3520f45ca317dfcdd94eda",
         id="skew-bergomi2f",
     ),
     pytest.param(
         "fit-kernel", fit_config(),
-        "914b048cfb940fc4b72dc1fe3444b714c6b8530ef7d4f9aee37fb630418bb804",
+        "19f26e90513101415db277f4cd3e20bc152d5e2487f472eab456a213defcbbf7",
         id="fit-kernel",
     ),
-    # a null kernel is an absent one; null strikes take the default grid but
-    # are not marked as defaulted
+    # a null kernel is an absent one; null strikes take the default grid
     pytest.param(
         "simulate", table1_config(kernel=None),
-        "2490ec74468171c61581fbb64775653fdf0e90c6d6fb31e3378e124675706149",
+        "2603a699f98357b263c8203a2c115f24e2fabfde2e24acca56ad79273a0b1c89",
         id="simulate-rbergomi-null-kernel",
     ),
     pytest.param(
         "smile", bs_config(strikes=None),
-        "b75e4dba66dcd04c3077c4c8ca367a27c63081459bfbcdf800cdda09e4987e8a",
+        "4a952ec8f64e57e9aabab5d8feaf2676c32054f3818507bc8b7c6b53b8574e14",
         id="smile-bs-null-strikes",
     ),
 ]
@@ -1229,6 +1218,95 @@ def test_non_finite_numbers_are_schema_errors(
 def test_resolved_config_hash_is_pinned(command, body, sha):
     # defaults are filled in before hashing, so a changed default changes the hash
     assert cli.config_sha(cli.resolve_config(body, command, {})) == sha
+
+
+def with_key(cfg, dotted, value):
+    """A copy of cfg with the key at the dotted path set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    *sections, key = dotted.split(".")
+    inner = cfg
+    for name in sections:
+        inner = inner[name]
+    inner[key] = value
+    return cfg
+
+
+COMPARE_BODY = without(table1_config(kernel={"method": "closed-form"}), "model")
+
+
+# (command, config without the key, key, values): the key is one the command
+# does not read, so no value of it, valid or not, is checked or hashed
+@pytest.mark.parametrize(
+    "command, body, key, values",
+    [
+        pytest.param(
+            "simulate", table1_config(), "strikes", [[-0.1, 0.1], "wide"],
+            id="simulate-strikes",
+        ),
+        pytest.param(
+            "skew", table1_config(), "strikes", [[-0.1, 0.1], {"min": 0}],
+            id="skew-strikes",
+        ),
+        pytest.param(
+            "skew", table1_config(grid={"N": 8}), "grid.T", [2.0, 0],
+            id="skew-grid.T",
+        ),
+        pytest.param(
+            "compare", with_key(COMPARE_BODY, "grid", {"T": 0.25}), "grid.N", [16, 1],
+            id="compare-grid.N",
+        ),
+        pytest.param(
+            "compare", COMPARE_BODY, "model", ["abergomi", "sabr"], id="compare-model",
+        ),
+        pytest.param(
+            "compare", COMPARE_BODY, "kernel.n", [5, 0], id="compare-kernel.n",
+        ),
+        pytest.param(
+            "fit-kernel", fit_config(), "model", ["rbergomi", "heston"],
+            id="fit-kernel-model",
+        ),
+    ],
+)
+def test_unread_keys_do_not_move_the_hash(command, body, key, values):
+    sha = cli.config_sha(cli.resolve_config(body, command, {}))
+    for value in values:
+        resolved = cli.resolve_config(with_key(body, key, value), command, {})
+        assert cli.config_sha(resolved) == sha, value
+
+
+# (command, config, key, another valid value, a malformed value)
+@pytest.mark.parametrize(
+    "command, body, key, other, bad",
+    [
+        pytest.param(
+            "smile", table1_config(), "strikes", [-0.1, 0.1], "wide",
+            id="smile-strikes",
+        ),
+        pytest.param(
+            "compare", COMPARE_BODY, "strikes", [-0.1, 0.1], "wide",
+            id="compare-strikes",
+        ),
+        pytest.param("compare", COMPARE_BODY, "grid.T", 2.0, 0, id="compare-grid.T"),
+        pytest.param("skew", table1_config(), "grid.N", 16, 1, id="skew-grid.N"),
+        pytest.param(  # with the kernel section aBergomi needs
+            "skew", table1_config(kernel={"n": 2}), "model", "abergomi", "bs",
+            id="skew-model",
+        ),
+        pytest.param(
+            "compare", COMPARE_BODY, "kernel.method", "least-squares", "x",
+            id="compare-kernel.method",
+        ),
+        pytest.param("fit-kernel", fit_config(), "fit.n", 4, 0, id="fit-kernel-fit.n"),
+    ],
+)
+def test_read_keys_move_the_hash_and_are_checked(command, body, key, other, bad):
+    def sha(cfg):
+        return cli.config_sha(cli.resolve_config(cfg, command, {}))
+
+    assert sha(with_key(body, key, other)) != sha(body)
+    with pytest.raises(cli.CliError, match=re.escape(key) + ": ") as err:
+        sha(with_key(body, key, bad))
+    assert err.value.code == cli.EXIT_SCHEMA
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Kernel constructions against frozen values and an incomplete-gamma oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,16 @@ def test_fit_validation():
     # rejected before the fit grid is built, where a negative T would warn
     with pytest.raises(ValueError, match="T must be positive and finite"):
         rv.fit_kernel_ls(H, -1.0, 100, 3)
+
+
+@pytest.mark.parametrize("args", [(0.07, 1.0, 150, 3), (0.07, 0.4, 100, 4)])
+def test_fit_rejects_an_overflowing_trial_step_silently(args):
+    # each fit tries a step whose weights overflow exp(); its RMSE is not
+    # finite, so the step is rejected, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = rv.fit_kernel_ls(*args)
+    assert np.isfinite(k.weights).all() and np.isfinite(k.speeds).all()
 
 
 def test_fit_is_pinned():
