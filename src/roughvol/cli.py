@@ -79,7 +79,7 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read config {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, too deep
         raise CliError(EXIT_SCHEMA, f"config {path} is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise CliError(EXIT_SCHEMA, f"config {path} must be a JSON object")
@@ -403,8 +403,8 @@ def _ensure_outdir(resolved: dict) -> str:
     d = resolved["out_dir"]
     try:
         os.makedirs(d, exist_ok=True)
-    except OSError as e:
-        raise CliError(EXIT_IO, f"cannot create output directory {d}: {e}")
+    except (OSError, ValueError) as e:  # ValueError: an embedded NUL
+        raise CliError(EXIT_IO, f"cannot create output directory {d!r}: {e}")
     return d
 
 

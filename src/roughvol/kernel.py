@@ -30,14 +30,6 @@ __all__ = [
     "fit_kernel_ls",
 ]
 
-# Identifiability guard for fitted speeds: beyond exp(-x*tau_min) = 1e-12 a
-# speed no longer moves any grid residual, so Gauss-Newton can push it to
-# absurd magnitudes for free (and absurd speeds destabilize downstream Euler
-# steps).  Speeds are clamped to ln(1e12)/tau_min after the fit; the change
-# to the fitted function on the grid is below 1e-12.
-_SPEED_CAP_LOG = np.log(1e12)
-
-
 @dataclass(frozen=True, eq=False)
 class ExpKernel:
     """K^n(tau) = sum_i weights[i] * exp(-speeds[i] * tau).
@@ -166,12 +158,12 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
     and the truncated endpoint T are excluded).  Damped Gauss-Newton on
     log-parameters (positivity for free), analytic Jacobian, Levenberg
     damping with accept-if-decrease; stops on max|J^T r| < 1e-10 or after
-    500 sweeps, returning the best iterate.  A single deterministic start at
-    the unscaled closed-form nodes is used — multi-start selection by grid
-    RMSE favors degenerate near-cancelling pairs that explode off-grid, so
-    it is deliberately avoided.  The best iterate is always finite: it
-    starts at the finite closed-form nodes and is replaced only by an
-    iterate with a finite, lower RMSE.
+    500 sweeps, returning the last accepted iterate, which has the lowest
+    grid RMSE seen.  A single deterministic start at the unscaled
+    closed-form nodes is used — multi-start selection by grid RMSE favors
+    degenerate near-cancelling pairs that explode off-grid, so it is
+    deliberately avoided.  The iterate is always finite: it starts at the
+    finite closed-form nodes and moves only to a finite, lower RMSE.
     """
     _check_horizon(H, T)
     N_grid = _check_int("N_grid", N_grid, 3)
@@ -188,7 +180,7 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
         return E, f - y
 
     E, r = model_and_resid(lw, lx)
-    best = (lw.copy(), lx.copy(), float(np.sqrt(np.mean(r**2))))
+    rmse = float(np.sqrt(np.mean(r**2)))
     lam = 1e-3
     for _ in range(500):
         w = np.exp(lw)
@@ -202,10 +194,9 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
         JTJ = J.T @ J
         # identity (not diagonal-scaled) damping: the scaled variant takes
         # different step directions and, on this problem, walks into spiky
-        # local optima (huge weight on a near-cap speed) that match the
-        # grid but are useless between its points.
+        # local optima (a huge weight on a speed too fast for the grid to
+        # see) that match the grid but are useless between its points.
         eye = np.eye(2 * n)
-        accepted = False
         for _ in range(40):
             try:
                 step = np.linalg.solve(JTJ + lam * eye, -g)
@@ -217,17 +208,14 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
             with np.errstate(over="ignore"):  # an overflowed trial is rejected
                 E_t, r_t = model_and_resid(lw_t, lx_t)
                 rmse_t = float(np.sqrt(np.mean(r_t**2)))
-            if np.isfinite(rmse_t) and rmse_t < best[2]:
-                lw, lx, E, r = lw_t, lx_t, E_t, r_t
-                best = (lw.copy(), lx.copy(), rmse_t)
+            if np.isfinite(rmse_t) and rmse_t < rmse:
+                lw, lx, E, r, rmse = lw_t, lx_t, E_t, r_t, rmse_t
                 lam = max(lam * 0.3, 1e-12)
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:  # no trial lowered the RMSE
             break
 
-    lw, lx, _ = best
     # log-params keep everything positive, but exp() of a very negative
     # log-weight/log-speed can underflow to 0.0 exactly (a dead term);
     # floor at the smallest normal so the positivity contract holds.  A
@@ -235,9 +223,7 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
     tiny = np.finfo(float).tiny
     w = np.maximum(np.exp(lw), tiny)
     x = np.maximum(np.exp(lx), tiny)
-    # identifiability clamp, then restore strict ordering
-    cap = _SPEED_CAP_LOG / tau[0]
-    x = np.minimum(x, cap)
+    # restore strict ordering
     order = np.argsort(x, kind="stable")
     x = x[order]
     w = w[order]

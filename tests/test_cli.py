@@ -485,10 +485,22 @@ def test_missing_config_exits_4(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_malformed_json_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "body",
+    [b"{not json", b'{"model": "bs" \xff}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["syntax", "not-utf-8", "nested-too-deep"],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, body):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_bytes(body)
     assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_out_dir_with_a_nul_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, bs_config(out_dir=str(tmp_path / "a\u0000b")))
+    assert cli.main(["simulate", "--config", cfg]) == 4
+    assert "cannot create output directory" in capsys.readouterr().err
 
 
 def test_schema_errors_name_every_offending_key(tmp_path, capsys):
@@ -525,23 +537,25 @@ def test_failed_allocation_exits_3(tmp_path, capsys, monkeypatch):
     )
 
 
-def test_stiff_fitted_kernel_gives_a_finite_smile(tmp_path):
+@pytest.mark.parametrize("n, N, paths", [(10, 8, 64), (4, 200, 600)])
+def test_stiff_fitted_kernel_gives_a_finite_smile(tmp_path, n, N, paths):
     # fitted kernels carry fast mean reversions (speed * dt far above 2 at
     # dt = 1/8, where an explicit Euler step would blow up); the kernel
-    # plan's factors decay exactly, so every speed is stable
+    # plan's factors decay exactly, so every speed is stable.  The n = 4 fit
+    # on 200 points puts a huge weight on a speed the grid cannot see.
     cfg = write_config(
         tmp_path,
         table1_config(
             model="abergomi",
-            grid={"T": 1.0, "N": 8},
-            paths=64,
-            kernel={"n": 10, "method": "least-squares"},
+            grid={"T": 1.0, "N": N},
+            paths=paths,
+            kernel={"n": n, "method": "least-squares"},
             out_dir=str(tmp_path),
         ),
     )
     with np.errstate(over="raise", invalid="raise"):
         assert cli.main(["smile", "--config", cfg]) == 0
-    lines = (tmp_path / "smile_abergomi_T1.0_N8.csv").read_text().splitlines()
+    lines = (tmp_path / f"smile_abergomi_T1.0_N{N}.csv").read_text().splitlines()
     assert len(lines) == 2 + 21
     assert np.all(np.isfinite([[float(v) for v in r.split(",")] for r in lines[2:]]))
 

@@ -162,13 +162,32 @@ def test_fit_improves_on_its_initialization():
     assert rv.kernel_l2_error(fitted, H, T) < rv.kernel_l2_error(init, H, T)
 
 
+@pytest.mark.parametrize(
+    "H_, T_, N_grid, n", [(0.02, 1.0, 200, 4), (0.07, 1.0, 200, 4), (0.07, 0.4, 100, 4)]
+)
+def test_fit_ends_no_worse_than_its_start(H_, T_, N_grid, n):
+    # each fit lands on a degenerate optimum: a huge weight on a speed far
+    # too fast for the grid to see, which must stay off the grid
+    tau = np.arange(1, N_grid) * (T_ / N_grid)
+    target = np.sqrt(2 * H_) * tau ** (H_ - 0.5)
+    init = rv.closed_form_kernel(n, H_, T_)
+    start = rv.ExpKernel(init.weights / np.sqrt(2 * H_), init.speeds, H_, T_)
+    fitted = rv.fit_kernel_ls(H_, T_, N_grid, n)
+
+    def rmse(k):
+        return np.sqrt(np.mean((k(tau) - target) ** 2))
+
+    assert rmse(fitted) <= rmse(start)
+
+
 def test_fit_stays_tame():
-    # degenerate optima show up as huge weights on near-cap speeds; the
-    # deterministic closed-form start plus identity damping avoids them
+    # degenerate optima show up as huge weights on speeds too fast for the
+    # grid to see (exp(-x * tau_1) below 1e-12); the deterministic
+    # closed-form start plus identity damping avoids them
     k = rv.fit_kernel_ls(H, T, 100, 20)
     assert k.weights.max() < 5.0
-    cap = np.log(1e12) / (T / 100)
-    assert k.speeds.max() <= cap * (1 + 1e-12)
+    fastest_seen = np.log(1e12) / (T / 100)
+    assert k.speeds.max() <= fastest_seen * (1 + 1e-12)
 
 
 def test_fit_validation():
