@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim_core import ModelParams
+from .sim_core import ModelParams, _check_domains, _correlation, _number, _positive
 
 __all__ = [
     "DEFAULT_STRIKES",
@@ -88,15 +88,32 @@ class SkewReport:
     richardson: np.ndarray
 
 
+def _below_kappa_X(v, params) -> str | None:
+    kx = params["kappa_X"] if _number(params["kappa_X"]) else math.inf
+    return None if 0 < v < kx else "must lie in (0, kappa_X)"
+
+
+def _feasible_rho_XY(v, params) -> str | None:
+    if not abs(v) <= 1:
+        return "must lie in [-1, 1]"
+    sx, sy = params["rho_SX"], params["rho_SY"]
+    if all(_number(r) and abs(r) <= 1 for r in (sx, sy)) and (
+        1 - sx * sx - sy * sy - v * v + 2 * sx * sy * v < -1e-12
+    ):
+        return "must keep the (S, X, Y) correlation matrix positive semidefinite"
+
+
 @dataclass(frozen=True)
 class TwoFactorParams:
     """Classical two-factor model parameters and derived loadings.
 
     omega: vol-of-vol; theta: mixing weight in [0, 1]; kappa_X > kappa_Y > 0
     mean-reversion speeds; rho_SX, rho_SY spot-factor correlations; rho_XY
-    factor-factor correlation.  Derived: chi (residual correlation of the
-    factor drivers), the normalizer alpha_theta, and the loading vectors
-    omega_iX, omega_iY of the three-Brownian decomposition.
+    factor-factor correlation, with a positive semidefinite (S, X, Y)
+    correlation matrix.  DOMAINS holds the rules, as in ModelParams.
+    Derived: chi (residual correlation of the factor drivers), the
+    normalizer alpha_theta, and the loading vectors omega_iX, omega_iY of
+    the three-Brownian decomposition.
     """
 
     omega: float
@@ -110,23 +127,19 @@ class TwoFactorParams:
     alpha_theta: float = field(init=False)
     omega_iX: np.ndarray = field(init=False)
     omega_iY: np.ndarray = field(init=False)
+    DOMAINS = {
+        "kappa_X": _positive,
+        "kappa_Y": _below_kappa_X,
+        "omega": _positive,
+        "rho_SX": _correlation,
+        "rho_SY": _correlation,
+        "rho_XY": _feasible_rho_XY,
+        "theta": lambda v, _: None if 0 <= v <= 1 else "must lie in [0, 1]",
+    }
 
     def __post_init__(self):
-        if not (0 < self.omega < math.inf):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if not (math.inf > self.kappa_X > self.kappa_Y > 0):
-            raise ValueError(
-                f"need kappa_X > kappa_Y > 0, got {self.kappa_X}, {self.kappa_Y}"
-            )
-        for name in ("rho_SX", "rho_SY", "rho_XY"):
-            if not (-1 <= getattr(self, name) <= 1):
-                raise ValueError(f"{name} must lie in [-1, 1]")
+        _check_domains(self)
         sx, sy, xy = self.rho_SX, self.rho_SY, self.rho_XY
-        # the (S, X, Y) correlation matrix must be positive semidefinite
-        if 1 - sx * sx - sy * sy - xy * xy + 2 * sx * sy * xy < -1e-12:
-            raise ValueError(f"rho_XY={xy} is infeasible given rho_SX, rho_SY")
         denom = np.sqrt(1 - sx**2) * np.sqrt(1 - sy**2)
         # at |rho_SX| = 1 or |rho_SY| = 1 the loadings do not depend on chi
         chi = float(np.clip((xy - sx * sy) / denom, -1.0, 1.0)) if denom else 0.0

@@ -12,8 +12,8 @@ Models: rbergomi, abergomi and bs for simulate and smile; rbergomi, abergomi
 and the analytic bergomi2f for skew (each command is one row of _COMMANDS).
 compare runs rBergomi against aBergomi at each compare.terms count, with the
 kernel.method kernel.  A command checks and hashes only the keys it reads
-(the `commands` column of _CONFIG); any other key of the table is accepted
-and ignored.
+(the `commands` column of _CONFIG; smile reads grid.N only without steps);
+any other key of the table is accepted and ignored.
 
 All commands read a single JSON config (--config); --seed/--out override
 the config's seed/out_dir.  The config is checked against one table
@@ -90,9 +90,7 @@ def _int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _num(v) -> bool:
-    """A finite number: NaN and +-Infinity are not."""
-    return _int(v) or (isinstance(v, float) and math.isfinite(v))
+_num = sim_core._number  # the parameter domains' own meaning of a number
 
 
 def _pos(v) -> bool:
@@ -124,14 +122,15 @@ class _Key(NamedTuple):
     maps an accepted value into the resolved config.  A row with a table is
     a section (see _walk).  check(value, ctx, errors) -> resolved value
     replaces all of these for a rule a row cannot state.  A key outside
-    `commands` (empty: all) is accepted but not checked or resolved.
+    `commands` (empty: all), or whose required gives None, is accepted but
+    not checked or resolved.
     """
 
     test: Callable[[Any], bool] | None = None
     msg: str = ""
     default: Any = None
-    required: bool | Callable[[dict], bool] = False
-    bound: Callable[[Any], str | None] | None = None
+    required: bool | Callable[[dict], bool | None] = False
+    bound: Callable[[Any, dict], str | None] | None = None
     cast: Callable[[Any], Any] | None = None
     check: Callable[[Any, dict, list], Any] | None = None
     commands: tuple = ()
@@ -154,15 +153,14 @@ def _walk(prefix: str, obj: dict, table: dict, ctx: dict, errors: list, model=No
     out, ranges = {}, []
     for name, key in table.items():
         v, section = obj.get(name, _ABSENT), key.table is not None
-        if key.commands and ctx["command"] not in key.commands:
+        required = key.required(ctx) if callable(key.required) else key.required
+        if required is None or key.commands and ctx["command"] not in key.commands:
             continue
         if key.check:
             out[name] = key.check(v, ctx, errors)
         elif v is _ABSENT or (section and v is None):
-            default, required = key.default, key.required
+            default = key.default
             out[name] = default(out) if callable(default) else copy.deepcopy(default)
-            if callable(required):
-                required = required(ctx)
             if required:
                 why = f"required{suffix}" if section or model else key.msg
                 errors.append(f"{prefix}{name}: {why}")
@@ -223,28 +221,9 @@ def _check_strikes(v, ctx: dict, errors: list):
     return [lo + (hi - lo) * i / (cnt - 1) for i in range(cnt)]
 
 
-def _param(ok: Callable[[Any], bool], range_msg: str) -> _Key:
-    """A required model parameter: a number first, then inside its range."""
-    return _Key(
-        _num, _NUM, required=True, bound=lambda v, _: None if ok(v) else range_msg
-    )
-
-
-def _below_kappa_X(v, block: dict):
-    kx = block["kappa_X"]
-    if not 0 < v < (kx if _num(kx) else math.inf):
-        return "must lie in (0, kappa_X)"
-
-
-def _feasible_rho_XY(v, block: dict):
-    """The (S, X, Y) correlation matrix must be positive semidefinite."""
-    if abs(v) > 1:
-        return "must lie in [-1, 1]"
-    sx, sy = block["rho_SX"], block["rho_SY"]
-    if all(_num(r) and abs(r) <= 1 for r in (sx, sy)) and (
-        1 - sx * sx - sy * sy - v * v + 2 * sx * sy * v < -1e-12
-    ):
-        return "must keep the (S, X, Y) correlation matrix positive semidefinite"
+def _params(domains: dict) -> dict:
+    """A model's parameter rows: a required number, then inside its domain."""
+    return {k: _Key(_num, _NUM, required=True, bound=f) for k, f in domains.items()}
 
 
 def _at_least_3(v: list, _):
@@ -261,36 +240,22 @@ _METHOD = _Key(
     "must be 'closed-form' or 'least-squares'",
     "least-squares",
 )
-_RHO = _param(lambda v: abs(v) <= 1, "must lie in [-1, 1]")
-_RB_PARAMS = {
-    "xi0": _param(lambda v: v > 0, "must be positive"),
-    "eta": _param(lambda v: v > 0, "must be positive"),
-    "H": _param(lambda v: 0 < v < 0.5, "must lie in (0, 1/2)"),
-    "rho": _RHO,
-}
-# TwoFactorParams' own ranges, so that each exits as a schema error
-_TWO_FACTOR_PARAMS = {
-    "kappa_X": _param(lambda v: v > 0, "must be positive"),
-    "kappa_Y": _Key(_num, _NUM, required=True, bound=_below_kappa_X),
-    "omega": _param(lambda v: v > 0, "must be positive"),
-    "rho_SX": _RHO,
-    "rho_SY": _RHO,
-    "rho_XY": _Key(_num, _NUM, required=True, bound=_feasible_rho_XY),
-    "theta": _param(lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-}
+_RB_PARAMS = _params(sim_core.ModelParams.DOMAINS)
 _PARAMS = {
     "rbergomi": _RB_PARAMS,
     "abergomi": _RB_PARAMS,
     "bs": {"vol": _Key(_pos, _POS, required=True)},
     "bergomi2f": {
-        **_TWO_FACTOR_PARAMS,
+        **_params(analytics.TwoFactorParams.DOMAINS),
         "xi0": _Key(_num, _NUM, 0.026, bound=_RB_PARAMS["xi0"].bound),
     },
 }
-_GRID = {  # skew's maturities supply T; compare's steps supply N
+_STEPS = _int_list(2)
+_GRID = {  # skew's maturities supply T; compare's steps, and smile's, supply N
     "T": _Key(_pos, _POS, required=True, commands=("simulate", "smile", "compare")),
     "N": _Key(
-        _int_from(2), "must be an integer >= 2", required=True,
+        _int_from(2), "must be an integer >= 2",
+        required=lambda ctx: None if ctx["steps"] else True,
         commands=("simulate", "smile", "skew"),
     ),
 }
@@ -343,7 +308,7 @@ _CONFIG = {
         commands=_PRICING,
     ),
     "steps": _Key(
-        _int_list(2),
+        _STEPS,
         "must be a list of integers >= 2",
         lambda out: [out["grid"]["N"]],
         commands=("smile",),
@@ -375,8 +340,11 @@ def resolve_config(raw: dict, command: str, overrides: dict) -> dict:
     cfg = dict(raw)
     cfg.update((k, v) for k, v in overrides.items() if v is not None)
     errors = []
-    # compare reads no model: its params are rBergomi's, which aBergomi shares
-    ctx = {"command": command, "model": "rbergomi" if command == "compare" else None}
+    # compare reads no model: its params are rBergomi's, which aBergomi shares;
+    # smile reads grid.N only for its default steps, [grid.N]
+    model = "rbergomi" if command == "compare" else None
+    steps = command == "smile" and _STEPS(cfg.get("steps"))
+    ctx = {"command": command, "model": model, "steps": steps}
     out = _walk("", cfg, _CONFIG, ctx, errors)
     if errors:
         raise CliError(EXIT_SCHEMA, "config schema errors: " + "; ".join(errors))
@@ -641,7 +609,8 @@ def cmd_skew(args, run: _Run) -> int:
 
     if model == "bergomi2f":  # analytic ATM skew, no MC
         p = resolved["params"]
-        tf = analytics.TwoFactorParams(**{k: p[k] for k in _TWO_FACTOR_PARAMS})
+        domains = analytics.TwoFactorParams.DOMAINS
+        tf = analytics.TwoFactorParams(**{k: p[k] for k in domains})
         xi0 = p["xi0"]
         psi = np.empty(len(mats))
         for i, T in enumerate(mats):

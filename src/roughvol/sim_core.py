@@ -69,6 +69,7 @@ measured on 2 CPUs only.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
@@ -218,13 +219,35 @@ PathIncrements.dU = cached_property(PathIncrements._draw_dU)
 PathIncrements.dU.__set_name__(PathIncrements, "dU")
 
 
+def _number(x) -> bool:
+    """A finite real number: NaN, +-Infinity and booleans are not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) < np.inf
+
+
+def _positive(v, _) -> str | None:
+    return None if 0 < v < np.inf else "must be positive"
+
+
+def _correlation(v, _) -> str | None:
+    return None if -1 <= v <= 1 else "must lie in [-1, 1]"
+
+
+def _check_domains(params) -> None:
+    """Raise ValueError for the first parameter outside its DOMAINS rule."""
+    values = {name: getattr(params, name) for name in params.DOMAINS}
+    for name, rule in params.DOMAINS.items():
+        if why := rule(values[name], values):
+            raise ValueError(f"{name} {why}, got {values[name]}")
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """rBergomi parameters with the derived exponent and vol scale.
 
     alpha = H - 1/2 and sigma = eta*sqrt(2*alpha + 1) are computed, not
-    passed.  H must lie in (0, 1/2) (rough regime), xi0 and eta must be
-    positive and finite, rho must lie in [-1, 1].
+    passed.  DOMAINS maps each parameter to rule(value, values): why value
+    lies outside its domain, given the parameters before it, or None; NaN
+    lies outside every domain.  The CLI's config schema reads DOMAINS too.
     """
 
     xi0: float
@@ -233,16 +256,15 @@ class ModelParams:
     rho: float
     alpha: float = field(init=False)
     sigma: float = field(init=False)
+    DOMAINS = {
+        "xi0": _positive,
+        "eta": _positive,
+        "H": lambda v, _: None if 0 < v < 0.5 else "must lie in (0, 1/2)",
+        "rho": _correlation,
+    }
 
     def __post_init__(self):
-        if not (0 < self.xi0 < np.inf):
-            raise ValueError(f"xi0 must be positive and finite, got {self.xi0}")
-        if not (0 < self.eta < np.inf):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if not (0.0 < self.H < 0.5):
-            raise ValueError(f"H must lie in (0, 1/2), got {self.H}")
-        if not (-1 <= self.rho <= 1):
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
+        _check_domains(self)
         object.__setattr__(self, "alpha", self.H - 0.5)
         object.__setattr__(self, "sigma", self.eta * np.sqrt(2 * self.H))
 

@@ -395,6 +395,36 @@ def test_two_factor_params_validation():
 
 
 @pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"kappa_X": 0.0}, "kappa_X must be positive, got 0.0"),
+        ({"kappa_Y": 8.0}, "kappa_Y must lie in (0, kappa_X), got 8.0"),
+        ({"omega": float("nan")}, "omega must be positive, got nan"),
+        ({"rho_SY": -1.5}, "rho_SY must lie in [-1, 1], got -1.5"),
+        (
+            {"rho_SX": 0.9, "rho_SY": -0.9, "rho_XY": 0.9},
+            "rho_XY must keep the (S, X, Y) correlation matrix positive "
+            "semidefinite, got 0.9",
+        ),
+        ({"theta": 1.5}, "theta must lie in [0, 1], got 1.5"),
+        # the first parameter outside its domain, in DOMAINS order
+        (
+            {"omega": -2.0, "kappa_Y": -0.5},
+            "kappa_Y must lie in (0, kappa_X), got -0.5",
+        ),
+    ],
+)
+def test_two_factor_params_name_the_first_domain_broken(kw, message):
+    ok = dict(
+        omega=2.0, theta=0.3, kappa_X=8.0, kappa_Y=0.5,
+        rho_SX=-0.7, rho_SY=-0.6, rho_XY=0.2,
+    )
+    with pytest.raises(ValueError) as err:
+        rv.TwoFactorParams(**{**ok, **kw})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "rho_SX, rho_SY, rho_XY",
     [
         (-0.7, -0.6, 0.2),  # inside

@@ -1,6 +1,7 @@
 """End-to-end checks of the batch front-end, run in-process via cli.main()."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -185,6 +186,34 @@ def test_smile_csv_schema_and_summary(tmp_path):
     assert summary["files"] == ["smile_bs_T0.25_N8.csv", "smile_bs_T0.25_N10.csv"]
     assert summary["skipped"] == {}
     assert "strikes_defaulted" not in summary
+
+
+def smile_with_steps(tmp_path, grid):
+    """The files of an aBergomi smile on steps [8, 16] and the given grid.
+
+    The summary embeds out_dir, so every run writes to the same one.
+    """
+    out = tmp_path / "out"
+    body = table1_config(model="abergomi", kernel=SMALL_KERNEL, steps=[8, 16])
+    cfg = write_config(tmp_path, dict(body, grid=grid))
+    assert cli.main(["smile", "--config", cfg, "--out", str(out)]) == 0
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_smile_with_steps_does_not_hash_grid_N(tmp_path):
+    # grid.N only supplies smile's default steps, [grid.N]
+    coarse = smile_with_steps(tmp_path, {"T": 0.25, "N": 8})
+    assert smile_with_steps(tmp_path, {"T": 0.25, "N": 50}) == coarse
+    assert sorted(coarse) == [
+        "smile_abergomi_T0.25_N16.csv",
+        "smile_abergomi_T0.25_N8.csv",
+        "smile_summary_abergomi_T0.25.json",
+    ]
+
+
+def test_smile_with_steps_needs_no_grid_N(tmp_path):
+    coarse = smile_with_steps(tmp_path, {"T": 0.25, "N": 8})
+    assert smile_with_steps(tmp_path, {"T": 0.25}) == coarse
 
 
 def test_compare_grid_has_one_row_per_cell(tmp_path):
@@ -1126,7 +1155,7 @@ RESOLVED_SHA_CASES = [
             steps=[8, 16],
             kernel={"n": 2, "method": "closed-form"},
         ),
-        "4c17757205c36cde075605d9ffb04063d2933acb0b74c9e5ea7302540d7fd58c",
+        "ac98bea769904747fec371a3ae038e3aa8aba000f9606536b05891d50639db20",
         id="smile-abergomi",
     ),
     pytest.param(
@@ -1228,6 +1257,86 @@ def test_non_finite_numbers_are_schema_errors(
     assert list(tmp_path.iterdir()) == [path]
 
 
+def domain_edge(model, name, edge, inward, closed=False, **over):
+    """A value just inside and one just outside an edge of name's domain.
+
+    The domain lies on the inward side (+-inf) of edge; a closed edge is
+    inside, an open one outside.  over sets the other parameters the edge
+    needs.
+    """
+    inside = edge if closed else math.nextafter(edge, inward)
+    outside = math.nextafter(edge, -inward) if closed else edge
+    return [
+        pytest.param(model, dict(over, **{name: x}), ok, id=f"{model}-{name}-{x!r}")
+        for x, ok in ((inside, True), (outside, False))
+    ]
+
+
+def psd_edges(sx, sy):
+    """The rho_XY range that keeps the (S, X, Y) correlations feasible."""
+    half = math.sqrt((1 - sx * sx) * (1 - sy * sy))
+    return sx * sy - half, sx * sy + half
+
+
+RB_PARAMS = table1_config()["params"]
+RB, TWO, TF = "rbergomi", "bergomi2f", TWO_FACTOR_PARAMS
+DOMAIN_CASES = [
+    *domain_edge(RB, "xi0", 0.0, INF),
+    *domain_edge(RB, "eta", 0.0, INF),
+    *domain_edge(RB, "H", 0.0, INF),
+    *domain_edge(RB, "H", 0.5, -INF),
+    *domain_edge(RB, "rho", -1.0, INF, closed=True),
+    *domain_edge(RB, "rho", 1.0, -INF, closed=True),
+    # kappa_X > kappa_Y > 0: the smallest kappa_X needs the smallest kappa_Y
+    *domain_edge(TWO, "kappa_X", 5e-324, INF, kappa_Y=5e-324),
+    pytest.param(TWO, {"kappa_X": 0.0}, False, id=f"{TWO}-kappa_X-0.0"),
+    *domain_edge(TWO, "kappa_Y", 0.0, INF),
+    *domain_edge(TWO, "kappa_Y", TF["kappa_X"], -INF),
+    *domain_edge(TWO, "omega", 0.0, INF),
+    # at rho_SX = +-1 the only feasible rho_XY is +-rho_SY, and vice versa
+    *domain_edge(TWO, "rho_SX", -1.0, INF, closed=True, rho_XY=-TF["rho_SY"]),
+    *domain_edge(TWO, "rho_SX", 1.0, -INF, closed=True, rho_XY=TF["rho_SY"]),
+    *domain_edge(TWO, "rho_SY", -1.0, INF, closed=True, rho_XY=-TF["rho_SX"]),
+    *domain_edge(TWO, "rho_SY", 1.0, -INF, closed=True, rho_XY=TF["rho_SX"]),
+    *domain_edge(TWO, "rho_XY", -1.0, INF, closed=True, rho_SX=-0.7, rho_SY=0.7),
+    *domain_edge(TWO, "rho_XY", 1.0, -INF, closed=True, rho_SX=-0.7, rho_SY=-0.7),
+    # inside [-1, 1], but the (S, X, Y) correlation matrix must stay PSD; the
+    # determinant's 1e-12 slack lets a value a few ulp outside in
+    *(
+        pytest.param(TWO, {"rho_XY": edge + d}, ok, id=f"{TWO}-rho_XY-psd-{edge + d!r}")
+        for edge, inward in zip(psd_edges(TF["rho_SX"], TF["rho_SY"]), (1, -1))
+        for d, ok in ((inward * 1e-9, True), (-inward * 1e-9, False))
+    ),
+    *domain_edge(TWO, "theta", 0.0, INF, closed=True),
+    *domain_edge(TWO, "theta", 1.0, -INF, closed=True),
+    *(pytest.param(RB, {k: NAN}, False, id=f"{RB}-{k}-nan") for k in RB_PARAMS),
+    *(pytest.param(TWO, {k: NAN}, False, id=f"{TWO}-{k}-nan") for k in TF),
+]
+
+
+@pytest.mark.parametrize("model, over, inside", DOMAIN_CASES)
+def test_schema_and_constructor_share_each_domain(model, over, inside):
+    # the schema exits 2 exactly when the model's constructor raises
+    if model == RB:
+        params, build, cfg = dict(RB_PARAMS, **over), rv.ModelParams, table1_config
+    else:
+        params, build, cfg = dict(TF, **over), rv.TwoFactorParams, two_factor_config
+    try:
+        build(**params)
+    except ValueError:
+        raised = True
+    else:
+        raised = False
+    assert raised is not inside
+    try:
+        cli.resolve_config(cfg(params=params), "skew", {})
+    except cli.CliError as err:
+        assert err.code == cli.EXIT_SCHEMA
+        assert raised, err
+    else:
+        assert not raised
+
+
 @pytest.mark.parametrize("command, body, sha", RESOLVED_SHA_CASES)
 def test_resolved_config_hash_is_pinned(command, body, sha):
     # defaults are filled in before hashing, so a changed default changes the hash
@@ -1268,6 +1377,10 @@ COMPARE_BODY = without(table1_config(kernel={"method": "closed-form"}), "model")
         pytest.param(
             "compare", with_key(COMPARE_BODY, "grid", {"T": 0.25}), "grid.N", [16, 1],
             id="compare-grid.N",
+        ),
+        pytest.param(  # smile's steps replace [grid.N]
+            "smile", table1_config(steps=[8, 16]), "grid.N", [50, 1, "x"],
+            id="smile-grid.N-with-steps",
         ),
         pytest.param(
             "compare", COMPARE_BODY, "model", ["abergomi", "sabr"], id="compare-model",

@@ -75,6 +75,24 @@ def test_params_validation(kw):
         rv.ModelParams(**base)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"xi0": 0.0}, "xi0 must be positive, got 0.0"),
+        ({"eta": float("inf")}, "eta must be positive, got inf"),
+        ({"H": 0.5}, "H must lie in (0, 1/2), got 0.5"),
+        ({"rho": float("nan")}, "rho must lie in [-1, 1], got nan"),
+        # the first parameter outside its domain, in DOMAINS order
+        ({"xi0": -1.0, "H": 0.7, "rho": 2.0}, "xi0 must be positive, got -1.0"),
+    ],
+)
+def test_params_name_the_first_domain_broken(kw, message):
+    base = {"xi0": 0.026, "eta": 1.9, "H": 0.07, "rho": -0.9}
+    with pytest.raises(ValueError) as err:
+        rv.ModelParams(**{**base, **kw})
+    assert str(err.value) == message
+
+
 def _two_factor(**over):
     base = {
         "omega": 2.0, "theta": 0.3, "kappa_X": 8.0, "kappa_Y": 0.5,
