@@ -202,23 +202,27 @@ def _check_strikes(v, ctx: dict, errors: list):
     if v is _ABSENT or v is None:
         v = {"min": -0.2, "max": 0.2, "count": 21}
     if isinstance(v, list):
-        if v and all(_num(x) for x in v):
-            return [float(x) for x in v]
-        errors.append("strikes: must be a non-empty list of numbers")
-        return []
-    if not isinstance(v, dict):
+        if not (v and all(_num(x) for x in v)):
+            errors.append("strikes: must be a non-empty list of numbers")
+            return []
+        k = [float(x) for x in v]
+    elif not isinstance(v, dict):
         errors.append("strikes: must be a list or a {min, max, count} object")
         return []
-    for k in sorted(set(v) - {"min", "max", "count"}):
-        errors.append(f"strikes.{k}: unknown key")
-    lo, hi, cnt = v.get("min"), v.get("max"), v.get("count")
-    if not (_num(lo) and _num(hi) and lo < hi):
-        errors.append("strikes.min/max: need numbers with min < max")
-        return []
-    if not _int_from(2)(cnt):
-        errors.append("strikes.count: must be an integer >= 2")
-        return []
-    return [lo + (hi - lo) * i / (cnt - 1) for i in range(cnt)]
+    else:
+        for key in sorted(set(v) - {"min", "max", "count"}):
+            errors.append(f"strikes.{key}: unknown key")
+        lo, hi, cnt = v.get("min"), v.get("max"), v.get("count")
+        if not (_num(lo) and _num(hi) and lo < hi):
+            errors.append("strikes.min/max: need numbers with min < max")
+            return []
+        if not _int_from(2)(cnt):
+            errors.append("strikes.count: must be an integer >= 2")
+            return []
+        k = [lo + (hi - lo) * i / (cnt - 1) for i in range(cnt)]
+    if not all(abs(x) <= _K_MAX for x in k):  # NaN fails too
+        errors.append(f"strikes: every log-moneyness must lie in [-{_K_MAX}, {_K_MAX}]")
+    return k
 
 
 def _params(domains: dict) -> dict:
@@ -233,6 +237,7 @@ def _at_least_3(v: list, _):
 
 
 _PRICING = ("simulate", "smile", "compare", "skew")
+_K_MAX = 700  # the log-moneyness bound: e^k is a finite, normal double
 _NUM, _POS = "must be a number", "must be a positive number"
 _INT_LIST = "must be a non-empty integer list"
 _METHOD = _Key(
@@ -326,7 +331,10 @@ _CONFIG = {
         cast=lambda v: [float(x) for x in v],
         commands=("skew",),
     ),
-    "bump": _Key(_pos, _POS, 0.01, commands=("skew",)),
+    "bump": _Key(  # skew's probe strikes are +-bump
+        _pos, _POS, 0.01, commands=("skew",),
+        bound=lambda v, _: None if v <= _K_MAX else f"must be at most {_K_MAX}",
+    ),
 }
 
 
@@ -500,10 +508,10 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# commands: each takes the parsed arguments and the _Run that main set up
+# commands: each takes the _Run that main set up
 
 
-def cmd_simulate(args, run: _Run) -> int:
+def cmd_simulate(run: _Run) -> int:
     resolved = run.config
     model = resolved["model"]
     T, N = resolved["grid"]["T"], resolved["grid"]["N"]
@@ -532,7 +540,7 @@ def cmd_simulate(args, run: _Run) -> int:
     return EXIT_OK
 
 
-def cmd_fit_kernel(args, run: _Run) -> int:
+def cmd_fit_kernel(run: _Run) -> int:
     fo = run.config["fit"]
     H, T, n, n_grid, method = fo["H"], fo["T"], fo["n"], fo["N_grid"], fo["method"]
     tau = np.arange(1, n_grid) * (T / n_grid)
@@ -554,7 +562,7 @@ def _smile_for(resolved: dict, N: int, T: float):
     return analytics.mc_smile(logS_T, resolved["strikes"], T=T)
 
 
-def cmd_smile(args, run: _Run) -> int:
+def cmd_smile(run: _Run) -> int:
     resolved = run.config
     model = resolved["model"]
     T = resolved["grid"]["T"]
@@ -583,7 +591,7 @@ def cmd_smile(args, run: _Run) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args, run: _Run) -> int:
+def cmd_compare(run: _Run) -> int:
     resolved = run.config
     T, terms = resolved["grid"]["T"], resolved["compare"]["terms"]
     sides = [(T, None)] + [(T, dict(resolved["kernel"], n=n)) for n in terms]
@@ -602,7 +610,7 @@ def cmd_compare(args, run: _Run) -> int:
     return EXIT_OK
 
 
-def cmd_skew(args, run: _Run) -> int:
+def cmd_skew(run: _Run) -> int:
     resolved = run.config
     model = resolved["model"]
     mats = resolved["maturities"]
@@ -694,7 +702,7 @@ def main(argv=None) -> int:
         )
         sha, out_dir = config_sha(resolved), _ensure_outdir(resolved)
         run = _Run(args.command, resolved, sha, out_dir)
-        return _COMMANDS[args.command][0](args, run)
+        return _COMMANDS[args.command][0](run)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

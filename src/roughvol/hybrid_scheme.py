@@ -27,8 +27,8 @@ rfft, the spectrum product, the irfft, the first cell and the scaling each
 map negated inputs to negated outputs.  So every convolution of exactly
 paired rows (sim_core's antithetic pairs) runs on a block's even rows and
 is negated into the odd ones: simulate_terminal's always, and each block
-of simulate_volterra and abergomi_driver whose input passes _paired; any
-other block runs whole, with the same bits.
+of simulate_volterra and abergomi_driver whose input _run_paired finds
+paired; any other block runs whole, with the same bits.
 
 The same scheme simulates the Markovian approximation: given a
 sum-of-exponentials kernel K(tau) = sum_i w_i e^(-x_i tau), the cells k >= 2
@@ -45,6 +45,7 @@ models.simulate_terminal (the CLI's route), and the variance step is shared.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,22 +188,11 @@ def _convolve_into(kernel, signal, out) -> None:
     A linear convolution via FFT, zero-padded to the next power of two >=
     len(kernel) + n - 1 and truncated to the signal's n columns: O(N log N)
     per path, not O(N^2).  The 1-d kernel, at most n long, is transformed
-    once; the rows in BLOCK_SIZE-row blocks, one run_chunks task each, a
-    block of exact antithetic pairs on its even rows, negated into the odd
-    ones.  out is [rows x n] like signal and may be a strided view.
+    once; the rows go through _run_paired.  out is [rows x n] like signal
+    and may be a strided view.
     """
-    rows, n = signal.shape
-    K, L = _kernel_spectrum(kernel, n)
-
-    def convolve(block: slice, fft_bufs) -> None:
-        sig, dst = signal[block], out[block]
-        if _paired(fft_bufs[1], sig):
-            _convolve_rows(K, sig[::2], dst[::2], fft_bufs)
-            _negate_pairs(dst)
-        else:
-            _convolve_rows(K, sig, dst, fft_bufs)
-
-    run_chunks(rows, convolve, lambda height: _fft_buffers(L, height))
+    K, L = _kernel_spectrum(kernel, signal.shape[1])
+    _run_paired(L, functools.partial(_convolve_rows, K), (signal,), out)
 
 
 def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -215,21 +205,29 @@ def _kernel_spectrum(kernel: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return np.fft.rfft(kernel, L), L
 
 
-def _paired(scratch: np.ndarray, *planes: np.ndarray) -> bool:
-    """Whether row 2j+1 of every plane is the exact negation of row 2j.
+def _run_paired(L: int, rows_fn, planes: tuple, out: np.ndarray) -> None:
+    """Run rows_fn(*planes[rows], out[rows], fft_bufs) on each run_chunks block.
 
-    The planes share one shape.  For finite doubles x + y == 0 only when
-    y == -x; a NaN or an inf reads as unpaired.  The sums go into scratch,
-    a block's idle FFT signal buffer.
+    fft_bufs are a worker's _fft_buffers(L, ...).  A block where row 2j+1
+    of every plane is the exact negation of row 2j runs on its even rows
+    and is negated into the odd ones; any other block runs whole, with the
+    same bits.  For finite doubles x + y == 0 only when y == -x; a NaN or
+    an inf reads as unpaired.  The sums go into the idle FFT signal buffer.
     """
-    m, n = planes[0].shape
-    t = scratch.reshape(-1)[: m // 2 * n].reshape(m // 2, n)
-    with np.errstate(invalid="ignore"):  # inf + -inf
-        for a in planes:
-            np.add(a[1::2], a[: m - 1 : 2], out=t)
-            if t.any():
-                return False
-    return True
+
+    def block(rows: slice, fft_bufs) -> None:
+        ins, dst = [p[rows] for p in planes], out[rows]
+        m, n = ins[0].shape
+        t = fft_bufs[1].reshape(-1)[: m // 2 * n].reshape(m // 2, n)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            paired = not any(np.add(a[1::2], a[: m - 1 : 2], out=t).any() for a in ins)
+        if paired:
+            rows_fn(*(a[::2] for a in ins), dst[::2], fft_bufs)
+            _negate_pairs(dst)
+        else:
+            rows_fn(*ins, dst, fft_bufs)
+
+    run_chunks(out.shape[0], block, lambda height: _fft_buffers(L, height))
 
 
 def _fft_buffers(L: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,17 +250,16 @@ def _convolve_rows(K, signal, out, bufs) -> None:
     out[...] = full[:, :n]
 
 
-def _volterra_kernel(plan: HybridPlan) -> np.ndarray:
-    """The convolution kernel of the tail cells: 0, then c_2..c_N."""
-    c = np.zeros(plan.grid.N)
-    c[1:] = plan.kernel_weights
-    return c
+def _plan_spectrum(plan: HybridPlan) -> tuple[np.ndarray, int]:
+    """_kernel_spectrum of the tail cells' kernel 0, c_2..c_N on N columns."""
+    c = np.concatenate(([0.0], plan.kernel_weights))
+    return _kernel_spectrum(c, plan.grid.N)
 
 
 def _volterra_rows(plan: HybridPlan, K, dB, dU, out, fft_bufs) -> None:
     """out = X on the rows of dB and dU, at most BLOCK_SIZE of them.
 
-    The tail convolution (K = the spectrum of _volterra_kernel(plan)) goes
+    The tail convolution (K = _plan_spectrum(plan)'s spectrum) goes
     through fft_bufs (_fft_buffers) into out[:, 1:], and then the first cell
     is added there: X_{t_j} = sqrt(2*alpha+1) * (tail + a1*dB + b1*dU) at
     j >= 1, X_0 = 0, in that order of operations.  The first cell's two
@@ -298,20 +295,10 @@ def simulate_volterra(plan: HybridPlan, inc: PathIncrements) -> VolterraPaths:
     """
     if inc.grid != plan.grid:
         raise ValueError("increments and plan were built on different grids")
-    n, N = inc.n_paths, plan.grid.N
-    values = np.empty((n, N + 1))
-    K, L = _kernel_spectrum(_volterra_kernel(plan), N)
+    values = np.empty((inc.n_paths, plan.grid.N + 1))
+    K, L = _plan_spectrum(plan)
     # read here, not in a worker: a first read of dU draws it on the pool
-    dB, dU = inc.dB, inc.dU
-
-    def volterra(rows: slice, fft_bufs) -> None:
-        b, u, x = dB[rows], dU[rows], values[rows]
-        if _paired(fft_bufs[1], b, u):
-            _volterra_rows(plan, K, b[::2], u[::2], x[::2], fft_bufs)
-            _negate_pairs(x)
-            x[:, 0] = 0.0  # not -0.0
-        else:
-            _volterra_rows(plan, K, b, u, x, fft_bufs)
-
-    run_chunks(n, volterra, lambda height: _fft_buffers(L, height))
+    planes = (inc.dB, inc.dU)
+    _run_paired(L, functools.partial(_volterra_rows, plan, K), planes, values)
+    values[:, 0] = 0.0  # not the -0.0 a paired block negates into its odd rows
     return VolterraPaths(values=_readonly(values), grid=plan.grid, alpha=plan.alpha)

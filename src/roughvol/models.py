@@ -61,8 +61,7 @@ from .hybrid_scheme import (
     VolterraPaths,
     _convolve_into,
     _fft_buffers,
-    _kernel_spectrum,
-    _volterra_kernel,
+    _plan_spectrum,
     _volterra_rows,
     make_hybrid_plan,
 )
@@ -300,7 +299,7 @@ def simulate_terminal(
         grid = make_time_grid(T, N)
         if kern not in fields:  # the first side of a kernel is its reference
             ref = make_hybrid_plan(grid, params.alpha, kernel=kern)
-            K, L = _kernel_spectrum(_volterra_kernel(ref), N)  # L follows N alone
+            K, L = _plan_spectrum(ref)  # L follows N alone
             fields[kern] = (ref, K, [])
         ref, _, members = fields[kern]
         scale = params.eta * (grid.T / ref.grid.T) ** params.H

@@ -43,7 +43,7 @@ malloc arenas, which keep it, so allocating inside the workers raises peak
 memory even though the arrays are freed.  The scratch grows with the width.
 Only numpy's iterator buffers for ufuncs on row-strided views are made in
 the workers, briefly: up to 64 KB per operand in ``_negate_pairs``, the
-even-row scaling and ``hybrid_scheme._paired``.
+even-row scaling and ``hybrid_scheme._run_paired``'s pairing test.
 
 Each step of the public chain writes straight into the array it returns,
 so a chain holds its inputs, its outputs and its workers' scratch, and no

@@ -622,8 +622,9 @@ def test_two_factor_model_is_analytic_only(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # runtime dependencies
 
-# Imports every roughvol module and runs each command with scipy blocked, then
-# prints the exit codes and every scipy module that got loaded anyway.
+# Imports every roughvol module and runs each command with scipy blocked and
+# RuntimeWarnings raised, then prints the exit codes and every scipy module
+# that got loaded anyway.
 _NO_SCIPY_SCRIPT = """
 import json, pkgutil, sys
 sys.modules["scipy"] = None
@@ -673,7 +674,8 @@ def test_every_command_runs_without_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(rv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _NO_SCIPY_SCRIPT,
+         json.dumps(argvs)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -946,6 +948,21 @@ SCHEMA_ERROR_CASES = [
         SCHEMA + "strikes: must be a list or a {min, max, count} object",
         id="strikes-wrong-type",
     ),
+    # every resolved strike, in either form, within the log-moneyness bound:
+    # e^1000 overflowed, and a min/max span of inf resolved to [nan, inf, inf]
+    pytest.param(
+        "smile", bs_config(strikes=[1000.0]),
+        SCHEMA + "strikes: every log-moneyness must lie in [-700, 700]",
+        id="strikes-list-beyond-bound",
+    ),
+    pytest.param(
+        "compare",
+        table1_config(
+            kernel=SMALL_KERNEL, strikes={"min": -1e308, "max": 1e308, "count": 3}
+        ),
+        SCHEMA + "strikes: every log-moneyness must lie in [-700, 700]",
+        id="strikes-grid-beyond-bound",
+    ),
     # kernel
     pytest.param(
         "simulate", table1_config(model="abergomi"),
@@ -1083,6 +1100,10 @@ SCHEMA_ERROR_CASES = [
     pytest.param(
         "skew", two_factor_config(bump="0.01"),
         SCHEMA + "bump: must be a positive number", id="bump-string",
+    ),
+    pytest.param(  # skew's probe strikes are +-bump
+        "skew", table1_config(bump=1e300),
+        SCHEMA + "bump: must be at most 700", id="bump-beyond-bound",
     ),
     # every section at once: the order of the messages
     pytest.param(

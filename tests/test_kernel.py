@@ -78,16 +78,25 @@ def test_exp_kernel_evaluates_the_sum():
 
 
 @pytest.mark.parametrize(
-    "method, n", [("closed-form", 3), ("closed-form", 10), ("least-squares", 10)]
+    "method, n, h",
+    [
+        pytest.param("closed-form", 3, H, id="closed-form-3"),
+        pytest.param("closed-form", 10, H, id="closed-form-10"),
+        pytest.param("least-squares", 10, H, id="least-squares-10"),
+        # below H ~ 0.008 the first node's tau = T * u^(1/(2H)) underflows to
+        # 0, where the target is infinite: the error read inf or NaN
+        ("closed-form", 8, 0.005),
+        ("closed-form", 8, 0.001),
+    ],
 )
-def test_l2_error_matches_incomplete_gamma_oracle(method, n):
+def test_l2_error_matches_incomplete_gamma_oracle(method, n, h):
     # both constructions approximate the one target sqrt(2H) * tau^(H-1/2)
     if method == "closed-form":
-        k = rv.closed_form_kernel(n, H, T)
+        k = rv.closed_form_kernel(n, h, T)
     else:
-        k = rv.fit_kernel_ls(H, T, 100, n)
-    got = rv.kernel_l2_error(k, H, T)
-    want = l2_error_incomplete_gamma(k, H, T)
+        k = rv.fit_kernel_ls(h, T, 100, n)
+    got = rv.kernel_l2_error(k, h, T)
+    want = l2_error_incomplete_gamma(k, h, T)
     assert got == pytest.approx(want, rel=1e-10)
 
 
