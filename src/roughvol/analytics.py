@@ -253,11 +253,13 @@ def mc_smile(
     bounds (e.g. every payoff zero) is skipped: its vol is NaN and a
     (strike, reason) entry is appended to the result's skipped list.
     log_price_terminal must be non-empty, 1-D (one value per path: a path
-    matrix's last column, not the matrix) and finite, or a ValueError names
-    it.
+    matrix's last column, not the matrix) and finite, and strikes 1-D, or a
+    ValueError names it.
     """
     _require_positive("mc_smile", T=T)
     strikes = np.asarray(strikes, dtype=float)
+    if strikes.ndim != 1:
+        raise ValueError(f"mc_smile: strikes must be 1-D, got shape {strikes.shape}")
     x = np.asarray(log_price_terminal, dtype=float)
     if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
         raise ValueError(

@@ -10,10 +10,10 @@ skew        ATM-skew term structure + fitted power-law exponent (JSON)
 
 Models: rbergomi, abergomi and bs for simulate and smile; rbergomi, abergomi
 and the analytic bergomi2f for skew (each command is one row of _COMMANDS).
-compare runs rBergomi against aBergomi at each compare.terms count, with the
-kernel.method kernel.  A command checks and hashes only the keys it reads
-(the `commands` column of _CONFIG; smile reads grid.N only without steps);
-any other key of the table is accepted and ignored.
+compare runs rBergomi against aBergomi at each compare.terms count.  Every
+aBergomi kernel is an n-term least-squares fit.  A command checks and hashes
+only the keys it reads (the `commands` column of _CONFIG; smile reads grid.N
+only without steps); any other key of the table is accepted and ignored.
 
 All commands read a single JSON config (--config); --seed/--out override
 the config's seed/out_dir.  The config is checked against one table
@@ -103,10 +103,6 @@ def _int_from(lo: int):
 
 def _int_list(lo: int):
     return lambda v: isinstance(v, list) and bool(v) and all(_int_from(lo)(x) for x in v)
-
-
-def _one_of(*names):
-    return lambda v: v in names
 
 
 _ABSENT = object()  # the value of a missing key, as a `check` function sees it
@@ -240,11 +236,6 @@ _PRICING = ("simulate", "smile", "compare", "skew")
 _K_MAX = 700  # the log-moneyness bound: e^k is a finite, normal double
 _NUM, _POS = "must be a number", "must be a positive number"
 _INT_LIST = "must be a non-empty integer list"
-_METHOD = _Key(
-    _one_of("closed-form", "least-squares"),
-    "must be 'closed-form' or 'least-squares'",
-    "least-squares",
-)
 _RB_PARAMS = _params(sim_core.ModelParams.DOMAINS)
 _PARAMS = {
     "rbergomi": _RB_PARAMS,
@@ -264,13 +255,7 @@ _GRID = {  # skew's maturities supply T; compare's steps, and smile's, supply N
         commands=("simulate", "smile", "skew"),
     ),
 }
-_KERNEL = {  # compare takes its term counts from compare.terms
-    "n": _Key(
-        _int_from(1), "must be an integer >= 1", required=True,
-        commands=("fit-kernel", "simulate", "smile", "skew"),
-    ),
-    "method": _METHOD,
-}
+_KERNEL = {"n": _Key(_int_from(1), "must be an integer >= 1", required=True)}
 _FIT = {
     "H": _Key(
         lambda v: _pos(v) and v < 0.5, "must be a number in (0, 1/2)", required=True
@@ -307,10 +292,10 @@ _CONFIG = {
         commands=_PRICING,
     ),
     "strikes": _Key(check=_check_strikes, commands=("smile", "compare")),
-    "kernel": _Key(
-        required=lambda ctx: ctx["model"] == "abergomi" or ctx["command"] == "compare",
+    "kernel": _Key(  # compare takes its term counts from compare.terms
+        required=lambda ctx: ctx["model"] == "abergomi",
         table=_KERNEL,
-        commands=_PRICING,
+        commands=("simulate", "smile", "skew"),
     ),
     "steps": _Key(
         _STEPS,
@@ -464,18 +449,16 @@ class _Run(NamedTuple):
 
 
 @functools.lru_cache
-def _build_kernel(n: int, method: str, H: float, T: float, n_grid: int):
-    """The configured kernel on [0, T]; cached, so each is fitted once.
+def _build_kernel(n: int, H: float, T: float, n_grid: int):
+    """The n-term least-squares kernel on [0, T]; cached, so each is fitted once.
 
     A simulation builds it on [0, 1], which simulate_terminal rescales to
-    each maturity.  A least-squares kernel is fitted on n_grid points,
-    max(N, 100) for a simulation on N steps.  Above 100 steps that grid
-    holds every lag the simulation uses; the 100-point floor keeps coarse
-    grids from landing the unregularized least-squares on spiky optima that
-    match the grid but explode between its points.
+    each maturity.  It is fitted on n_grid points, max(N, 100) for a
+    simulation on N steps.  Above 100 steps that grid holds every lag the
+    simulation uses; the 100-point floor keeps coarse grids from landing the
+    unregularized least-squares on spiky optima that match the grid but
+    explode between its points.
     """
-    if method == "closed-form":
-        return kernel.closed_form_kernel(n, H, T)
     return kernel.fit_kernel_ls(H, T, n_grid, n)
 
 
@@ -489,7 +472,7 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
     """Terminal (logS_T, V_T) of each (T, kernel) side on N steps, from one draw.
 
     The sides share resolved's params, paths and seed.  A side's kernel is
-    a kernel section ({n, method}) for aBergomi, built once on [0, 1], and
+    a kernel section ({n}) for aBergomi, built once on [0, 1], and
     None for rBergomi; simulate_terminal runs them.  bs, one side only,
     draws only dW.  compare's config has no model: its sides are rough.
     """
@@ -501,7 +484,7 @@ def _simulate(resolved: dict, N: int, sides: list) -> list:
         return [(-0.5 * vol * vol * T + vol * W_T, np.full(paths, vol * vol))]
     params = sim_core.ModelParams(xi0=p["xi0"], eta=p["eta"], H=p["H"], rho=p["rho"])
     rough_sides = [
-        (T, k and _build_kernel(k["n"], k["method"], params.H, 1.0, max(N, 100)))
+        (T, k and _build_kernel(k["n"], params.H, 1.0, max(N, 100)))
         for T, k in sides
     ]
     return models.simulate_terminal(rough_sides, params, N, paths, seed)
@@ -542,17 +525,14 @@ def cmd_simulate(run: _Run) -> int:
 
 def cmd_fit_kernel(run: _Run) -> int:
     fo = run.config["fit"]
-    H, T, n, n_grid, method = fo["H"], fo["T"], fo["n"], fo["N_grid"], fo["method"]
+    H, T, n, n_grid = fo["H"], fo["T"], fo["n"], fo["N_grid"]
     tau = np.arange(1, n_grid) * (T / n_grid)
-    kern = _build_kernel(n, method, H, T, n_grid)
-    doc = dict(fo, bound=None, l2_error=kernel.kernel_l2_error(kern, H, T))
-    if method == "closed-form":
-        doc["bound"] = kernel.closed_form_bound(n, H, T)
-        doc["bound_satisfied"] = bool(doc["l2_error"] <= doc["bound"])
+    kern = _build_kernel(n, H, T, n_grid)
+    doc = dict(fo, l2_error=kernel.kernel_l2_error(kern, H, T))
     doc["rmse"] = float(np.sqrt(np.mean((kern(tau) - kernel._target(tau, H)) ** 2)))
     doc["weights"] = kern.weights
     doc["speeds"] = kern.speeds
-    path = run.write_json(f"kernel_{method}_n{n}_H{_fmt(float(H))}.json", doc)
+    path = run.write_json(f"kernel_least-squares_n{n}_H{_fmt(float(H))}.json", doc)
     print(f"wrote {path} (rmse={doc['rmse']:.6g}, l2_error={doc['l2_error']:.6g})")
     return EXIT_OK
 
@@ -594,7 +574,7 @@ def cmd_smile(run: _Run) -> int:
 def cmd_compare(run: _Run) -> int:
     resolved = run.config
     T, terms = resolved["grid"]["T"], resolved["compare"]["terms"]
-    sides = [(T, None)] + [(T, dict(resolved["kernel"], n=n)) for n in terms]
+    sides = [(T, None)] + [(T, {"n": n}) for n in terms]
     rows = []
     for N in resolved["compare"]["steps"]:  # one draw per N serves every side
         terminal = _simulate(resolved, N, sides)

@@ -1,16 +1,12 @@
-"""Sum-of-exponentials approximations of rBergomi's Volterra kernel.
+"""Sum-of-exponentials approximation of rBergomi's Volterra kernel.
 
 Every ExpKernel K^n(tau) = sum_i w_i * exp(-x_i * tau) approximates the one
 target sqrt(2H) * tau^(H-1/2) on [0, T], the kernel under which the
-vol-of-vol eta multiplies the approximation downstream unchanged.  Two
-constructions:
-
-* ``closed_form_kernel`` — explicit weights/speeds from cell averages of the
-  Laplace representation tau^(H-1/2) = int_0^inf e^(-x*tau) mu(dx), scaled
-  by sqrt(2H), with a certified L2([0,T]) error bound C * n^(-4H/5),
-  ``closed_form_bound`` (Abi Jaber & El Euch 2019).
-* ``fit_kernel_ls`` — damped Gauss–Newton least squares on a fixed grid,
-  started from the unscaled closed-form nodes.
+vol-of-vol eta multiplies the approximation downstream unchanged.  One
+construction, ``fit_kernel_ls``: damped Gauss-Newton least squares on a
+fixed grid, started from the cell-average nodes of the Laplace
+representation tau^(H-1/2) = int_0^inf e^(-x*tau) mu(dx) (Abi Jaber &
+El Euch 2019).  ``kernel_l2_error`` measures any kernel on [0, T].
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ from .sim_core import _check_int, _readonly
 
 __all__ = [
     "ExpKernel",
-    "closed_form_kernel",
-    "closed_form_bound",
     "kernel_l2_error",
     "fit_kernel_ls",
 ]
@@ -48,6 +42,8 @@ class ExpKernel:
     def __post_init__(self):
         w = _readonly(np.atleast_1d(np.asarray(self.weights, dtype=float)))
         x = _readonly(np.atleast_1d(np.asarray(self.speeds, dtype=float)))
+        if w.ndim != 1 or x.ndim != 1:
+            raise ValueError("weights and speeds must be scalars or 1-D arrays")
         if w.size != x.size or w.size < 1:
             raise ValueError("weights and speeds must be equal-length, non-empty")
         if not (np.all((0 < w) & (w < np.inf)) and np.all((0 < x) & (x < np.inf))):
@@ -76,54 +72,23 @@ def _check_horizon(H: float, T: float) -> None:
 
 
 def _closed_form_nodes(n: int, H: float, T: float):
-    """Unscaled closed-form weights and speeds, and the factor shape of pi_n.
+    """Unscaled cell-average weights and speeds, fit_kernel_ls's start.
 
-    The weights are the mu-masses of the cells, so sum_i w_i e^(-x_i tau)
-    approximates the plain tau^(H-1/2).  fit_kernel_ls starts from these
-    nodes: started from the sqrt(2H)-scaled ones, Gauss-Newton lands in a
-    different optimum.
+    Partition (0, n*pi_n] into cells of width pi_n = n^(-1/5)/T *
+    (sqrt(10)*(1/2-H)/(5/2-H))^(2/5); weight i is the mu-mass of cell i and
+    speed i its mu-barycenter, so sum_i w_i e^(-x_i tau) approximates the
+    plain tau^(H-1/2).  Started from the sqrt(2H)-scaled nodes, Gauss-Newton
+    lands in a different optimum.  ROADMAP item 3 replaces this start.
     """
-    n = _check_int("n", n, 1)
-    _check_horizon(H, T)
     beta = 0.5 - H
-    shape = np.sqrt(10.0) * beta / (2.5 - H)
-    pi_n = n ** (-0.2) / T * shape**0.4
+    pi_n = n ** (-0.2) / T * (np.sqrt(10.0) * beta / (2.5 - H)) ** 0.4
     i = np.arange(1, n + 1, dtype=float)
     hi = (i * pi_n) ** beta
     lo = ((i - 1) * pi_n) ** beta
     w = (hi - lo) / (beta * math.gamma(beta))
     num = (i * pi_n) ** (1.5 - H) - ((i - 1) * pi_n) ** (1.5 - H)
     x = (1.0 - 2 * H) / (3.0 - 2 * H) * num / (hi - lo)
-    return w, x, shape
-
-
-def closed_form_kernel(n: int, H: float, T: float) -> ExpKernel:
-    """Explicit n-term kernel whose L2 error has a certified bound.
-
-    Partition (0, n*pi_n] into cells of width pi_n = n^(-1/5)/T *
-    (sqrt(10)*(1/2-H)/(5/2-H))^(2/5); weight i carries sqrt(2H) times the
-    mu-mass of cell i and speed i its mu-barycenter:
-
-        w_i = sqrt(2H) * ((i*pi_n)^(1/2-H) - ((i-1)*pi_n)^(1/2-H))
-                       / ((1/2-H)*Gamma(1/2-H))
-        x_i = (1-2H)/(3-2H) * ((i*pi_n)^(3/2-H) - ((i-1)*pi_n)^(3/2-H))
-                            / ((i*pi_n)^(1/2-H) - ((i-1)*pi_n)^(1/2-H))
-
-    Its kernel_l2_error is at most closed_form_bound(n, H, T).
-    """
-    w, x, _ = _closed_form_nodes(n, H, T)
-    return ExpKernel(weights=w * np.sqrt(2 * H), speeds=x, H=H, T=T)
-
-
-def closed_form_bound(n: int, H: float, T: float) -> float:
-    """Certified L2([0,T]) error bound C * n^(-4H/5) of closed_form_kernel.
-
-    C = T^H / (sqrt(H)*Gamma(1/2-H)) * (sqrt(10)*(1/2-H)/(5/2-H))^(-5H/2)
-        * (5/2)/(5/2-H), the plain kernel's constant times sqrt(2H).
-    """
-    _, _, shape = _closed_form_nodes(n, H, T)
-    C = T**H / (np.sqrt(H) * math.gamma(0.5 - H)) * shape ** (-2.5 * H)
-    return float(C * (2.5 / (2.5 - H)) * n ** (-0.8 * H))
+    return w, x
 
 
 def kernel_l2_error(k: ExpKernel, H: float, T: float) -> float:
@@ -158,17 +123,17 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
     damping with accept-if-decrease; stops on max|J^T r| < 1e-10 or after
     500 sweeps, returning the last accepted iterate, which has the lowest
     grid RMSE seen.  A single deterministic start at the unscaled
-    closed-form nodes is used — multi-start selection by grid RMSE favors
+    cell-average nodes is used — multi-start selection by grid RMSE favors
     degenerate near-cancelling pairs that explode off-grid, so it is
     deliberately avoided.  The iterate is always finite: it starts at the
-    finite closed-form nodes and moves only to a finite, lower RMSE.
+    finite cell-average nodes and moves only to a finite, lower RMSE.
     """
     _check_horizon(H, T)
     N_grid = _check_int("N_grid", N_grid, 3)
     n = _check_int("n", n, 1)
     tau = np.arange(1, N_grid) * (T / N_grid)
     y = _target(tau, H)
-    w, x, _ = _closed_form_nodes(n, H, T)
+    w, x = _closed_form_nodes(n, H, T)
     lw = np.log(w)
     lx = np.log(x)
 

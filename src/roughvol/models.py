@@ -454,6 +454,8 @@ def variance_conditional_expectation(
         raise ValueError(f"sigma must be finite, got {sigma}")
     if not (0 < xi0 < np.inf):
         raise ValueError(f"xi0 must be positive and finite, got {xi0}")
+    if np.shape(Y)[-1:] != (kernel.n,):
+        raise ValueError(f"Y must have {kernel.n} columns, got shape {np.shape(Y)}")
     delta = t - s
     w = kernel.weights
     x = kernel.speeds

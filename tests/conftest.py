@@ -32,6 +32,12 @@ def toy_kernel():
     return rv.ExpKernel(weights=[0.7, 0.2], speeds=[0.9, 4.0], H=0.07, T=1.0)
 
 
+def cell_kernel(n, H, T):
+    """fit_kernel_ls's cell-average start, scaled by sqrt(2H): a kernel without BLAS."""
+    w, x = rv.kernel._closed_form_nodes(n, H, T)
+    return rv.ExpKernel(weights=w * np.sqrt(2 * H), speeds=x, H=H, T=T)
+
+
 def aggregate_increments(fine, N, alpha):
     """Coarsen fine increments to N steps, drawn from the same Gaussians.
 

@@ -111,25 +111,27 @@ def test_criterion_01_25_term_fit_rmse():
     assert elapsed < 5.0
 
 
-def test_criterion_02_closed_form_error_bound():
+def test_criterion_02_fitted_kernel_cell_averages_match_the_power_plan():
+    # the CLI's kernel: n terms fitted on max(N, 100) points of [0, 1], then
+    # rescaled to T = 1; its plan's tail cell averages against rBergomi's
     t0 = time.perf_counter()
-    worst_ratio = 0.0
-    for H in (0.07, 0.1, 0.3):
+    worst = {}
+    for n in (10, 15, 25):
         errs = []
-        for n in (5, 10, 25, 50, 100):
-            err = rv.kernel_l2_error(rv.closed_form_kernel(n, H, 1.0), H, 1.0)
-            bound = rv.closed_form_bound(n, H, 1.0)
-            assert err <= bound, f"H={H}, n={n}"
-            errs.append(err)
-            worst_ratio = max(worst_ratio, err / bound)
-        assert all(a > b for a, b in zip(errs, errs[1:])), (
-            f"L2 error not strictly decreasing at H={H}: {errs}"
-        )
+        for N in (50, 100, 200, 400):
+            grid = rv.make_time_grid(1.0, N)
+            kern = rv.fit_kernel_ls(TABLE1.H, 1.0, max(N, 100), n)
+            got = rv.make_hybrid_plan(grid, TABLE1.alpha, kernel=kern).kernel_weights
+            want = rv.make_hybrid_plan(grid, TABLE1.alpha).kernel_weights
+            errs.append(np.max(np.abs(got / want - 1)))
+        worst[n] = max(errs)
     elapsed = time.perf_counter() - t0
+    per_n = ", ".join(f"n={n} {err:.2e}" for n, err in worst.items())
     print(
-        f"criterion 2: bound holds for all 15 (n, H) pairs, worst "
-        f"error/bound {worst_ratio:.3f}, decreasing in n, {elapsed:.2f}s"
+        f"criterion 2: max relative tail cell-average error over N in 50..400: "
+        f"{per_n} (tol 1e-3) in {elapsed:.2f}s"
     )
+    assert max(worst.values()) <= 1e-3
     assert elapsed < 10.0
 
 

@@ -233,6 +233,12 @@ def test_mc_smile_rejects_log_prices_not_1d_non_empty_and_finite(log_prices):
         rv.mc_smile(log_prices, np.array([0.0]), T=1.0)
 
 
+def test_mc_smile_rejects_strikes_not_1d():
+    # a strike matrix used to fail in numpy's broadcasting, naming no input
+    with pytest.raises(ValueError, match="strikes must be 1-D"):
+        rv.mc_smile(np.zeros(4), [[0.0, 0.1]], T=1.0)
+
+
 def test_mc_smile_records_skipped_strikes():
     # all paths end at the same huge value: price > S0 at every strike
     logS = np.full(100, 4.0)

@@ -51,7 +51,7 @@ TWO_FACTOR_PARAMS = {
     "omega": 2.0, "theta": 0.3, "kappa_X": 8.0, "kappa_Y": 0.5,
     "rho_SX": -0.7, "rho_SY": -0.6, "rho_XY": 0.2,
 }
-SMALL_KERNEL = {"n": 2, "method": "closed-form"}
+SMALL_KERNEL = {"n": 3}
 
 
 def two_factor_config(**over):
@@ -222,7 +222,6 @@ def test_compare_grid_has_one_row_per_cell(tmp_path):
         table1_config(
             paths=500,
             strikes={"min": -0.05, "max": 0.05, "count": 3},
-            kernel=SMALL_KERNEL,
             compare={"terms": [2, 3], "steps": [4, 6]},
             out_dir=str(tmp_path),
         ),
@@ -242,26 +241,25 @@ def test_compare_grid_has_one_row_per_cell(tmp_path):
 
 
 def test_compare_reads_no_kernel_n(tmp_path):
-    # compare's term counts come from compare.terms: kernel.n is optional there
-    # and, if given, neither read nor hashed
+    # compare's term counts come from compare.terms: it needs no kernel
+    # section, and one it is given is neither read nor hashed
     rows = {}
-    kernels = {"no_n": {"method": "closed-form"}, "n99": dict(SMALL_KERNEL, n=99)}
+    kernels = {"no_kernel": None, "no_n": {}, "n99": {"n": 99}}
     for name, kern in kernels.items():
-        cfg = write_config(
-            tmp_path,
-            table1_config(
-                paths=300,
-                strikes={"min": -0.05, "max": 0.05, "count": 3},
-                kernel=kern,
-                compare={"terms": [2, 3], "steps": [4]},
-            ),
-            name=f"{name}.json",
+        body = table1_config(
+            paths=300,
+            strikes={"min": -0.05, "max": 0.05, "count": 3},
+            compare={"terms": [2, 3], "steps": [4]},
         )
+        if kern is not None:
+            body["kernel"] = kern
+        cfg = write_config(tmp_path, body, name=f"{name}.json")
         out = tmp_path / name
         assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
         rows[name] = (out / "compare_rmse.csv").read_text().splitlines()
-    assert [r.split(",")[0] for r in rows["no_n"][2:]] == ["2", "3"]
-    assert rows["no_n"] == rows["n99"]  # the config_sha256 line too
+    assert [r.split(",")[0] for r in rows["no_kernel"][2:]] == ["2", "3"]
+    # the config_sha256 line too
+    assert rows["no_kernel"] == rows["no_n"] == rows["n99"]
 
 
 def test_simulate_one_path_writes_a_null_variance(tmp_path):
@@ -332,30 +330,12 @@ def test_fit_kernel_least_squares_report(tmp_path):
     )
     assert cli.main(["fit-kernel", "--config", cfg]) == 0
     doc = json.loads((tmp_path / "kernel_least-squares_n3_H0.07.json").read_text())
-    assert doc["method"] == "least-squares"
-    assert doc["bound"] is None
+    assert "method" not in doc and "bound" not in doc
     assert len(doc["weights"]) == 3 and len(doc["speeds"]) == 3
     assert doc["speeds"] == sorted(doc["speeds"])
     assert 0 < doc["rmse"] < 0.05
     assert doc["l2_error"] > 0
     assert doc["config_sha256"] == cli.config_sha(doc["config"])
-
-
-def test_fit_kernel_closed_form_report(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "schema_version": 1,
-            "fit": {"H": 0.07, "T": 1.0, "N_grid": 60, "n": 4,
-                    "method": "closed-form"},
-            "seed": 0,
-            "out_dir": str(tmp_path),
-        },
-    )
-    assert cli.main(["fit-kernel", "--config", cfg]) == 0
-    doc = json.loads((tmp_path / "kernel_closed-form_n4_H0.07.json").read_text())
-    assert doc["bound_satisfied"] is True
-    assert doc["l2_error"] <= doc["bound"]
 
 
 def test_skew_analytic_two_factor(tmp_path):
@@ -452,7 +432,7 @@ def test_abergomi_skew_fits_one_kernel_and_runs_one_field(tmp_path, monkeypatch)
     mats = [0.5, 0.02, 2.0, 0.1, 0.005]
     body = table1_config(
         model="abergomi", grid={"T": 1.0, "N": 20}, paths=64, maturities=mats,
-        kernel={"n": 5, "method": "least-squares"}, out_dir=str(tmp_path),
+        kernel={"n": 5}, out_dir=str(tmp_path),
     )
     assert cli.main(["skew", "--config", write_config(tmp_path, body)]) == 0
     assert fits == [(0.07, 1.0, 100, 5)]  # (H, T, N_grid, n): on [0, 1]
@@ -494,7 +474,6 @@ def test_every_simulation_runs_once(tmp_path, monkeypatch):
         tmp_path,
         table1_config(
             paths=64,
-            kernel=SMALL_KERNEL,
             compare={"terms": [2, 3], "steps": [20, 40]},
             out_dir=str(tmp_path),
         ),
@@ -578,7 +557,7 @@ def test_stiff_fitted_kernel_gives_a_finite_smile(tmp_path, n, N, paths):
             model="abergomi",
             grid={"T": 1.0, "N": N},
             paths=paths,
-            kernel={"n": n, "method": "least-squares"},
+            kernel={"n": n},
             out_dir=str(tmp_path),
         ),
     )
@@ -648,23 +627,15 @@ def test_every_command_runs_without_scipy(tmp_path):
         "simulate": [table1_config(**tiny), bs_config(**tiny)],
         "smile": [
             table1_config(model="abergomi", kernel={"n": 2}, **tiny),
-            table1_config(model="abergomi", kernel=SMALL_KERNEL, **tiny),
         ],
         "skew": [
             table1_config(maturities=[0.1, 0.25, 0.5], **tiny),
             two_factor_config(out_dir=str(tmp_path)),
         ],
         "compare": [
-            table1_config(
-                kernel=SMALL_KERNEL, compare={"terms": [2], "steps": [4]}, **tiny
-            )
+            table1_config(compare={"terms": [2], "steps": [4]}, **tiny)
         ],
-        "fit-kernel": [
-            fit_config(fit=small_fit, out_dir=str(tmp_path)),
-            fit_config(
-                fit=dict(small_fit, method="closed-form"), out_dir=str(tmp_path)
-            ),
-        ],
+        "fit-kernel": [fit_config(fit=small_fit, out_dir=str(tmp_path))],
     }
     argvs = [
         [command, "--config", write_config(tmp_path, body, f"{command}{i}.json")]
@@ -755,7 +726,7 @@ SCHEMA_ERROR_CASES = [
     ),
     # compare reads no model: its params are rBergomi's whatever model says
     pytest.param(
-        "compare", bs_config(kernel=SMALL_KERNEL),
+        "compare", bs_config(),
         SCHEMA + "params.vol: unknown key for model 'rbergomi'; " + RB_REQUIRED,
         id="model-compare-rough-only",
     ),
@@ -902,7 +873,7 @@ SCHEMA_ERROR_CASES = [
         id="grid-keys",
     ),
     pytest.param(
-        "compare", table1_config(grid={}, kernel=SMALL_KERNEL),
+        "compare", table1_config(grid={}),
         SCHEMA + "grid.T: must be a positive number",  # compare reads no grid.N
         id="grid-empty",
     ),
@@ -957,9 +928,7 @@ SCHEMA_ERROR_CASES = [
     ),
     pytest.param(
         "compare",
-        table1_config(
-            kernel=SMALL_KERNEL, strikes={"min": -1e308, "max": 1e308, "count": 3}
-        ),
+        table1_config(strikes={"min": -1e308, "max": 1e308, "count": 3}),
         SCHEMA + "strikes: every log-moneyness must lie in [-700, 700]",
         id="strikes-grid-beyond-bound",
     ),
@@ -968,13 +937,10 @@ SCHEMA_ERROR_CASES = [
         "simulate", table1_config(model="abergomi"),
         SCHEMA + "kernel: required", id="kernel-missing-abergomi",
     ),
-    pytest.param(
-        "compare", table1_config(),
-        SCHEMA + "kernel: required", id="kernel-missing-compare",
-    ),
     pytest.param(  # only compare, which reads compare.terms, goes without n
         "simulate", table1_config(model="abergomi", kernel={"method": "closed-form"}),
-        SCHEMA + "kernel.n: must be an integer >= 1", id="kernel-n-missing-abergomi",
+        SCHEMA + "kernel.method: unknown key; kernel.n: must be an integer >= 1",
+        id="kernel-n-missing-abergomi",
     ),
     pytest.param(
         "smile", table1_config(model="abergomi", kernel=[2]),
@@ -983,9 +949,8 @@ SCHEMA_ERROR_CASES = [
     pytest.param(
         "simulate", table1_config(model="abergomi", kernel=KERNEL_BAD_EVERY_KEY),
         # N_grid is gone: the fit grid follows the step count
-        SCHEMA + "kernel.N_grid: unknown key; kernel.terms: unknown key; "
-        "kernel.n: must be an integer >= 1; "
-        "kernel.method: must be 'closed-form' or 'least-squares'",
+        SCHEMA + "kernel.N_grid: unknown key; kernel.method: unknown key; "
+        "kernel.terms: unknown key; kernel.n: must be an integer >= 1",
         id="kernel-every-key",
     ),
     pytest.param(
@@ -1001,8 +966,12 @@ SCHEMA_ERROR_CASES = [
     ),
     pytest.param(
         "simulate", table1_config(kernel={"n": 2, "method": "euler"}),
-        SCHEMA + "kernel.method: must be 'closed-form' or 'least-squares'",
-        id="kernel-checked-for-rbergomi-too",
+        SCHEMA + "kernel.method: unknown key", id="kernel-checked-for-rbergomi-too",
+    ),
+    pytest.param(  # the least-squares fit is the one kernel, chosen by no key
+        "simulate",
+        table1_config(model="abergomi", kernel={"n": 2, "method": "least-squares"}),
+        SCHEMA + "kernel.method: unknown key", id="kernel-method-unknown",
     ),
     # fit
     pytest.param(
@@ -1018,11 +987,14 @@ SCHEMA_ERROR_CASES = [
         fit_config(
             fit={"H": 0.5, "T": -1, "N_grid": 2, "n": 0, "method": "x", "m2": 1}
         ),
-        SCHEMA + "fit.m2: unknown key; fit.H: must be a number in (0, 1/2); "
-        "fit.T: must be a positive number; fit.N_grid: must be an integer >= 3; "
-        "fit.n: must be an integer >= 1; "
-        "fit.method: must be 'closed-form' or 'least-squares'",
+        SCHEMA + "fit.m2: unknown key; fit.method: unknown key; "
+        "fit.H: must be a number in (0, 1/2); fit.T: must be a positive number; "
+        "fit.N_grid: must be an integer >= 3; fit.n: must be an integer >= 1",
         id="fit-every-key",
+    ),
+    pytest.param(
+        "fit-kernel", fit_config(fit={"H": 0.07, "n": 3, "method": "least-squares"}),
+        SCHEMA + "fit.method: unknown key", id="fit-method-unknown",
     ),
     pytest.param(
         "fit-kernel", fit_config(seed=-3, extra=1, fit={"H": "0.07", "n": 3}),
@@ -1032,14 +1004,12 @@ SCHEMA_ERROR_CASES = [
     ),
     # compare
     pytest.param(
-        "compare", table1_config(kernel=SMALL_KERNEL, compare=[2, 4]),
+        "compare", table1_config(compare=[2, 4]),
         SCHEMA + "compare: must be an object", id="compare-not-object",
     ),
     pytest.param(
         "compare",
-        table1_config(
-            kernel=SMALL_KERNEL, compare={"terms": [0], "steps": [1, 2], "grid": 1}
-        ),
+        table1_config(compare={"terms": [0], "steps": [1, 2], "grid": 1}),
         SCHEMA + "compare.grid: unknown key; "
         "compare.terms: must be a non-empty integer list; "
         "compare.steps: must be a non-empty integer list",
@@ -1047,7 +1017,7 @@ SCHEMA_ERROR_CASES = [
     ),
     pytest.param(
         "compare",
-        table1_config(kernel=SMALL_KERNEL, compare={"terms": [], "steps": "50"}),
+        table1_config(compare={"terms": [], "steps": "50"}),
         SCHEMA + "compare.terms: must be a non-empty integer list; "
         "compare.steps: must be a non-empty integer list",
         id="compare-empty-lists",
@@ -1156,7 +1126,7 @@ RESOLVED_SHA_CASES = [
     ),
     pytest.param(
         "simulate", table1_config(model="abergomi", kernel={"n": 3}),
-        "4ca85b9a103e3cae858e6c7e5f28879ddbe75c277b86adeac201879cb30dac43",
+        "4bb0c73fd885e2d849440237804d014fd5aa31c0b621e89f4260a7fa9ae335f6",
         id="simulate-abergomi",
     ),
     pytest.param(
@@ -1174,9 +1144,9 @@ RESOLVED_SHA_CASES = [
         table1_config(
             model="abergomi",
             steps=[8, 16],
-            kernel={"n": 2, "method": "closed-form"},
+            kernel={"n": 2},
         ),
-        "ac98bea769904747fec371a3ae038e3aa8aba000f9606536b05891d50639db20",
+        "6b829d5b5f926606c35d68f21945903ce69b2f3c543536472855944e54896d3a",
         id="smile-abergomi",
     ),
     pytest.param(
@@ -1185,14 +1155,14 @@ RESOLVED_SHA_CASES = [
         id="smile-bs",
     ),
     pytest.param(
-        "compare", without(table1_config(kernel=SMALL_KERNEL), "model"),
-        "23868e18dbc5a1cd4b490ea4323dab40a2b4d27276b7aa4bf0fa5c93b365ad46",
+        "compare", without(table1_config(), "model"),
+        "8bc947383f489a7baf62d7bab421841a0b2e1db8266e371f28bcba1686e52eeb",
         id="compare-rbergomi",
     ),
     # a null section is an absent one: it takes its defaults
     pytest.param(
-        "compare", without(table1_config(kernel=SMALL_KERNEL, compare=None), "model"),
-        "23868e18dbc5a1cd4b490ea4323dab40a2b4d27276b7aa4bf0fa5c93b365ad46",
+        "compare", without(table1_config(compare=None), "model"),
+        "8bc947383f489a7baf62d7bab421841a0b2e1db8266e371f28bcba1686e52eeb",
         id="compare-rbergomi-null-compare",
     ),
     pytest.param(
@@ -1207,7 +1177,7 @@ RESOLVED_SHA_CASES = [
     ),
     pytest.param(
         "fit-kernel", fit_config(),
-        "19f26e90513101415db277f4cd3e20bc152d5e2487f472eab456a213defcbbf7",
+        "b42ff97c7e7f8d417f1bd70483e3a8bda5f3bd5df99183619a63f20e8d61d12f",
         id="fit-kernel",
     ),
     # a null kernel is an absent one; null strikes take the default grid
@@ -1365,17 +1335,20 @@ def test_resolved_config_hash_is_pinned(command, body, sha):
 
 
 def with_key(cfg, dotted, value):
-    """A copy of cfg with the key at the dotted path set to value."""
+    """A copy of cfg with the key at the dotted path set to value.
+
+    A section on the path that cfg lacks is added, empty.
+    """
     cfg = json.loads(json.dumps(cfg))
     *sections, key = dotted.split(".")
     inner = cfg
     for name in sections:
-        inner = inner[name]
+        inner = inner.setdefault(name, {})
     inner[key] = value
     return cfg
 
 
-COMPARE_BODY = without(table1_config(kernel={"method": "closed-form"}), "model")
+COMPARE_BODY = without(table1_config(), "model")
 
 
 # (command, config without the key, key, values): the key is one the command
@@ -1439,10 +1412,6 @@ def test_unread_keys_do_not_move_the_hash(command, body, key, values):
         pytest.param(  # with the kernel section aBergomi needs
             "skew", table1_config(kernel={"n": 2}), "model", "abergomi", "bs",
             id="skew-model",
-        ),
-        pytest.param(
-            "compare", COMPARE_BODY, "kernel.method", "least-squares", "x",
-            id="compare-kernel.method",
         ),
         pytest.param("fit-kernel", fit_config(), "fit.n", 4, 0, id="fit-kernel-fit.n"),
     ],

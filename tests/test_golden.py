@@ -23,8 +23,7 @@ import pytest
 from roughvol import cli
 
 TABLE1 = {"xi0": 0.026, "eta": 1.9, "H": 0.07, "rho": -0.9}
-LS = {"n": 3, "method": "least-squares"}
-CF = {"n": 2, "method": "closed-form"}
+LS = {"n": 3}
 BASE = {
     "schema_version": 1,
     "params": TABLE1,
@@ -36,7 +35,6 @@ BASE = {
 MODELS = {
     "rbergomi": {"model": "rbergomi"},
     "abergomi-ls": {"model": "abergomi", "kernel": LS},
-    "abergomi-cf": {"model": "abergomi", "kernel": CF},
     "bs": {"model": "bs", "params": {"vol": 0.2}},
 }
 # unsorted, so the first side's field (T = 0.5) is scaled both down and up
@@ -60,19 +58,13 @@ TWO_FACTOR = {
 CASES = {
     **{f"simulate-{m}": ("simulate", dict(BASE, **c)) for m, c in MODELS.items()},
     **{f"smile-{m}": ("smile", dict(BASE, **c)) for m, c in MODELS.items()},
-    "compare-ls": (
-        "compare", dict(BASE, kernel=LS, compare={"terms": [3], "steps": COMPARE_STEPS})
-    ),
-    "compare-cf": (
-        "compare", dict(BASE, kernel=CF, compare={"terms": [2, 3], "steps": COMPARE_STEPS})
-    ),
+    "compare-ls": ("compare", dict(BASE, compare={"terms": [3], "steps": COMPARE_STEPS})),
     **{
         f"skew-{m}": ("skew", dict(BASE, **MODELS[m], **SKEW))
-        for m in ("rbergomi", "abergomi-ls", "abergomi-cf")
+        for m in ("rbergomi", "abergomi-ls")
     },
     "skew-bergomi2f": ("skew", TWO_FACTOR),
     "fit-kernel-ls": ("fit-kernel", {"schema_version": 1, "fit": {"H": 0.07, **LS}}),
-    "fit-kernel-cf": ("fit-kernel", {"schema_version": 1, "fit": {"H": 0.07, **CF}}),
 }
 
 
@@ -97,7 +89,7 @@ def key_numbers(command: str, out: str) -> list:
         return [doc["moments"][k] for k in sorted(doc["moments"])]
     if command == "skew":
         return [doc["exponent"], doc["intercept"], *doc["psi"]]
-    return [doc["l2_error"], doc["rmse"], doc["bound"] or 0.0]
+    return [doc["l2_error"], doc["rmse"]]
 
 
 def run(command: str, config: dict, out: str, *flags: str) -> dict:
@@ -119,31 +111,13 @@ def run_case(case: str, out: str) -> list:
 
 # recorded from the CLI; every value is a repr, so it round-trips exactly
 PINNED = {
-    "compare-cf": [
-        0.0013898235631206806,
-        0.0010475409882099763,
-        0.0026246394157264027,
-        0.0020704532973636804,
-    ],
     "compare-ls": [
         2.1522483558011556e-05,
         9.676890561393485e-06,
     ],
-    "fit-kernel-cf": [
-        0.779029504359725,
-        0.3951957990171181,
-        2.0094079931888653,
-    ],
     "fit-kernel-ls": [
         0.5524060162951481,
         0.00699016289429363,
-        0.0,
-    ],
-    "simulate-abergomi-cf": [
-        -0.007287134642394512,
-        1.002226765105864,
-        0.015094815724390627,
-        0.01998237524105063,
     ],
     "simulate-abergomi-ls": [
         -0.009198601264390621,
@@ -162,13 +136,6 @@ PINNED = {
         1.0023249234767828,
         0.018700893095681865,
         0.024946470520574356,
-    ],
-    "skew-abergomi-cf": [
-        -0.42918850166159117,
-        -1.425497951025456,
-        0.3273764480263644,
-        0.4333551625349055,
-        0.23902688350310453,
     ],
     "skew-abergomi-ls": [
         -0.42333344069727563,
@@ -190,13 +157,6 @@ PINNED = {
         0.39946081112053305,
         0.5260611075036686,
         0.2926162156645115,
-    ],
-    "smile-abergomi-cf": [
-        0.15626801768228638,
-        0.14471438874147058,
-        0.1328209439605757,
-        0.12081170039116002,
-        0.11268777675472613,
     ],
     "smile-abergomi-ls": [
         0.1679865798178079,

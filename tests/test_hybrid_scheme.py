@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvol as rv
-from conftest import convolve
+from conftest import cell_kernel, convolve
 from roughvol import BLOCK_SIZE, hybrid_scheme, sim_core
 
 ALPHA = 0.07 - 0.5  # H = 0.07
@@ -176,10 +176,10 @@ def test_kernel_plan_rescales_the_kernel_to_the_grid(T):
     # self-similar: the unit-horizon plan times T^alpha
     unit = rv.make_hybrid_plan(rv.make_time_grid(1.0, 50), ALPHA, kernel=kern)
     np.testing.assert_allclose(got, T**ALPHA * unit.kernel_weights, rtol=1e-13, atol=0)
-    # the closed-form kernel is of this form already: built at T or rescaled
+    # the cell-average kernel is of this form already: built at T or rescaled
     # from T = 1, it gives one plan
-    at_T = rv.make_hybrid_plan(g, ALPHA, kernel=rv.closed_form_kernel(8, 0.07, T))
-    rescaled = rv.make_hybrid_plan(g, ALPHA, kernel=rv.closed_form_kernel(8, 0.07, 1.0))
+    at_T = rv.make_hybrid_plan(g, ALPHA, kernel=cell_kernel(8, 0.07, T))
+    rescaled = rv.make_hybrid_plan(g, ALPHA, kernel=cell_kernel(8, 0.07, 1.0))
     np.testing.assert_allclose(at_T.kernel_weights, rescaled.kernel_weights, rtol=1e-13)
 
 
@@ -253,7 +253,7 @@ def test_volterra_equals_the_whole_array_formula(kind, n_paths, width, monkeypat
     # the odd rows; X_0 stays +0.0
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     g = rv.make_time_grid(1.0, 12)
-    kern = rv.closed_form_kernel(4, 0.07, 2.0) if kind == "kernel" else None
+    kern = cell_kernel(4, 0.07, 2.0) if kind == "kernel" else None
     plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
     inc = rv.sample_correlated_increments(g, -0.9, n_paths, 6)
     got = rv.simulate_volterra(plan, inc).values
@@ -272,7 +272,7 @@ def test_volterra_field_is_odd_over_the_antithetic_pairs(kind, N):
     # rows do too, bit for bit: models.simulate_terminal builds the even
     # rows only
     g = rv.make_time_grid(1.0, N)
-    kern = rv.closed_form_kernel(4, 0.07, 2.0) if kind == "kernel" else None
+    kern = cell_kernel(4, 0.07, 2.0) if kind == "kernel" else None
     plan = rv.make_hybrid_plan(g, ALPHA, kernel=kern)
     n = 2 * BLOCK_SIZE + 5
     X = rv.simulate_volterra(plan, rv.sample_correlated_increments(g, -0.9, n, 13)).values

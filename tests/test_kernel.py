@@ -1,4 +1,4 @@
-"""Kernel constructions against frozen values and an incomplete-gamma oracle."""
+"""The kernel fit against frozen values and an incomplete-gamma oracle."""
 
 import math
 import warnings
@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gamma, gammainc
 
 import roughvol as rv
+from conftest import cell_kernel
 
 H = 0.07
 T = 1.0
@@ -31,7 +32,7 @@ def l2_error_incomplete_gamma(k, H, T):
 
 
 def test_math_gamma_matches_scipy_on_the_node_arguments():
-    # the constructions take Gamma(1/2 - H) for H in (0, 1/2)
+    # the cell-average nodes take Gamma(1/2 - H) for H in (0, 1/2)
     for beta in 0.5 - np.linspace(0.005, 0.495, 99):
         assert math.gamma(beta) == pytest.approx(gamma(beta), rel=1e-14, abs=0)
 
@@ -68,6 +69,19 @@ def test_exp_kernel_rejects_non_finite_and_out_of_range_fields(field, value, mes
         rv.ExpKernel(**fields)
 
 
+@pytest.mark.parametrize(
+    "weights, speeds",
+    [([[0.5], [0.2]], [[1.0], [3.0]]), ([[0.5, 0.2]], [[1.0, 3.0]])],
+    ids=["column", "row"],
+)
+def test_exp_kernel_rejects_2d_weights_and_speeds(weights, speeds):
+    # a 2-D kernel used to build, then fail in every consumer with a bare
+    # matmul error; a scalar term stays a one-term kernel
+    with pytest.raises(ValueError, match="weights and speeds must be scalars or 1-D"):
+        rv.ExpKernel(weights=weights, speeds=speeds, H=H, T=T)
+    assert rv.ExpKernel(weights=0.5, speeds=1.0, H=H, T=T).n == 1
+
+
 def test_exp_kernel_evaluates_the_sum():
     k = rv.ExpKernel(weights=[0.5, 2.0], speeds=[1.0, 3.0], H=H, T=T)
     assert k.n == 2
@@ -90,9 +104,9 @@ def test_exp_kernel_evaluates_the_sum():
     ],
 )
 def test_l2_error_matches_incomplete_gamma_oracle(method, n, h):
-    # both constructions approximate the one target sqrt(2H) * tau^(H-1/2)
+    # the fit and its scaled cell-average start approximate one target
     if method == "closed-form":
-        k = rv.closed_form_kernel(n, h, T)
+        k = cell_kernel(n, h, T)
     else:
         k = rv.fit_kernel_ls(h, T, 100, n)
     got = rv.kernel_l2_error(k, h, T)
@@ -102,46 +116,12 @@ def test_l2_error_matches_incomplete_gamma_oracle(method, n, h):
 
 def test_l2_error_validation():
     # NaN fails every comparison, so each range check must pass only inside it
-    k = rv.closed_form_kernel(3, H, T)
+    k = cell_kernel(3, H, T)
     with pytest.raises(ValueError, match="H must lie"):
         rv.kernel_l2_error(k, math.nan, T)
     for bad_T in (math.nan, -1.0):
         with pytest.raises(ValueError, match="T must be positive and finite"):
             rv.kernel_l2_error(k, H, bad_T)
-
-
-def test_certified_bound_holds_and_error_decreases():
-    errs = []
-    for n in (5, 10, 25, 50):
-        kern = rv.closed_form_kernel(n, H, T)
-        assert kern.n == n
-        assert np.all(np.diff(kern.speeds) > 0)
-        err = rv.kernel_l2_error(kern, H, T)
-        assert err <= rv.closed_form_bound(n, H, T)
-        errs.append(err)
-    assert all(a > b for a, b in zip(errs, errs[1:]))
-
-
-def test_error_decay_rate_matches_bound_exponent():
-    ns = np.array([5, 10, 25, 50, 100])
-    errs = [rv.kernel_l2_error(rv.closed_form_kernel(int(n), H, T), H, T) for n in ns]
-    slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
-    assert slope == pytest.approx(-0.8 * H, abs=0.03)
-
-
-def test_closed_form_validation():
-    # the kernel and its bound check the same (n, H, T)
-    for build in (rv.closed_form_kernel, rv.closed_form_bound):
-        with pytest.raises(ValueError):
-            build(0, H, T)
-        with pytest.raises(ValueError):
-            build(5, 0.5, T)
-        with pytest.raises(ValueError):
-            build(5, H, 0.0)
-        with pytest.raises(ValueError, match="n must be an integer"):
-            build(2.5, H, T)
-        with pytest.raises(ValueError, match="T must be positive and finite"):
-            build(3, H, math.inf)
 
 
 def test_fit_is_deterministic_and_tight():
@@ -166,7 +146,7 @@ def test_fit_error_decreases_with_terms():
 
 
 def test_fit_improves_on_its_initialization():
-    init = rv.closed_form_kernel(8, H, T)
+    init = cell_kernel(8, H, T)
     fitted = rv.fit_kernel_ls(H, T, 100, 8)
     assert rv.kernel_l2_error(fitted, H, T) < rv.kernel_l2_error(init, H, T)
 
@@ -179,8 +159,7 @@ def test_fit_ends_no_worse_than_its_start(H_, T_, N_grid, n):
     # too fast for the grid to see, which must stay off the grid
     tau = np.arange(1, N_grid) * (T_ / N_grid)
     target = np.sqrt(2 * H_) * tau ** (H_ - 0.5)
-    init = rv.closed_form_kernel(n, H_, T_)
-    start = rv.ExpKernel(init.weights / np.sqrt(2 * H_), init.speeds, H_, T_)
+    start = rv.ExpKernel(*rv.kernel._closed_form_nodes(n, H_, T_), H_, T_)
     fitted = rv.fit_kernel_ls(H_, T_, N_grid, n)
 
     def rmse(k):
@@ -192,7 +171,7 @@ def test_fit_ends_no_worse_than_its_start(H_, T_, N_grid, n):
 def test_fit_stays_tame():
     # degenerate optima show up as huge weights on speeds too fast for the
     # grid to see (exp(-x * tau_1) below 1e-12); the deterministic
-    # closed-form start plus identity damping avoids them
+    # cell-average start plus identity damping avoids them
     k = rv.fit_kernel_ls(H, T, 100, 20)
     assert k.weights.max() < 5.0
     fastest_seen = np.log(1e12) / (T / 100)
@@ -224,7 +203,7 @@ def test_fit_rejects_an_overflowing_trial_step_silently(args):
 
 
 def test_fit_is_pinned():
-    # the fit starts from the unscaled closed-form nodes; started from the
+    # the fit starts from the unscaled cell-average nodes; started from the
     # sqrt(2H)-scaled ones, Gauss-Newton lands in another optimum
     k = rv.fit_kernel_ls(0.07, 1.0, 100, 25)
     weights = [

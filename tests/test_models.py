@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 import roughvol as rv
+from conftest import cell_kernel
 from roughvol import sim_core
 
 
@@ -77,7 +78,7 @@ def _chained_terminal(side, N, params, n_paths, seed):
 
 
 def _side(kind, T, H):
-    return T, rv.closed_form_kernel(4, H, 2.0) if kind == "kernel" else None
+    return T, cell_kernel(4, H, 2.0) if kind == "kernel" else None
 
 
 # a single path, a partial block of 3, 5, 3 and 7 rows after one, sixteen,
@@ -152,7 +153,7 @@ def test_repeated_and_kernel_plans_stay_bit_identical(width, table1, monkeypatch
     # so its dW must be rebuilt, not left at T=1.0's; each kernel object, a
     # repeated one too, runs its own field
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
-    kern = rv.closed_form_kernel(4, table1.H, 2.0)
+    kern = cell_kernel(4, table1.H, 2.0)
     sides = [
         _side("rbergomi", 0.25, table1.H),
         _side("kernel", 2.0, table1.H),
@@ -223,7 +224,7 @@ def test_one_volterra_field_per_slice_serves_every_side_of_a_kernel(
     # even an equal one, makes its own
     monkeypatch.setattr(sim_core, "_pool_width", lambda: width)
     calls = _field_maturities(monkeypatch)
-    kern, twin = (rv.closed_form_kernel(4, table1.H, 1.0) for _ in range(2))
+    kern, twin = (cell_kernel(4, table1.H, 1.0) for _ in range(2))
     sides = [(T, kern) for T in (0.1, 0.005, 0.02, 0.5, 2.0)] + [(1.0, twin)]
     n_paths = 2 * rv.BLOCK_SIZE + 3
     rv.simulate_terminal(sides, table1, 12, n_paths, 1)
@@ -569,6 +570,8 @@ def test_conditional_expectation_reduces_at_t_equals_s(toy_kernel, table1):
         rv.variance_conditional_expectation(toy_kernel, Y, 0.5, 0.5, float("nan"), 1.0)
     with pytest.raises(ValueError, match="xi0"):
         rv.variance_conditional_expectation(toy_kernel, Y, 0.5, 0.5, sigma, -1.0)
+    with pytest.raises(ValueError, match="Y must have 2 columns"):
+        rv.variance_conditional_expectation(toy_kernel, Y[:, :1], 0.5, 0.5, sigma, 1.0)
 
 
 def test_conditional_expectation_tower_property(toy_kernel, table1):
@@ -588,7 +591,7 @@ def test_conditional_expectation_tower_property(toy_kernel, table1):
 def test_moments_converge_to_the_rough_limit(table1):
     """E[V^n_1] and E[(V^n_1)^2] approach the rough-model moments as n grows.
 
-    The kernel plan (hybrid multifactor scheme) with the closed-form kernel,
+    The kernel plan (hybrid multifactor scheme) with the cell-average kernel,
     one shared set of increments across n (so the orderings are not noise).
     Reference moments are analytic: m1 = xi0, m2 = xi0^2 * exp(eta^2 *
     t^(2H)) at t = 1.
@@ -596,7 +599,7 @@ def test_moments_converge_to_the_rough_limit(table1):
     m1_ref = table1.xi0
     m2_ref = table1.xi0**2 * np.exp(table1.eta**2)
     terms = (5, 10, 25)
-    kernels = [rv.closed_form_kernel(n, table1.H, 1.0) for n in terms]
+    kernels = [cell_kernel(n, table1.H, 1.0) for n in terms]
     sides = [(1.0, kern) for kern in kernels]
     gaps = {}
     for n, (_, V1) in zip(terms, rv.simulate_terminal(sides, table1, 256, 102_400, 99)):
