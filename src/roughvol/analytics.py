@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim_core import ModelParams, _check_domains, _correlation, _number, _positive
+from .sim_core import (
+    ModelParams,
+    _check_domains,
+    _correlation,
+    _number,
+    _positive,
+    _require,
+)
 
 __all__ = [
     "DEFAULT_STRIKES",
@@ -168,13 +175,6 @@ class ExpansionCoeffs:
     c_mu: float
 
 
-def _require_positive(fn: str, **values) -> None:
-    """Raise ValueError unless every value lies in (0, inf); NaN fails too."""
-    for name, x in values.items():
-        if not (0 < x < math.inf):
-            raise ValueError(f"{fn} requires {name} positive and finite, got {x}")
-
-
 def _norm_cdf(x: float) -> float:
     """Standard normal CDF of a scalar; erfc keeps the lower tail accurate."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -182,13 +182,7 @@ def _norm_cdf(x: float) -> float:
 
 def bs_price(S0: float, K: float, T: float, vol: float) -> float:
     """Black-Scholes call, zero rates and dividends."""
-    if not (
-        0 < S0 < np.inf and 0 < K < np.inf and 0 < T < np.inf and 0 < vol < np.inf
-    ):
-        raise ValueError(
-            f"bs_price requires S0, K, T, vol all positive and finite, "
-            f"got {S0}, {K}, {T}, {vol}"
-        )
+    _require(_positive, S0=S0, K=K, T=T, vol=vol)
     sq = vol * np.sqrt(T)
     d1 = (np.log(S0 / K) + 0.5 * vol * vol * T) / sq
     return float(S0 * _norm_cdf(d1) - K * _norm_cdf(d1 - sq))
@@ -196,7 +190,7 @@ def bs_price(S0: float, K: float, T: float, vol: float) -> float:
 
 def bs_vega(S0: float, K: float, T: float, vol: float) -> float:
     """d bs_price / d vol: turns a price error into a vol error."""
-    _require_positive("bs_vega", S0=S0, K=K, T=T, vol=vol)
+    _require(_positive, S0=S0, K=K, T=T, vol=vol)
     sq = vol * np.sqrt(T)
     d1 = (np.log(S0 / K) + 0.5 * vol * vol * T) / sq
     return float(S0 * np.exp(-0.5 * d1 * d1) / np.sqrt(2 * np.pi) * np.sqrt(T))
@@ -208,7 +202,7 @@ def implied_vol(price: float, S0: float, K: float, T: float) -> float:
     Raises ValueError naming the violated bound when price is at or below
     intrinsic max(S0-K, 0), or at or above S0.
     """
-    _require_positive("implied_vol", S0=S0, K=K, T=T)
+    _require(_positive, S0=S0, K=K, T=T)
     if not np.isfinite(price):
         raise ValueError(f"price is not finite: {price}")
     lower = max(S0 - K, 0.0)
@@ -256,7 +250,7 @@ def mc_smile(
     matrix's last column, not the matrix) and finite, and strikes 1-D, or a
     ValueError names it.
     """
-    _require_positive("mc_smile", T=T)
+    _require(_positive, T=T)
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1:
         raise ValueError(f"mc_smile: strikes must be 1-D, got shape {strikes.shape}")
@@ -357,8 +351,7 @@ def atm_skew(smile_fn, maturities, bump: float = 0.01) -> SkewReport:
     """
     maturities = np.asarray(maturities, dtype=float)
     dk = float(bump)
-    if not (0 < dk < np.inf):
-        raise ValueError(f"bump must be positive and finite, got {bump}")
+    _require(_positive, bump=dk)
     if not np.all((0 < maturities) & (maturities < np.inf)):
         raise ValueError(f"maturities must be positive and finite, got {maturities}")
     probe = np.array([-dk, -dk / 2, dk / 2, dk])
@@ -409,7 +402,7 @@ def helper_functions(z: float):
     K=1/2.
     """
     if not (0 <= z < np.inf):
-        raise ValueError(f"helper_functions requires 0 <= z < inf, got {z}")
+        raise ValueError(f"z must lie in [0, inf), got {z}")
     if z < 0.05:
         # sixth-order series; the direct forms below lose ~eps/z^2 to
         # cancellation, so the switch sits where both branches agree to
@@ -448,7 +441,7 @@ def _factor_coeffs(speeds, loadings, T: float, xi0: float) -> ExpansionCoeffs:
                  * [(J(z_i) - B_ij)/2 + J(z_i) - J(z_i+z_j)],
           B_ij = (I(z_j) - I(z_i))/(z_i - z_j)  (-> K(z) as the speeds merge)
     """
-    _require_positive("the vol expansion", T=T, xi0=xi0)
+    _require(_positive, T=T, xi0=xi0)
     z = np.asarray(speeds, dtype=float) * T
     L = np.asarray(loadings, dtype=float)
     l = L[:, 0]
@@ -503,7 +496,7 @@ def rbergomi_expansion_coeffs(params: ModelParams, T: float) -> ExpansionCoeffs:
         C^mu   = rho^2*sigma^2*xi0^2 * T^(2a+3)/(2a+3)
                  * [B(a+1, a+2)/(2(a+1)) + 1/(2(a+1)^2)]
     """
-    _require_positive("rbergomi_expansion_coeffs", T=T)
+    _require(_positive, T=T)
     a, rho, sig, xi0 = params.alpha, params.rho, params.sigma, params.xi0
     beta = math.gamma(a + 1) * math.gamma(a + 2) / math.gamma(2 * a + 3)
     mu_factor = beta / (2 * (a + 1)) + 1 / (2 * (a + 1) ** 2)
@@ -524,7 +517,7 @@ def expansion_terms(coeffs: ExpansionCoeffs, v: float, T: float):
     expansion is in the scale eps of the vol-of-vol at eps = 1: another
     eps is the coefficients eps*C^Xxi, eps^2*C^xixi, eps^2*C^mu.
     """
-    _require_positive("expansion_terms", v=v, T=T)
+    _require(_positive, v=v, T=T)
     cx, cxx, cmu = coeffs.c_xxi, coeffs.c_xixi, coeffs.c_mu
     vs = np.sqrt(v / T)
     sigma_atm = vs * (

@@ -257,10 +257,11 @@ _GRID = {  # skew's maturities supply T; compare's steps, and smile's, supply N
 }
 _KERNEL = {"n": _Key(_int_from(1), "must be an integer >= 1", required=True)}
 _FIT = {
-    "H": _Key(
-        lambda v: _pos(v) and v < 0.5, "must be a number in (0, 1/2)", required=True
+    "H": _RB_PARAMS["H"],  # H's one domain, ModelParams.DOMAINS["H"]
+    "T": _Key(  # the fit's start nodes over- or underflow far outside it
+        _pos, _POS, 1.0,
+        bound=lambda v, _: None if 1e-100 <= v <= 1e100 else "must lie in [1e-100, 1e100]",
     ),
-    "T": _Key(_pos, _POS, 1.0),
     "N_grid": _Key(_int_from(3), "must be an integer >= 3", 100),
     **_KERNEL,
 }
@@ -504,18 +505,23 @@ def cmd_simulate(run: _Run) -> int:
     runtime = time.perf_counter() - t0
     if not np.all(np.isfinite(logS_T)):
         raise CliError(EXIT_NUMERIC, "simulation produced non-finite log-prices")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        moments = {
+            "mean_log_price": float(logS_T.mean()),
+            "var_log_price": float(logS_T.var(ddof=1)) if logS_T.size > 1 else None,
+            "mean_price": float(np.exp(logS_T).mean()),
+            "mean_terminal_variance": float(V_T.mean()),
+        }
+    for name, m in moments.items():
+        if m is not None and not math.isfinite(m):
+            raise CliError(EXIT_NUMERIC, f"summary moment {name} is not finite: {m}")
 
     tag = f"{model}_T{_fmt(float(T))}_N{N}"
     rows = [(i, float(v)) for i, v in enumerate(logS_T)]
     paths_file = run.write_csv(f"paths_{tag}.csv", ["path", "log_price_T"], rows)
     summary = {
         "n_paths": resolved["paths"],
-        "moments": {
-            "mean_log_price": float(logS_T.mean()),
-            "var_log_price": float(logS_T.var(ddof=1)) if logS_T.size > 1 else None,
-            "mean_price": float(np.exp(logS_T).mean()),
-            "mean_terminal_variance": float(V_T.mean()),
-        },
+        "moments": moments,
         "files": [os.path.basename(paths_file)],
     }
     run.write_json(f"summary_{tag}.json", summary)
@@ -602,8 +608,14 @@ def cmd_skew(run: _Run) -> int:
         xi0 = p["xi0"]
         psi = np.empty(len(mats))
         for i, T in enumerate(mats):
-            coeffs = analytics.two_factor_coeffs(tf, T, xi0)
-            _, s_t, _ = analytics.expansion_terms(coeffs, xi0 * T, T)
+            # a maturity whose expansion overflows, underflows or divides by
+            # zero is flagged, as atm_skew flags an undefined skew
+            with np.errstate(all="ignore"):
+                try:
+                    coeffs = analytics.two_factor_coeffs(tf, T, xi0)
+                    _, s_t, _ = analytics.expansion_terms(coeffs, xi0 * T, T)
+                except (ArithmeticError, ValueError):
+                    s_t = math.nan
             psi[i] = abs(s_t)
         report = analytics.skew_report(mats, psi, 0.0, psi.copy())
         doc_extra = {"bump": None, "n_paths": 0, "analytic": True}

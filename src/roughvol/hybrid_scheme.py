@@ -52,11 +52,14 @@ import numpy as np
 
 from .kernel import ExpKernel
 from .sim_core import (
+    ModelParams,
     PathIncrements,
     TimeGrid,
     _check_int,
     _negate_pairs,
+    _positive,
     _readonly,
+    _require,
     run_chunks,
 )
 
@@ -77,7 +80,7 @@ class HybridPlan:
     ----------
     grid : TimeGrid
     alpha : float
-        Kernel exponent in (-1/2, 0).
+        Kernel exponent H - 1/2, for an H inside ModelParams.DOMAINS["H"].
     kernel_weights : ndarray
         Cell averages c_k, k = 2..N, of the kernel over [(k-1)*dt, k*dt]:
         (b_k^* * dt)^alpha for the power kernel, the sum-of-exponentials
@@ -98,11 +101,6 @@ class VolterraPaths:
     alpha: float
 
 
-def _check_exponent(alpha: float) -> None:
-    if not (-0.5 < alpha < 0.0):
-        raise ValueError(f"alpha must lie in (-1/2, 0), got {alpha}")
-
-
 def optimal_nodes(alpha: float, N: int) -> np.ndarray:
     """Optimal displaced evaluation points b_k^* for k = 2..N.
 
@@ -112,7 +110,7 @@ def optimal_nodes(alpha: float, N: int) -> np.ndarray:
     Parameters
     ----------
     alpha : float
-        Exponent in (-1/2, 0).
+        Exponent H - 1/2, for an H inside ModelParams.DOMAINS["H"].
     N : int
         Number of grid steps (>= 2).
 
@@ -120,7 +118,7 @@ def optimal_nodes(alpha: float, N: int) -> np.ndarray:
     -------
     ndarray of shape (N-1,), entries b_2^*, ..., b_N^*.
     """
-    _check_exponent(alpha)
+    _require(ModelParams.DOMAINS["H"], **{"alpha + 1/2": alpha + 0.5})
     N = _check_int("N", N, 2)
     k = np.arange(2, N + 1, dtype=float)
     return ((k ** (alpha + 1) - (k - 1) ** (alpha + 1)) / (alpha + 1)) ** (1.0 / alpha)
@@ -136,9 +134,8 @@ def first_cell_coefficients(alpha: float, dt: float) -> tuple[float, float]:
     the law of int_0^dt (dt - s)^alpha dB_s jointly with dB: variance
     dt^(2*alpha+1)/(2*alpha+1) and covariance dt^(alpha+1)/(alpha+1).
     """
-    _check_exponent(alpha)
-    if not (0 < dt < np.inf):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _require(ModelParams.DOMAINS["H"], **{"alpha + 1/2": alpha + 0.5})
+    _require(_positive, dt=dt)
     a1 = dt**alpha / (alpha + 1.0)
     b1 = dt**alpha * np.sqrt(1.0 / (2 * alpha + 1) - 1.0 / (alpha + 1) ** 2)
     return a1, b1
@@ -167,7 +164,7 @@ def make_hybrid_plan(
     if kernel is None:
         w = (optimal_nodes(alpha, grid.N) * grid.dt) ** alpha
     else:
-        _check_exponent(alpha)
+        _require(ModelParams.DOMAINS["H"], **{"alpha + 1/2": alpha + 0.5})
         if not abs(kernel.H - 0.5 - alpha) <= 1e-12:
             raise ValueError(
                 f"kernel was built for H={kernel.H}, plan has alpha={alpha} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim_core import _check_int, _readonly
+from .sim_core import ModelParams, _check_int, _positive, _readonly, _require
 
 __all__ = [
     "ExpKernel",
@@ -30,8 +30,8 @@ class ExpKernel:
 
     weights and speeds positive and finite, speeds strictly increasing;
     K^n is then positive, strictly decreasing, and completely monotone on
-    (0, inf).  It approximates sqrt(2H) * tau^(H-1/2) on [0, T], with H in
-    (0, 1/2) and T positive and finite.
+    (0, inf).  It approximates sqrt(2H) * tau^(H-1/2) on [0, T], with H
+    inside ModelParams.DOMAINS["H"] and T positive and finite.
     """
 
     weights: np.ndarray
@@ -50,7 +50,8 @@ class ExpKernel:
             raise ValueError("weights and speeds must all be positive and finite")
         if not np.all(np.diff(x) > 0):
             raise ValueError("speeds must be strictly increasing")
-        _check_horizon(self.H, self.T)
+        _require(ModelParams.DOMAINS["H"], H=self.H)
+        _require(_positive, T=self.T)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "speeds", x)
 
@@ -61,14 +62,6 @@ class ExpKernel:
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
         return np.exp(-np.multiply.outer(tau, self.speeds)) @ self.weights
-
-
-def _check_horizon(H: float, T: float) -> None:
-    """Reject an H outside (0, 1/2) or a T that is not positive and finite."""
-    if not (0.0 < H < 0.5):
-        raise ValueError(f"H must lie in (0, 1/2), got {H}")
-    if not (0 < T < np.inf):
-        raise ValueError(f"T must be positive and finite, got {T}")
 
 
 def _closed_form_nodes(n: int, H: float, T: float):
@@ -101,7 +94,8 @@ def kernel_l2_error(k: ExpKernel, H: float, T: float) -> float:
     fast.  The target times sqrt(jacobian) is exactly T^H, so the target is
     never evaluated: below H ~ 0.008 the first node's tau underflows to 0.
     """
-    _check_horizon(H, T)
+    _require(ModelParams.DOMAINS["H"], H=H)
+    _require(_positive, T=T)
     g = 1.0 / (2 * H)
     u, gl_w = np.polynomial.legendre.leggauss(400)
     u = 0.5 * (u + 1.0)
@@ -128,7 +122,8 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
     deliberately avoided.  The iterate is always finite: it starts at the
     finite cell-average nodes and moves only to a finite, lower RMSE.
     """
-    _check_horizon(H, T)
+    _require(ModelParams.DOMAINS["H"], H=H)
+    _require(_positive, T=T)
     N_grid = _check_int("N_grid", N_grid, 3)
     n = _check_int("n", n, 1)
     tau = np.arange(1, N_grid) * (T / N_grid)
@@ -168,7 +163,8 @@ def fit_kernel_ls(H: float, T: float, N_grid: int, n: int) -> ExpKernel:
                 continue
             lw_t = lw + step[:n]
             lx_t = lx + step[n:]
-            with np.errstate(over="ignore"):  # an overflowed trial is rejected
+            # an overflowed trial, 0 * inf in its matmul too, is rejected
+            with np.errstate(over="ignore", invalid="ignore"):
                 E_t, r_t = model_and_resid(lw_t, lx_t)
                 rmse_t = float(np.sqrt(np.mean(r_t**2)))
             if np.isfinite(rmse_t) and rmse_t < rmse:

@@ -73,7 +73,9 @@ from .sim_core import (
     _block_normals,
     _check_int,
     _negate_pairs,
+    _positive,
     _readonly,
+    _require,
     _scale_increments,
     make_time_grid,
     run_chunks,
@@ -161,8 +163,7 @@ class AbergomiConfig:
     mult_factor: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.mult_factor < np.inf):
-            raise ValueError(f"mult_factor must be positive and finite: {self.mult_factor}")
+        _require(_positive, mult_factor=self.mult_factor)
 
 
 def rbergomi_variance(volterra: VolterraPaths, params: ModelParams) -> VariancePaths:
@@ -452,8 +453,7 @@ def variance_conditional_expectation(
         raise ValueError(f"need 0 <= s <= t < inf, got s={s}, t={t}")
     if not (-np.inf < sigma < np.inf):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    if not (0 < xi0 < np.inf):
-        raise ValueError(f"xi0 must be positive and finite, got {xi0}")
+    _require(_positive, xi0=xi0)
     if np.shape(Y)[-1:] != (kernel.n,):
         raise ValueError(f"Y must have {kernel.n} columns, got shape {np.shape(Y)}")
     delta = t - s

@@ -158,10 +158,10 @@ class TimeGrid:
 
 
 def make_time_grid(T: float, N: int) -> TimeGrid:
-    """Build the uniform grid on [0, T] with N steps (N >= 2)."""
-    if not (0 < T < np.inf):
-        raise ValueError(f"horizon T must be positive and finite, got {T}")
+    """Build the uniform grid on [0, T] with N steps (N >= 2); T/N must not underflow."""
+    _require(_positive, T=T)
     N = _check_int("step count N", N, 2)
+    _require(_positive, **{"T/N": T / N})
     nodes = np.linspace(0.0, T, N + 1)
     return TimeGrid(T=float(T), N=N, dt=T / N, nodes=_readonly(nodes))
 
@@ -232,6 +232,28 @@ def _correlation(v, _) -> str | None:
     return None if -1 <= v <= 1 else "must lie in [-1, 1]"
 
 
+def _hurst(v, _) -> str | None:
+    if not 0 < v < 0.5:
+        return "must lie in (0, 1/2)"
+    if v - 0.5 == -0.5:  # every H in (0, 2^-55]
+        return "must exceed 2^-55, below which H - 1/2 rounds to -1/2"
+
+
+def _vol_of_vol(v, values) -> str | None:
+    # the compensator takes eta^2/2
+    return _positive(v, values) or (None if v * v < np.inf else "must have a finite square")
+
+
+def _require(rule, **values) -> None:
+    """Raise ValueError "{name} {why}, got {value}" for the first value rule rejects.
+
+    rule is a DOMAINS rule; values are checked in the order given.
+    """
+    for name, v in values.items():
+        if why := rule(v, values):
+            raise ValueError(f"{name} {why}, got {v}")
+
+
 def _check_domains(params) -> None:
     """Raise ValueError for the first parameter outside its DOMAINS rule."""
     values = {name: getattr(params, name) for name in params.DOMAINS}
@@ -258,8 +280,8 @@ class ModelParams:
     sigma: float = field(init=False)
     DOMAINS = {
         "xi0": _positive,
-        "eta": _positive,
-        "H": lambda v, _: None if 0 < v < 0.5 else "must lie in (0, 1/2)",
+        "eta": _vol_of_vol,
+        "H": _hurst,
         "rho": _correlation,
     }
 
@@ -345,8 +367,7 @@ def sample_correlated_increments(
     (PathIncrements._draw_dU), so a caller that never reads it draws
     2*ceil(m/2)*N normals per block.
     """
-    if not (-1 <= rho <= 1):
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+    _require(_correlation, rho=rho)
     n_paths = _check_int("n_paths", n_paths, 1)
     seed = _check_int("seed", seed, 0)
 

@@ -988,7 +988,7 @@ SCHEMA_ERROR_CASES = [
             fit={"H": 0.5, "T": -1, "N_grid": 2, "n": 0, "method": "x", "m2": 1}
         ),
         SCHEMA + "fit.m2: unknown key; fit.method: unknown key; "
-        "fit.H: must be a number in (0, 1/2); fit.T: must be a positive number; "
+        "fit.H: must lie in (0, 1/2); fit.T: must be a positive number; "
         "fit.N_grid: must be an integer >= 3; fit.n: must be an integer >= 1",
         id="fit-every-key",
     ),
@@ -999,7 +999,7 @@ SCHEMA_ERROR_CASES = [
     pytest.param(
         "fit-kernel", fit_config(seed=-3, extra=1, fit={"H": "0.07", "n": 3}),
         SCHEMA + "extra: unknown key; seed: must be an integer in [0, 2^64); "
-        "fit.H: must be a number in (0, 1/2)",
+        "fit.H: must be a number",
         id="fit-top-level-first",
     ),
     # compare
@@ -1274,7 +1274,11 @@ RB, TWO, TF = "rbergomi", "bergomi2f", TWO_FACTOR_PARAMS
 DOMAIN_CASES = [
     *domain_edge(RB, "xi0", 0.0, INF),
     *domain_edge(RB, "eta", 0.0, INF),
-    *domain_edge(RB, "H", 0.0, INF),
+    # the compensator takes eta^2/2
+    *domain_edge(RB, "eta", math.nextafter(math.sqrt(sys.float_info.max), INF), -INF),
+    # below 2^-55, H - 1/2 rounds to -1/2; 0 and the smallest double lie outside
+    *domain_edge(RB, "H", 2.0**-55, INF),
+    *(pytest.param(RB, {"H": h}, False, id=f"{RB}-H-{h!r}") for h in (0.0, 5e-324)),
     *domain_edge(RB, "H", 0.5, -INF),
     *domain_edge(RB, "rho", -1.0, INF, closed=True),
     *domain_edge(RB, "rho", 1.0, -INF, closed=True),
@@ -1504,3 +1508,83 @@ def test_thread_count_leaves_smile_csvs_byte_identical(thread_env, tmp_path, mon
     assert len(outs["1"]) == 2
     for a, b in zip(outs["1"], outs["2"]):
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# extreme values the schema's types accept
+
+
+EXTREMES = [5e-324, 1e-300, 1e-100, 1e-10, 1e10, 1e100, 1e300]
+
+
+def _extreme_base(command, model):
+    if command == "fit-kernel":
+        return fit_config(fit={"H": 0.07, "n": 2})
+    params = {"bs": {"vol": 0.2}, "bergomi2f": dict(TF)}.get(model, dict(RB_PARAMS))
+    cfg = {"schema_version": 1, "seed": 3, "paths": 40, "params": params}
+    if command == "skew":
+        cfg.update(model=model, grid={"N": 8}, maturities=[0.3, 0.6, 1.2])
+    else:
+        cfg["grid"] = {"T": 1.0, "N": 8}
+    if command == "compare":
+        cfg["compare"] = {"terms": [2], "steps": [8]}
+    elif command != "skew":
+        cfg["model"] = model
+    if model == "abergomi":
+        cfg["kernel"] = {"n": 2}
+    return cfg
+
+
+def _extreme_cases():
+    for command, models in [
+        ("simulate", (RB, "abergomi", "bs")),
+        ("smile", (RB, "abergomi", "bs")),
+        ("compare", (RB,)),
+        ("skew", (RB, "abergomi", TWO)),
+        ("fit-kernel", (None,)),
+    ]:
+        for model in models:
+            keys = ["grid.T"] if command in ("simulate", "smile", "compare") else []
+            if model in (RB, "abergomi"):
+                keys += ["params.xi0", "params.eta", "params.H"]
+            if model == TWO:
+                keys += ["params.omega", "params.kappa_X", "params.kappa_Y", "params.xi0"]
+            if command == "skew":
+                keys += ["maturities", "bump"]
+            if command == "fit-kernel":
+                keys += ["fit.T", "fit.H"]
+            for key in keys:
+                yield pytest.param(command, model, key, id=f"{command}-{model}-{key}")
+
+
+# what a failed run may name: a config key, or the quantity that failed
+NAMED_CAUSE = re.compile(
+    r"^error: config schema errors: [\w.]+: "
+    r"|^error: skew power-law fit failed: "
+    r"|^error: summary moment \w+ is not finite: "
+    r"|^numeric failure: no strike survived in both smiles"
+    r"|^numeric failure: T/N must be positive, got "
+)
+
+
+@pytest.mark.parametrize("command, model, key", _extreme_cases())
+def test_extreme_values_exit_with_a_named_cause(tmp_path, capsys, command, model, key):
+    # every run ends in 0, 2 or 3 without a RuntimeWarning; a failed one
+    # names its cause and leaves no artifact
+    for i, v in enumerate(EXTREMES):
+        cfg = _extreme_base(command, model)
+        if key == "maturities":
+            cfg["maturities"][0] = v
+        elif "." in key:
+            section, name = key.split(".")
+            cfg[section][name] = v
+        else:
+            cfg[key] = v
+        out = tmp_path / f"out{i}"
+        cfg["out_dir"] = str(out)
+        code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (v, code, err)
+        if code:
+            assert NAMED_CAUSE.search(err), (v, err)
+            assert not out.exists() or not list(out.iterdir()), (v, err)

@@ -1,5 +1,7 @@
 """Optimal nodes, the FFT Toeplitz product, and Volterra path statistics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,9 +35,9 @@ def test_optimal_nodes_validation():
 
 def test_first_cell_coefficients_validation():
     # a negative dt would give complex coefficients, a NaN alpha NaN ones
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
+    with pytest.raises(ValueError, match=re.escape("dt must be positive, got -1.0")):
         rv.first_cell_coefficients(ALPHA, -1.0)
-    with pytest.raises(ValueError, match="alpha must lie"):
+    with pytest.raises(ValueError, match=re.escape("alpha + 1/2 must lie in (0, 1/2)")):
         rv.first_cell_coefficients(float("nan"), 0.1)
 
 

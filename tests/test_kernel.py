@@ -53,9 +53,9 @@ def test_exp_kernel_validation():
     [
         ("H", math.nan, "H must lie"),
         ("H", 0.5, "H must lie"),
-        ("T", math.nan, "T must be positive and finite"),
-        ("T", -1.0, "T must be positive and finite"),
-        ("T", math.inf, "T must be positive and finite"),
+        ("T", math.nan, "T must be positive, got"),
+        ("T", -1.0, "T must be positive, got"),
+        ("T", math.inf, "T must be positive, got"),
         ("weights", [math.inf], "positive and finite"),
         ("speeds", [math.inf], "positive and finite"),
     ],
@@ -120,7 +120,7 @@ def test_l2_error_validation():
     with pytest.raises(ValueError, match="H must lie"):
         rv.kernel_l2_error(k, math.nan, T)
     for bad_T in (math.nan, -1.0):
-        with pytest.raises(ValueError, match="T must be positive and finite"):
+        with pytest.raises(ValueError, match="T must be positive, got"):
             rv.kernel_l2_error(k, H, bad_T)
 
 
@@ -188,7 +188,7 @@ def test_fit_validation():
     with pytest.raises(ValueError, match="n must be an integer"):
         rv.fit_kernel_ls(H, T, 100, 2.5)
     # rejected before the fit grid is built, where a negative T would warn
-    with pytest.raises(ValueError, match="T must be positive and finite"):
+    with pytest.raises(ValueError, match="T must be positive, got"):
         rv.fit_kernel_ls(H, -1.0, 100, 3)
 
 
